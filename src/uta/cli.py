@@ -279,7 +279,8 @@ def _add_common(p, with_target: bool) -> None:
     p.add_argument("--format", dest="out_format", choices=("text", "json"),
                    default="text")
     p.add_argument("--allow-shared-clocks", action="store_true",
-                   help="keep going when components share a clock")
+                   help="keep going when components share a clock "
+                        "(reach then needs --no-simulation)")
     p.add_argument("--dump-model", action="store_true",
                    help="echo the parsed model before the result")
 

@@ -22,7 +22,6 @@ from .model import (
     WEAK,
     AtomicConstraint,
     Const,
-    Guard,
     Kind,
     Shift,
     Strictness,
@@ -186,21 +185,44 @@ def intersect(d: Dbm, phi: AtomicConstraint) -> Zone:
     return _freeze(m)
 
 
-def intersect_all(d: Zone, atoms: Iterable[AtomicConstraint]) -> Zone:
-    if d is EMPTY:
-        return EMPTY
-    m = None
+Triple = tuple[int, int, int]  # (row, col, encoded bound): x_row - x_col <= bound
+_FALSE = (0, 0, int(encode_bound(0, STRICT)))  # 0 - 0 < 0, never satisfied
+
+
+def encode_atoms(atoms: Iterable[AtomicConstraint]) -> tuple[Triple, ...]:
+    """Matrix entries of a constraint conjunction, in order; TOP atoms are
+    dropped and a BOTTOM atom turns the whole conjunction into false."""
+    out = []
     for phi in atoms:
         if phi.kind is Kind.TOP:
             continue
         if phi.kind is Kind.BOTTOM:
-            return EMPTY
+            return (_FALSE,)
+        out.append(_atom_entry(phi))
+    return tuple(out)
+
+
+def constrain(d: Zone, cut: Iterable[Triple]) -> Zone:
+    """Intersect with pre-encoded bounds.
+
+    Returns d itself when no bound tightens it, so that unchanged zones
+    share one matrix.
+    """
+    if d is EMPTY:
+        return EMPTY
+    m = None
+    for i, j, b in cut:
         if m is None:
+            if b >= d.m[i, j]:
+                continue
             m = np.array(d.m)
-        i, j, b = _atom_entry(phi)
         if not _tighten(m, i, j, b):
             return EMPTY
     return d if m is None else _freeze(m)
+
+
+def intersect_all(d: Zone, atoms: Iterable[AtomicConstraint]) -> Zone:
+    return constrain(d, encode_atoms(atoms))
 
 
 def _substitution(up: Update, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -218,26 +240,54 @@ def _substitution(up: Update, n: int) -> tuple[np.ndarray, np.ndarray]:
     return src, off
 
 
-def apply_update(d: Dbm, up: Update) -> Zone:
-    """Exact image of the zone under a simultaneous update.
+@dataclass(frozen=True, slots=True)
+class Step:
+    """A discrete move pre-encoded for `successor`.
 
-    Restricts to the update's domain (each x := y+d with d < 0 requires
-    -d <= y), then substitutes sources and offsets entry-wise; the result
-    of substituting into a canonical matrix is canonical.
+    ``cut`` holds the guard's bounds followed by the update's domain (each
+    x := y+d with d < 0 requires -d <= y).  For a non-identity update,
+    ``src`` holds per entry of the updated matrix the flat index of the
+    entry it is copied from and ``delta`` the encoded offset added to it;
+    both are None for the identity.
     """
+
+    cut: tuple[Triple, ...]
+    src: Optional[np.ndarray] = None
+    delta: Optional[np.ndarray] = None
+
+
+def compile_step(guard: Iterable[AtomicConstraint], up: Update,
+                 n_clocks: int) -> Step:
+    cut = list(encode_atoms(guard))
     if up.is_identity:
-        return d
-    m = np.array(d.m)
+        return Step(tuple(cut))
     for x, u in up.entries:
         if isinstance(u, Shift) and u.offset < 0:
-            if not _tighten(m, 0, u.source + 1, encode_bound(u.offset, WEAK)):
-                return EMPTY
-    src, off = _substitution(up, d.n)
+            cut.append((0, u.source + 1, encode_bound(u.offset, WEAK)))
+    src, off = _substitution(up, n_clocks)
+    flat = src[:, None] * (n_clocks + 1) + src[None, :]
     delta = 2 * (off[:, None] - off[None, :])
-    new = m[np.ix_(src, src)]
-    new = np.where(new >= INF, INF, new + delta)
+    flat.flags.writeable = False
+    delta.flags.writeable = False
+    return Step(tuple(cut), flat, delta)
+
+
+def _image(d: Zone, step: Step) -> Zone:
+    """Substitute sources and offsets entry-wise into a zone already cut to
+    the update's domain; the result of substituting into a canonical matrix
+    is canonical."""
+    if d is EMPTY or step.src is None:
+        return d
+    new = np.take(d.m, step.src)
+    new = np.where(new >= INF, INF, new + step.delta)
     np.fill_diagonal(new, LE_ZERO)
     return _freeze(new)
+
+
+def apply_update(d: Dbm, up: Update) -> Zone:
+    """Exact image of the zone under a simultaneous update."""
+    step = compile_step((), up, d.n)
+    return _image(constrain(d, step.cut), step)
 
 
 def apply_update_relational(d: Dbm, up: Update) -> Zone:
@@ -275,23 +325,18 @@ def elapse(d: Dbm) -> Dbm:
 
 def successor(
     d: Zone,
-    e,
-    target_invariant: Guard = Guard(),
+    step: Step,
+    invariant: tuple[Triple, ...] = (),
     do_elapse: bool = True,
 ) -> Zone:
     """One discrete-plus-delay step: guard, update, invariant, elapse,
-    invariant again."""
-    z = intersect_all(d, e.guard.clock_atoms)
-    if z is EMPTY:
-        return EMPTY
-    z = apply_update(z, e.update)
-    if z is EMPTY:
-        return EMPTY
-    z = intersect_all(z, target_invariant.clock_atoms)
+    invariant again.  The invariant is pre-encoded like the step's cut
+    (`encode_atoms`)."""
+    z = _image(constrain(d, step.cut), step)
+    z = constrain(z, invariant)
     if z is EMPTY or not do_elapse:
         return z
-    z = intersect_all(elapse(z), target_invariant.clock_atoms)
-    return z
+    return constrain(elapse(z), invariant)
 
 
 def membership(d: Zone, v) -> bool:

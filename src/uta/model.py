@@ -515,6 +515,16 @@ class Network:
             usage[x] = (updaters, readers)
         return usage
 
+    def shared_clocks(self) -> list[str]:
+        """One message per clock that more than one component reads or updates."""
+        out = []
+        for x, (updaters, readers) in sorted(self.clock_usage().items()):
+            involved = updaters | readers
+            if len(involved) > 1:
+                names = ", ".join(self.components[i].name for i in sorted(involved))
+                out.append(f"clock {self.clocks[x]} is shared between components {names}")
+        return out
+
 
 @dataclass(frozen=True, slots=True)
 class Diagnostic:
@@ -529,17 +539,7 @@ def validate_network(net: Network) -> list[Diagnostic]:
     composition both assume per-component clock ownership); the rest are
     warnings.
     """
-    out: list[Diagnostic] = []
-    for x, (updaters, readers) in sorted(net.clock_usage().items()):
-        involved = updaters | readers
-        if len(involved) > 1:
-            names = ", ".join(net.components[i].name for i in sorted(involved))
-            out.append(
-                Diagnostic(
-                    "error",
-                    f"clock {net.clocks[x]} is shared between components {names}",
-                )
-            )
+    out = [Diagnostic("error", msg) for msg in net.shared_clocks()]
     for var in net.int_vars:
         if not var.lo <= var.init <= var.hi:
             out.append(

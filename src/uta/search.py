@@ -14,14 +14,25 @@ check against the per-state constraint set does too.
 """
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .analysis import GSet, GMap, Status
-from .dbm import EMPTY, Dbm, Zone, elapse, intersect_all, successor, zero_zone
-from .model import Edge, Guard, Network, Update
+from .dbm import (
+    EMPTY,
+    Dbm,
+    Step,
+    Triple,
+    compile_step,
+    constrain,
+    elapse,
+    encode_atoms,
+    successor,
+    zero_zone,
+)
+from .model import IntAssign, IntAtom, Network, Update
 from .simulation import (
     SimPrepared,
     not_simulated_batch,
@@ -86,6 +97,8 @@ class SearchStats:
             "verdict": self.verdict,
             "nodes": self.nodes,
             "pruned": self.pruned,
+            "max_frontier": self.max_frontier,
+            "disabled_assigns": self.disabled_assigns,
             "seconds": round(self.seconds, 4),
         }
         if self.path is not None and net is not None:
@@ -114,48 +127,138 @@ def product_gset(gmaps: Sequence[GMap], loc: ProductLoc) -> GSet:
     return GSet(nond, diag)
 
 
-class _NetCache:
-    """Per-network tables used on every expansion."""
+@dataclass(frozen=True, slots=True)
+class Move:
+    """One candidate firing, compiled once from its edges (emitter first)."""
+
+    label: TransLabel
+    int_atoms: tuple[IntAtom, ...]
+    int_assigns: tuple[IntAssign, ...]
+    dsts: tuple[tuple[int, int], ...]  # (component index, destination)
+    step: Step
+
+
+# (move, destination location vector, its invariant, whether time elapses
+# there): one entry of a product location's move list
+Firing = tuple[Move, tuple[int, ...], tuple[Triple, ...], bool]
+
+
+class CompiledNet:
+    """The move structure of a network, compiled once per network.
+
+    Per product location, the ordered list of moves that may fire there is
+    built on first use and kept: internal edges component by component,
+    then for each channel in declaration order every emitter with every
+    receiver of another component.  While a component sits in a committed
+    location, moves that involve no committed component are left out.
+    """
 
     def __init__(self, net: Network):
         self.net = net
         self.n_clocks = len(net.clocks)
-        self.out = []  # per component: per location: list of edge indices
-        for comp in net.components:
-            table = [[] for _ in comp.locations]
-            for ei, e in enumerate(comp.edges):
-                table[e.src].append(ei)
-            self.out.append(table)
         self.bounds = [(v.lo, v.hi) for v in net.int_vars]
-        self._inv: dict[tuple[int, ...], Guard] = {}
-        self._committed: dict[tuple[int, ...], bool] = {}
+        channel = {ch: k for k, ch in enumerate(net.channels)}
+        # per component, per location: internal edge indices, and per
+        # channel index the (emitting, receiving) edge indices
+        self._internal = []
+        self._sync = []
+        for comp in net.components:
+            internal = [[] for _ in comp.locations]
+            sync = [{} for _ in comp.locations]
+            for ei, e in enumerate(comp.edges):
+                if e.sync is None:
+                    internal[e.src].append(ei)
+                elif e.sync[0] in channel:
+                    pair = sync[e.src].setdefault(channel[e.sync[0]], ([], []))
+                    pair[e.sync[1] == "?"].append(ei)
+            self._internal.append(internal)
+            self._sync.append(sync)
+        self.shared_clocks = net.shared_clocks()
+        self._moves: dict[tuple[int, ...], tuple[Firing, ...]] = {}
+        self._move: dict[tuple[tuple[int, int], ...], Move] = {}
+        self._target: dict[tuple[int, ...], tuple[tuple[Triple, ...], bool]] = {}
 
-    def invariant(self, locs: tuple[int, ...]) -> Guard:
-        got = self._inv.get(locs)
+    def committed(self, locs: tuple[int, ...]) -> bool:
+        return any(
+            self.net.components[c].locations[l].committed
+            for c, l in enumerate(locs)
+        )
+
+    def target(self, locs: tuple[int, ...]) -> tuple[tuple[Triple, ...], bool]:
+        """The encoded invariant of locs, and whether time may pass there."""
+        got = self._target.get(locs)
         if got is None:
             atoms = []
             for c, l in enumerate(locs):
                 atoms.extend(self.net.components[c].locations[l].invariant.clock_atoms)
-            got = Guard(tuple(atoms))
-            self._inv[locs] = got
+            got = (encode_atoms(atoms), not self.committed(locs))
+            self._target[locs] = got
         return got
 
-    def committed(self, locs: tuple[int, ...]) -> bool:
-        got = self._committed.get(locs)
+    def _compile(self, parts: tuple[tuple[int, int], ...]) -> Move:
+        got = self._move.get(parts)
         if got is None:
-            got = any(
-                self.net.components[c].locations[l].committed
-                for c, l in enumerate(locs)
+            edges = [self.net.components[c].edges[ei] for c, ei in parts]
+            update: dict = {}
+            for e in edges:
+                update.update(e.update.entries)  # the receiver's entry wins
+            got = Move(
+                TransLabel(parts),
+                tuple(a for e in edges for a in e.guard.int_atoms),
+                tuple(a for e in edges for a in e.int_assigns),
+                tuple((c, e.dst) for (c, _), e in zip(parts, edges)),
+                compile_step(
+                    [phi for e in edges for phi in e.guard.clock_atoms],
+                    Update.of(update),
+                    self.n_clocks,
+                ),
             )
-            self._committed[locs] = got
+            self._move[parts] = got
         return got
+
+    def moves(self, locs: tuple[int, ...]) -> tuple[Firing, ...]:
+        got = self._moves.get(locs)
+        if got is None:
+            got = tuple(self._firing(locs, parts) for parts in self._candidates(locs))
+            self._moves[locs] = got
+        return got
+
+    def _candidates(self, locs: tuple[int, ...]):
+        comps = self.net.components
+        committed_now = self.committed(locs)
+
+        def allowed(parts):
+            return not committed_now or any(
+                comps[c].locations[locs[c]].committed for c, _ in parts
+            )
+
+        for c, l in enumerate(locs):
+            for ei in self._internal[c][l]:
+                if allowed(((c, ei),)):
+                    yield ((c, ei),)
+        syncs = [self._sync[c][l] for c, l in enumerate(locs)]
+        for ch in sorted(set().union(*syncs)):
+            emitters = [(c, ei) for c, s in enumerate(syncs) if ch in s
+                        for ei in s[ch][0]]
+            receivers = [(c, ei) for c, s in enumerate(syncs) if ch in s
+                         for ei in s[ch][1]]
+            for c1, e1 in emitters:
+                for c2, e2 in receivers:
+                    if c1 != c2 and allowed(((c1, e1), (c2, e2))):
+                        yield ((c1, e1), (c2, e2))
+
+    def _firing(self, locs: tuple[int, ...], parts) -> Firing:
+        move = self._compile(parts)
+        new_locs = list(locs)
+        for c, dst in move.dsts:
+            new_locs[c] = dst
+        new_locs = tuple(new_locs)
+        return (move, new_locs) + self.target(new_locs)
 
 
 def _apply_assigns(
     assigns, ints: tuple[int, ...], bounds
 ) -> Optional[tuple[int, ...]]:
-    if not assigns:
-        return ints
     vals = list(ints)
     for a in assigns:
         v = a.value(vals)
@@ -166,82 +269,31 @@ def _apply_assigns(
     return tuple(vals)
 
 
-def _merge_updates(a: Update, b: Update) -> Update:
-    if a.is_identity:
-        return b
-    if b.is_identity:
-        return a
-    merged = {x: u for x, u in a.entries}
-    merged.update({x: u for x, u in b.entries})
-    return Update.of(merged)
-
-
-def successors(n: SearchNode, net: Network, cache: Optional[_NetCache] = None):
-    """Enabled moves from n, in fixed component/edge declaration order.
+def successors(n: SearchNode, net: Network,
+               compiled: Optional[CompiledNet] = None):
+    """Enabled moves from n, in the order of `CompiledNet.moves`.
 
     Returns (list of fresh SearchNode, number of integer-disabled firings).
     """
-    cache = cache or _NetCache(net)
-    locs, ints = n.loc.locs, n.loc.ints
-    committed_now = cache.committed(locs)
+    compiled = compiled or CompiledNet(net)
+    ints = n.loc.ints
     disabled = 0
     out: list[SearchNode] = []
-
-    def try_move(parts: tuple[tuple[int, int], ...]) -> None:
-        nonlocal disabled
-        if committed_now and not any(
-            net.components[c].locations[locs[c]].committed for c, _ in parts
-        ):
-            return
-        edges = [net.components[c].edges[ei] for c, ei in parts]
-        if not all(
-            atom.holds(ints) for e in edges for atom in e.guard.int_atoms
-        ):
-            return
+    for move, new_locs, invariant, do_elapse in compiled.moves(n.loc.locs):
+        if move.int_atoms and not all(a.holds(ints) for a in move.int_atoms):
+            continue
         new_ints = ints
-        for e in edges:
-            new_ints = _apply_assigns(e.int_assigns, new_ints, cache.bounds)
+        if move.int_assigns:
+            new_ints = _apply_assigns(move.int_assigns, ints, compiled.bounds)
             if new_ints is None:
                 disabled += 1
-                return
-        new_locs = list(locs)
-        for (c, _), e in zip(parts, edges):
-            new_locs[c] = e.dst
-        new_locs = tuple(new_locs)
-        guard_atoms = tuple(p for e in edges for p in e.guard.clock_atoms)
-        update = edges[0].update
-        for e in edges[1:]:
-            update = _merge_updates(update, e.update)
-        fired = Edge(0, 0, Guard(guard_atoms), update)
-        zone = successor(
-            n.zone,
-            fired,
-            target_invariant=cache.invariant(new_locs),
-            do_elapse=not cache.committed(new_locs),
-        )
+                continue
+        zone = successor(n.zone, move.step, invariant, do_elapse)
         if zone is EMPTY:
-            return
+            continue
         out.append(
-            SearchNode(ProductLoc(new_locs, new_ints), zone,
-                       label=TransLabel(parts))
+            SearchNode(ProductLoc(new_locs, new_ints), zone, label=move.label)
         )
-
-    for c, comp in enumerate(net.components):
-        for ei in cache.out[c][locs[c]]:
-            if comp.edges[ei].sync is None:
-                try_move(((c, ei),))
-    for ch in net.channels:
-        emitters = []
-        receivers = []
-        for c, comp in enumerate(net.components):
-            for ei in cache.out[c][locs[c]]:
-                sync = comp.edges[ei].sync
-                if sync and sync[0] == ch:
-                    (emitters if sync[1] == "!" else receivers).append((c, ei))
-        for c1, e1 in emitters:
-            for c2, e2 in receivers:
-                if c1 != c2:
-                    try_move(((c1, e1), (c2, e2)))
     return out, disabled
 
 
@@ -268,14 +320,14 @@ def _resolve_target(net: Network, target: str) -> frozenset:
     return frozenset(pairs)
 
 
-def _initial_node(net: Network, cache: _NetCache) -> Optional[SearchNode]:
+def _initial_node(net: Network, compiled: CompiledNet) -> Optional[SearchNode]:
     locs = tuple(c.initial for c in net.components)
     ints = net.int_initials()
-    inv = cache.invariant(locs)
+    invariant, do_elapse = compiled.target(locs)
     # the invariant must already hold at the all-zero starting point
-    z = intersect_all(zero_zone(cache.n_clocks), inv.clock_atoms)
-    if z is not EMPTY and not cache.committed(locs):
-        z = intersect_all(elapse(z), inv.clock_atoms)
+    z = constrain(zero_zone(compiled.n_clocks), invariant)
+    if z is not EMPTY and do_elapse:
+        z = constrain(elapse(z), invariant)
     if z is EMPTY:
         return None
     return SearchNode(ProductLoc(locs, ints), z)
@@ -290,10 +342,18 @@ def reach(
 ) -> SearchStats:
     """BFS from the initial state; verdict Reachable/Unreachable/Timeout."""
     pairs = _resolve_target(net, target)
-    cache = _NetCache(net)
+    compiled = CompiledNet(net)
     if use_simulation:
         if gmaps is None:
             raise ValueError("pruning requires per-component constraint maps")
+        if compiled.shared_clocks:
+            # the constraint sets are computed per component, so they miss
+            # what one component's updates do to another's constraints
+            raise ValueError(
+                "; ".join(compiled.shared_clocks) + "; simulation pruning is "
+                "unsound on shared clocks, rerun with pruning disabled "
+                "(--no-simulation)"
+            )
         for g in gmaps:
             if g.status is not Status.CONVERGED:
                 raise ValueError(
@@ -308,12 +368,12 @@ def reach(
         got = prep_cache.get(locs)
         if got is None:
             got = prepare(product_gset(gmaps, ProductLoc(locs, ())),
-                          cache.n_clocks)
+                          compiled.n_clocks)
             prep_cache[locs] = got
         return got
 
     nodes: list[SearchNode] = []
-    init = _initial_node(net, cache)
+    init = _initial_node(net, compiled)
     stats = SearchStats(UNREACHABLE, 0, 0, 0, 0.0)
     if init is None:
         stats.seconds = time.monotonic() - start
@@ -349,7 +409,7 @@ def reach(
         if any(node.loc.locs[c] == l for c, l in pairs):
             node.status = "explored"
             return finish(REACHABLE, nid)
-        key = (node.loc, node.zone.to_bytes())
+        key = (node.loc, node.zone)
         if key in seen_exact:
             node.status = "pruned"
             stats.pruned += 1
@@ -390,7 +450,7 @@ def reach(
                 arr = grown
             arr[len(lst)] = node.zone.m
         lst.append(nid)
-        children, disabled = successors(node, net, cache)
+        children, disabled = successors(node, net, compiled)
         stats.disabled_assigns += disabled
         for child in children:
             child.parent = nid
@@ -401,12 +461,12 @@ def reach(
 
 def replay(path: Sequence[PathStep], net: Network, target: Optional[str] = None) -> bool:
     """Re-fire a recorded path symbolically; True iff every step checks out."""
-    cache = _NetCache(net)
-    node = _initial_node(net, cache)
+    compiled = CompiledNet(net)
+    node = _initial_node(net, compiled)
     if node is None:
         return False
     for step in path:
-        children, _ = successors(node, net, cache)
+        children, _ = successors(node, net, compiled)
         node = None
         for child in children:
             if child.label == step.label and child.loc == step.loc:

@@ -1,8 +1,10 @@
 """Shared builders and reference predicates for the test suite."""
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 from uta.model import (
+    INT_OPS,
     STRICT,
     WEAK,
     AtomicConstraint,
@@ -10,8 +12,12 @@ from uta.model import (
     Const,
     Edge,
     Guard,
+    IntAssign,
+    IntAtom,
+    IntVar,
     Kind,
     Location,
+    Network,
     Shift,
     Update,
     delayed,
@@ -117,6 +123,66 @@ def random_automaton(rng: random.Random, n_clocks: int = 2, max_locs: int = 4,
                 dedup.append(a)
         edges.append(Edge(src, dst, Guard(tuple(dedup)), Update.of(upd)))
     return Automaton("R", tuple(locations), tuple(edges), clocks)
+
+
+def random_sync_network(rng: random.Random, n_comps: int = 3,
+                        clocks_per_comp: int = 2, max_locs: int = 3,
+                        max_edges: int = 5, max_const: int = 3) -> Network:
+    """Random network whose components own their clocks and synchronise on
+    two channels; with committed locations, invariants, and one bounded
+    integer that guards test and assignments move, sometimes out of range
+    (which disables the firing)."""
+    channels = ("a", "b")
+    clocks = tuple(f"x{c}{k}" for c in range(n_comps)
+                   for k in range(clocks_per_comp))
+    comps = []
+    for c in range(n_comps):
+        off = c * clocks_per_comp
+
+        def own_atom():
+            phi = random_atom(rng, clocks_per_comp, max_const)
+            return replace(phi, x=phi.x + off,
+                           y=None if phi.y is None else phi.y + off)
+
+        n_locs = rng.randint(2, max_locs)
+        locations = []
+        for i in range(n_locs):
+            inv = Guard()
+            if rng.random() < 0.25:
+                inv = Guard((make_upper(off + rng.randrange(clocks_per_comp),
+                                        WEAK, rng.randint(1, max_const)),))
+            committed = i > 0 and rng.random() < 0.2
+            locations.append(Location(f"c{c}q{i}", initial=(i == 0),
+                                      committed=committed, invariant=inv))
+        edges = []
+        for _ in range(rng.randint(1, max_edges)):
+            atoms = []
+            for _ in range(rng.randint(0, 2)):
+                phi = own_atom()
+                if phi not in atoms:
+                    atoms.append(phi)
+            local = random_update(rng, clocks_per_comp)
+            update = Update.of({
+                x + off: u if isinstance(u, Const) else Shift(u.source + off, u.offset)
+                for x, u in local.entries
+            })
+            int_atoms = ()
+            if rng.random() < 0.25:
+                int_atoms = (IntAtom(0, rng.choice(INT_OPS),
+                                     rhs_lit=rng.randint(0, 2)),)
+            int_assigns = ()
+            if rng.random() < 0.25:
+                step = rng.choice((1, -1))
+                int_assigns = (IntAssign(0, ((1, 0, 0), (step, -1, 1))),)
+            sync = None
+            if rng.random() < 0.6:
+                sync = (rng.choice(channels), rng.choice("!?"))
+            edges.append(Edge(rng.randrange(n_locs), rng.randrange(n_locs),
+                              Guard(tuple(atoms), int_atoms), update,
+                              int_assigns, sync))
+        comps.append(Automaton(f"P{c}", tuple(locations), tuple(edges), clocks))
+    return Network("sync", clocks, (IntVar("n", 0, 2, 0),), channels,
+                   tuple(comps))
 
 
 def random_valuation(rng: random.Random, n_clocks: int, max_num: int = 16,

@@ -98,8 +98,11 @@ class TestEdfStructure:
         assert wc.clocks[6:] == ("wx",)
 
     def test_validates_clean(self):
+        # no clock is shared, so search may prune these with simulation
         for net in (tight_triple(), gen_sporadic_periodic(2),
-                    gen_edf((TaskSpec(2, 5, 6), TaskSpec(1, 4, 4)), PERIODIC)):
+                    gen_edf((TaskSpec(2, 5, 6), TaskSpec(1, 4, 4)), PERIODIC),
+                    gen_mine_pump(),
+                    gen_edf((TaskSpec(1, 10),) * 2 + (TaskSpec(1, 4),), FLOWER)):
             assert validate_network(net) == []
 
     def test_components_syntactically_bounded(self):

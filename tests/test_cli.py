@@ -40,6 +40,25 @@ location p c
 edge p a b provided: x<=2
 """
 
+# A writes x and B reads it: per-component constraint sets miss that B's
+# x<=3 must survive A's x=x-1, so pruning x=4 under x=5 at a1 would hide goal
+SHARED = """\
+system shared
+clock x
+int done 0 1 0
+process A
+location A a0 initial
+location A a1 committed
+location A a2
+edge A a0 a1 do: x=5
+edge A a0 a1 do: x=4
+edge A a1 a2 do: x=x-1; done=1
+process B
+location B b0 initial
+location B goal
+edge B b0 goal provided: x<=3 && done==1
+"""
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -162,6 +181,21 @@ class TestReach:
         assert code == 2
         assert "timeout" in err
 
+    def test_shared_clock_refuses_pruning(self, capsys, tmp_path):
+        path = tmp_path / "shared.uta"
+        path.write_text(SHARED)
+        code, _, err = run(capsys, "reach", str(path), "--target", "goal")
+        assert code == 2
+        assert "clock x is shared between components A, B" in err
+        code, _, err = run(capsys, "reach", str(path), "--target", "goal",
+                           "--allow-shared-clocks")
+        assert code == 2
+        assert "--no-simulation" in err
+        code, out, _ = run(capsys, "reach", str(path), "--target", "goal",
+                           "--allow-shared-clocks", "--no-simulation")
+        assert code == 1
+        assert "Reachable" in out
+
     def test_no_simulation_same_verdict(self, capsys, loop_file):
         code, out, _ = run(capsys, "reach", loop_file, "--target", "q2",
                            "--no-simulation")
@@ -175,6 +209,7 @@ class TestReach:
         doc = json.loads(out)
         assert doc["model"] == "loop" and doc["verdict"] == "Reachable"
         assert doc["nodes"] == 4 and doc["pruned"] == 1
+        assert doc["max_frontier"] == 2 and doc["disabled_assigns"] == 0
         assert [step["state"] for step in doc["path"]] == ["q1", "q2"]
         assert doc["total_seconds"] >= doc["seconds"]
 

@@ -15,9 +15,11 @@ from uta.dbm import (
     apply_update_relational,
     bound_str,
     canonicalize,
+    compile_step,
     decode_bound,
     dump,
     elapse,
+    encode_atoms,
     encode_bound,
     equals,
     initial_zone,
@@ -259,10 +261,14 @@ class TestElapse:
                 assert membership(f, delayed(v, d))
 
 
+def step_of(e: Edge, n_clocks: int):
+    return compile_step(e.guard.clock_atoms, e.update, n_clocks)
+
+
 class TestSuccessor:
     def test_guarded_subtract_edge(self):
         a = fig1_automaton()
-        z = successor(initial_zone(2), a.edges[0])
+        z = successor(initial_zone(2), step_of(a.edges[0], 2))
         # exact image: y - x = 1 with x unbounded above
         assert membership(z, {X: 0, Y: 1})
         assert membership(z, {X: 5, Y: 6})
@@ -273,21 +279,21 @@ class TestSuccessor:
 
     def test_contradictory_guard(self):
         e = Edge(0, 1, Guard((make_upper(X, WEAK, 3), make_lower(X, WEAK, 4))))
-        assert successor(initial_zone(1), e) is EMPTY
+        assert successor(initial_zone(1), step_of(e, 1)) is EMPTY
 
     def test_plain_edge_is_elapse(self):
         z = zone_of(2, [make_upper(X, WEAK, 2)])
         e = Edge(0, 1)
-        assert equals(successor(z, e), elapse(z))
+        assert equals(successor(z, step_of(e, 2)), elapse(z))
 
     def test_no_elapse_keeps_upper_bounds(self):
         z = zone_of(2, [make_upper(X, WEAK, 2)])
-        out = successor(z, Edge(0, 1), do_elapse=False)
+        out = successor(z, step_of(Edge(0, 1), 2), do_elapse=False)
         assert not membership(out, {X: 3, Y: 0})
 
     def test_invariant_applied_after_elapse(self):
-        inv = Guard((make_upper(X, WEAK, 5),))
-        out = successor(initial_zone(2), Edge(0, 1), target_invariant=inv)
+        inv = encode_atoms((make_upper(X, WEAK, 5),))
+        out = successor(initial_zone(2), step_of(Edge(0, 1), 2), invariant=inv)
         assert membership(out, {X: 5, Y: 5})
         assert not membership(out, {X: 6, Y: 6})
 

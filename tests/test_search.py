@@ -1,11 +1,21 @@
 """Product exploration: successors, committed/sync semantics, pruned BFS."""
 import random
+from collections import deque
 
 import pytest
 
 from uta import search
 from uta.analysis import Status, compute_gmap
-from uta.dbm import EMPTY, INF, LE_ZERO, encode_bound, equals
+from uta.dbm import (
+    EMPTY,
+    INF,
+    LE_ZERO,
+    apply_update_relational,
+    elapse,
+    encode_bound,
+    equals,
+    intersect_all,
+)
 from uta.model import (
     WEAK,
     Automaton,
@@ -30,13 +40,15 @@ from uta.search import (
     UNREACHABLE,
     PathStep,
     ProductLoc,
+    TransLabel,
     product_gset,
     reach,
     replay,
     successors,
 )
 
-from conftest import fig1_automaton, random_automaton
+from conftest import fig1_automaton, random_automaton, random_sync_network
+from test_acceptance import DESK_ROWS
 
 X, Y = 0, 1
 
@@ -47,8 +59,8 @@ def loop_network():
 
 
 def initial_node(net):
-    cache = search._NetCache(net)
-    return search._initial_node(net, cache), cache
+    compiled = search.CompiledNet(net)
+    return search._initial_node(net, compiled), compiled
 
 
 def sync_pair_network():
@@ -263,6 +275,26 @@ class TestSync:
         assert reach(net, [compute_gmap(c)], "c1").verdict == UNREACHABLE
         assert reach(net, [compute_gmap(c)], "c2").verdict == UNREACHABLE
 
+    def test_receiver_update_wins_on_a_clock_both_write(self):
+        clocks = ("x",)
+        a = Automaton(
+            "A",
+            (Location("a0", initial=True), Location("a1", committed=True)),
+            (Edge(0, 1, update=Update.of({0: Const(1)}), sync=("go", "!")),),
+            clocks,
+        )
+        b = Automaton(
+            "B",
+            (Location("b0", initial=True), Location("b1")),
+            (Edge(0, 1, update=Update.of({0: Const(2)}), sync=("go", "?")),),
+            clocks,
+        )
+        net = Network("both", clocks, (), ("go",), (a, b))
+        node, compiled = initial_node(net)
+        (child,), _ = successors(node, net, compiled)
+        assert int(child.zone.m[1, 0]) == encode_bound(2, WEAK)
+        assert int(child.zone.m[0, 1]) == encode_bound(-2, WEAK)
+
     def test_emit_assigns_before_receive(self):
         nvar = IntVar("n", 0, 3, 0)
         clocks = ("x",)
@@ -404,6 +436,40 @@ class TestValidation:
         stats = reach(net, None, "q2", use_simulation=False)
         assert stats.verdict == REACHABLE
 
+    def test_pruning_refused_on_shared_clocks(self):
+        # B's x<=3 never crosses A's x=x-1 in the per-component analysis, so
+        # pruning would drop x=4 at a1 under x=5 and miss goal
+        done = IntVar("done", 0, 1, 0)
+        clocks = ("x",)
+        a = Automaton(
+            "A",
+            (Location("a0", initial=True), Location("a1", committed=True),
+             Location("a2")),
+            (
+                Edge(0, 1, update=Update.of({X: Const(5)})),
+                Edge(0, 1, update=Update.of({X: Const(4)})),
+                Edge(1, 2, update=Update.of({X: Shift(X, -1)}),
+                     int_assigns=(IntAssign(0, ((1, -1, 1),)),)),
+            ),
+            clocks,
+        )
+        b = Automaton(
+            "B",
+            (Location("b0", initial=True), Location("goal")),
+            (Edge(0, 1, Guard((make_upper(X, WEAK, 3),),
+                              (IntAtom(0, "==", rhs_lit=1),))),),
+            clocks,
+        )
+        net = Network("shared", clocks, (done,), (), (a, b))
+        gmaps = [compute_gmap(c) for c in net.components]
+        assert all(g.status is Status.CONVERGED for g in gmaps)
+        with pytest.raises(ValueError, match="clock x is shared between "
+                                             "components A, B"):
+            reach(net, gmaps, "goal")
+        stats = reach(net, None, "goal", use_simulation=False)
+        assert stats.verdict == REACHABLE
+        assert replay(stats.path, net, "goal")
+
     def test_timeout_reports_instead_of_spinning(self):
         clocks = ("x", "y")
         never = Guard((make_lower_diag(X, Y, WEAK, 100),))
@@ -449,6 +515,7 @@ class TestStatsOutput:
         j = reach(net, gmaps, "a1").to_json(net)
         assert j["verdict"] == REACHABLE
         assert j["nodes"] >= 1 and j["pruned"] >= 0 and j["seconds"] >= 0
+        assert j["max_frontier"] >= 1 and j["disabled_assigns"] == 0
         assert j["path"] == [{"fire": "A: go! a0->a1, B: go? b0->b1", "state": "a1|b1"}]
 
     def test_json_without_path(self):
@@ -501,3 +568,124 @@ class TestPrunedVersusUnpruned:
         assert applicable >= 20
         assert reachable_seen >= 5
         assert unreachable_seen >= 2
+
+
+def reference_successors(node, net):
+    """The per-expansion channel x component x edge scan that the compiled
+    move table replaces, firing each move through the defining relation of
+    its merged update.  Returns ([(label, loc, zone)], disabled)."""
+    comps = net.components
+    locs, ints = node.loc.locs, node.loc.ints
+    bounds = [(v.lo, v.hi) for v in net.int_vars]
+
+    def committed(at):
+        return any(comps[c].locations[l].committed for c, l in enumerate(at))
+
+    committed_now = committed(locs)
+    out = []
+    disabled = 0
+
+    def try_move(parts):
+        nonlocal disabled
+        if committed_now and not any(
+            comps[c].locations[locs[c]].committed for c, _ in parts
+        ):
+            return
+        edges = [comps[c].edges[ei] for c, ei in parts]
+        if not all(a.holds(ints) for e in edges for a in e.guard.int_atoms):
+            return
+        vals = list(ints)
+        for a in (a for e in edges for a in e.int_assigns):
+            v = a.value(vals)
+            lo, hi = bounds[a.var]
+            if not lo <= v <= hi:
+                disabled += 1
+                return
+            vals[a.var] = v
+        new_locs = list(locs)
+        for (c, _), e in zip(parts, edges):
+            new_locs[c] = e.dst
+        new_locs = tuple(new_locs)
+        merged = {}
+        for e in edges:
+            merged.update(e.update.entries)
+        inv = [phi for c, l in enumerate(new_locs)
+               for phi in comps[c].locations[l].invariant.clock_atoms]
+        z = intersect_all(node.zone, [p for e in edges for p in e.guard.clock_atoms])
+        if z is not EMPTY:
+            z = apply_update_relational(z, Update.of(merged))
+        z = intersect_all(z, inv)
+        if z is not EMPTY and not committed(new_locs):
+            z = intersect_all(elapse(z), inv)
+        if z is not EMPTY:
+            out.append((TransLabel(parts), ProductLoc(new_locs, tuple(vals)), z))
+
+    for c, comp in enumerate(comps):
+        for ei, e in enumerate(comp.edges):
+            if e.src == locs[c] and e.sync is None:
+                try_move(((c, ei),))
+    for ch in net.channels:
+        emitters, receivers = [], []
+        for c, comp in enumerate(comps):
+            for ei, e in enumerate(comp.edges):
+                if e.src == locs[c] and e.sync and e.sync[0] == ch:
+                    (emitters if e.sync[1] == "!" else receivers).append((c, ei))
+        for p1 in emitters:
+            for p2 in receivers:
+                if p1[0] != p2[0]:
+                    try_move((p1, p2))
+    return out, disabled
+
+
+class TestMoveTable:
+    """The compiled move table fires what the plain scan fires, in order."""
+
+    @staticmethod
+    def agree_on_bfs(net, max_nodes):
+        """Compare both on the nodes of an exact-dedup BFS, up to max_nodes;
+        returns the numbers of nodes compared, children and disabled
+        firings seen."""
+        node, compiled = initial_node(net)
+        if node is None:
+            return 0, 0, 0
+        queue = deque([node])
+        seen = {(node.loc, node.zone)}
+        compared = children_seen = disabled_seen = 0
+        while queue and compared < max_nodes:
+            node = queue.popleft()
+            children, disabled = successors(node, net, compiled)
+            want, want_disabled = reference_successors(node, net)
+            got = [(c.label, c.loc, c.zone) for c in children]
+            assert got == want, node.loc
+            assert disabled == want_disabled, node.loc
+            compared += 1
+            children_seen += len(children)
+            disabled_seen += disabled
+            for child in children:
+                key = (child.loc, child.zone)
+                if key not in seen:
+                    seen.add(key)
+                    queue.append(child)
+        return compared, children_seen, disabled_seen
+
+    def test_desk_rows(self):
+        for label, build, _ in DESK_ROWS:
+            compared, children, _ = self.agree_on_bfs(build(), 300)
+            assert compared >= 50 and children >= 50, label
+
+    def test_random_sync_networks(self):
+        rng = random.Random(2024)
+        compared = children = disabled = pairs = 0
+        for _ in range(150):
+            net = random_sync_network(rng)
+            got = self.agree_on_bfs(net, 60)
+            compared += got[0]
+            children += got[1]
+            disabled += got[2]
+            node, compiled = initial_node(net)
+            if node is not None:
+                pairs += sum(len(f[0].label.edges) == 2
+                             for f in compiled.moves(node.loc.locs))
+        assert compared >= 1000
+        assert children >= compared
+        assert disabled >= 10 and pairs >= 10

@@ -13,7 +13,7 @@ from conftest import (
     sim_atom_ref,
 )
 from uta.analysis import EMPTY_GSET, GSet, Mode, compute_gmap, extract_lu
-from uta.dbm import EMPTY, elapse, initial_zone, successor, zone_of
+from uta.dbm import EMPTY, compile_step, elapse, initial_zone, successor, zone_of
 from uta.model import WEAK, make_lower, make_lower_diag, make_upper
 from uta.simulation import (
     SimQuery,
@@ -130,7 +130,8 @@ class TestSimZone:
         a = fig1_automaton()
         gmap = compute_gmap(a, Mode.REDUCED)
         z = initial_zone(2)
-        zp = successor(z, a.edges[0])
+        e = a.edges[0]
+        zp = successor(z, compile_step(e.guard.clock_atoms, e.update, 2))
         full = sim_zone(SimQuery.of(z, zp, gmap.at(0)))
         capped = SimQuery.of(intersect(z, make_upper(X, WEAK, 6)), zp, gmap.at(0))
         assert sim_zone(capped) == brute_force_sim(capped, 6)
