@@ -24,7 +24,6 @@ from .model import (
     Const,
     Guard,
     Kind,
-    Shift,
     Strictness,
     Update,
     eval_const_cmp,

@@ -30,7 +30,7 @@ from .benchgen import (
 )
 from .format import ParseErrors, parse, print_network
 from .model import Network, validate_network
-from .search import REACHABLE, TIMEOUT, UNREACHABLE, reach
+from .search import REACHABLE, UNREACHABLE, reach
 
 EXIT_NEGATIVE = 0
 EXIT_POSITIVE = 1

@@ -8,9 +8,9 @@ networks are immutable after construction.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
@@ -210,10 +210,6 @@ def satisfies(v: Valuation, phi: AtomicConstraint) -> bool:
     else:
         lhs, rhs = phi.constant, v[phi.x] - v[phi.y]
     return lhs < rhs if phi.strictness is STRICT else lhs <= rhs
-
-
-def satisfies_all(v: Valuation, atoms: Iterable[AtomicConstraint]) -> bool:
-    return all(satisfies(v, phi) for phi in atoms)
 
 
 def delayed(v: Valuation, delta: Number) -> dict[int, Number]:
@@ -465,20 +461,6 @@ class Automaton:
 
     def occurring_clocks(self) -> frozenset[int]:
         return self.clocks_read() | self.clocks_written()
-
-    def ints_written(self) -> frozenset[int]:
-        return frozenset(a.var for e in self.edges for a in e.int_assigns)
-
-    def ints_read(self) -> frozenset[int]:
-        out = set()
-        for e in self.edges:
-            for atom in e.guard.int_atoms:
-                out.add(atom.var)
-                if atom.rhs_var is not None:
-                    out.add(atom.rhs_var)
-            for a in e.int_assigns:
-                out.update(vi for _, vi, _ in a.terms if vi >= 0)
-        return frozenset(out)
 
 
 @dataclass(frozen=True)

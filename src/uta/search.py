@@ -424,9 +424,8 @@ def reach(
                 refuted = not_simulated_batch(
                     node.zone, mats[node.loc][: len(vids)], prep
                 )
-                for k, vid in enumerate(vids):
-                    if refuted[k]:
-                        continue
+                for k in np.flatnonzero(~refuted).tolist():
+                    vid = vids[k]
                     if sim_zone_prepared(node.zone, nodes[vid].zone, prep):
                         covered = vid
                         break

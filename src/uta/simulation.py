@@ -4,9 +4,19 @@ A valuation v is simulated by v' relative to a constraint set G when every
 delay step from v that satisfies a constraint of G can be matched from v'.
 That pointwise relation lifts to zones existentially: Z is simulated by Z'
 when every point of Z has a simulator in Z'.  `sim_zone` decides the lifted
-relation by splitting on diagonal constraints and finishing with a vectorized
-non-diagonal check over the two matrices; `brute_force_sim` re-decides it by
-region enumeration and serves as the testing oracle for that check.
+relation by splitting on diagonal constraints and finishing with the
+non-diagonal check; `brute_force_sim` re-decides it by region enumeration
+and serves as the testing oracle for that check.
+
+The non-diagonal check is one kernel, `not_simulated_batch`, over a stack of
+candidate matrices.  The search's subsumption scan calls it on every explored
+zone of a location at once, and the diagonal recursion on one.  Its two
+single-sided conditions, the per-clock tests of the LU-simulation inclusion
+check (Herbreteau, Srivathsan & Walukiewicz, LICS 2012), are exact threshold
+compares: `prepare` turns each constraint set into per-clock thresholds once,
+a query zone turns them into two vectors, and each vector is compared against
+one row or column of the whole stack.  Only the few candidates left standing
+reach the two-sided condition.
 """
 from dataclasses import dataclass
 
@@ -49,15 +59,29 @@ def sim_point(v: Valuation, vp: Valuation, g: GSet) -> bool:
     return True
 
 
+# encoded bound below every finite one: a threshold no entry can go under
+NEVER = -INF
+
+
 @dataclass(frozen=True, eq=False)
 class SimPrepared:
-    """Per-constraint-set data reused across many zone comparisons."""
+    """Per-constraint-set data reused across many zone comparisons.
+
+    has_u/u_enc and has_l/l_edge are the per-clock aggregates; u_thr and
+    l_thr are the thresholds the kernel compares against, and pairs marks
+    the (lower clock y, upper clock x) pairs, x != y, of its two-sided
+    condition.
+    """
 
     diags: tuple[AtomicConstraint, ...]
     has_u: np.ndarray
     u_enc: np.ndarray
     has_l: np.ndarray
     l_edge: np.ndarray
+    u_thr: np.ndarray  # 1 - u_enc where has_u, else INF
+    l_thr: np.ndarray  # 2 - l_edge where has_l, else NEVER
+    pairs: np.ndarray  # (n, n): has_l[y] and has_u[x] and y != x
+    two_sided: bool  # pairs.any()
 
 
 def prepare(g: GSet, n_clocks: int) -> SimPrepared:
@@ -68,24 +92,32 @@ def prepare(g: GSet, n_clocks: int) -> SimPrepared:
     equal constants the strict atom is the harder to satisfy, so it wins; the
     bound is stored as the encoded edge of the satisfying ray.
     """
-    has_u = np.zeros(n_clocks, dtype=bool)
-    u_enc = np.zeros(n_clocks, dtype=np.int64)
-    has_l = np.zeros(n_clocks, dtype=bool)
-    l_edge = np.zeros(n_clocks, dtype=np.int64)
+    upper: dict[int, int] = {}
+    lower: dict[int, int] = {}
     for phi in g.nond:
         x = phi.x
         if phi.kind is Kind.UPPER:
-            b = np.int64(2 * phi.constant + int(phi.strictness))
-            if not has_u[x] or b > u_enc[x]:
-                has_u[x] = True
-                u_enc[x] = b
+            b = 2 * phi.constant + int(phi.strictness)
+            if x not in upper or b > upper[x]:
+                upper[x] = b
         else:
-            b = np.int64(-2 * phi.constant + int(phi.strictness))
-            if not has_l[x] or b < l_edge[x]:
-                has_l[x] = True
-                l_edge[x] = b
+            b = -2 * phi.constant + int(phi.strictness)
+            if x not in lower or b < lower[x]:
+                lower[x] = b
+    clocks = range(n_clocks)
+    u_enc, l_edge, u_thr, l_thr = np.array([
+        [upper.get(x, 0) for x in clocks],
+        [lower.get(x, 0) for x in clocks],
+        [1 - upper[x] if x in upper else int(INF) for x in clocks],
+        [2 - lower[x] if x in lower else int(NEVER) for x in clocks],
+    ], dtype=np.int64).reshape(4, n_clocks)
+    has_u = u_thr < INF
+    has_l = l_thr > NEVER
+    pairs = has_l[:, None] & has_u[None, :]
+    np.fill_diagonal(pairs, False)
     diags = tuple(sorted(g.diag, key=lambda p: (p.context(), p.constant)))
-    return SimPrepared(diags, has_u, u_enc, has_l, l_edge)
+    return SimPrepared(diags, has_u, u_enc, has_l, l_edge, u_thr, l_thr,
+                       pairs, bool(pairs.any()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,8 +134,14 @@ class SimQuery:
         return SimQuery(z, zp, g, extract_lu(g, z.n))
 
 
-def _base_not_simulated(z: Dbm, zp: Dbm, prep: SimPrepared) -> bool:
+def not_simulated_batch(z: Dbm, pms: np.ndarray, prep: SimPrepared) -> np.ndarray:
     """Non-diagonal kernel: is there a point of z that no point of zp matches?
+
+    pms stacks K candidate matrices zp, shape (K, n+1, n+1); entry k of the
+    returned bool mask is True when some point of z has no simulator in
+    candidate k, which refutes the simulation.  Search feeds it every
+    explored zone of a location at once, the diagonal recursion one
+    candidate (K = 1).
 
     A witness point v forces a box on v': for each clock x where v meets the
     weakest upper of G, v'(x) <= v(x); for each clock y with a lower in G,
@@ -111,107 +149,45 @@ def _base_not_simulated(z: Dbm, zp: Dbm, prep: SimPrepared) -> bool:
     exactly when the tightened matrix has a negative cycle, and every such
     cycle threads the reference row, so it uses at most one forced upper and
     one forced lower.  Quantifying v away per cycle shape leaves three
-    conditions checked entrywise below.
+    conditions.
+
+    The two single-sided ones are per-clock threshold tests.  For finite
+    encoded a, b: add(a, 1 - b) >= LE_ZERO iff b < a, and
+    add(p, l) < LE_ZERO iff p < 2 - l, also for p = INF.  So a forced upper
+    on x refutes when zp[0, x] < alpha[x], with alpha[x] = z[0, x] if z
+    reaches x's upper (z[0, x] > u_thr[x]) and NEVER otherwise; a forced
+    lower on y refutes when zp[y, 0] < beta[y] = min(z[y, 0], l_thr[y]).
+    Those two vectors are built once per call and compared against the
+    whole stack.  Only the candidates both leave standing pay for the
+    two-sided condition, an upper on x against a lower on y closed through
+    zp[y, x].
     """
-    n = z.n
-    if n == 0:
-        return False
-    zm, pm = z.m, zp.m
-    z0 = zm[0, 1:]
-    zx0 = zm[1:, 0]
-    p0 = pm[0, 1:]
-    px0 = pm[1:, 0]
-    zd = zm[1:, 1:]
-    pd = pm[1:, 1:]
-
-    # single forced upper on x: v(x) below everything zp allows for x
-    a = prep.has_u & (_add_mat(z0, np.minimum(prep.u_enc, 1 - p0)) >= LE_ZERO)
-    if a.any():
-        return True
-
-    # single forced lower on y: v(y) above everything zp allows for y
-    b = (
-        prep.has_l
-        & (_add_mat(px0, prep.l_edge) < LE_ZERO)
-        & (px0 < zx0)
-    )
-    if b.any():
-        return True
-
-    # forced upper on x against forced lower on y, closed through zp[y,x];
-    # an unbounded zp entry means the cycle can never go negative, so the
-    # cap collapses to an unsatisfiable bound rather than to "no constraint"
-    never = np.int64(-INF)
-    guard = -(np.int64(1) << 50)
-    t = _add_mat(prep.l_edge[:, None], pd)
-    cap_l = np.where(t >= INF, never, 1 - t)
-    cap_d = np.where(pd >= INF, never, 1 - pd)
-    e_x0 = np.minimum(np.minimum(zx0[None, :], prep.u_enc[None, :]), cap_l)
-    e_xy = np.minimum(zd.T, cap_d)
-    c = (
-        prep.has_l[:, None]
-        & prep.has_u[None, :]
-        & (e_x0 > guard)
-        & (e_xy > guard)
-        & (_add_mat(e_x0, z0[None, :]) >= LE_ZERO)
-        & (_add_mat(e_xy, zd) >= LE_ZERO)
-        & (_add_mat(_add_mat(e_x0, z0[:, None]), zd) >= LE_ZERO)
-        & (_add_mat(_add_mat(e_xy, zx0[:, None]), z0[None, :]) >= LE_ZERO)
-    )
-    np.fill_diagonal(c, False)
-    return bool(c.any())
-
-
-def not_simulated_batch(z: Dbm, pms: np.ndarray, prep: SimPrepared) -> np.ndarray:
-    """Non-diagonal kernel over K stacked candidate matrices at once.
-
-    pms has shape (K, n+1, n+1); entry k of the returned bool mask is the
-    verdict of the pointwise kernel for that candidate, so True certifies
-    that z is not simulated by candidate k.  One ufunc dispatch replaces K
-    kernel calls, which is what the search's subsumption scan pays for.
-    """
-    n = z.n
-    k_count = pms.shape[0]
-    if n == 0:
-        return np.zeros(k_count, dtype=bool)
+    if z.n == 0:
+        return np.zeros(pms.shape[0], dtype=bool)
     zm = z.m
     z0 = zm[0, 1:]
     zx0 = zm[1:, 0]
-    zd = zm[1:, 1:]
-    p0 = pms[:, 0, 1:]
-    px0 = pms[:, 1:, 0]
-    pd = pms[:, 1:, 1:]
-
-    a = prep.has_u & (_add_mat(z0, np.minimum(prep.u_enc, 1 - p0)) >= LE_ZERO)
-    out = a.any(axis=1)
-
-    b = (
-        prep.has_l
-        & (_add_mat(px0, prep.l_edge) < LE_ZERO)
-        & (px0 < zx0)
-    )
-    out |= b.any(axis=1)
-
-    if not (prep.has_l.any() and prep.has_u.any()):
+    alpha = np.where(z0 > prep.u_thr, z0, NEVER)
+    beta = np.minimum(zx0, prep.l_thr)
+    out = (pms[:, 0, 1:] < alpha).any(axis=1)
+    out |= (pms[:, 1:, 0] < beta).any(axis=1)
+    if not prep.two_sided or out.all():
         return out
     todo = ~out
-    if not todo.any():
-        return out
-    # the two-sided condition is the expensive one: run it only on the
-    # candidates the single-sided conditions left standing
-    pd = pd[todo]
-    never = np.int64(-INF)
+    zd = zm[1:, 1:]
+    pd = pms[todo][:, 1:, 1:]
     guard = -(np.int64(1) << 50)
+    # an unbounded zp entry means the cycle can never go negative, so the
+    # cap collapses to an unsatisfiable bound rather than to "no constraint"
     t = _add_mat(prep.l_edge[None, :, None], pd)
-    cap_l = np.where(t >= INF, never, 1 - t)
-    cap_d = np.where(pd >= INF, never, 1 - pd)
+    cap_l = np.where(t >= INF, NEVER, 1 - t)
+    cap_d = np.where(pd >= INF, NEVER, 1 - pd)
     e_x0 = np.minimum(
         np.minimum(zx0[None, None, :], prep.u_enc[None, None, :]), cap_l
     )
     e_xy = np.minimum(zd.T[None, :, :], cap_d)
     c = (
-        prep.has_l[None, :, None]
-        & prep.has_u[None, None, :]
+        prep.pairs
         & (e_x0 > guard)
         & (e_xy > guard)
         & (_add_mat(e_x0, z0[None, None, :]) >= LE_ZERO)
@@ -219,7 +195,6 @@ def not_simulated_batch(z: Dbm, pms: np.ndarray, prep: SimPrepared) -> np.ndarra
         & (_add_mat(_add_mat(e_x0, z0[None, :, None]), zd[None, :, :]) >= LE_ZERO)
         & (_add_mat(_add_mat(e_xy, zx0[None, :, None]), z0[None, None, :]) >= LE_ZERO)
     )
-    c[:, np.arange(n), np.arange(n)] = False
     out[todo] = c.any(axis=(1, 2))
     return out
 
@@ -240,7 +215,7 @@ def _sim(z: Zone, zp: Zone, diags: tuple, prep: SimPrepared) -> bool:
         return _sim(intersect(z, phi), intersect(zp, phi), rest, prep) and _sim(
             intersect(z, negate_atomic(phi)), zp, rest, prep
         )
-    return not _base_not_simulated(z, zp, prep)
+    return not not_simulated_batch(z, zp.m[None], prep)[0]
 
 
 def sim_zone(q: SimQuery) -> bool:
@@ -253,16 +228,12 @@ def sim_zone(q: SimQuery) -> bool:
 
 
 def sim_zone_prepared(z: Zone, zp: Zone, prep: SimPrepared) -> bool:
-    """sim_zone against a reusable `prepare` result (search hot path)."""
-    if z is EMPTY:
-        return True
-    if zp is EMPTY:
-        return False
-    if prep.diags and _base_not_simulated(z, zp, prep):
-        # matching only the non-diagonal obligations is necessary for the
-        # full relation, so a kernel refutation here is final and the
-        # diagonal splitting can be skipped outright
-        return False
+    """sim_zone against a reusable `prepare` result (search hot path).
+
+    The search calls it only on candidates the batched kernel left
+    standing, so it goes straight to the diagonal recursion: running the
+    kernel on the whole pair first would repeat that call's verdict.
+    """
     return _sim(z, zp, prep.diags, prep)
 
 

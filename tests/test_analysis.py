@@ -14,7 +14,6 @@ from conftest import (
     sim_atom_ref,
 )
 from uta.analysis import (
-    GMap,
     GSet,
     Mode,
     Status,

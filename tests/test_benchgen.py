@@ -5,7 +5,7 @@ from collections import deque
 
 import pytest
 
-from uta.analysis import Mode, Status, analysis_bounds, check_syntactically_bounded, compute_gmap
+from uta.analysis import Mode, Status, check_syntactically_bounded, compute_gmap
 from uta.benchgen import (
     FLOWER,
     FRAGMENTS,

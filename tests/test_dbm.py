@@ -9,7 +9,6 @@ from conftest import fig1_automaton, random_atom, random_update, random_valuatio
 from uta.dbm import (
     EMPTY,
     INF,
-    LE_ZERO,
     add_bounds,
     apply_update,
     apply_update_relational,
@@ -33,7 +32,6 @@ from uta.dbm import (
 from uta.model import (
     STRICT,
     WEAK,
-    Const,
     Edge,
     Guard,
     Shift,

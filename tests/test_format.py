@@ -19,7 +19,6 @@ from uta.model import (
     IntAssign,
     IntAtom,
     IntVar,
-    Kind,
     Location,
     Network,
     Shift,

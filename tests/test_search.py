@@ -2,18 +2,19 @@
 import random
 from collections import deque
 
+import numpy as np
 import pytest
 
-from uta import search
+from uta import search, simulation
 from uta.analysis import Status, compute_gmap
 from uta.dbm import (
     EMPTY,
     INF,
     LE_ZERO,
+    Dbm,
     apply_update_relational,
     elapse,
     encode_bound,
-    equals,
     intersect_all,
 )
 from uta.model import (
@@ -49,6 +50,7 @@ from uta.search import (
 
 from conftest import fig1_automaton, random_automaton, random_sync_network
 from test_acceptance import DESK_ROWS
+from test_simulation import reference_not_simulated
 
 X, Y = 0, 1
 
@@ -689,3 +691,35 @@ class TestMoveTable:
         assert compared >= 1000
         assert children >= compared
         assert disabled >= 10 and pairs >= 10
+
+
+class TestSubsumptionKernel:
+    """Search driven by the reference kernel explores exactly as with the
+    batched one, and every kernel call agrees with it candidate by
+    candidate."""
+
+    def test_desk_rows(self, monkeypatch):
+        batched = simulation.not_simulated_batch
+        candidates = []
+
+        def checked(z, pms, prep):
+            got = batched(z, pms, prep)
+            want = [reference_not_simulated(z, Dbm(pm), prep) for pm in pms]
+            assert got.tolist() == want
+            candidates.append(len(want))
+            return np.array(want, dtype=bool)
+
+        for label, build, verdict in DESK_ROWS:
+            net = build()
+            gmaps = [compute_gmap(c) for c in net.components]
+            fast = reach(net, gmaps, "error")
+            with monkeypatch.context() as m:
+                # the search's scan and the diagonal recursion both
+                m.setattr(search, "not_simulated_batch", checked)
+                m.setattr(simulation, "not_simulated_batch", checked)
+                ref = reach(net, gmaps, "error")
+            assert fast.verdict == ref.verdict == verdict, label
+            assert (fast.nodes, fast.pruned, fast.max_frontier) == (
+                ref.nodes, ref.pruned, ref.max_frontier), label
+            assert fast.path == ref.path, label
+        assert len(candidates) >= 1000 and sum(candidates) >= 3000

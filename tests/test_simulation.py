@@ -10,12 +10,25 @@ from conftest import (
     random_atom,
     random_sim_query,
     random_valuation,
+    random_zone_chain,
     sim_atom_ref,
 )
 from uta.analysis import EMPTY_GSET, GSet, Mode, compute_gmap, extract_lu
-from uta.dbm import EMPTY, compile_step, elapse, initial_zone, successor, zone_of
-from uta.model import WEAK, make_lower, make_lower_diag, make_upper
+from uta.dbm import (
+    EMPTY,
+    INF,
+    LE_ZERO,
+    _add_mat,
+    compile_step,
+    elapse,
+    encode_bound,
+    initial_zone,
+    successor,
+    zone_of,
+)
+from uta.model import STRICT, WEAK, Kind, make_lower, make_lower_diag, make_upper
 from uta.simulation import (
+    NEVER,
     SimQuery,
     brute_force_sim,
     not_simulated_batch,
@@ -23,11 +36,84 @@ from uta.simulation import (
     sim_point,
     sim_zone,
     sim_zone_prepared,
-    _base_not_simulated,
     _sim,
 )
 
 X, Y = 0, 1
+
+
+def reference_not_simulated(z, zp, prep) -> bool:
+    """The non-diagonal kernel on one candidate, each condition computed
+    with encoded bound addition as derived (no threshold rewriting).
+
+    A witness point v forces a box on v': for each clock x where v meets the
+    weakest upper of G, v'(x) <= v(x); for each clock y with a lower in G,
+    v'(y) >= min(v(y), the strongest lower's ray edge).  zp misses the box
+    exactly when the tightened matrix has a negative cycle, and every such
+    cycle threads the reference row, so it uses at most one forced upper and
+    one forced lower.  Quantifying v away per cycle shape leaves three
+    conditions checked entrywise below.
+    """
+    n = z.n
+    if n == 0:
+        return False
+    zm, pm = z.m, zp.m
+    z0 = zm[0, 1:]
+    zx0 = zm[1:, 0]
+    p0 = pm[0, 1:]
+    px0 = pm[1:, 0]
+    zd = zm[1:, 1:]
+    pd = pm[1:, 1:]
+
+    # single forced upper on x: v(x) below everything zp allows for x
+    a = prep.has_u & (_add_mat(z0, np.minimum(prep.u_enc, 1 - p0)) >= LE_ZERO)
+    if a.any():
+        return True
+
+    # single forced lower on y: v(y) above everything zp allows for y
+    b = (
+        prep.has_l
+        & (_add_mat(px0, prep.l_edge) < LE_ZERO)
+        & (px0 < zx0)
+    )
+    if b.any():
+        return True
+
+    # forced upper on x against forced lower on y, closed through zp[y,x];
+    # an unbounded zp entry means the cycle can never go negative, so the
+    # cap collapses to an unsatisfiable bound rather than to "no constraint"
+    never = np.int64(-INF)
+    guard = -(np.int64(1) << 50)
+    t = _add_mat(prep.l_edge[:, None], pd)
+    cap_l = np.where(t >= INF, never, 1 - t)
+    cap_d = np.where(pd >= INF, never, 1 - pd)
+    e_x0 = np.minimum(np.minimum(zx0[None, :], prep.u_enc[None, :]), cap_l)
+    e_xy = np.minimum(zd.T, cap_d)
+    c = (
+        prep.has_l[:, None]
+        & prep.has_u[None, :]
+        & (e_x0 > guard)
+        & (e_xy > guard)
+        & (_add_mat(e_x0, z0[None, :]) >= LE_ZERO)
+        & (_add_mat(e_xy, zd) >= LE_ZERO)
+        & (_add_mat(_add_mat(e_x0, z0[:, None]), zd) >= LE_ZERO)
+        & (_add_mat(_add_mat(e_xy, zx0[:, None]), z0[None, :]) >= LE_ZERO)
+    )
+    np.fill_diagonal(c, False)
+    return bool(c.any())
+
+
+def batch_matches_reference(z, zps, prep) -> np.ndarray:
+    """The batched mask over zps, asserted equal to the reference per
+    candidate."""
+    size = z.n + 1
+    pms = np.stack([zp.m for zp in zps]) if zps else np.empty(
+        (0, size, size), dtype=np.int64)
+    mask = not_simulated_batch(z, pms, prep)
+    assert mask.shape == (len(zps),) and mask.dtype == bool
+    want = [reference_not_simulated(z, zp, prep) for zp in zps]
+    assert mask.tolist() == want, (z.m, [zp.m for zp in zps], prep)
+    return mask
 
 
 class TestSimPoint:
@@ -173,9 +259,8 @@ class TestSimZone:
                 if extra is not None and extra.zp.n == n:
                     mates.append(extra.zp)
             prep = prepare(q.g, n)
-            mask = not_simulated_batch(q.z, np.stack([m.m for m in mates]), prep)
+            mask = batch_matches_reference(q.z, mates, prep)
             for got, zp in zip(mask, mates):
-                assert bool(got) == _base_not_simulated(q.z, zp, prep)
                 if got:
                     # a batch refutation must be final for the full relation
                     assert not sim_zone_prepared(q.z, zp, prep)
@@ -194,6 +279,152 @@ class TestSimZone:
             rng.shuffle(diags)
             assert _sim(q.z, q.zp, tuple(diags), prep) == want
             checked += 1
+
+
+def one_clock_zones():
+    """Every nonempty zone over one clock bounded by constants 2 and 3,
+    weak and strict, from below and above, or unbounded above."""
+    lows = [None] + [make_lower(X, st, c) for c in (2, 3) for st in (WEAK, STRICT)]
+    highs = [None] + [make_upper(X, st, c) for c in (2, 3) for st in (WEAK, STRICT)]
+    out = []
+    for lo in lows:
+        for hi in highs:
+            z = zone_of(1, [a for a in (lo, hi) if a is not None])
+            if z is not EMPTY:
+                out.append(z)
+    return out
+
+
+class TestKernel:
+    """The threshold-form kernel against the reference, on edge cases."""
+
+    def test_threshold_identities(self):
+        bounds = [encode_bound(v, st) for v in range(-4, 5) for st in (WEAK, STRICT)]
+        for a in bounds:
+            for b in bounds:
+                got = _add_mat(np.int64(a), np.int64(1 - b)) >= LE_ZERO
+                assert got == (b < a), (a, b)
+        for p in bounds + [int(INF)]:
+            for l in bounds:
+                got = _add_mat(np.int64(p), np.int64(l)) < LE_ZERO
+                assert got == (p < 2 - l), (p, l)
+
+    def test_equal_constants_on_row_and_column_zero(self):
+        zones = one_clock_zones()
+        assert len(zones) == 15
+        gsets = [
+            GSet.of([a for a in (up, lo) if a is not None])
+            for up in [None] + [make_upper(X, st, c) for c in (2, 3)
+                                for st in (WEAK, STRICT)]
+            for lo in [None] + [make_lower(X, st, c) for c in (2, 3)
+                                for st in (WEAK, STRICT)]
+        ]
+        refuted = kept = 0
+        for g in gsets:
+            prep = prepare(g, 1)
+            for z in zones:
+                mask = batch_matches_reference(z, zones, prep)
+                refuted += int(mask.sum())
+                kept += int((~mask).sum())
+        assert refuted >= 500 and kept >= 500
+
+    def test_strict_against_weak_at_equal_constants(self):
+        def refutes(z_atoms, zp_atoms, g_atoms):
+            z, zp = zone_of(1, z_atoms), zone_of(1, zp_atoms)
+            return bool(batch_matches_reference(z, [zp], prepare(GSet.of(g_atoms), 1))[0])
+
+        # row 0: x = 2 of z meets x <= 3, and zp has no x <= 2
+        assert refutes([make_lower(X, WEAK, 2)], [make_lower(X, STRICT, 2)],
+                       [make_upper(X, WEAK, 3)])
+        assert not refutes([make_lower(X, STRICT, 2)], [make_lower(X, WEAK, 2)],
+                           [make_upper(X, WEAK, 3)])
+        # row 0 against the upper itself: z meets x <= 2 at x = 2, never x < 2
+        assert refutes([make_lower(X, WEAK, 2)], [make_lower(X, WEAK, 3)],
+                       [make_upper(X, WEAK, 2)])
+        assert not refutes([make_lower(X, WEAK, 2)], [make_lower(X, WEAK, 3)],
+                           [make_upper(X, STRICT, 2)])
+        # column 0: x = 2 of z needs x >= 2 in zp below the lower x >= 3
+        assert refutes([make_upper(X, WEAK, 2)], [make_upper(X, STRICT, 2)],
+                       [make_lower(X, WEAK, 3)])
+        assert not refutes([make_upper(X, STRICT, 2)], [make_upper(X, WEAK, 2)],
+                           [make_lower(X, WEAK, 3)])
+        # column 0 against the lower itself: zp reaches x >= 3 but not x > 3
+        assert not refutes([make_upper(X, WEAK, 5)], [make_upper(X, WEAK, 3)],
+                           [make_lower(X, WEAK, 3)])
+        assert refutes([make_upper(X, WEAK, 5)], [make_upper(X, WEAK, 3)],
+                       [make_lower(X, STRICT, 3)])
+
+    def test_unbounded_column_zero(self):
+        unbounded = zone_of(1, [])
+        capped = zone_of(1, [make_upper(X, WEAK, 5)])
+        lower = prepare(GSet.of([make_lower(X, WEAK, 7)]), 1)
+        assert unbounded.m[1, 0] == INF
+        assert batch_matches_reference(unbounded, [capped, unbounded], lower).tolist() == [True, False]
+        assert batch_matches_reference(capped, [capped, unbounded], lower).tolist() == [False, False]
+        tighter = zone_of(1, [make_upper(X, WEAK, 4)])
+        assert batch_matches_reference(capped, [tighter], lower).tolist() == [True]
+        rng = random.Random(53)
+        for _ in range(200):
+            n = rng.randint(1, 3)
+            g = GSet.of([random_atom(rng, n, 6) for _ in range(rng.randint(0, 5))])
+            zps = [zone_of(n, [random_atom(rng, n, 6)]) for _ in range(4)]
+            zps = [zp for zp in zps if zp is not EMPTY] + [zone_of(n, [])]
+            z = zone_of(n, [random_atom(rng, n, 6) for _ in range(rng.randint(0, 2))])
+            if z is not EMPTY:
+                batch_matches_reference(z, zps, prepare(g, n))
+
+    def test_single_sided_gsets(self):
+        uppers = GSet.of([make_upper(X, WEAK, 3), make_upper(Y, STRICT, 2)])
+        lowers = GSet.of([make_lower(X, WEAK, 3), make_lower(Y, STRICT, 2)])
+        same_clock = GSet.of([make_upper(X, WEAK, 3), make_lower(X, STRICT, 1)])
+        crossed = GSet.of([make_upper(X, WEAK, 3), make_lower(Y, STRICT, 1)])
+        for g, two_sided in ((uppers, False), (lowers, False),
+                             (same_clock, False), (crossed, True)):
+            assert prepare(g, 2).two_sided is two_sided
+        rng = random.Random(59)
+        zones = [random_zone_chain(rng, 2) for _ in range(40)]
+        for g in (uppers, lowers, same_clock, crossed):
+            prep = prepare(g, 2)
+            for z in zones[:10]:
+                batch_matches_reference(z, zones, prep)
+
+    def test_no_clocks_and_no_candidates(self):
+        z = initial_zone(0)
+        prep = prepare(EMPTY_GSET, 0)
+        assert batch_matches_reference(z, [z, z, z], prep).tolist() == [False] * 3
+        assert batch_matches_reference(z, [], prep).shape == (0,)
+        assert sim_zone_prepared(z, z, prep)
+        crossed = prepare(GSet.of([make_upper(X, WEAK, 3), make_lower(Y, STRICT, 1)]), 2)
+        assert batch_matches_reference(initial_zone(2), [], crossed).shape == (0,)
+
+    def test_prepare_matches_a_fold_over_the_atoms(self):
+        rng = random.Random(61)
+        for _ in range(300):
+            n = rng.randint(1, 4)
+            g = GSet.of([random_atom(rng, n, 6) for _ in range(rng.randint(0, 8))])
+            prep = prepare(g, n)
+            for x in range(n):
+                ups = [encode_bound(phi.constant, phi.strictness)
+                       for phi in g.nond if phi.kind is Kind.UPPER and phi.x == x]
+                los = [encode_bound(-phi.constant, phi.strictness)
+                       for phi in g.nond if phi.kind is Kind.LOWER and phi.x == x]
+                assert prep.has_u[x] == bool(ups)
+                assert prep.has_l[x] == bool(los)
+                if ups:
+                    assert prep.u_enc[x] == max(ups)
+                    assert prep.u_thr[x] == 1 - max(ups)
+                else:
+                    assert prep.u_thr[x] == INF
+                if los:
+                    assert prep.l_edge[x] == min(los)
+                    assert prep.l_thr[x] == 2 - min(los)
+                else:
+                    assert prep.l_thr[x] == NEVER
+            pairs = [[bool(prep.has_l[y] and prep.has_u[x]) and x != y
+                      for x in range(n)] for y in range(n)]
+            assert prep.pairs.tolist() == pairs
+            assert prep.two_sided == any(map(any, pairs))
+            assert set(prep.diags) == set(g.diag)
 
 
 class TestPreorder:
