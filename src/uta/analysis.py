@@ -303,33 +303,6 @@ def g0(a: Automaton, mode: Mode = Mode.REDUCED) -> tuple[GSet, ...]:
     return tuple(GSet.of(s) for s in sets)
 
 
-def kleene_step(
-    current: Sequence[Iterable[AtomicConstraint]],
-    a: Automaton,
-    mode: Mode = Mode.REDUCED,
-) -> tuple[tuple[GSet, ...], list[tuple[int, AtomicConstraint, int, AtomicConstraint]]]:
-    """One synchronous propagation sweep over all edges.
-
-    Returns the pointwise-enlarged sets and the newly added records as
-    (location, constraint, via-edge, parent-constraint) tuples.
-    """
-    cur = [set(g) for g in current]
-    new = [set(g) for g in cur]
-    added: list[tuple[int, AtomicConstraint, int, AtomicConstraint]] = []
-    for ei, e in enumerate(a.edges):
-        ctx = edge_context(a, ei)
-        for phi in sorted(cur[e.dst], key=AtomicConstraint.sort_key):
-            if mode is Mode.REDUCED:
-                psi = wp(phi, ctx, e.update)
-            else:
-                psi = up_inverse(phi, e.update)
-            if psi.is_trivial or psi in new[e.src]:
-                continue
-            new[e.src].add(psi)
-            added.append((e.src, psi, ei, phi))
-    return tuple(GSet.of(s) for s in new), added
-
-
 ParentMap = dict[tuple[int, AtomicConstraint], Optional[tuple[int, AtomicConstraint, int]]]
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
@@ -50,14 +50,6 @@ def add_bounds(a: int, b: int) -> int:
     if a >= INF or b >= INF:
         return int(INF)
     return a + b - ((a | b) & 1)
-
-
-def bound_str(b: int) -> str:
-    dec = decode_bound(b)
-    if dec is None:
-        return "inf"
-    v, s = dec
-    return f"{s.symbol}{v}"
 
 
 class EmptyZone:
@@ -290,32 +282,6 @@ def apply_update(d: Dbm, up: Update) -> Zone:
     return _image(constrain(d, step.cut), step)
 
 
-def apply_update_relational(d: Dbm, up: Update) -> Zone:
-    """Reference image computation via primed-variable extension.
-
-    Builds a (2n+1)-sized relation {(v, v') | v' = up(v)}, closes it, and
-    projects onto the primed block.  Slower than apply_update but follows
-    the defining relation directly; kept for cross-checking.
-    """
-    n = d.n
-    size = 2 * n + 1
-    ext = np.full((size, size), INF, dtype=np.int64)
-    ext[: n + 1, : n + 1] = d.m
-    src, off = _substitution(up, n)
-    for i in range(1, n + 1):
-        pi = n + i
-        s, dd = int(src[i]), int(off[i])
-        # x'_i - x_s <= d and x_s - x'_i <= -d
-        ext[pi, s] = min(ext[pi, s], encode_bound(dd, WEAK))
-        ext[s, pi] = min(ext[s, pi], encode_bound(-dd, WEAK))
-        ext[0, pi] = min(ext[0, pi], LE_ZERO)  # x'_i >= 0
-    np.fill_diagonal(ext, LE_ZERO)
-    if not _close(ext):
-        return EMPTY
-    idx = np.concatenate(([0], np.arange(n + 1, 2 * n + 1)))
-    return _freeze(np.array(ext[np.ix_(idx, idx)]))
-
-
 def elapse(d: Dbm) -> Dbm:
     """Future closure: drop upper bounds on all clocks; stays canonical."""
     m = np.array(d.m)
@@ -357,27 +323,6 @@ def membership(d: Zone, v) -> bool:
     return True
 
 
-def equals(a: Zone, b: Zone) -> bool:
-    if a is EMPTY or b is EMPTY:
-        return (a is EMPTY) == (b is EMPTY)
-    return np.array_equal(a.m, b.m)
-
-
 def zone_of(n_clocks: int, atoms: Iterable[AtomicConstraint]) -> Zone:
     """Zone of a constraint conjunction (clocks only lower-bounded by 0)."""
     return intersect_all(universe(n_clocks), atoms)
-
-
-def dump(d: Zone, clock_names: Sequence[str] = ()) -> str:
-    if d is EMPTY:
-        return "empty"
-    n = d.n
-    names = ["0"] + [
-        clock_names[i] if i < len(clock_names) else f"x{i}" for i in range(n)
-    ]
-    width = max(6, max(len(s) for s in names) + 4)
-    lines = [" " * width + "".join(f"{nm:>{width}}" for nm in names)]
-    for i in range(n + 1):
-        row = "".join(f"{bound_str(int(d.m[i, j])):>{width}}" for j in range(n + 1))
-        lines.append(f"{names[i]:>{width}}" + row)
-    return "\n".join(lines)

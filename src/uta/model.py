@@ -212,10 +212,6 @@ def satisfies(v: Valuation, phi: AtomicConstraint) -> bool:
     return lhs < rhs if phi.strictness is STRICT else lhs <= rhs
 
 
-def delayed(v: Valuation, delta: Number) -> dict[int, Number]:
-    return {x: val + delta for x, val in v.items()}
-
-
 # --------------------------------------------------------------------------
 # Clock updates
 

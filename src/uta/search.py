@@ -8,18 +8,29 @@ location, time may not pass there and only moves that involve a committed
 component are allowed.
 
 The search is a deterministic FIFO exploration.  A dequeued node is dropped
-when an already visited node with the same discrete state covers it: exact
+when an already explored zone of the same discrete state covers it: exact
 zone equality always counts, and with pruning enabled a zone-simulation
 check against the per-state constraint set does too.
+
+The passed list (`Passed`, one per discrete state) keeps each explored zone
+once: the frozen `Dbm` the successor computation returned, which unchanged
+successors share, in a list and in a set for the duplicate test.  Beside
+them it keeps one contiguous array of bound rows, row 0 and column 0 of
+each zone, which is all the subsumption kernel's first stage reads; only
+the candidates that stage leaves standing have their full matrices read.
+A frontier zone lives only in the queue until it is dequeued, and what
+stays per generated node for path reconstruction is its parent, the move
+that produced it and its discrete state.
 """
 import time
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .analysis import GSet, GMap, Status
+from .analysis import GMap, Status
 from .dbm import (
     EMPTY,
     Dbm,
@@ -35,13 +46,15 @@ from .dbm import (
 from .model import IntAssign, IntAtom, Network, Update
 from .simulation import (
     SimPrepared,
+    bound_row,
     not_simulated_batch,
     prepare,
+    prepare_union,
     sim_zone_prepared,
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProductLoc:
     """Location vector plus integer valuation; the discrete search state."""
 
@@ -66,14 +79,13 @@ class TransLabel:
         return ", ".join(parts)
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class SearchNode:
+    """A discrete state with one zone, and the move that produced it."""
+
     loc: ProductLoc
     zone: Dbm
-    parent: Optional[int] = None
     label: Optional[TransLabel] = None
-    status: str = "fresh"
-    subsumer: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -84,19 +96,33 @@ class PathStep:
 
 @dataclass
 class SearchStats:
+    """Verdict and counters of one search.
+
+    nodes counts dequeued nodes; pruned_exact those dropped because an equal
+    zone of the same discrete state was already explored, pruned_sim those
+    dropped because an explored zone simulates them.
+    """
+
     verdict: str
-    nodes: int
-    pruned: int
-    max_frontier: int
-    seconds: float
+    nodes: int = 0
+    pruned_exact: int = 0
+    pruned_sim: int = 0
+    max_frontier: int = 0
+    seconds: float = 0.0
     disabled_assigns: int = 0
     path: Optional[tuple[PathStep, ...]] = None
+
+    @property
+    def pruned(self) -> int:
+        return self.pruned_exact + self.pruned_sim
 
     def to_json(self, net: Optional[Network] = None) -> dict:
         out = {
             "verdict": self.verdict,
             "nodes": self.nodes,
             "pruned": self.pruned,
+            "pruned_exact": self.pruned_exact,
+            "pruned_sim": self.pruned_sim,
             "max_frontier": self.max_frontier,
             "disabled_assigns": self.disabled_assigns,
             "seconds": round(self.seconds, 4),
@@ -118,13 +144,6 @@ class SearchStats:
 REACHABLE = "Reachable"
 UNREACHABLE = "Unreachable"
 TIMEOUT = "Timeout"
-
-
-def product_gset(gmaps: Sequence[GMap], loc: ProductLoc) -> GSet:
-    """Union of the per-component constraint sets at loc (integers ignored)."""
-    nond = frozenset().union(*(g.at(q).nond for g, q in zip(gmaps, loc.locs)))
-    diag = frozenset().union(*(g.at(q).diag for g, q in zip(gmaps, loc.locs)))
-    return GSet(nond, diag)
 
 
 @dataclass(frozen=True, slots=True)
@@ -333,6 +352,65 @@ def _initial_node(net: Network, compiled: CompiledNet) -> Optional[SearchNode]:
     return SearchNode(ProductLoc(locs, ints), z)
 
 
+class ProductSets:
+    """The prepared constraint set of each product location: `prepare` of
+    the union of its components' sets, built on first use and kept.
+
+    Each (component, location) set is prepared once, and a product
+    location combines its components' results with `prepare_union`.
+    """
+
+    def __init__(self, gmaps: Sequence[GMap], n_clocks: int):
+        self.gmaps = gmaps
+        self.n_clocks = n_clocks
+        self._parts: dict[tuple[int, int], SimPrepared] = {}
+        self._at: dict[tuple[int, ...], SimPrepared] = {}
+
+    def _part(self, c: int, q: int) -> SimPrepared:
+        got = self._parts.get((c, q))
+        if got is None:
+            got = self._parts[(c, q)] = prepare(self.gmaps[c].at(q),
+                                                self.n_clocks)
+        return got
+
+    def at(self, locs: tuple[int, ...]) -> SimPrepared:
+        got = self._at.get(locs)
+        if got is None:
+            got = self._at[locs] = prepare_union(
+                [self._part(c, q) for c, q in enumerate(locs)])
+        return got
+
+
+class Passed:
+    """The explored zones of one discrete state, each kept once.
+
+    zones holds the frozen `Dbm` objects themselves, no copies, and exact
+    the same objects for the exact-duplicate test.  With bound rows on (the
+    search with simulation pruning), rows[k] is `bound_row(zones[k])`, in
+    one contiguous (capacity, 2n) array grown amortized, so the subsumption
+    scan hands the kernel a slice without restacking.
+    """
+
+    __slots__ = ("zones", "exact", "rows")
+
+    def __init__(self, n_clocks: int, with_rows: bool):
+        self.zones: list[Dbm] = []
+        self.exact: set[Dbm] = set()
+        self.rows = (np.empty((8, 2 * n_clocks), dtype=np.int64)
+                     if with_rows else None)
+
+    def add(self, zone: Dbm) -> None:
+        self.exact.add(zone)
+        if self.rows is not None:
+            k = len(self.zones)
+            if k == self.rows.shape[0]:
+                grown = np.empty((2 * k, self.rows.shape[1]), dtype=np.int64)
+                grown[:k] = self.rows
+                self.rows = grown
+            self.rows[k] = bound_row(zone)
+        self.zones.append(zone)
+
+
 def reach(
     net: Network,
     gmaps: Optional[Sequence[GMap]],
@@ -362,29 +440,20 @@ def reach(
                 )
     start = time.monotonic()
     deadline = None if timeout is None else start + timeout
-    prep_cache: dict[tuple[int, ...], SimPrepared] = {}
-
-    def prep_for(locs: tuple[int, ...]) -> SimPrepared:
-        got = prep_cache.get(locs)
-        if got is None:
-            got = prepare(product_gset(gmaps, ProductLoc(locs, ())),
-                          compiled.n_clocks)
-            prep_cache[locs] = got
-        return got
-
-    nodes: list[SearchNode] = []
+    n_clocks = compiled.n_clocks
+    sets = ProductSets(gmaps, n_clocks) if use_simulation else None
+    stats = SearchStats(UNREACHABLE)
     init = _initial_node(net, compiled)
-    stats = SearchStats(UNREACHABLE, 0, 0, 0, 0.0)
     if init is None:
         stats.seconds = time.monotonic() - start
         return stats
-    nodes.append(init)
-    queue = deque([0])
-    visited: dict[ProductLoc, list[int]] = {}
-    # per-location stack of explored zone matrices, grown amortized, so the
-    # subsumption scan feeds the batched kernel without restacking
-    mats: dict[ProductLoc, np.ndarray] = {}
-    seen_exact: set = set()
+    # per generated node, for path reconstruction only: parent id (-1 at
+    # the root), the move that produced it and its discrete state
+    parents = array("q", [-1])
+    labels: list[Optional[TransLabel]] = [None]
+    states: list[ProductLoc] = [init.loc]
+    queue: deque[tuple[int, SearchNode]] = deque([(0, init)])
+    passed: dict[ProductLoc, Passed] = {}
 
     def finish(verdict: str, path_end: Optional[int]) -> SearchStats:
         stats.verdict = verdict
@@ -392,70 +461,52 @@ def reach(
         if path_end is not None:
             steps = []
             at = path_end
-            while nodes[at].parent is not None or nodes[at].label is not None:
-                steps.append(PathStep(nodes[at].label, nodes[at].loc))
-                at = nodes[at].parent
+            while parents[at] >= 0:
+                steps.append(PathStep(labels[at], states[at]))
+                at = parents[at]
             stats.path = tuple(reversed(steps))
         return stats
 
     while queue:
         stats.max_frontier = max(stats.max_frontier, len(queue))
-        nid = queue.popleft()
-        node = nodes[nid]
+        nid, node = queue.popleft()
+        loc, zone = node.loc, node.zone
         stats.nodes += 1
         if deadline is not None and stats.nodes % 128 == 0:
             if time.monotonic() > deadline:
                 return finish(TIMEOUT, None)
-        if any(node.loc.locs[c] == l for c, l in pairs):
-            node.status = "explored"
+        if any(loc.locs[c] == l for c, l in pairs):
             return finish(REACHABLE, nid)
-        key = (node.loc, node.zone)
-        if key in seen_exact:
-            node.status = "pruned"
-            stats.pruned += 1
+        here = passed.get(loc)
+        if here is None:
+            here = passed[loc] = Passed(n_clocks, sets is not None)
+        elif zone in here.exact:
+            stats.pruned_exact += 1
             continue
-        covered = None
-        if use_simulation:
-            vids = visited.get(node.loc)
-            if vids:
-                prep = prep_for(node.loc.locs)
-                # one batched kernel call refutes almost every candidate;
-                # only the survivors pay for the full diagonal recursion
-                refuted = not_simulated_batch(
-                    node.zone, mats[node.loc][: len(vids)], prep
-                )
-                for k in np.flatnonzero(~refuted).tolist():
-                    vid = vids[k]
-                    if sim_zone_prepared(node.zone, nodes[vid].zone, prep):
-                        covered = vid
-                        break
-        if covered is not None:
-            node.status = "pruned"
-            node.subsumer = covered
-            stats.pruned += 1
+        elif sets is not None and _covered(zone, here, sets.at(loc.locs)):
+            stats.pruned_sim += 1
             continue
-        node.status = "explored"
-        seen_exact.add(key)
-        lst = visited.setdefault(node.loc, [])
-        if use_simulation:
-            arr = mats.get(node.loc)
-            if arr is None or len(lst) == arr.shape[0]:
-                side = node.zone.m.shape[0]
-                cap = 8 if arr is None else 2 * arr.shape[0]
-                grown = np.empty((cap, side, side), dtype=np.int64)
-                if arr is not None:
-                    grown[: arr.shape[0]] = arr
-                mats[node.loc] = grown
-                arr = grown
-            arr[len(lst)] = node.zone.m
-        lst.append(nid)
+        here.add(zone)
         children, disabled = successors(node, net, compiled)
         stats.disabled_assigns += disabled
         for child in children:
-            child.parent = nid
-            nodes.append(child)
-            queue.append(len(nodes) - 1)
+            queue.append((len(parents), child))
+            parents.append(nid)
+            labels.append(child.label)
+            states.append(child.loc)
     return finish(UNREACHABLE, None)
+
+
+def _covered(zone: Dbm, here: Passed, prep: SimPrepared) -> bool:
+    """Whether an explored zone of here simulates zone.
+
+    One batched kernel call over the bound rows refutes almost every
+    candidate; only the survivors pay for the full diagonal recursion.
+    """
+    zones = here.zones
+    refuted = not_simulated_batch(zone, here.rows[: len(zones)], zones, prep)
+    return any(sim_zone_prepared(zone, zones[k], prep)
+               for k in np.flatnonzero(~refuted).tolist())
 
 
 def replay(path: Sequence[PathStep], net: Network, target: Optional[str] = None) -> bool:

@@ -8,17 +8,19 @@ relation by splitting on diagonal constraints and finishing with the
 non-diagonal check; `brute_force_sim` re-decides it by region enumeration
 and serves as the testing oracle for that check.
 
-The non-diagonal check is one kernel, `not_simulated_batch`, over a stack of
-candidate matrices.  The search's subsumption scan calls it on every explored
-zone of a location at once, and the diagonal recursion on one.  Its two
-single-sided conditions, the per-clock tests of the LU-simulation inclusion
-check (Herbreteau, Srivathsan & Walukiewicz, LICS 2012), are exact threshold
+The non-diagonal check is one kernel, `not_simulated_batch`, over K candidate
+zones.  The search's subsumption scan calls it on every explored zone of a
+location at once, and the diagonal recursion on one.  Its two single-sided
+conditions, the per-clock tests of the LU-simulation inclusion check
+(Herbreteau, Srivathsan & Walukiewicz, LICS 2012), are exact threshold
 compares: `prepare` turns each constraint set into per-clock thresholds once,
-a query zone turns them into two vectors, and each vector is compared against
-one row or column of the whole stack.  Only the few candidates left standing
-reach the two-sided condition.
+a query zone turns them into one vector, and that vector is compared against
+the candidates' bound rows (`bound_row`: row 0 then column 0 of each matrix,
+which the search keeps in one contiguous array).  Only the few candidates
+left standing have their full matrices read, for the two-sided condition.
 """
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -84,6 +86,17 @@ class SimPrepared:
     two_sided: bool  # pairs.any()
 
 
+def _prepared(u_thr: np.ndarray, l_thr: np.ndarray,
+              diags: tuple[AtomicConstraint, ...]) -> SimPrepared:
+    has_u = u_thr < INF
+    has_l = l_thr > NEVER
+    pairs = has_l[:, None] & has_u[None, :]
+    np.fill_diagonal(pairs, False)
+    return SimPrepared(diags, has_u, np.where(has_u, 1 - u_thr, 0),
+                       has_l, np.where(has_l, 2 - l_thr, 0), u_thr, l_thr,
+                       pairs, bool(pairs.any()))
+
+
 def prepare(g: GSet, n_clocks: int) -> SimPrepared:
     """Aggregate the non-diagonal atoms of g into per-clock encoded bounds.
 
@@ -105,19 +118,34 @@ def prepare(g: GSet, n_clocks: int) -> SimPrepared:
             if x not in lower or b < lower[x]:
                 lower[x] = b
     clocks = range(n_clocks)
-    u_enc, l_edge, u_thr, l_thr = np.array([
-        [upper.get(x, 0) for x in clocks],
-        [lower.get(x, 0) for x in clocks],
+    u_thr, l_thr = np.array([
         [1 - upper[x] if x in upper else int(INF) for x in clocks],
         [2 - lower[x] if x in lower else int(NEVER) for x in clocks],
-    ], dtype=np.int64).reshape(4, n_clocks)
-    has_u = u_thr < INF
-    has_l = l_thr > NEVER
-    pairs = has_l[:, None] & has_u[None, :]
-    np.fill_diagonal(pairs, False)
-    diags = tuple(sorted(g.diag, key=lambda p: (p.context(), p.constant)))
-    return SimPrepared(diags, has_u, u_enc, has_l, l_edge, u_thr, l_thr,
-                       pairs, bool(pairs.any()))
+    ], dtype=np.int64).reshape(2, n_clocks)
+    return _prepared(u_thr, l_thr,
+                     tuple(sorted(g.diag, key=AtomicConstraint.sort_key)))
+
+
+def prepare_union(parts: Sequence[SimPrepared]) -> SimPrepared:
+    """`prepare` of the union of the parts' constraint sets, from the parts.
+
+    The weakest upper of a union is the weakest of the parts' and the
+    strongest lower the strongest of theirs, so the thresholds combine
+    elementwise: min for u_thr, max for l_thr.  The search folds each
+    (component, location) once and combines the folds per product location.
+    """
+    if len(parts) == 1:
+        return parts[0]
+    diags = set().union(*(p.diags for p in parts))
+    return _prepared(np.minimum.reduce([p.u_thr for p in parts]),
+                     np.maximum.reduce([p.l_thr for p in parts]),
+                     tuple(sorted(diags, key=AtomicConstraint.sort_key)))
+
+
+def bound_row(zp: Dbm) -> np.ndarray:
+    """Row 0 then column 0 of zp's matrix, without the reference entry:
+    the part of a candidate the kernel's single-sided stage reads."""
+    return np.concatenate((zp.m[0, 1:], zp.m[1:, 0]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,14 +162,15 @@ class SimQuery:
         return SimQuery(z, zp, g, extract_lu(g, z.n))
 
 
-def not_simulated_batch(z: Dbm, pms: np.ndarray, prep: SimPrepared) -> np.ndarray:
+def not_simulated_batch(z: Dbm, rows: np.ndarray, zps: Sequence[Dbm],
+                        prep: SimPrepared) -> np.ndarray:
     """Non-diagonal kernel: is there a point of z that no point of zp matches?
 
-    pms stacks K candidate matrices zp, shape (K, n+1, n+1); entry k of the
-    returned bool mask is True when some point of z has no simulator in
-    candidate k, which refutes the simulation.  Search feeds it every
-    explored zone of a location at once, the diagonal recursion one
-    candidate (K = 1).
+    zps holds K candidate zones zp and rows, shape (K, 2n), their bound rows
+    (`bound_row`); entry k of the returned bool mask is True when some point
+    of z has no simulator in candidate k, which refutes the simulation.
+    Search feeds it every explored zone of a location at once, the diagonal
+    recursion one candidate (K = 1).
 
     A witness point v forces a box on v': for each clock x where v meets the
     weakest upper of G, v'(x) <= v(x); for each clock y with a lower in G,
@@ -157,25 +186,24 @@ def not_simulated_batch(z: Dbm, pms: np.ndarray, prep: SimPrepared) -> np.ndarra
     on x refutes when zp[0, x] < alpha[x], with alpha[x] = z[0, x] if z
     reaches x's upper (z[0, x] > u_thr[x]) and NEVER otherwise; a forced
     lower on y refutes when zp[y, 0] < beta[y] = min(z[y, 0], l_thr[y]).
-    Those two vectors are built once per call and compared against the
-    whole stack.  Only the candidates both leave standing pay for the
-    two-sided condition, an upper on x against a lower on y closed through
-    zp[y, x].
+    Both run as one compare of the bound rows against alpha then beta.
+    Only the candidates it leaves standing have their matrices stacked, for
+    the two-sided condition: an upper on x against a lower on y closed
+    through zp[y, x].
     """
     if z.n == 0:
-        return np.zeros(pms.shape[0], dtype=bool)
+        return np.zeros(rows.shape[0], dtype=bool)
     zm = z.m
     z0 = zm[0, 1:]
     zx0 = zm[1:, 0]
-    alpha = np.where(z0 > prep.u_thr, z0, NEVER)
-    beta = np.minimum(zx0, prep.l_thr)
-    out = (pms[:, 0, 1:] < alpha).any(axis=1)
-    out |= (pms[:, 1:, 0] < beta).any(axis=1)
+    thr = np.concatenate((np.where(z0 > prep.u_thr, z0, NEVER),
+                          np.minimum(zx0, prep.l_thr)))
+    out = (rows < thr).any(axis=1)
     if not prep.two_sided or out.all():
         return out
-    todo = ~out
+    todo = np.flatnonzero(~out)
     zd = zm[1:, 1:]
-    pd = pms[todo][:, 1:, 1:]
+    pd = np.stack([zps[k].m[1:, 1:] for k in todo.tolist()])
     guard = -(np.int64(1) << 50)
     # an unbounded zp entry means the cycle can never go negative, so the
     # cap collapses to an unsatisfiable bound rather than to "no constraint"
@@ -215,7 +243,7 @@ def _sim(z: Zone, zp: Zone, diags: tuple, prep: SimPrepared) -> bool:
         return _sim(intersect(z, phi), intersect(zp, phi), rest, prep) and _sim(
             intersect(z, negate_atomic(phi)), zp, rest, prep
         )
-    return not not_simulated_batch(z, zp.m[None], prep)[0]
+    return not not_simulated_batch(z, bound_row(zp)[None], (zp,), prep)[0]
 
 
 def sim_zone(q: SimQuery) -> bool:

@@ -3,6 +3,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 
+from reference import delayed
 from uta.model import (
     INT_OPS,
     STRICT,
@@ -20,7 +21,6 @@ from uta.model import (
     Network,
     Shift,
     Update,
-    delayed,
     make_lower,
     make_lower_diag,
     make_upper,

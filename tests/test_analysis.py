@@ -13,6 +13,7 @@ from conftest import (
     sim_atom_grid,
     sim_atom_ref,
 )
+from reference import kleene_step
 from uta.analysis import (
     GSet,
     Mode,
@@ -25,7 +26,6 @@ from uta.analysis import (
     edge_context,
     extract_lu,
     g0,
-    kleene_step,
     report_json,
     up_inverse,
     verify_witness,

@@ -209,6 +209,7 @@ class TestReach:
         doc = json.loads(out)
         assert doc["model"] == "loop" and doc["verdict"] == "Reachable"
         assert doc["nodes"] == 4 and doc["pruned"] == 1
+        assert doc["pruned_exact"] == 0 and doc["pruned_sim"] == 1
         assert doc["max_frontier"] == 2 and doc["disabled_assigns"] == 0
         assert [step["state"] for step in doc["path"]] == ["q1", "q2"]
         assert doc["total_seconds"] >= doc["seconds"]

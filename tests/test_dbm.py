@@ -6,21 +6,18 @@ import numpy as np
 import pytest
 
 from conftest import fig1_automaton, random_atom, random_update, random_valuation
+from reference import apply_update_relational, bound_str, delayed, dump, equals
 from uta.dbm import (
     EMPTY,
     INF,
     add_bounds,
     apply_update,
-    apply_update_relational,
-    bound_str,
     canonicalize,
     compile_step,
     decode_bound,
-    dump,
     elapse,
     encode_atoms,
     encode_bound,
-    equals,
     initial_zone,
     intersect,
     intersect_all,
@@ -37,7 +34,6 @@ from uta.model import (
     Shift,
     Update,
     apply_update as apply_update_point,
-    delayed,
     make_lower,
     make_lower_diag,
     make_upper,

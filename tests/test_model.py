@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from reference import delayed
 from uta.model import (
     BOTTOM,
     STRICT,
@@ -15,7 +16,6 @@ from uta.model import (
     Shift,
     Update,
     apply_update,
-    delayed,
     make_lower,
     make_lower_diag,
     make_upper,

@@ -12,7 +12,6 @@ from uta.dbm import (
     INF,
     LE_ZERO,
     Dbm,
-    apply_update_relational,
     elapse,
     encode_bound,
     intersect_all,
@@ -42,13 +41,13 @@ from uta.search import (
     PathStep,
     ProductLoc,
     TransLabel,
-    product_gset,
     reach,
     replay,
     successors,
 )
 
 from conftest import fig1_automaton, random_automaton, random_sync_network
+from reference import apply_update_relational, product_gset
 from test_acceptance import DESK_ROWS
 from test_simulation import reference_not_simulated
 
@@ -517,6 +516,7 @@ class TestStatsOutput:
         j = reach(net, gmaps, "a1").to_json(net)
         assert j["verdict"] == REACHABLE
         assert j["nodes"] >= 1 and j["pruned"] >= 0 and j["seconds"] >= 0
+        assert j["pruned_exact"] == j["pruned_sim"] == 0
         assert j["max_frontier"] >= 1 and j["disabled_assigns"] == 0
         assert j["path"] == [{"fire": "A: go! a0->a1, B: go? b0->b1", "state": "a1|b1"}]
 
@@ -525,6 +525,7 @@ class TestStatsOutput:
         g = compute_gmap(net.components[0])
         j = reach(net, [g], "q2", use_simulation=True).to_json()
         assert "path" not in j
+        assert (j["pruned"], j["pruned_exact"], j["pruned_sim"]) == (1, 0, 1)
 
     def test_deterministic_across_runs(self):
         net = loop_network()
@@ -702,9 +703,9 @@ class TestSubsumptionKernel:
         batched = simulation.not_simulated_batch
         candidates = []
 
-        def checked(z, pms, prep):
-            got = batched(z, pms, prep)
-            want = [reference_not_simulated(z, Dbm(pm), prep) for pm in pms]
+        def checked(z, rows, zps, prep):
+            got = batched(z, rows, zps, prep)
+            want = [reference_not_simulated(z, zp, prep) for zp in zps]
             assert got.tolist() == want
             candidates.append(len(want))
             return np.array(want, dtype=bool)
@@ -723,3 +724,130 @@ class TestSubsumptionKernel:
                 ref.nodes, ref.pruned, ref.max_frontier), label
             assert fast.path == ref.path, label
         assert len(candidates) >= 1000 and sum(candidates) >= 3000
+
+
+def same_prepared(a, b) -> bool:
+    return a.diags == b.diags and a.two_sided == b.two_sided and all(
+        np.array_equal(getattr(a, f), getattr(b, f))
+        and getattr(a, f).dtype == getattr(b, f).dtype
+        for f in ("has_u", "u_enc", "has_l", "l_edge", "u_thr", "l_thr", "pairs"))
+
+
+class TestProductSets:
+    """Combining the prepared sets of a product location's components gives
+    what preparing the union of their constraint sets gives, on every
+    product location the search visits."""
+
+    @staticmethod
+    def visited(monkeypatch, net, gmaps, target, **kwargs):
+        seen = set()
+        plain = search.successors
+
+        def recording(node, *args):
+            got = plain(node, *args)
+            seen.add(node.loc.locs)
+            seen.update(child.loc.locs for child in got[0])
+            return got
+
+        with monkeypatch.context() as m:
+            m.setattr(search, "successors", recording)
+            reach(net, gmaps, target, **kwargs)
+        return seen
+
+    @staticmethod
+    def agree(net, gmaps, locs):
+        n = len(net.clocks)
+        sets = search.ProductSets(gmaps, n)
+        for at in sorted(locs):
+            want = simulation.prepare(product_gset(gmaps, ProductLoc(at, ())), n)
+            assert same_prepared(sets.at(at), want), at
+
+    def test_desk_rows(self, monkeypatch):
+        total = 0
+        for label, build, _ in DESK_ROWS:
+            net = build()
+            gmaps = [compute_gmap(c) for c in net.components]
+            locs = self.visited(monkeypatch, net, gmaps, "error")
+            self.agree(net, gmaps, locs)
+            total += len(locs)
+        assert total >= 100
+
+    def test_random_sync_networks(self, monkeypatch):
+        rng = random.Random(2025)
+        total = diagonal = two_sided = merged = 0
+        for _ in range(300):
+            net = random_sync_network(rng)
+            gmaps = [compute_gmap(c) for c in net.components]
+            if any(g.status is not Status.CONVERGED for g in gmaps):
+                continue
+            last = net.components[-1]
+            target = f"{last.name}.{last.locations[-1].name}"
+            locs = self.visited(monkeypatch, net, gmaps, target, timeout=2.0)
+            self.agree(net, gmaps, locs)
+            sets = search.ProductSets(gmaps, len(net.clocks))
+            for at in locs:
+                total += 1
+                diagonal += bool(sets.at(at).diags)
+                two_sided += sets.at(at).two_sided
+                # diagonals from two components or more: a sorted union
+                merged += sum(bool(g.at(q).diag) for g, q in zip(gmaps, at)) > 1
+        assert total >= 200 and diagonal >= 100 and two_sided >= 100
+        assert merged >= 50
+
+
+class TestPassedList:
+    """Each explored zone is kept once per discrete state."""
+
+    @staticmethod
+    def twin_network(committed):
+        # two parallel unguarded edges into q1: into a committed location
+        # the successor is the parent's zone object itself, elsewhere each
+        # child is elapsed into its own equal copy
+        return single_component_network(
+            "n",
+            ("x",),
+            (Location("q0", initial=True), Location("q1", committed=committed),
+             Location("q2")),
+            (Edge(0, 1), Edge(0, 1)),
+        )
+
+    def test_equal_zone_is_an_exact_duplicate(self):
+        for committed in (True, False):
+            net = self.twin_network(committed)
+            node, compiled = initial_node(net)
+            (a, b), _ = successors(node, net, compiled)
+            assert a.zone == b.zone and (a.zone is b.zone) == committed
+            g = compute_gmap(net.components[0])
+            for stats in (reach(net, [g], "q2"),
+                          reach(net, None, "q2", use_simulation=False)):
+                assert stats.verdict == UNREACHABLE
+                assert (stats.nodes, stats.pruned_exact, stats.pruned_sim) == (
+                    3, 1, 0), committed
+        for with_rows in (True, False):
+            passed = search.Passed(1, with_rows)
+            passed.add(a.zone)
+            assert a.zone in passed.exact and Dbm(a.zone.m.copy()) in passed.exact
+
+    def test_bound_rows_follow_the_zones_after_growth(self, monkeypatch):
+        made = []
+
+        class Recording(search.Passed):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        monkeypatch.setattr(search, "Passed", Recording)
+        label, build, verdict = DESK_ROWS[-1]
+        net = build()
+        gmaps = [compute_gmap(c) for c in net.components]
+        assert reach(net, gmaps, "error").verdict == verdict
+        grown = [p for p in made if len(p.zones) > 8]
+        assert len(grown) >= 5, label
+        for passed in grown:
+            k = len(passed.zones)
+            assert passed.rows.shape[0] >= k
+            want = [np.concatenate((z.m[0, 1:], z.m[1:, 0])) for z in passed.zones]
+            assert np.array_equal(passed.rows[:k], np.array(want))
+            assert passed.exact == set(passed.zones) and len(passed.exact) == k

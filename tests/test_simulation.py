@@ -106,10 +106,9 @@ def reference_not_simulated(z, zp, prep) -> bool:
 def batch_matches_reference(z, zps, prep) -> np.ndarray:
     """The batched mask over zps, asserted equal to the reference per
     candidate."""
-    size = z.n + 1
-    pms = np.stack([zp.m for zp in zps]) if zps else np.empty(
-        (0, size, size), dtype=np.int64)
-    mask = not_simulated_batch(z, pms, prep)
+    rows = np.array([np.concatenate((zp.m[0, 1:], zp.m[1:, 0])) for zp in zps],
+                    dtype=np.int64).reshape(len(zps), 2 * z.n)
+    mask = not_simulated_batch(z, rows, zps, prep)
     assert mask.shape == (len(zps),) and mask.dtype == bool
     want = [reference_not_simulated(z, zp, prep) for zp in zps]
     assert mask.tolist() == want, (z.m, [zp.m for zp in zps], prep)
