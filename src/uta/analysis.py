@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 from collections import defaultdict
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .model import (
     TOP,
@@ -142,6 +142,21 @@ def wp(
 ) -> AtomicConstraint:
     """Reduced backward propagation: preimage, then guard-context cut."""
     return table_cut(up_inverse(phi, up), guard_atoms)
+
+
+def preimage(
+    phi: AtomicConstraint,
+    guard_atoms: Sequence[AtomicConstraint],
+    up: Update,
+) -> AtomicConstraint:
+    """Plain backward propagation: the preimage, guard context unused."""
+    return up_inverse(phi, up)
+
+
+def propagation(mode: Mode) -> Callable[..., AtomicConstraint]:
+    """The backward propagation rule of mode: `wp` when reduced, else
+    `preimage`.  Callers pick it once per call, not per propagation."""
+    return wp if mode is Mode.REDUCED else preimage
 
 
 def edge_context(a: Automaton, edge_idx: int) -> tuple[AtomicConstraint, ...]:
@@ -276,6 +291,7 @@ def _base_records(a: Automaton, mode: Mode) -> list[tuple[int, AtomicConstraint]
             seen.add((q, phi))
             records.append((q, phi))
 
+    prop = propagation(mode)
     by_src: dict[int, list[int]] = defaultdict(list)
     for ei, e in enumerate(a.edges):
         by_src[e.src].append(ei)
@@ -288,10 +304,7 @@ def _base_records(a: Automaton, mode: Mode) -> list[tuple[int, AtomicConstraint]
                 add(q, phi)
             ctx = edge_context(a, ei)
             for x in range(len(a.clock_names)):
-                psi = up_inverse(nonneg_source(x), e.update)
-                if mode is Mode.REDUCED:
-                    psi = table_cut(psi, ctx)
-                add(q, psi)
+                add(q, prop(nonneg_source(x), ctx, e.update))
     return records
 
 
@@ -339,6 +352,7 @@ def compute_gmap(
     for ei, e in enumerate(a.edges):
         edges_by_dst[e.dst].append(ei)
     contexts = [edge_context(a, ei) for ei in range(len(a.edges))]
+    prop = propagation(mode)
     steps = 0
 
     def result(status: Status, witness=None) -> GMap:
@@ -357,10 +371,7 @@ def compute_gmap(
         for qp, phi in frontier:
             for ei in edges_by_dst[qp]:
                 e = a.edges[ei]
-                if mode is Mode.REDUCED:
-                    psi = table_cut(up_inverse(phi, e.update), contexts[ei])
-                else:
-                    psi = up_inverse(phi, e.update)
+                psi = prop(phi, contexts[ei], e.update)
                 if psi.is_trivial or psi in sets[e.src]:
                     continue
                 sets[e.src].add(psi)
@@ -424,6 +435,7 @@ def verify_witness(gmap: GMap, a: Automaton) -> list[str]:
     if not steps:
         return ["empty witness"]
     base = g0(a, gmap.mode)
+    prop = propagation(gmap.mode)
     if steps[0].constraint not in base[steps[0].location]:
         problems.append("witness does not start at a base-set constraint")
     for k in range(1, len(steps)):
@@ -435,9 +447,7 @@ def verify_witness(gmap: GMap, a: Automaton) -> list[str]:
         if e.src != steps[k].location or e.dst != steps[k - 1].location:
             problems.append(f"step {k}: edge endpoints do not match")
             continue
-        expect = wp(steps[k - 1].constraint, edge_context(a, ei), e.update) \
-            if gmap.mode is Mode.REDUCED else \
-            up_inverse(steps[k - 1].constraint, e.update)
+        expect = prop(steps[k - 1].constraint, edge_context(a, ei), e.update)
         if expect != steps[k].constraint:
             problems.append(f"step {k}: propagation does not reproduce the constraint")
     if steps[-1].constraint.constant <= gmap.bounds.N:
@@ -463,13 +473,8 @@ def verify_witness(gmap: GMap, a: Automaton) -> list[str]:
                 cur = steps[k].constraint
                 ei = steps[k].edge
                 e = a.edges[ei]
-                shifted = wp(
-                    prev.with_constant(prev.constant + delta),
-                    edge_context(a, ei),
-                    e.update,
-                ) if gmap.mode is Mode.REDUCED else up_inverse(
-                    prev.with_constant(prev.constant + delta), e.update
-                )
+                shifted = prop(prev.with_constant(prev.constant + delta),
+                               edge_context(a, ei), e.update)
                 if shifted != cur.with_constant(cur.constant + delta):
                     problems.append(f"cycle step {k} does not re-propagate shifted")
                     break
@@ -519,26 +524,21 @@ def extract_lu(g: GSet, n_clocks: int) -> LUBounds:
     return LUBounds(tuple(lower), tuple(upper))
 
 
-def check_closure(gmap: GMap, a: Automaton, mode: Optional[Mode] = None) -> bool:
+def check_closure(gmap: GMap, a: Automaton) -> bool:
     """Fixed-point conditions: base atoms present, propagations present or cut."""
-    if mode is None:
-        mode = gmap.mode
+    prop = propagation(gmap.mode)
     sets = gmap.sets
 
     def covered(q: int, phi: AtomicConstraint) -> bool:
         return phi.is_trivial or phi in sets[q]
 
-    for q, phi in _base_records(a, mode):
+    for q, phi in _base_records(a, gmap.mode):
         if not covered(q, phi):
             return False
     for ei, e in enumerate(a.edges):
         ctx = edge_context(a, ei)
         for phi in sets[e.dst]:
-            if mode is Mode.REDUCED:
-                psi = wp(phi, ctx, e.update)
-            else:
-                psi = up_inverse(phi, e.update)
-            if not covered(e.src, psi):
+            if not covered(e.src, prop(phi, ctx, e.update)):
                 return False
     return True
 

@@ -28,7 +28,7 @@ from .benchgen import (
     gen_sporadic_periodic,
     sporadic_periodic,
 )
-from .format import ParseErrors, parse, print_network
+from .format import ParseErrors, parse_file, print_network
 from .model import Network, validate_network
 from .search import REACHABLE, UNREACHABLE, reach
 
@@ -55,13 +55,10 @@ def _mode(name: str) -> Mode:
 
 def _load(path: str, allow_shared: bool) -> Optional[Network]:
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        net = parse_file(path)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None
-    try:
-        net = parse(text, filename=path)
     except ParseErrors as exc:
         for e in exc.errors:
             print(f"error: {e}", file=sys.stderr)
@@ -147,8 +144,7 @@ def cmd_reach(args) -> int:
               file=sys.stderr)
         return EXIT_ERROR
     try:
-        stats = reach(net, gmaps, args.target,
-                      use_simulation=not args.no_simulation, timeout=remaining)
+        stats = reach(net, gmaps, args.target, timeout=remaining)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

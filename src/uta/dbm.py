@@ -11,13 +11,13 @@ tightest) form, or the EMPTY sentinel.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
 
 import numpy as np
 
 from .model import (
+    MAX_CONST,
     STRICT,
     WEAK,
     AtomicConstraint,
@@ -30,20 +30,12 @@ from .model import (
 
 INF = np.int64(2**62)
 LE_ZERO = np.int64(1)  # encoded (<=, 0)
-_MAX_CONST = 2**40  # constants beyond this would risk int64 overflow in sums
 
 
 def encode_bound(value: int, strictness: Strictness) -> int:
-    if abs(value) > _MAX_CONST:
+    if abs(value) > MAX_CONST:
         raise OverflowError(f"constant {value} too large for zone arithmetic")
     return 2 * value + (1 if strictness is WEAK else 0)
-
-
-def decode_bound(b: int) -> Optional[tuple[int, Strictness]]:
-    """None for infinity, else (value, strictness)."""
-    if b >= INF:
-        return None
-    return (int(b) >> 1, WEAK if b & 1 else STRICT)
 
 
 def add_bounds(a: int, b: int) -> int:
@@ -63,9 +55,13 @@ EMPTY = EmptyZone()
 Zone = Union["Dbm", EmptyZone]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Dbm:
     m: np.ndarray  # (n+1) x (n+1) int64, canonical, frozen
+    # hash of m, computed on first use: the passed list hashes each zone
+    # on lookup and again on insertion
+    _hash: Optional[int] = field(default=None, init=False, repr=False,
+                                 compare=False)
 
     @property
     def n(self) -> int:
@@ -75,10 +71,11 @@ class Dbm:
         return isinstance(other, Dbm) and np.array_equal(self.m, other.m)
 
     def __hash__(self) -> int:
-        return hash(self.m.tobytes())
-
-    def to_bytes(self) -> bytes:
-        return self.m.tobytes()
+        h = self._hash
+        if h is None:
+            h = hash(self.m.tobytes())
+            object.__setattr__(self, "_hash", h)
+        return h
 
 
 def _freeze(m: np.ndarray) -> Dbm:
@@ -90,26 +87,6 @@ def _add_mat(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # int64 wraparound on INF+INF is masked out by the where
     raw = a + b - ((a | b) & 1)
     return np.where((a >= INF) | (b >= INF), INF, raw)
-
-
-def _close(m: np.ndarray) -> bool:
-    """All-pairs tightening in place; False when a diagonal goes negative."""
-    size = m.shape[0]
-    for k in range(size):
-        cand = _add_mat(m[:, k : k + 1], m[k : k + 1, :])
-        np.minimum(m, cand, out=m)
-    if (np.diagonal(m) < LE_ZERO).any():
-        return False
-    np.fill_diagonal(m, LE_ZERO)
-    return True
-
-
-def canonicalize(m: np.ndarray) -> Zone:
-    """Close an arbitrary bound matrix; detects emptiness."""
-    work = np.array(m, dtype=np.int64)
-    if not _close(work):
-        return EMPTY
-    return _freeze(work)
 
 
 def universe(n_clocks: int) -> Dbm:
@@ -161,20 +138,6 @@ def _tighten(m: np.ndarray, i: int, j: int, b: int) -> bool:
     cand = _add_mat(_add_mat(m[:, i : i + 1], np.int64(b)), m[j : j + 1, :])
     np.minimum(m, cand, out=m)
     return True
-
-
-def intersect(d: Dbm, phi: AtomicConstraint) -> Zone:
-    if phi.kind is Kind.TOP:
-        return d
-    if phi.kind is Kind.BOTTOM:
-        return EMPTY
-    i, j, b = _atom_entry(phi)
-    if b >= d.m[i, j]:
-        return d
-    m = np.array(d.m)
-    if not _tighten(m, i, j, b):
-        return EMPTY
-    return _freeze(m)
 
 
 Triple = tuple[int, int, int]  # (row, col, encoded bound): x_row - x_col <= bound
@@ -254,8 +217,11 @@ def compile_step(guard: Iterable[AtomicConstraint], up: Update,
     if up.is_identity:
         return Step(tuple(cut))
     for x, u in up.entries:
-        if isinstance(u, Shift) and u.offset < 0:
-            cut.append((0, u.source + 1, encode_bound(u.offset, WEAK)))
+        d = u.value if isinstance(u, Const) else u.offset
+        if abs(d) > MAX_CONST:
+            raise OverflowError(f"update constant {d} too large for zone arithmetic")
+        if isinstance(u, Shift) and d < 0:
+            cut.append((0, u.source + 1, encode_bound(d, WEAK)))
     src, off = _substitution(up, n_clocks)
     flat = src[:, None] * (n_clocks + 1) + src[None, :]
     delta = 2 * (off[:, None] - off[None, :])
@@ -303,24 +269,6 @@ def successor(
     if z is EMPTY or not do_elapse:
         return z
     return constrain(elapse(z), invariant)
-
-
-def membership(d: Zone, v) -> bool:
-    """Exact rational membership; v maps clock index to a number."""
-    if d is EMPTY:
-        return False
-    n = d.n
-    vals = [Fraction(0)] + [Fraction(v[x]) for x in range(n)]
-    for i in range(n + 1):
-        for j in range(n + 1):
-            dec = decode_bound(int(d.m[i, j]))
-            if dec is None:
-                continue
-            bound, s = dec
-            diff = vals[i] - vals[j]
-            if not (diff < bound if s is STRICT else diff <= bound):
-                return False
-    return True
 
 
 def zone_of(n_clocks: int, atoms: Iterable[AtomicConstraint]) -> Zone:

@@ -7,13 +7,14 @@ One directive per line, ``#`` starts a comment:
     int <id> <min> <max> <init>
     event <id>
     process <id>
-    location <proc> <id> [initial] [committed] [invariant: <clock-conj>] [accepting]
+    location <proc> <id> [initial] [committed] [invariant: <clock-conj>]
     edge <proc> <src> <dst> [provided: <conj>] [do: <upd>{; <upd>}] [sync: <event>! | <event>?]
 
 Conjunctions are ``&&``-joined atoms (``x<=3``, ``1<x``, ``x-y<2``,
 ``2<=x-y``, integer comparisons); updates are ``x=c``, ``x=y+d``, ``x=y-d``
 or integer sums (``n=n+1``).  Every identifier is declared before use; clock
-constraint constants must be natural.
+constraint constants, reset values and shift offsets must be natural and at
+most ``MAX_CONST`` (2^40).
 """
 from __future__ import annotations
 
@@ -23,6 +24,7 @@ from typing import Optional
 
 from .model import (
     INT64_MAX,
+    MAX_CONST,
     STRICT,
     WEAK,
     AtomicConstraint,
@@ -82,7 +84,7 @@ _TOKEN = re.compile(r"\S+")
 
 _FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "==": "==", "!=": "!="}
 
-_LOC_FLAGS = ("initial", "committed", "accepting")
+_LOC_FLAGS = ("initial", "committed")
 _LOC_SECTIONS = ("invariant:",)
 _EDGE_SECTIONS = ("provided:", "do:", "sync:")
 
@@ -284,7 +286,7 @@ class _Parser:
             self.err(
                 self.span(lineno, s, e),
                 "usage: location <proc> <id> [initial] [committed] "
-                "[invariant: <clock-conj>] [accepting]",
+                "[invariant: <clock-conj>]",
             )
             return
         pb = self._lookup_proc(lineno, tokens[1])
@@ -323,7 +325,6 @@ class _Parser:
                 initial="initial" in flags,
                 committed="committed" in flags,
                 invariant=invariant,
-                accepting="accepting" in flags,
             )
         )
 
@@ -415,8 +416,9 @@ class _Parser:
         if val < 0:
             self.err(sp, f"negative constant {val} in clock constraint (must be natural)")
             return None
-        if val > INT64_MAX:
-            self.err(sp, f"constant {val} does not fit in 64-bit signed range")
+        if val > MAX_CONST:
+            self.err(sp, f"clock constant {val} exceeds {MAX_CONST} (2^40), "
+                         "the bound of 64-bit zone arithmetic")
             return None
         return val
 
@@ -589,9 +591,8 @@ class _Parser:
             if self.names.get(src) != "clock":
                 self.err(sp, f"clock update source {src!r} is not a clock")
                 return None
-            d = int(mag)
-            if d > INT64_MAX:
-                self.err(sp, f"constant {mag} does not fit in 64-bit signed range")
+            d = self._clock_const(mag, sp)
+            if d is None:
                 return None
             return Shift(self.clock_index[src], -d if sign == "-" else d)
         self.err(sp, f"cannot parse clock update {rhs!r} (expected c, y, y+d or y-d)")
@@ -711,8 +712,6 @@ def print_network(net: Network) -> str:
                 parts.append("committed")
             if loc.invariant.clock_atoms:
                 parts.append("invariant: " + guard_to_str(loc.invariant, net.clocks))
-            if loc.accepting:
-                parts.append("accepting")
             lines.append(" ".join(parts))
         for e in comp.edges:
             parts = [
@@ -732,42 +731,3 @@ def print_network(net: Network) -> str:
             lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"
 
-
-def network_to_json(net: Network) -> dict:
-    """Debug dump; guards and updates are rendered in the text syntax."""
-    int_names = tuple(v.name for v in net.int_vars)
-    return {
-        "system": net.name,
-        "clocks": list(net.clocks),
-        "ints": [
-            {"name": v.name, "min": v.lo, "max": v.hi, "init": v.init}
-            for v in net.int_vars
-        ],
-        "events": list(net.channels),
-        "processes": [
-            {
-                "name": comp.name,
-                "locations": [
-                    {
-                        "name": loc.name,
-                        "initial": loc.initial,
-                        "committed": loc.committed,
-                        "accepting": loc.accepting,
-                        "invariant": guard_to_str(loc.invariant, net.clocks),
-                    }
-                    for loc in comp.locations
-                ],
-                "edges": [
-                    {
-                        "src": comp.locations[e.src].name,
-                        "dst": comp.locations[e.dst].name,
-                        "provided": guard_to_str(e.guard, net.clocks, int_names),
-                        "do": update_to_str(e.update, e.int_assigns, net.clocks, int_names),
-                        "sync": f"{e.sync[0]}{e.sync[1]}" if e.sync else None,
-                    }
-                    for e in comp.edges
-                ],
-            }
-            for comp in net.components
-        ],
-    }

@@ -14,6 +14,9 @@ from typing import Mapping, Optional, Sequence, Union
 
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
+# largest clock constant, reset value or shift offset: beyond it the sums
+# of zone arithmetic (dbm) risk int64 overflow
+MAX_CONST = 2**40
 
 
 class Strictness(enum.IntEnum):
@@ -155,41 +158,6 @@ def make_lower_diag(x: int, y: int, strictness: Strictness, c: int) -> AtomicCon
     if c < 0:
         return AtomicConstraint(Kind.UPPER_DIAG, y, x, strictness, -c)
     return AtomicConstraint(Kind.LOWER_DIAG, x, y, strictness, c)
-
-
-def normalize_atomic(
-    kind: Kind,
-    x: Optional[int],
-    y: Optional[int],
-    strictness: Strictness,
-    constant: int,
-) -> AtomicConstraint:
-    """Build a normalized constraint from a raw (possibly negative) constant."""
-    if kind is Kind.UPPER:
-        return make_upper(x, strictness, constant)
-    if kind is Kind.LOWER:
-        return make_lower(x, strictness, constant)
-    if kind is Kind.UPPER_DIAG:
-        return make_upper_diag(x, y, strictness, constant)
-    if kind is Kind.LOWER_DIAG:
-        return make_lower_diag(x, y, strictness, constant)
-    raise ValueError(f"cannot normalize kind {kind}")
-
-
-def negate_atomic(phi: AtomicConstraint) -> AtomicConstraint:
-    """Complement of an atomic constraint (flips side and strictness)."""
-    if phi.kind is Kind.TOP:
-        return BOTTOM
-    if phi.kind is Kind.BOTTOM:
-        return TOP
-    flipped = STRICT if phi.strictness is WEAK else WEAK
-    if phi.kind is Kind.UPPER:
-        return make_lower(phi.x, flipped, phi.constant)
-    if phi.kind is Kind.LOWER:
-        return make_upper(phi.x, flipped, phi.constant)
-    if phi.kind is Kind.UPPER_DIAG:
-        return make_lower_diag(phi.x, phi.y, flipped, phi.constant)
-    return make_upper_diag(phi.x, phi.y, flipped, phi.constant)
 
 
 Number = Union[int, Fraction]
@@ -392,7 +360,6 @@ class Location:
     initial: bool = False
     committed: bool = False
     invariant: Guard = EMPTY_GUARD
-    accepting: bool = False
 
     def __post_init__(self) -> None:
         assert not self.invariant.int_atoms, "invariants are clock-only"

@@ -9,8 +9,9 @@ component are allowed.
 
 The search is a deterministic FIFO exploration.  A dequeued node is dropped
 when an already explored zone of the same discrete state covers it: exact
-zone equality always counts, and with pruning enabled a zone-simulation
-check against the per-state constraint set does too.
+zone equality always counts, and when the search is given per-component
+constraint maps a zone-simulation check against the per-state constraint
+set does too.
 
 The passed list (`Passed`, one per discrete state) keeps each explored zone
 once: the frozen `Dbm` the successor computation returned, which unchanged
@@ -288,13 +289,11 @@ def _apply_assigns(
     return tuple(vals)
 
 
-def successors(n: SearchNode, net: Network,
-               compiled: Optional[CompiledNet] = None):
+def successors(n: SearchNode, compiled: CompiledNet):
     """Enabled moves from n, in the order of `CompiledNet.moves`.
 
     Returns (list of fresh SearchNode, number of integer-disabled firings).
     """
-    compiled = compiled or CompiledNet(net)
     ints = n.loc.ints
     disabled = 0
     out: list[SearchNode] = []
@@ -325,7 +324,10 @@ def _resolve_target(net: Network, target: str) -> frozenset:
     pairs = set()
     if "." in target:
         pname, lname = target.split(".", 1)
-        ci = net.component_index(pname)
+        try:
+            ci = net.component_index(pname)
+        except KeyError:
+            raise ValueError(f"no process named {pname!r} in the network") from None
         for li, loc in enumerate(net.components[ci].locations):
             if loc.name == lname:
                 pairs.add((ci, li))
@@ -415,15 +417,16 @@ def reach(
     net: Network,
     gmaps: Optional[Sequence[GMap]],
     target: str,
-    use_simulation: bool = True,
     timeout: Optional[float] = None,
 ) -> SearchStats:
-    """BFS from the initial state; verdict Reachable/Unreachable/Timeout."""
+    """BFS from the initial state; verdict Reachable/Unreachable/Timeout.
+
+    Prunes by simulation exactly when gmaps (one constraint map per
+    component) is given; with None only exact duplicates are dropped.
+    """
     pairs = _resolve_target(net, target)
     compiled = CompiledNet(net)
-    if use_simulation:
-        if gmaps is None:
-            raise ValueError("pruning requires per-component constraint maps")
+    if gmaps is not None:
         if compiled.shared_clocks:
             # the constraint sets are computed per component, so they miss
             # what one component's updates do to another's constraints
@@ -441,7 +444,7 @@ def reach(
     start = time.monotonic()
     deadline = None if timeout is None else start + timeout
     n_clocks = compiled.n_clocks
-    sets = ProductSets(gmaps, n_clocks) if use_simulation else None
+    sets = None if gmaps is None else ProductSets(gmaps, n_clocks)
     stats = SearchStats(UNREACHABLE)
     init = _initial_node(net, compiled)
     if init is None:
@@ -487,7 +490,7 @@ def reach(
             stats.pruned_sim += 1
             continue
         here.add(zone)
-        children, disabled = successors(node, net, compiled)
+        children, disabled = successors(node, compiled)
         stats.disabled_assigns += disabled
         for child in children:
             queue.append((len(parents), child))
@@ -516,7 +519,7 @@ def replay(path: Sequence[PathStep], net: Network, target: Optional[str] = None)
     if node is None:
         return False
     for step in path:
-        children, _ = successors(node, net, compiled)
+        children, _ = successors(node, compiled)
         node = None
         for child in children:
             if child.label == step.label and child.loc == step.loc:

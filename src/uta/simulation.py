@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .analysis import GSet, LUBounds, extract_lu
+from .analysis import GSet
 from .dbm import (
     EMPTY,
     INF,
@@ -34,31 +34,9 @@ from .dbm import (
     _add_mat,
     _atom_entry,
     add_bounds,
-    intersect,
+    constrain,
 )
-from .model import (
-    AtomicConstraint,
-    Kind,
-    Valuation,
-    negate_atomic,
-    satisfies,
-)
-
-
-def sim_point(v: Valuation, vp: Valuation, g: GSet) -> bool:
-    """Pointwise simulation: v' can mimic every G-relevant delay of v."""
-    for phi in g.nond:
-        if phi.kind is Kind.UPPER:
-            if satisfies(v, phi) and not vp[phi.x] <= v[phi.x]:
-                return False
-        else:
-            if not satisfies(vp, phi) and not v[phi.x] <= vp[phi.x]:
-                return False
-    for phi in g.diag:
-        # delay shifts both clocks, so diagonal satisfaction must transfer
-        if satisfies(v, phi) and not satisfies(vp, phi):
-            return False
-    return True
+from .model import AtomicConstraint, Kind
 
 
 # encoded bound below every finite one: a threshold no entry can go under
@@ -150,16 +128,12 @@ def bound_row(zp: Dbm) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SimQuery:
-    """One zone-simulation question with its derived LU summary."""
+    """One zone-simulation question: is every point of z simulated by a
+    point of zp relative to g?"""
 
     z: Dbm
     zp: Dbm
     g: GSet
-    lu: LUBounds
-
-    @staticmethod
-    def of(z: Dbm, zp: Dbm, g: GSet) -> "SimQuery":
-        return SimQuery(z, zp, g, extract_lu(g, z.n))
 
 
 def not_simulated_batch(z: Dbm, rows: np.ndarray, zps: Sequence[Dbm],
@@ -234,15 +208,17 @@ def _sim(z: Zone, zp: Zone, diags: tuple, prep: SimPrepared) -> bool:
         return False
     for k, phi in enumerate(diags):
         i, j, bound = _atom_entry(phi)
+        cut = ((i, j, bound),)
         rest = diags[k + 1:]
         if int(z.m[i, j]) <= bound:
             # every point of z satisfies phi, so its simulator must as well
-            return _sim(z, intersect(zp, phi), rest, prep)
+            return _sim(z, constrain(zp, cut), rest, prep)
         if add_bounds(int(z.m[j, i]), bound) < LE_ZERO:
             continue  # no point of z satisfies phi: the constraint is inert
-        return _sim(intersect(z, phi), intersect(zp, phi), rest, prep) and _sim(
-            intersect(z, negate_atomic(phi)), zp, rest, prep
-        )
+        # encoded, the complement of x_i - x_j <= b is x_j - x_i <= 1 - b
+        outside = ((j, i, 1 - bound),)
+        return (_sim(constrain(z, cut), constrain(zp, cut), rest, prep)
+                and _sim(constrain(z, outside), zp, rest, prep))
     return not not_simulated_batch(z, bound_row(zp)[None], (zp,), prep)[0]
 
 

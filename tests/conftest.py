@@ -264,4 +264,4 @@ def random_sim_query(rng: random.Random, max_const: int = 6):
     if z is EMPTY or zp is EMPTY:
         return None
     atoms = [random_atom(rng, n, max_const) for _ in range(rng.randint(0, 5))]
-    return SimQuery.of(z, zp, GSet.of(atoms))
+    return SimQuery(z, zp, GSet.of(atoms))

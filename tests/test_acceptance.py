@@ -331,7 +331,7 @@ def test_a10_pruning_sound_on_terminating_models():
         net = single_component_network(a.name, a.clock_names, a.locations,
                                        a.edges)
         target = a.locations[-1].name
-        free = reach(net, None, target, use_simulation=False, timeout=2.0)
+        free = reach(net, None, target, timeout=2.0)
         if free.verdict == TIMEOUT:
             continue
         pruned = reach(net, [g], target, timeout=30.0)

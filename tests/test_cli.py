@@ -59,6 +59,18 @@ location B goal
 edge B b0 goal provided: x<=3 && done==1
 """
 
+# the shift wraps the int64 offset matrix when its constant reaches 2^62
+BIG_SHIFT = """\
+system big
+clock x
+process p
+location p a initial invariant: x<=0
+location p b committed
+location p c
+edge p a b do: x=x+{offset}
+edge p b c provided: x<=5
+"""
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -195,6 +207,33 @@ class TestReach:
                            "--allow-shared-clocks", "--no-simulation")
         assert code == 1
         assert "Reachable" in out
+
+    def test_unknown_process_in_target(self, capsys, loop_file):
+        code, _, err = run(capsys, "reach", loop_file, "--target", "nosuch.c")
+        assert code == 2
+        assert "no process named 'nosuch'" in err
+
+    def test_shift_past_the_zone_bound_rejected(self, capsys, tmp_path):
+        path = tmp_path / "big.uta"
+        path.write_text(BIG_SHIFT.format(offset=2**62))
+        for extra in ((), ("--no-simulation",)):
+            code, out, err = run(capsys, "reach", str(path), "--target", "c",
+                                 *extra)
+            assert code == 2 and out == ""
+            assert f"{path}:7:16: clock constant {2**62} exceeds" in err
+        path.write_text(BIG_SHIFT.format(offset=2**40))  # at the bound
+        for extra in ((), ("--no-simulation",)):
+            code, out, _ = run(capsys, "reach", str(path), "--target", "c",
+                               *extra)
+            assert code == 0 and "Unreachable" in out
+
+    def test_guard_constant_past_the_zone_bound_rejected(self, capsys,
+                                                         tmp_path):
+        path = tmp_path / "guard.uta"
+        path.write_text(TOY.replace("x<=2", "x<=2000000000000"))
+        code, out, err = run(capsys, "reach", str(path), "--target", "b")
+        assert code == 2 and out == ""
+        assert f"{path}:7:22: clock constant 2000000000000 exceeds" in err
 
     def test_no_simulation_same_verdict(self, capsys, loop_file):
         code, out, _ = run(capsys, "reach", loop_file, "--target", "q2",

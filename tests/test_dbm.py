@@ -6,29 +6,37 @@ import numpy as np
 import pytest
 
 from conftest import fig1_automaton, random_atom, random_update, random_valuation
-from reference import apply_update_relational, bound_str, delayed, dump, equals
+from reference import (
+    apply_update_relational,
+    bound_str,
+    canonicalize,
+    decode_bound,
+    delayed,
+    dump,
+    equals,
+    membership,
+)
 from uta.dbm import (
     EMPTY,
     INF,
+    Dbm,
     add_bounds,
     apply_update,
-    canonicalize,
     compile_step,
-    decode_bound,
     elapse,
     encode_atoms,
     encode_bound,
     initial_zone,
-    intersect,
     intersect_all,
-    membership,
     successor,
     universe,
     zone_of,
 )
 from uta.model import (
+    MAX_CONST,
     STRICT,
     WEAK,
+    Const,
     Edge,
     Guard,
     Shift,
@@ -121,17 +129,18 @@ class TestCanonicalize:
 
 class TestIntersect:
     def test_upper_cap(self):
-        z = intersect(initial_zone(2), make_upper(X, WEAK, 3))
+        z = intersect_all(initial_zone(2), [make_upper(X, WEAK, 3)])
         assert membership(z, {X: 3, Y: 3})
         assert not membership(z, {X: 4, Y: 4})
 
     def test_satisfied_diagonal_no_change(self):
         z0 = initial_zone(2)
-        z = intersect(z0, make_upper_diag(X, Y, STRICT, 1))
+        z = intersect_all(z0, [make_upper_diag(X, Y, STRICT, 1)])
         assert equals(z, z0)
 
     def test_contradicting_diagonal_empties(self):
-        assert intersect(initial_zone(2), make_lower_diag(X, Y, WEAK, 1)) is EMPTY
+        assert intersect_all(initial_zone(2),
+                             [make_lower_diag(X, Y, WEAK, 1)]) is EMPTY
 
     def test_membership_semantics_random(self):
         rng = random.Random(99)
@@ -141,7 +150,7 @@ class TestIntersect:
             if base is EMPTY:
                 continue
             phi = random_atom(rng, 3, 6)
-            cut = intersect(base, phi)
+            cut = intersect_all(base, [phi])
             for _ in range(15):
                 v = random_valuation(rng, 3)
                 want = membership(base, v) and satisfies(v, phi)
@@ -285,6 +294,15 @@ class TestSuccessor:
         out = successor(z, step_of(Edge(0, 1), 2), do_elapse=False)
         assert not membership(out, {X: 3, Y: 0})
 
+    def test_update_constants_past_the_bound_rejected(self):
+        # 2 * (2^62 - 0) would wrap the int64 offset matrix
+        for up in ({X: Shift(X, 2**62)}, {X: Shift(Y, MAX_CONST + 1)},
+                   {X: Shift(Y, -MAX_CONST - 1)}, {X: Const(MAX_CONST + 1)}):
+            with pytest.raises(OverflowError):
+                compile_step((), Update.of(up), 2)
+        step = compile_step((), Update.of({X: Shift(X, MAX_CONST)}), 2)
+        assert int(step.delta[X + 1, 0]) == 2 * MAX_CONST
+
     def test_invariant_applied_after_elapse(self):
         inv = encode_atoms((make_upper(X, WEAK, 5),))
         out = successor(initial_zone(2), step_of(Edge(0, 1), 2), invariant=inv)
@@ -315,9 +333,23 @@ class TestEquality:
 
     def test_hashable(self):
         z1 = initial_zone(2)
-        z2 = intersect(z1, make_upper_diag(X, Y, STRICT, 1))
+        z2 = intersect_all(z1, [make_upper_diag(X, Y, STRICT, 1)])
         assert hash(z1) == hash(z2)
         assert len({z1, z2}) == 1
+        # equal zones built apart hash alike, before and after either one
+        # has cached its hash
+        rng = random.Random(59)
+        for _ in range(40):
+            atoms = [random_atom(rng, 3, 6) for _ in range(rng.randint(0, 4))]
+            a, b = zone_of(3, atoms), zone_of(3, list(reversed(atoms)))
+            if a is EMPTY:
+                continue
+            c = Dbm(np.array(a.m))
+            assert a is not b and a == b == c
+            assert hash(a) == hash(b) == hash(c) == hash(a)
+            assert len({a, b, c}) == 1
+        other = zone_of(2, [make_upper(X, WEAK, 2)])
+        assert other != z1 and len({z1, other}) == 2
 
 
 def test_zone_of_matches_atom_semantics():

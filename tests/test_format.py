@@ -5,7 +5,6 @@ import pytest
 
 from uta.format import (
     ParseErrors,
-    network_to_json,
     parse,
     print_network,
 )
@@ -242,7 +241,6 @@ def _random_network(rng: random.Random) -> Network:
                 initial=(i == 0),
                 committed=(rng.random() < 0.15 and i > 0),
                 invariant=Guard(tuple(atom() for _ in range(rng.randint(0, 1)))),
-                accepting=(rng.random() < 0.3),
             )
             for i in range(n_locs)
         )
@@ -276,11 +274,3 @@ def test_round_trip_guarded_loop():
     net = parse(LOOP_TEXT)
     assert parse(print_network(net)) == net
 
-
-def test_json_dump_shape():
-    net = parse(LOOP_TEXT)
-    doc = network_to_json(net)
-    assert doc["clocks"] == ["x", "y"]
-    assert doc["processes"][0]["edges"][0]["provided"] == "x<=3"
-    assert doc["processes"][0]["edges"][0]["do"] == "x=x-1"
-    assert doc["processes"][0]["locations"][0]["initial"] is True

@@ -1,6 +1,8 @@
-"""No module-level import binds a name its module never uses."""
+"""No module-level import binds a name its module never uses, and no
+top-level definition of the package goes unread."""
 import ast
 from pathlib import Path
+from typing import Optional
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -48,3 +50,78 @@ def test_sources_and_tests_have_no_unused_imports():
         for line, name in unused_imports(f.read_text())
     ]
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def _referenced(tree: ast.AST, skip: Optional[ast.AST] = None) -> set[str]:
+    """Names, attribute names and identifier strings in tree, outside skip.
+
+    Strings count because code may look a function up by its name (the
+    benchmark's tracer rebinds module attributes from a table of names).
+    """
+    out: set[str] = set()
+    todo = [tree]
+    while todo:
+        node = todo.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                out.add(node.value)
+        todo.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def unread_definitions(modules: dict[str, str],
+                       readers: dict[str, str]) -> list[str]:
+    """module:name of each top-level function or class of modules that no
+    module of readers (modules included) references outside its own
+    definition."""
+    trees = {path: ast.parse(src) for path, src in {**readers, **modules}.items()}
+    everywhere: dict[str, set[str]] = {}
+    for path, tree in trees.items():
+        for name in _referenced(tree):
+            everywhere.setdefault(name, set()).add(path)
+    found = []
+    for path in modules:
+        tree = trees[path]
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            where = everywhere.get(node.name, set())
+            if where - {path}:
+                continue
+            if path in where and node.name in _referenced(tree, skip=node):
+                continue
+            found.append(f"{path}:{node.name}")
+    return found
+
+
+def test_checker_finds_unread_definitions():
+    lib = (
+        "def used(): return helper()\n"
+        "def helper(): return 1\n"
+        "def recursive(n): return recursive(n - 1) if n else 0\n"
+        "def by_name(): pass\n"
+        "class Unread:\n"
+        "    def used(self): return Unread()\n"
+    )
+    user = "import lib\nlib.used()\nTABLE = [('lib', 'by_name')]\n"
+    assert unread_definitions({"lib.py": lib}, {"user.py": user}) == [
+        "lib.py:recursive", "lib.py:Unread"]
+
+
+def test_package_has_no_unread_definitions():
+    def sources(*parts):
+        return {str(f.relative_to(ROOT)): f.read_text()
+                for f in sorted(ROOT.joinpath(*parts).glob("*.py"))}
+
+    modules = sources("src", "uta")
+    del modules[str(Path("src", "uta", "__init__.py"))]
+    readers = {**sources("tests"), **sources("perfbench")}
+    assert len(modules) >= 8 and len(readers) >= 15
+    found = unread_definitions(modules, readers)
+    assert not found, "definitions nothing reads:\n" + "\n".join(found)

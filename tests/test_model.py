@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from reference import delayed
+from reference import delayed, negate_atomic, normalize_atomic
 from uta.model import (
     BOTTOM,
     STRICT,
@@ -20,8 +20,6 @@ from uta.model import (
     make_lower_diag,
     make_upper,
     make_upper_diag,
-    negate_atomic,
-    normalize_atomic,
     satisfies,
 )
 

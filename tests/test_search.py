@@ -147,7 +147,7 @@ class TestSuccessors:
     def test_loop_initial_has_one_move(self):
         net = loop_network()
         node, cache = initial_node(net)
-        children, disabled = successors(node, net, cache)
+        children, disabled = successors(node, cache)
         assert disabled == 0
         assert len(children) == 1
         child = children[0]
@@ -164,7 +164,7 @@ class TestSuccessors:
             "n", ("x",), (Location("q0", initial=True), Location("q1")), (Edge(0, 1, g),)
         )
         node, cache = initial_node(net)
-        children, disabled = successors(node, net, cache)
+        children, disabled = successors(node, cache)
         assert children == []
         assert disabled == 0
 
@@ -177,7 +177,7 @@ class TestSuccessors:
             (Edge(0, 1, update=Update.of({0: Const(0)})),),
         )
         node, cache = initial_node(net)
-        children, _ = successors(node, net, cache)
+        children, _ = successors(node, cache)
         (child,) = children
         assert int(child.zone.m[1, 0]) == encode_bound(2, WEAK)
         assert int(child.zone.m[0, 1]) == LE_ZERO
@@ -190,7 +190,7 @@ class TestSuccessors:
             (Edge(0, 1, update=Update.of({0: Const(0)})),),
         )
         node, cache = initial_node(net)
-        children, _ = successors(node, net, cache)
+        children, _ = successors(node, cache)
         (child,) = children
         assert int(child.zone.m[1, 0]) == LE_ZERO
 
@@ -211,10 +211,10 @@ class TestSuccessors:
         )
         net = Network("c", clocks, (), (), (a, b))
         node, cache = initial_node(net)
-        both, _ = successors(node, net, cache)
+        both, _ = successors(node, cache)
         assert {c.label.edges for c in both} == {((0, 0),), ((1, 0),)}
         at_committed = next(c for c in both if c.label.edges == ((0, 0),))
-        only_a, _ = successors(at_committed, net, cache)
+        only_a, _ = successors(at_committed, cache)
         assert [c.label.edges for c in only_a] == [((0, 1),)]
 
     def test_false_int_guard_skips_without_counting(self):
@@ -228,7 +228,7 @@ class TestSuccessors:
             int_vars=(nvar,),
         )
         node, cache = initial_node(net)
-        children, disabled = successors(node, net, cache)
+        children, disabled = successors(node, cache)
         assert children == []
         assert disabled == 0
 
@@ -292,7 +292,7 @@ class TestSync:
         )
         net = Network("both", clocks, (), ("go",), (a, b))
         node, compiled = initial_node(net)
-        (child,), _ = successors(node, net, compiled)
+        (child,), _ = successors(node, compiled)
         assert int(child.zone.m[1, 0]) == encode_bound(2, WEAK)
         assert int(child.zone.m[0, 1]) == encode_bound(-2, WEAK)
 
@@ -378,7 +378,7 @@ class TestReachLoop:
 
     def test_unpruned_agrees_here(self):
         net = loop_network()
-        stats = reach(net, None, "q2", use_simulation=False)
+        stats = reach(net, None, "q2")
         assert stats.verdict == REACHABLE
         assert stats.nodes == 4
         assert stats.pruned == 0
@@ -396,7 +396,7 @@ class TestReachLoop:
     def test_unknown_target_name(self):
         net = loop_network()
         with pytest.raises(ValueError, match="no location named"):
-            reach(net, None, "nowhere", use_simulation=False)
+            reach(net, None, "nowhere")
 
     def test_contradictory_guard_target_unreachable(self):
         g = Guard((make_upper(0, WEAK, 1), make_lower(0, WEAK, 2)))
@@ -415,18 +415,13 @@ class TestReachLoop:
             (Location("q0", initial=True), Location("q1"), Location("q2")),
             (Edge(0, 1), Edge(0, 1)),
         )
-        stats = reach(net, None, "q2", use_simulation=False)
+        stats = reach(net, None, "q2")
         assert stats.verdict == UNREACHABLE
         assert stats.nodes == 3
         assert stats.pruned == 1
 
 
 class TestValidation:
-    def test_pruning_needs_gmaps(self):
-        net = loop_network()
-        with pytest.raises(ValueError):
-            reach(net, None, "q2", use_simulation=True)
-
     def test_pruning_rejects_nonconverged_maps(self):
         a = fig1_automaton(guard_on=False)
         g = compute_gmap(a)
@@ -434,7 +429,7 @@ class TestValidation:
         net = single_component_network(a.name, a.clock_names, a.locations, a.edges)
         with pytest.raises(ValueError, match="did not converge"):
             reach(net, [g], "q2")
-        stats = reach(net, None, "q2", use_simulation=False)
+        stats = reach(net, None, "q2")
         assert stats.verdict == REACHABLE
 
     def test_pruning_refused_on_shared_clocks(self):
@@ -467,7 +462,7 @@ class TestValidation:
         with pytest.raises(ValueError, match="clock x is shared between "
                                              "components A, B"):
             reach(net, gmaps, "goal")
-        stats = reach(net, None, "goal", use_simulation=False)
+        stats = reach(net, None, "goal")
         assert stats.verdict == REACHABLE
         assert replay(stats.path, net, "goal")
 
@@ -481,7 +476,7 @@ class TestValidation:
             clocks,
         )
         net = Network("spin", clocks, (), (), (a,))
-        stats = reach(net, None, "q1", use_simulation=False, timeout=0.4)
+        stats = reach(net, None, "q1", timeout=0.4)
         assert stats.verdict == TIMEOUT
         assert stats.seconds < 30
         assert "path" not in stats.to_json(net)
@@ -523,7 +518,7 @@ class TestStatsOutput:
     def test_json_without_path(self):
         net = loop_network()
         g = compute_gmap(net.components[0])
-        j = reach(net, [g], "q2", use_simulation=True).to_json()
+        j = reach(net, [g], "q2").to_json()
         assert "path" not in j
         assert (j["pruned"], j["pruned_exact"], j["pruned_sim"]) == (1, 0, 1)
 
@@ -556,7 +551,7 @@ class TestPrunedVersusUnpruned:
             if g.status is not Status.CONVERGED:
                 continue
             net = single_component_network(a.name, a.clock_names, a.locations, a.edges)
-            base = reach(net, None, "q1", use_simulation=False, timeout=3.0)
+            base = reach(net, None, "q1", timeout=3.0)
             if base.verdict == TIMEOUT:
                 continue
             pruned = reach(net, [g], "q1", timeout=30.0)
@@ -656,7 +651,7 @@ class TestMoveTable:
         compared = children_seen = disabled_seen = 0
         while queue and compared < max_nodes:
             node = queue.popleft()
-            children, disabled = successors(node, net, compiled)
+            children, disabled = successors(node, compiled)
             want, want_disabled = reference_successors(node, net)
             got = [(c.label, c.loc, c.zone) for c in children]
             assert got == want, node.loc
@@ -815,11 +810,11 @@ class TestPassedList:
         for committed in (True, False):
             net = self.twin_network(committed)
             node, compiled = initial_node(net)
-            (a, b), _ = successors(node, net, compiled)
+            (a, b), _ = successors(node, compiled)
             assert a.zone == b.zone and (a.zone is b.zone) == committed
             g = compute_gmap(net.components[0])
             for stats in (reach(net, [g], "q2"),
-                          reach(net, None, "q2", use_simulation=False)):
+                          reach(net, None, "q2")):
                 assert stats.verdict == UNREACHABLE
                 assert (stats.nodes, stats.pruned_exact, stats.pruned_sim) == (
                     3, 1, 0), committed

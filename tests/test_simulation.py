@@ -13,7 +13,8 @@ from conftest import (
     random_zone_chain,
     sim_atom_ref,
 )
-from uta.analysis import EMPTY_GSET, GSet, Mode, compute_gmap, extract_lu
+from reference import sim_point
+from uta.analysis import EMPTY_GSET, GSet, Mode, compute_gmap
 from uta.dbm import (
     EMPTY,
     INF,
@@ -23,6 +24,7 @@ from uta.dbm import (
     elapse,
     encode_bound,
     initial_zone,
+    intersect_all,
     successor,
     zone_of,
 )
@@ -33,7 +35,6 @@ from uta.simulation import (
     brute_force_sim,
     not_simulated_batch,
     prepare,
-    sim_point,
     sim_zone,
     sim_zone_prepared,
     _sim,
@@ -145,11 +146,11 @@ class TestSimPoint:
 
 class TestBruteForce:
     def test_rejects_large_inputs(self):
-        q = SimQuery.of(initial_zone(5), initial_zone(5), EMPTY_GSET)
+        q = SimQuery(initial_zone(5), initial_zone(5), EMPTY_GSET)
         with pytest.raises(ValueError):
             brute_force_sim(q, 6)
         big = GSet.of([make_upper(X, WEAK, 9)])
-        q = SimQuery.of(initial_zone(2), initial_zone(2), big)
+        q = SimQuery(initial_zone(2), initial_zone(2), big)
         with pytest.raises(ValueError):
             brute_force_sim(q, 6)
 
@@ -160,7 +161,7 @@ class TestBruteForce:
             q = random_sim_query(rng)
             if q is None:
                 continue
-            qq = SimQuery.of(q.z, q.z, q.g)
+            qq = SimQuery(q.z, q.z, q.g)
             try:
                 assert brute_force_sim(qq, 6)
             except ValueError:
@@ -173,20 +174,18 @@ class TestBruteForce:
         z = initial_zone(2)
         zp = elapse(zone_of(2, [make_lower_diag(X, Y, WEAK, 1)]))
         g = GSet.of([make_upper(X, WEAK, 1), make_lower(Y, WEAK, 1)])
-        q = SimQuery.of(z, zp, g)
+        q = SimQuery(z, zp, g)
         assert brute_force_sim(q, 6) is False
         assert sim_zone(q) is False
 
     def test_diagonals_satisfied_everywhere_are_free(self):
-        from uta.dbm import intersect
-
-        zb = intersect(initial_zone(2), make_upper(X, WEAK, 2))
+        zb = intersect_all(initial_zone(2), [make_upper(X, WEAK, 2)])
         zp = initial_zone(2)
         g = GSet.of([make_lower_diag(Y, X, WEAK, 0)])  # y-x >= 0 holds on x=y
-        assert brute_force_sim(SimQuery.of(zb, zp, g), 6)
+        assert brute_force_sim(SimQuery(zb, zp, g), 6)
 
     def test_unbounded_left_with_exhausted_scan_is_inconclusive(self):
-        q = SimQuery.of(initial_zone(2), initial_zone(2),
+        q = SimQuery(initial_zone(2), initial_zone(2),
                         GSet.of([make_upper(X, WEAK, 3)]))
         with pytest.raises(ValueError):
             brute_force_sim(q, 6)
@@ -199,7 +198,7 @@ class TestSimZone:
             q = random_sim_query(rng)
             if q is None:
                 continue
-            assert sim_zone(SimQuery.of(q.z, q.zp, EMPTY_GSET))
+            assert sim_zone(SimQuery(q.z, q.zp, EMPTY_GSET))
 
     def test_reflexive(self):
         rng = random.Random(29)
@@ -207,18 +206,17 @@ class TestSimZone:
             q = random_sim_query(rng)
             if q is None:
                 continue
-            assert sim_zone(SimQuery.of(q.z, q.z, q.g))
+            assert sim_zone(SimQuery(q.z, q.z, q.g))
 
     def test_fig1_query_agrees_with_oracle(self):
-        from uta.dbm import intersect
-
         a = fig1_automaton()
         gmap = compute_gmap(a, Mode.REDUCED)
         z = initial_zone(2)
         e = a.edges[0]
         zp = successor(z, compile_step(e.guard.clock_atoms, e.update, 2))
-        full = sim_zone(SimQuery.of(z, zp, gmap.at(0)))
-        capped = SimQuery.of(intersect(z, make_upper(X, WEAK, 6)), zp, gmap.at(0))
+        full = sim_zone(SimQuery(z, zp, gmap.at(0)))
+        capped = SimQuery(intersect_all(z, [make_upper(X, WEAK, 6)]), zp,
+                           gmap.at(0))
         assert sim_zone(capped) == brute_force_sim(capped, 6)
         if full:
             # shrinking the simulated side can only make matching easier
@@ -440,10 +438,10 @@ class TestPreorder:
             if q2 is None or q2.z.n != q1.z.n:
                 continue
             g = q1.g
-            hop1 = sim_zone(SimQuery.of(q1.z, q1.zp, g))
-            hop2 = sim_zone(SimQuery.of(q1.zp, q2.zp, g))
+            hop1 = sim_zone(SimQuery(q1.z, q1.zp, g))
+            hop2 = sim_zone(SimQuery(q1.zp, q2.zp, g))
             if hop1 and hop2:
-                assert sim_zone(SimQuery.of(q1.z, q2.zp, g))
+                assert sim_zone(SimQuery(q1.z, q2.zp, g))
                 applicable += 1
         assert applicable >= 40
 
@@ -457,7 +455,7 @@ class TestPreorder:
             atoms = list(q.g.atoms())
             sub = GSet.of([a for a in atoms if rng.random() < 0.5])
             if sim_zone(q):
-                assert sim_zone(SimQuery.of(q.z, q.zp, sub))
+                assert sim_zone(SimQuery(q.z, q.zp, sub))
                 applicable += 1
 
     def test_coarser_aggregate_bounds_simulate_more(self):
@@ -486,12 +484,7 @@ class TestPreorder:
                     ok = False
             if not ok or not sim_zone(q):
                 continue
-            assert sim_zone(SimQuery.of(q.z, q.zp, g2))
+            assert sim_zone(SimQuery(q.z, q.zp, g2))
             applicable += 1
         assert applicable >= 40
 
-
-def test_extract_lu_attached_to_query():
-    g = GSet.of([make_upper(X, WEAK, 3), make_lower(Y, WEAK, 1)])
-    q = SimQuery.of(initial_zone(2), initial_zone(2), g)
-    assert q.lu == extract_lu(g, 2)
