@@ -5,16 +5,20 @@ at that location: guard atoms of outgoing edges, preimages of clock
 nonnegativity under updates, invariant atoms, and backward propagations of
 the targets' constraints.  The reduced propagation applies guard-aware cuts
 so the fixed point converges on many automata where plain preimage
-propagation grows forever; a constant-growth bound turns the remaining
-non-convergence into an explicit divergence verdict with a replayable
-witness.
+propagation grows forever.  The remaining non-convergence becomes an
+explicit divergence verdict with a replayable witness: a propagated
+constant above the bound N proves it.  Rather than sweeping until some
+constant gets there, the analysis stops at the first new atom that repeats
+the location and shape of an ancestor with a smaller constant, and pumps
+that growth cycle past N with real propagations, as deep as the sweep
+budget would have reached.
 """
 from __future__ import annotations
 
 import enum
 from collections import defaultdict
-from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterable, Optional, Sequence
 
 from .model import (
     TOP,
@@ -22,7 +26,6 @@ from .model import (
     AtomicConstraint,
     Automaton,
     Const,
-    Guard,
     Kind,
     Strictness,
     Update,
@@ -326,11 +329,17 @@ def compute_gmap(
 ) -> GMap:
     """Iterate propagation to the least fixed point or a stop condition.
 
-    Reduced mode stops Diverged as soon as a propagated constant exceeds the
-    bound N, returning a witness chain; the step budget is a hard stop that
-    the convergence guarantees make unreachable in reduced mode.  Plain
-    preimage mode has no constant bound and can only converge or exhaust
-    the budget.
+    Reduced mode stops Diverged on the first sweep that shows a propagated
+    constant above the bound N within budget + 1 propagations of a base
+    atom, which is exactly when sweeping on until such a constant appears
+    would stop Diverged.  A sweep shows it when it produces such a constant,
+    or when a new atom closes a growth cycle (`_find_cycle`) that re-fires
+    past N within that depth (`_witness`).  The witness is the chain to the
+    constant; a diverged map's sets are those found by the detecting sweep
+    plus the witness atoms, and ``iterations`` counts the sweeps run.  The
+    step budget is a hard stop that the convergence guarantees make
+    unreachable in reduced mode.  Plain preimage mode has no constant bound
+    and can only converge or exhaust the budget.
     """
     bounds = analysis_bounds(a)
     budget = bounds.budget if budget_override is None else budget_override
@@ -353,6 +362,7 @@ def compute_gmap(
         edges_by_dst[e.dst].append(ei)
     contexts = [edge_context(a, ei) for ei in range(len(a.edges))]
     prop = propagation(mode)
+    floor = max(bounds.M, bounds.L)
     steps = 0
 
     def result(status: Status, witness=None) -> GMap:
@@ -382,18 +392,21 @@ def compute_gmap(
         steps += 1
         if mode is Mode.REDUCED:
             for q, phi in sorted(new_frontier, key=lambda r: r[0]):
-                if phi.constant > bounds.N:
-                    witness = _build_witness(q, phi, parent, bounds)
-                    return result(Status.DIVERGED, witness)
+                if phi.constant > floor:
+                    witness = _witness(_chain(q, phi, parent), a, contexts,
+                                       prop, bounds, budget + 1)
+                    if witness is not None:
+                        for st in witness.steps:
+                            sets[st.location].add(st.constraint)
+                        return result(Status.DIVERGED, witness)
         if steps > budget:
             return result(Status.BUDGET_EXHAUSTED)
         frontier = new_frontier
     return result(Status.CONVERGED)
 
 
-def _build_witness(
-    q: int, phi: AtomicConstraint, parent: ParentMap, bounds: AnalysisBounds
-) -> PropagationSequence:
+def _chain(q: int, phi: AtomicConstraint, parent: ParentMap) -> list[PropStep]:
+    """The recorded propagations from a base atom to (q, phi), in order."""
     chain: list[PropStep] = []
     cur: Optional[tuple[int, AtomicConstraint]] = (q, phi)
     while cur is not None:
@@ -401,7 +414,45 @@ def _build_witness(
         chain.append(PropStep(cur[0], cur[1], rec[2] if rec else None))
         cur = (rec[0], rec[1]) if rec else None
     chain.reverse()
-    return PropagationSequence(tuple(chain), _find_cycle(chain, bounds))
+    return chain
+
+
+def _witness(
+    chain: list[PropStep],
+    a: Automaton,
+    contexts: Sequence[tuple[AtomicConstraint, ...]],
+    prop: Callable[..., AtomicConstraint],
+    bounds: AnalysisBounds,
+    max_depth: int,
+) -> Optional[PropagationSequence]:
+    """Divergence witness extending chain, or None when it shows none.
+
+    A chain ending above N is its own witness.  Otherwise its last step must
+    close the cycle `_find_cycle` finds, and the cycle's edges are re-fired
+    from there, each step a real propagation that must reproduce its cycle
+    step shifted by the growth so far, until a constant exceeds N within
+    max_depth propagations of the base atom.
+    """
+    cycle = _find_cycle(chain, bounds)
+    if chain[-1].constraint.constant > bounds.N:
+        return PropagationSequence(tuple(chain), cycle)
+    if cycle is None or cycle[1] != len(chain) - 1:
+        return None
+    i, j = cycle
+    lap = chain[i + 1 : j + 1]
+    delta = chain[j].constraint.constant - chain[i].constraint.constant
+    n = 0
+    while chain[-1].constraint.constant <= bounds.N:
+        if len(chain) > max_depth:
+            return None
+        ref = lap[n % len(lap)]
+        shifted = ref.constraint.constant + delta * (n // len(lap) + 1)
+        psi = prop(chain[-1].constraint, contexts[ref.edge], a.edges[ref.edge].update)
+        if psi != ref.constraint.with_constant(shifted):
+            return None
+        chain.append(PropStep(ref.location, psi, ref.edge))
+        n += 1
+    return PropagationSequence(tuple(chain), cycle)
 
 
 def _find_cycle(
@@ -541,50 +592,6 @@ def check_closure(gmap: GMap, a: Automaton) -> bool:
             if not covered(e.src, prop(phi, ctx, e.update)):
                 return False
     return True
-
-
-def check_syntactically_bounded(a: Automaton) -> bool:
-    """Updates restricted to resets and guarded self-subtractions."""
-    for e in a.edges:
-        for x, u in e.update.entries:
-            if isinstance(u, Const):
-                if u.value != 0:
-                    return False
-                continue
-            if u.source != x or u.offset > 0:
-                return False
-            if u.offset < 0 and not any(
-                g.kind is Kind.UPPER and g.x == x for g in e.guard.clock_atoms
-            ):
-                return False
-    return True
-
-
-def bound_transform(a: Automaton, m_x: Mapping[int, int]) -> Automaton:
-    """Add x <= M_x guards on every subtracting edge.
-
-    Only valid for automata whose updates are resets or self-subtractions;
-    the result passes check_syntactically_bounded.
-    """
-    new_edges = []
-    for e in a.edges:
-        needs: list[int] = []
-        for x, u in e.update.entries:
-            if isinstance(u, Const):
-                if u.value != 0:
-                    raise ValueError(f"update {a.name}: x := {u.value} is not a reset")
-                continue
-            if u.source != x or u.offset > 0:
-                raise ValueError(f"update in {a.name} is not a self-subtraction")
-            if u.offset < 0:
-                needs.append(x)
-        atoms = list(e.guard.clock_atoms)
-        for x in needs:
-            cap = make_upper(x, WEAK, m_x[x])
-            if cap not in atoms:
-                atoms.append(cap)
-        new_edges.append(replace(e, guard=Guard(tuple(atoms), e.guard.int_atoms)))
-    return replace(a, edges=tuple(new_edges))
 
 
 def report_json(a: Automaton, gmap: GMap) -> dict:

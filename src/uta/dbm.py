@@ -89,22 +89,6 @@ def _add_mat(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.where((a >= INF) | (b >= INF), INF, raw)
 
 
-def universe(n_clocks: int) -> Dbm:
-    size = n_clocks + 1
-    m = np.full((size, size), INF, dtype=np.int64)
-    m[0, :] = LE_ZERO
-    np.fill_diagonal(m, LE_ZERO)
-    return _freeze(m)
-
-
-def initial_zone(n_clocks: int) -> Dbm:
-    """All clocks equal, nonnegative, unbounded above."""
-    size = n_clocks + 1
-    m = np.full((size, size), LE_ZERO, dtype=np.int64)
-    m[1:, 0] = INF
-    return _freeze(m)
-
-
 def zero_zone(n_clocks: int) -> Dbm:
     """The single point with every clock at zero."""
     size = n_clocks + 1
@@ -176,10 +160,6 @@ def constrain(d: Zone, cut: Iterable[Triple]) -> Zone:
     return d if m is None else _freeze(m)
 
 
-def intersect_all(d: Zone, atoms: Iterable[AtomicConstraint]) -> Zone:
-    return constrain(d, encode_atoms(atoms))
-
-
 def _substitution(up: Update, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Per matrix index: source index and offset, with x := c read as a
     shift of the zero reference."""
@@ -242,12 +222,6 @@ def _image(d: Zone, step: Step) -> Zone:
     return _freeze(new)
 
 
-def apply_update(d: Dbm, up: Update) -> Zone:
-    """Exact image of the zone under a simultaneous update."""
-    step = compile_step((), up, d.n)
-    return _image(constrain(d, step.cut), step)
-
-
 def elapse(d: Dbm) -> Dbm:
     """Future closure: drop upper bounds on all clocks; stays canonical."""
     m = np.array(d.m)
@@ -269,8 +243,3 @@ def successor(
     if z is EMPTY or not do_elapse:
         return z
     return constrain(elapse(z), invariant)
-
-
-def zone_of(n_clocks: int, atoms: Iterable[AtomicConstraint]) -> Zone:
-    """Zone of a constraint conjunction (clocks only lower-bounded by 0)."""
-    return intersect_all(universe(n_clocks), atoms)

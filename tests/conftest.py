@@ -221,7 +221,8 @@ def sim_atom_grid(v, vp, phi: AtomicConstraint, max_delta: int, denom: int = 2) 
 def random_zone_chain(rng: random.Random, n_clocks: int, max_steps: int = 4,
                       max_const: int = 4):
     """A reachable-looking zone: guard cuts, updates and elapses from zero."""
-    from uta.dbm import EMPTY, apply_update, elapse, initial_zone, intersect_all
+    from reference import apply_update, initial_zone, intersect_all
+    from uta.dbm import EMPTY, elapse
 
     z = initial_zone(n_clocks)
     for _ in range(rng.randint(0, max_steps)):
@@ -240,7 +241,8 @@ def random_zone_chain(rng: random.Random, n_clocks: int, max_steps: int = 4,
 def random_sim_query(rng: random.Random, max_const: int = 6):
     """Paired zones plus a constraint set; None when a zone degenerates."""
     from uta.analysis import GSet
-    from uta.dbm import EMPTY, apply_update, elapse, intersect_all
+    from reference import apply_update, intersect_all
+    from uta.dbm import EMPTY, elapse
     from uta.simulation import SimQuery
 
     from uta.model import WEAK, make_upper

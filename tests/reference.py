@@ -1,19 +1,36 @@
 """Reference forms that only the tests use.
 
-Each one restates something the program computes another way, or shows a
-value for a failure message: the zone image of an update through its
+Each one restates something the program computes another way, builds test
+inputs, or shows a value for a failure message: zones built from constraint
+conjunctions, the zone image of an update directly and through its
 defining relation, closure of an arbitrary bound matrix, exact point
 membership, plain zone equality and printing, building, complementing and
-delaying constraints and valuations, pointwise simulation, one synchronous
-propagation sweep of the constraint analysis, and the constraint set of a
-product location as the union of its components' sets.
+delaying constraints and valuations, pointwise simulation, the syntactic
+boundedness test and the capping transform behind it, one synchronous
+propagation sweep of the constraint analysis, the analysis swept until a
+constant exceeds its bound, and the constraint set of a product location
+as the union of its components' sets.
 """
+from collections import defaultdict
+from dataclasses import replace
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from uta.analysis import GMap, GSet, Mode, edge_context, propagation
+from uta.analysis import (
+    GMap,
+    GSet,
+    Mode,
+    PropagationSequence,
+    Status,
+    _base_records,
+    _chain,
+    _find_cycle,
+    analysis_bounds,
+    edge_context,
+    propagation,
+)
 from uta.dbm import (
     EMPTY,
     INF,
@@ -22,7 +39,11 @@ from uta.dbm import (
     Zone,
     _add_mat,
     _freeze,
+    _image,
     _substitution,
+    compile_step,
+    constrain,
+    encode_atoms,
     encode_bound,
 )
 from uta.model import (
@@ -32,6 +53,8 @@ from uta.model import (
     WEAK,
     AtomicConstraint,
     Automaton,
+    Const,
+    Guard,
     Kind,
     Number,
     Strictness,
@@ -44,6 +67,37 @@ from uta.model import (
     satisfies,
 )
 from uta.search import ProductLoc
+
+
+def universe(n_clocks: int) -> Dbm:
+    size = n_clocks + 1
+    m = np.full((size, size), INF, dtype=np.int64)
+    m[0, :] = LE_ZERO
+    np.fill_diagonal(m, LE_ZERO)
+    return _freeze(m)
+
+
+def initial_zone(n_clocks: int) -> Dbm:
+    """All clocks equal, nonnegative, unbounded above."""
+    size = n_clocks + 1
+    m = np.full((size, size), LE_ZERO, dtype=np.int64)
+    m[1:, 0] = INF
+    return _freeze(m)
+
+
+def intersect_all(d: Zone, atoms: Iterable[AtomicConstraint]) -> Zone:
+    return constrain(d, encode_atoms(atoms))
+
+
+def zone_of(n_clocks: int, atoms: Iterable[AtomicConstraint]) -> Zone:
+    """Zone of a constraint conjunction (clocks only lower-bounded by 0)."""
+    return intersect_all(universe(n_clocks), atoms)
+
+
+def apply_update(d: Dbm, up: Update) -> Zone:
+    """Exact image of the zone under a simultaneous update."""
+    step = compile_step((), up, d.n)
+    return _image(constrain(d, step.cut), step)
 
 
 def decode_bound(b: int) -> Optional[tuple[int, Strictness]]:
@@ -95,7 +149,7 @@ def apply_update_relational(d: Dbm, up: Update) -> Zone:
     """Image of d under up via primed-variable extension.
 
     Builds a (2n+1)-sized relation {(v, v') | v' = up(v)}, closes it, and
-    projects onto the primed block.  Slower than `dbm.apply_update` but
+    projects onto the primed block.  Slower than `apply_update` but
     follows the defining relation directly.
     """
     n = d.n
@@ -224,6 +278,108 @@ def kleene_step(
             new[e.src].add(psi)
             added.append((e.src, psi, ei, phi))
     return tuple(GSet.of(s) for s in new), added
+
+
+def check_syntactically_bounded(a: Automaton) -> bool:
+    """Updates restricted to resets and guarded self-subtractions."""
+    for e in a.edges:
+        for x, u in e.update.entries:
+            if isinstance(u, Const):
+                if u.value != 0:
+                    return False
+                continue
+            if u.source != x or u.offset > 0:
+                return False
+            if u.offset < 0 and not any(
+                g.kind is Kind.UPPER and g.x == x for g in e.guard.clock_atoms
+            ):
+                return False
+    return True
+
+
+def bound_transform(a: Automaton, m_x: Mapping[int, int]) -> Automaton:
+    """Add x <= M_x guards on every subtracting edge.
+
+    Only valid for automata whose updates are resets or self-subtractions;
+    the result passes check_syntactically_bounded.
+    """
+    new_edges = []
+    for e in a.edges:
+        needs: list[int] = []
+        for x, u in e.update.entries:
+            if isinstance(u, Const):
+                if u.value != 0:
+                    raise ValueError(f"update {a.name}: x := {u.value} is not a reset")
+                continue
+            if u.source != x or u.offset > 0:
+                raise ValueError(f"update in {a.name} is not a self-subtraction")
+            if u.offset < 0:
+                needs.append(x)
+        atoms = list(e.guard.clock_atoms)
+        for x in needs:
+            cap = make_upper(x, WEAK, m_x[x])
+            if cap not in atoms:
+                atoms.append(cap)
+        new_edges.append(replace(e, guard=Guard(tuple(atoms), e.guard.int_atoms)))
+    return replace(a, edges=tuple(new_edges))
+
+
+def sweep_gmap(
+    a: Automaton,
+    mode: Mode = Mode.REDUCED,
+    budget_override: Optional[int] = None,
+) -> GMap:
+    """`compute_gmap` without cycle detection: reduced mode sweeps on until
+    some propagated constant exceeds N, and the witness is the recorded
+    chain to the first such constant of that sweep (by location)."""
+    bounds = analysis_bounds(a)
+    budget = bounds.budget if budget_override is None else budget_override
+    if budget == 0 and budget_override is None:
+        q, x = bounds.n_locations, bounds.n_clocks
+        budget = q * 4 * x * (x + 1) + 1
+    sets: list[set[AtomicConstraint]] = [set() for _ in a.locations]
+    parent: dict = {}
+    frontier: list[tuple[int, AtomicConstraint]] = []
+    for q, phi in _base_records(a, mode):
+        if phi not in sets[q]:
+            sets[q].add(phi)
+            parent[(q, phi)] = None
+            frontier.append((q, phi))
+    edges_by_dst: dict[int, list[int]] = defaultdict(list)
+    for ei, e in enumerate(a.edges):
+        edges_by_dst[e.dst].append(ei)
+    contexts = [edge_context(a, ei) for ei in range(len(a.edges))]
+    prop = propagation(mode)
+    steps = 0
+
+    def result(status: Status, witness=None) -> GMap:
+        return GMap(status, tuple(GSet.of(s) for s in sets), steps, bounds,
+                    mode, budget, witness)
+
+    while frontier:
+        new_frontier: list[tuple[int, AtomicConstraint]] = []
+        for qp, phi in frontier:
+            for ei in edges_by_dst[qp]:
+                e = a.edges[ei]
+                psi = prop(phi, contexts[ei], e.update)
+                if psi.is_trivial or psi in sets[e.src]:
+                    continue
+                sets[e.src].add(psi)
+                parent[(e.src, psi)] = (qp, phi, ei)
+                new_frontier.append((e.src, psi))
+        if not new_frontier:
+            return result(Status.CONVERGED)
+        steps += 1
+        if mode is Mode.REDUCED:
+            for q, phi in sorted(new_frontier, key=lambda r: r[0]):
+                if phi.constant > bounds.N:
+                    chain = _chain(q, phi, parent)
+                    return result(Status.DIVERGED, PropagationSequence(
+                        tuple(chain), _find_cycle(chain, bounds)))
+        if steps > budget:
+            return result(Status.BUDGET_EXHAUSTED)
+        frontier = new_frontier
+    return result(Status.CONVERGED)
 
 
 def product_gset(gmaps: Sequence[GMap], loc: ProductLoc) -> GSet:

@@ -1,5 +1,6 @@
 """Constraint propagation: preimages, guard cuts, fixed points, divergence."""
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -13,15 +14,13 @@ from conftest import (
     sim_atom_grid,
     sim_atom_ref,
 )
-from reference import kleene_step
+from reference import bound_transform, check_syntactically_bounded, kleene_step, sweep_gmap
 from uta.analysis import (
     GSet,
     Mode,
     Status,
     analysis_bounds,
-    bound_transform,
     check_closure,
-    check_syntactically_bounded,
     compute_gmap,
     edge_context,
     extract_lu,
@@ -31,6 +30,7 @@ from uta.analysis import (
     verify_witness,
     wp,
 )
+from uta.benchgen import FRAGMENTS, RandomProfile, gen_random
 from uta.model import (
     BOTTOM,
     STRICT,
@@ -263,7 +263,7 @@ class TestComputeGmap:
         assert gmap.status is Status.DIVERGED
         assert gmap.bounds.M == 1 and gmap.bounds.L == 1
         assert gmap.bounds.N == 25
-        assert gmap.iterations == 49
+        assert gmap.iterations == 3
         last = gmap.witness.steps[-1]
         assert last.location == 0
         assert last.constraint == make_upper_diag(X, Y, STRICT, 26)
@@ -357,6 +357,49 @@ class TestComputeGmap:
         assert "x-y<2" in doc["location"]["q0"]
         assert doc["witness"][-1]["constraint"] == "x-y<26"
         assert doc["cycle"][0] < doc["cycle"][1]
+
+
+class TestCycleDetection:
+    """compute_gmap against the sweep that runs on until a constant exceeds N
+    (`reference.sweep_gmap`): same status; the same sets and sweep count
+    when not diverged; when diverged, a witness that verifies, found no
+    later."""
+
+    @staticmethod
+    def check_against_sweep(a, **kw) -> Status:
+        got, ref = compute_gmap(a, **kw), sweep_gmap(a, **kw)
+        assert got.status is ref.status
+        if ref.status is Status.DIVERGED:
+            assert verify_witness(got, a) == []
+            assert got.iterations <= ref.iterations
+        else:
+            assert got.sets == ref.sets
+            assert got.iterations == ref.iterations
+        return got.status
+
+    def test_benchmark_pool(self):
+        # the 200 gen_random profiles of the analyze-random benchmark
+        statuses = Counter()
+        for seed in range(200):
+            profile = RandomProfile(fragment=FRAGMENTS[seed % len(FRAGMENTS)],
+                                    seed=seed, n_locs=10, n_clocks=3,
+                                    max_const=12)
+            for a in gen_random(profile).components:
+                statuses[self.check_against_sweep(a)] += 1
+        assert statuses == {Status.CONVERGED: 183, Status.DIVERGED: 17}
+
+    def test_pumping_stays_within_the_budget(self):
+        # the chain to x-y<26 is 49 propagations long, so the sweep stops
+        # Diverged only when budget + 1 reaches 49
+        a = fig1_automaton(guard_on=False)
+        for budget in range(61):
+            status = self.check_against_sweep(a, budget_override=budget)
+            expect = Status.DIVERGED if budget >= 48 else Status.BUDGET_EXHAUSTED
+            assert status is expect
+        for guard_on in (True, False):
+            a = fig1_automaton(guard_on=guard_on)
+            for mode in Mode:
+                self.check_against_sweep(a, mode=mode, budget_override=20)
 
 
 class TestBounds:

@@ -5,7 +5,8 @@ from collections import deque
 
 import pytest
 
-from uta.analysis import Mode, Status, check_syntactically_bounded, compute_gmap
+from reference import check_syntactically_bounded
+from uta.analysis import Mode, Status, compute_gmap
 from uta.benchgen import (
     FLOWER,
     FRAGMENTS,

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import fig1_automaton, random_atom, random_update, random_valuation
 from reference import (
+    apply_update,
     apply_update_relational,
     bound_str,
     canonicalize,
@@ -14,23 +15,22 @@ from reference import (
     delayed,
     dump,
     equals,
+    initial_zone,
+    intersect_all,
     membership,
+    universe,
+    zone_of,
 )
 from uta.dbm import (
     EMPTY,
     INF,
     Dbm,
     add_bounds,
-    apply_update,
     compile_step,
     elapse,
     encode_atoms,
     encode_bound,
-    initial_zone,
-    intersect_all,
     successor,
-    universe,
-    zone_of,
 )
 from uta.model import (
     MAX_CONST,

@@ -14,7 +14,6 @@ from uta.dbm import (
     Dbm,
     elapse,
     encode_bound,
-    intersect_all,
 )
 from uta.model import (
     WEAK,
@@ -47,7 +46,7 @@ from uta.search import (
 )
 
 from conftest import fig1_automaton, random_automaton, random_sync_network
-from reference import apply_update_relational, product_gset
+from reference import apply_update_relational, intersect_all, product_gset
 from test_acceptance import DESK_ROWS
 from test_simulation import reference_not_simulated
 

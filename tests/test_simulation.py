@@ -13,7 +13,7 @@ from conftest import (
     random_zone_chain,
     sim_atom_ref,
 )
-from reference import sim_point
+from reference import initial_zone, intersect_all, sim_point, zone_of
 from uta.analysis import EMPTY_GSET, GSet, Mode, compute_gmap
 from uta.dbm import (
     EMPTY,
@@ -23,10 +23,7 @@ from uta.dbm import (
     compile_step,
     elapse,
     encode_bound,
-    initial_zone,
-    intersect_all,
     successor,
-    zone_of,
 )
 from uta.model import STRICT, WEAK, Kind, make_lower, make_lower_diag, make_upper
 from uta.simulation import (
