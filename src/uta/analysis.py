@@ -10,8 +10,10 @@ explicit divergence verdict with a replayable witness: a propagated
 constant above the bound N proves it.  Rather than sweeping until some
 constant gets there, the analysis stops at the first new atom that repeats
 the location and shape of an ancestor with a smaller constant, and pumps
-that growth cycle past N with real propagations, as deep as the sweep
-budget would have reached.
+that growth cycle past N, as deep as the sweep budget would have reached.
+Pumping shifts the cycle's steps instead of propagating them again: above
+max(M, L) the reduced propagation treats a constant c and c + delta alike,
+so each lap is the previous one with every constant grown by delta.
 """
 from __future__ import annotations
 
@@ -39,7 +41,7 @@ from .model import (
 
 class Mode(enum.Enum):
     REDUCED = "reduced"
-    NON_REDUCED = "non-reduced"
+    NON_REDUCED = "nonreduced"
 
 
 class Status(enum.Enum):
@@ -218,9 +220,14 @@ class AnalysisBounds:
     n_clocks: int  # clocks occurring in the component
 
     @property
+    def floor(self) -> int:
+        """Constants above this are treated alike by reduced propagation."""
+        return max(self.M, self.L)
+
+    @property
     def N(self) -> int:
         q, x = self.n_locations, self.n_clocks
-        return max(self.M, self.L) + 2 * self.L * q * x * x
+        return self.floor + 2 * self.L * q * x * x
 
     @property
     def budget(self) -> int:
@@ -333,13 +340,15 @@ def compute_gmap(
     constant above the bound N within budget + 1 propagations of a base
     atom, which is exactly when sweeping on until such a constant appears
     would stop Diverged.  A sweep shows it when it produces such a constant,
-    or when a new atom closes a growth cycle (`_find_cycle`) that re-fires
-    past N within that depth (`_witness`).  The witness is the chain to the
-    constant; a diverged map's sets are those found by the detecting sweep
-    plus the witness atoms, and ``iterations`` counts the sweeps run.  The
-    step budget is a hard stop that the convergence guarantees make
-    unreachable in reduced mode.  Plain preimage mode has no constant bound
-    and can only converge or exhaust the budget.
+    or when a new atom closes a growth cycle (`_find_cycle`) whose pumped
+    laps pass N within that depth (`_witness`); each lap is the previous one
+    shifted up by the cycle's growth, which is exact above max(M, L), where
+    every cycle constant lies.  The witness is the chain to the constant; a
+    diverged map's sets are those found by the detecting sweep plus the
+    witness atoms, and ``iterations`` counts the sweeps run.  The step
+    budget is a hard stop that the convergence guarantees make unreachable
+    in reduced mode.  Plain preimage mode has no constant bound and can only
+    converge or exhaust the budget.
     """
     bounds = analysis_bounds(a)
     budget = bounds.budget if budget_override is None else budget_override
@@ -362,7 +371,6 @@ def compute_gmap(
         edges_by_dst[e.dst].append(ei)
     contexts = [edge_context(a, ei) for ei in range(len(a.edges))]
     prop = propagation(mode)
-    floor = max(bounds.M, bounds.L)
     steps = 0
 
     def result(status: Status, witness=None) -> GMap:
@@ -392,9 +400,8 @@ def compute_gmap(
         steps += 1
         if mode is Mode.REDUCED:
             for q, phi in sorted(new_frontier, key=lambda r: r[0]):
-                if phi.constant > floor:
-                    witness = _witness(_chain(q, phi, parent), a, contexts,
-                                       prop, bounds, budget + 1)
+                if phi.constant > bounds.floor:
+                    witness = _witness(_chain(q, phi, parent), bounds, budget + 1)
                     if witness is not None:
                         for st in witness.steps:
                             sets[st.location].add(st.constraint)
@@ -418,20 +425,23 @@ def _chain(q: int, phi: AtomicConstraint, parent: ParentMap) -> list[PropStep]:
 
 
 def _witness(
-    chain: list[PropStep],
-    a: Automaton,
-    contexts: Sequence[tuple[AtomicConstraint, ...]],
-    prop: Callable[..., AtomicConstraint],
-    bounds: AnalysisBounds,
-    max_depth: int,
+    chain: list[PropStep], bounds: AnalysisBounds, max_depth: int
 ) -> Optional[PropagationSequence]:
     """Divergence witness extending chain, or None when it shows none.
 
     A chain ending above N is its own witness.  Otherwise its last step must
-    close the cycle `_find_cycle` finds, and the cycle's edges are re-fired
-    from there, each step a real propagation that must reproduce its cycle
-    step shifted by the growth so far, until a constant exceeds N within
-    max_depth propagations of the base atom.
+    close the cycle (i, j) `_find_cycle` finds, and each further step is the
+    step one lap earlier with its constant grown by the cycle's growth, until
+    a constant exceeds N within max_depth propagations of the base atom.
+
+    The shift is exact, as every cycle constant c lies above max(M, L).  A
+    `table_cut` cut then depends only on which guard atoms exist, since their
+    constants are at most M < c; a LOWER cut yields a constant at most M, so
+    never a cycle step.  The cases of `up_inverse` that depend on c (a sign
+    flip, a Const on the left clock of a difference) yield constants below
+    L, so never a cycle step either.  Each cycle step thus keeps its input's
+    strictness and subtracts a fixed offset from its constant, which holds
+    under +delta too.  `verify_witness` re-checks every step by propagation.
     """
     cycle = _find_cycle(chain, bounds)
     if chain[-1].constraint.constant > bounds.N:
@@ -439,19 +449,13 @@ def _witness(
     if cycle is None or cycle[1] != len(chain) - 1:
         return None
     i, j = cycle
-    lap = chain[i + 1 : j + 1]
     delta = chain[j].constraint.constant - chain[i].constraint.constant
-    n = 0
     while chain[-1].constraint.constant <= bounds.N:
         if len(chain) > max_depth:
             return None
-        ref = lap[n % len(lap)]
-        shifted = ref.constraint.constant + delta * (n // len(lap) + 1)
-        psi = prop(chain[-1].constraint, contexts[ref.edge], a.edges[ref.edge].update)
-        if psi != ref.constraint.with_constant(shifted):
-            return None
-        chain.append(PropStep(ref.location, psi, ref.edge))
-        n += 1
+        ref = chain[len(chain) - (j - i)]
+        phi = ref.constraint.with_constant(ref.constraint.constant + delta)
+        chain.append(PropStep(ref.location, phi, ref.edge))
     return PropagationSequence(tuple(chain), cycle)
 
 
@@ -460,9 +464,8 @@ def _find_cycle(
 ) -> Optional[tuple[int, int]]:
     """Repeating (location, shape) pair with growing constant, all constants
     in between above max(M, L)."""
-    floor = max(bounds.M, bounds.L)
     start = len(steps)
-    while start > 0 and steps[start - 1].constraint.constant > floor:
+    while start > 0 and steps[start - 1].constraint.constant > bounds.floor:
         start -= 1
     first_at: dict[tuple, int] = {}
     for j in range(start, len(steps)):
@@ -507,7 +510,6 @@ def verify_witness(gmap: GMap, a: Automaton) -> list[str]:
         problems.append("no growth cycle recorded")
     else:
         i, j = seq.cycle
-        floor = max(gmap.bounds.M, gmap.bounds.L)
         si, sj = steps[i], steps[j]
         if not (0 <= i < j < len(steps)):
             problems.append("cycle indices out of range")
@@ -515,7 +517,7 @@ def verify_witness(gmap: GMap, a: Automaton) -> list[str]:
             problems.append("cycle endpoints differ in location or shape")
         elif si.constraint.constant >= sj.constraint.constant:
             problems.append("cycle constant does not grow")
-        elif any(steps[k].constraint.constant <= floor for k in range(i, j + 1)):
+        elif any(steps[k].constraint.constant <= gmap.bounds.floor for k in range(i, j + 1)):
             problems.append("cycle passes through a small constant")
         else:
             delta = sj.constraint.constant - si.constraint.constant

@@ -97,13 +97,6 @@ MINE_PUMP_TASKS = (
 )
 
 
-def _diag(a: int, b: int, strictness, k: int):
-    """Clock difference a - b bounded by k, k possibly negative."""
-    if k >= 0:
-        return make_upper_diag(a, b, strictness, k)
-    return make_lower_diag(b, a, strictness, -k)
-
-
 def _set_int(var: int, value: int) -> IntAssign:
     return IntAssign(var, ((1, -1, value),))
 
@@ -155,8 +148,8 @@ def _scheduler(tasks: Sequence[TaskSpec], clocks, ds, r_var: int, wc: bool) -> A
         edges.append(Edge(t(i, 0), t(nxt, 0), Guard((), (queued(nxt, 0),))))
         for j in range(1, i + 1):
             # candidate strictly closer: D_nxt - ds_nxt < D_j - ds_j
-            closer = _diag(ds[j], ds[nxt], STRICT, tasks[j - 1].d - tasks[nxt - 1].d)
-            keep = _diag(ds[nxt], ds[j], WEAK, tasks[nxt - 1].d - tasks[j - 1].d)
+            closer = make_upper_diag(ds[j], ds[nxt], STRICT, tasks[j - 1].d - tasks[nxt - 1].d)
+            keep = make_upper_diag(ds[nxt], ds[j], WEAK, tasks[nxt - 1].d - tasks[j - 1].d)
             edges.append(Edge(t(i, j), t(nxt, nxt), Guard((closer,), (queued(nxt, 1),))))
             edges.append(Edge(t(i, j), t(nxt, j), Guard((), (queued(nxt, 0),))))
             edges.append(Edge(t(i, j), t(nxt, j), Guard((keep,), (queued(nxt, 1),))))

@@ -49,10 +49,6 @@ def _timeout_default() -> float:
     return DEFAULT_TIMEOUT
 
 
-def _mode(name: str) -> Mode:
-    return Mode.REDUCED if name == "reduced" else Mode.NON_REDUCED
-
-
 def _load(path: str, allow_shared: bool) -> Optional[Network]:
     try:
         net = parse_file(path)
@@ -86,7 +82,7 @@ def cmd_analyze(args) -> int:
         return EXIT_ERROR
     if args.dump_model:
         sys.stdout.write(print_network(net))
-    mode = _mode(args.method)
+    mode = Mode(args.method)
     t0 = time.monotonic()
     reports = []
     all_converged = True
@@ -129,7 +125,7 @@ def cmd_reach(args) -> int:
     t0 = time.monotonic()
     gmaps = None
     if not args.no_simulation:
-        gmaps = [compute_gmap(comp, _mode(args.method)) for comp in net.components]
+        gmaps = [compute_gmap(comp, Mode(args.method)) for comp in net.components]
         for comp, gmap in zip(net.components, gmaps):
             if gmap.status is not Status.CONVERGED:
                 print(
@@ -270,7 +266,7 @@ def _add_common(p, with_target: bool) -> None:
     if with_target:
         p.add_argument("--target", required=True,
                        help="location name, bare or as process.location")
-    p.add_argument("--method", choices=("reduced", "nonreduced"),
+    p.add_argument("--method", choices=[m.value for m in Mode],
                    default="reduced")
     p.add_argument("--format", dest="out_format", choices=("text", "json"),
                    default="text")

@@ -84,6 +84,11 @@ _TOKEN = re.compile(r"\S+")
 
 _FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "==": "==", "!=": "!="}
 
+# Clock comparison -> (upper, lower) bound strictness, None for no bound on
+# that side; no conjunction of clock atoms expresses '!='.
+_CLOCK_OPS = {"<": (STRICT, None), "<=": (WEAK, None), ">": (None, STRICT),
+              ">=": (None, WEAK), "==": (WEAK, WEAK)}
+
 _LOC_FLAGS = ("initial", "committed")
 _LOC_SECTIONS = ("invariant:",)
 _EDGE_SECTIONS = ("provided:", "do:", "sync:")
@@ -422,12 +427,6 @@ class _Parser:
             return None
         return val
 
-    def _push(self, atoms: list, phi: AtomicConstraint) -> None:
-        # Trivially true atoms are dropped; false ones are kept so the guard
-        # stays visibly unsatisfiable.
-        if phi.kind is not Kind.TOP:
-            atoms.append(phi)
-
     def _parse_atom(self, atom: str, sp, clock_atoms, int_atoms) -> bool:
         m = _DIAG_L.match(atom)
         if m:
@@ -459,7 +458,9 @@ class _Parser:
             c = self._clock_const(rhs, sp)
             if c is None:
                 return False
-            return self._clock_atom(lhs, op, c, sp, clock_atoms)
+            x = self.clock_index[lhs]
+            return self._bounds(op, sp, clock_atoms, lambda s: make_upper(x, s, c),
+                                lambda s: make_lower(x, s, c))
         if kind == "int":
             var = self.int_index[lhs]
             if rhs_num:
@@ -478,24 +479,6 @@ class _Parser:
         self.err(sp, f"unknown identifier {lhs!r} in constraint")
         return False
 
-    def _clock_atom(self, name, op, c, sp, out) -> bool:
-        x = self.clock_index[name]
-        if op == "<":
-            self._push(out, make_upper(x, STRICT, c))
-        elif op == "<=":
-            self._push(out, make_upper(x, WEAK, c))
-        elif op == ">":
-            self._push(out, make_lower(x, STRICT, c))
-        elif op == ">=":
-            self._push(out, make_lower(x, WEAK, c))
-        elif op == "==":
-            self._push(out, make_upper(x, WEAK, c))
-            self._push(out, make_lower(x, WEAK, c))
-        else:
-            self.err(sp, "'!=' is not expressible as a conjunction of clock atoms")
-            return False
-        return True
-
     def _diag_atom(self, xn, yn, op, const, const_left, sp, out) -> bool:
         for n in (xn, yn):
             if self.names.get(n) != "clock":
@@ -508,20 +491,19 @@ class _Parser:
         if const_left:
             op = _FLIP[op]
         # op now reads as: x - y <op> c
-        if op == "<":
-            self._push(out, make_upper_diag(x, y, STRICT, c))
-        elif op == "<=":
-            self._push(out, make_upper_diag(x, y, WEAK, c))
-        elif op == ">":
-            self._push(out, make_lower_diag(x, y, STRICT, c))
-        elif op == ">=":
-            self._push(out, make_lower_diag(x, y, WEAK, c))
-        elif op == "==":
-            self._push(out, make_upper_diag(x, y, WEAK, c))
-            self._push(out, make_lower_diag(x, y, WEAK, c))
-        else:
+        return self._bounds(op, sp, out, lambda s: make_upper_diag(x, y, s, c),
+                            lambda s: make_lower_diag(x, y, s, c))
+
+    def _bounds(self, op, sp, out, upper, lower) -> bool:
+        """Append the atoms of comparison op, upper and lower building each
+        bound from its strictness.  Trivially true atoms are dropped; false
+        ones are kept so the guard stays visibly unsatisfiable."""
+        if op not in _CLOCK_OPS:
             self.err(sp, "'!=' is not expressible as a conjunction of clock atoms")
             return False
+        for make, s in zip((upper, lower), _CLOCK_OPS[op]):
+            if s is not None and (phi := make(s)).kind is not Kind.TOP:
+                out.append(phi)
         return True
 
     # -- updates -----------------------------------------------------------
@@ -650,20 +632,12 @@ def parse_file(path: str) -> Network:
 # Printing
 
 
-def atoms_to_str(atoms, clock_names, int_names=()) -> str:
-    parts = []
-    for a in atoms:
-        if isinstance(a, AtomicConstraint):
-            parts.append(a.to_str(clock_names))
-        else:
-            rhs = int_names[a.rhs_var] if a.rhs_var is not None else str(a.rhs_lit)
-            parts.append(f"{int_names[a.var]}{a.op}{rhs}")
-    return " && ".join(parts)
-
-
 def guard_to_str(guard: Guard, clock_names, int_names=()) -> str:
-    return atoms_to_str(list(guard.clock_atoms) + list(guard.int_atoms),
-                        clock_names, int_names)
+    parts = [phi.to_str(clock_names) for phi in guard.clock_atoms]
+    for a in guard.int_atoms:
+        rhs = int_names[a.rhs_var] if a.rhs_var is not None else str(a.rhs_lit)
+        parts.append(f"{int_names[a.var]}{a.op}{rhs}")
+    return " && ".join(parts)
 
 
 def update_to_str(update: Update, int_assigns, clock_names, int_names=()) -> str:

@@ -8,6 +8,7 @@ networks are immutable after construction.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
@@ -288,7 +289,8 @@ class IntVar:
         assert INT64_MIN <= self.lo <= self.hi <= INT64_MAX
 
 
-INT_OPS = ("<", "<=", "==", ">=", ">", "!=")
+INT_OPS = {"<": operator.lt, "<=": operator.le, "==": operator.eq,
+           ">=": operator.ge, ">": operator.gt, "!=": operator.ne}
 
 
 @dataclass(frozen=True, slots=True)
@@ -307,14 +309,7 @@ class IntAtom:
     def holds(self, ints: Sequence[int]) -> bool:
         lhs = ints[self.var]
         rhs = self.rhs_lit if self.rhs_var is None else ints[self.rhs_var]
-        return {
-            "<": lhs < rhs,
-            "<=": lhs <= rhs,
-            "==": lhs == rhs,
-            ">=": lhs >= rhs,
-            ">": lhs > rhs,
-            "!=": lhs != rhs,
-        }[self.op]
+        return INT_OPS[self.op](lhs, rhs)
 
 
 @dataclass(frozen=True, slots=True)
@@ -447,27 +442,15 @@ class Network:
     def int_initials(self) -> tuple[int, ...]:
         return tuple(v.init for v in self.int_vars)
 
-    def clock_usage(self) -> dict[int, tuple[frozenset[int], frozenset[int]]]:
-        """Per clock: (components updating it non-trivially, components constraining it)."""
-        usage = {}
-        for x in range(len(self.clocks)):
-            updaters = frozenset(
-                i for i, c in enumerate(self.components) if x in c.clocks_written()
-            )
-            readers = frozenset(
-                i for i, c in enumerate(self.components) if x in c.clocks_read()
-            )
-            usage[x] = (updaters, readers)
-        return usage
-
     def shared_clocks(self) -> list[str]:
         """One message per clock that more than one component reads or updates."""
+        occurring = [c.occurring_clocks() for c in self.components]
         out = []
-        for x, (updaters, readers) in sorted(self.clock_usage().items()):
-            involved = updaters | readers
+        for x, clock in enumerate(self.clocks):
+            involved = [c.name for c, occ in zip(self.components, occurring) if x in occ]
             if len(involved) > 1:
-                names = ", ".join(self.components[i].name for i in sorted(involved))
-                out.append(f"clock {self.clocks[x]} is shared between components {names}")
+                out.append(f"clock {clock} is shared between components "
+                           + ", ".join(involved))
         return out
 
 

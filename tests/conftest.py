@@ -168,7 +168,7 @@ def random_sync_network(rng: random.Random, n_comps: int = 3,
             })
             int_atoms = ()
             if rng.random() < 0.25:
-                int_atoms = (IntAtom(0, rng.choice(INT_OPS),
+                int_atoms = (IntAtom(0, rng.choice(tuple(INT_OPS)),
                                      rhs_lit=rng.randint(0, 2)),)
             int_assigns = ()
             if rng.random() < 0.25:

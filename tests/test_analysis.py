@@ -388,6 +388,17 @@ class TestCycleDetection:
                 statuses[self.check_against_sweep(a)] += 1
         assert statuses == {Status.CONVERGED: 183, Status.DIVERGED: 17}
 
+    def test_random_components_outside_the_pool(self):
+        # smaller profiles than the pool's, every fragment on every seed
+        statuses = Counter()
+        for seed in range(150):
+            for fragment in FRAGMENTS:
+                profile = RandomProfile(fragment=fragment, seed=seed, n_locs=6,
+                                        n_clocks=3, max_const=8)
+                for a in gen_random(profile).components:
+                    statuses[self.check_against_sweep(a)] += 1
+        assert statuses == {Status.CONVERGED: 554, Status.DIVERGED: 46}
+
     def test_pumping_stays_within_the_budget(self):
         # the chain to x-y<26 is 49 propagations long, so the sweep stops
         # Diverged only when budget + 1 reaches 49

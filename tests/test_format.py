@@ -136,6 +136,29 @@ def test_flipped_comparison_forms():
     assert make_lower_diag(0, 1, WEAK, 2) in atoms
     assert make_upper(0, STRICT, 3) in atoms
 
+    def guard(atom):
+        src = "system s\nclock x\nclock y\nprocess P\nlocation P a initial\n" \
+              f"location P b\nedge P a b provided: {atom}\n"
+        return parse(src).components[0].edges[0].guard.clock_atoms
+
+    # (op, mirrored op): atoms of x op 3, atoms of x-y op 3
+    cases = {
+        ("<", ">"): ((make_upper(0, STRICT, 3),), (make_upper_diag(0, 1, STRICT, 3),)),
+        ("<=", ">="): ((make_upper(0, WEAK, 3),), (make_upper_diag(0, 1, WEAK, 3),)),
+        (">", "<"): ((make_lower(0, STRICT, 3),), (make_lower_diag(0, 1, STRICT, 3),)),
+        (">=", "<="): ((make_lower(0, WEAK, 3),), (make_lower_diag(0, 1, WEAK, 3),)),
+        ("==", "=="): ((make_upper(0, WEAK, 3), make_lower(0, WEAK, 3)),
+                       (make_upper_diag(0, 1, WEAK, 3), make_lower_diag(0, 1, WEAK, 3))),
+    }
+    for (op, mirror), (clock, diag) in cases.items():
+        assert guard(f"x{op}3") == guard(f"3{mirror}x") == clock
+        assert guard(f"x-y{op}3") == guard(f"3{mirror}x-y") == diag
+    for atom in ("x!=3", "3!=x", "x-y!=3", "3!=x-y"):
+        with pytest.raises(ParseErrors) as exc:
+            guard(atom)
+        assert [e.message for e in exc.value.errors] == [
+            "'!=' is not expressible as a conjunction of clock atoms"]
+
 
 def test_trivial_atoms_dropped():
     text = "system s\nclock x\nprocess P\nlocation P a initial\nlocation P b\n" \

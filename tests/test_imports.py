@@ -125,3 +125,14 @@ def test_package_has_no_unread_definitions():
     assert len(modules) >= 8 and len(readers) >= 15
     found = unread_definitions(modules, readers)
     assert not found, "definitions nothing reads:\n" + "\n".join(found)
+
+
+def test_shared_test_code_has_no_unread_definitions():
+    # reference code moved out of the package must not outlive its last test
+    readers = {str(f.relative_to(ROOT)): f.read_text()
+               for part in ("tests", "perfbench")
+               for f in sorted((ROOT / part).glob("*.py"))}
+    modules = {path: readers[path] for path in
+               (str(Path("tests", "reference.py")), str(Path("tests", "conftest.py")))}
+    found = unread_definitions(modules, readers)
+    assert not found, "definitions nothing reads:\n" + "\n".join(found)

@@ -12,6 +12,7 @@ from uta.model import (
     WEAK,
     AtomicConstraint,
     Const,
+    IntAtom,
     Kind,
     Shift,
     Update,
@@ -198,3 +199,11 @@ class TestValuations:
         phi_strict = make_upper(X, STRICT, 2)
         assert satisfies({X: 2}, phi_weak)
         assert not satisfies({X: 2}, phi_strict)
+
+    def test_int_atom_holds_as_python_compares(self):
+        for op in ("<", "<=", "==", ">=", ">", "!="):
+            for lhs in (-3, 0, 2):
+                for rhs in (-3, 0, 2):
+                    want = eval(f"{lhs} {op} {rhs}")
+                    assert IntAtom(0, op, rhs_lit=rhs).holds([lhs]) is want
+                    assert IntAtom(0, op, rhs_var=1).holds([lhs, rhs]) is want
