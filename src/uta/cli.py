@@ -126,14 +126,6 @@ def cmd_reach(args) -> int:
     gmaps = None
     if not args.no_simulation:
         gmaps = [compute_gmap(comp, Mode(args.method)) for comp in net.components]
-        for comp, gmap in zip(net.components, gmaps):
-            if gmap.status is not Status.CONVERGED:
-                print(
-                    f"error: static analysis did not converge for component "
-                    f"{comp.name} ({gmap.status.value}); rerun with "
-                    f"--no-simulation to search unpruned",
-                    file=sys.stderr)
-                return EXIT_ERROR
     remaining = timeout - (time.monotonic() - t0)
     if remaining <= 0:
         print(f"error: timeout after {timeout:.0f}s (static analysis)",

@@ -51,8 +51,7 @@ from .model import (
 class SourceSpan:
     file: str
     line: int       # 1-based
-    col_start: int  # 1-based, inclusive
-    col_end: int    # 1-based, exclusive
+    col_start: int  # 1-based
 
     def __str__(self) -> str:
         return f"{self.file}:{self.line}:{self.col_start}"
@@ -123,19 +122,19 @@ class _Parser:
     def err(self, span: SourceSpan, message: str) -> None:
         self.errors.append(ParseError(span, message))
 
-    def span(self, lineno: int, start: int, end: int) -> SourceSpan:
-        return SourceSpan(self.filename, lineno, start + 1, end + 1)
+    def span(self, lineno: int, start: int) -> SourceSpan:
+        return SourceSpan(self.filename, lineno, start + 1)
 
     # -- driver ------------------------------------------------------------
 
     def run(self) -> Optional[Network]:
         for lineno, raw in enumerate(self.text.splitlines(), start=1):
             line = raw.split("#", 1)[0]
-            tokens = [(m.group(0), m.start(), m.end()) for m in _TOKEN.finditer(line)]
+            tokens = [(m.group(0), m.start()) for m in _TOKEN.finditer(line)]
             if not tokens:
                 continue
-            head, hs, he = tokens[0]
-            hspan = self.span(lineno, hs, he)
+            head, hs = tokens[0]
+            hspan = self.span(lineno, hs)
             if head != "system" and self.system is None:
                 self.err(hspan, "expected 'system <id>' before other directives")
                 self.system = "?"
@@ -145,7 +144,7 @@ class _Parser:
                 continue
             handler(lineno, tokens)
         if self.system is None:
-            self.err(self.span(1, 0, 1), "missing 'system' declaration")
+            self.err(self.span(1, 0), "missing 'system' declaration")
         return self.finish()
 
     def finish(self) -> Optional[Network]:
@@ -176,14 +175,13 @@ class _Parser:
 
     def _expect_arity(self, lineno, tokens, n: int, usage: str) -> bool:
         if len(tokens) != n:
-            t, s, e = tokens[0]
-            self.err(self.span(lineno, s, e), f"usage: {usage}")
+            self.err(self.span(lineno, tokens[0][1]), f"usage: {usage}")
             return False
         return True
 
     def _declare(self, lineno, tok, category: str) -> bool:
-        name, s, e = tok
-        sp = self.span(lineno, s, e)
+        name, s = tok
+        sp = self.span(lineno, s)
         if not re.fullmatch(_ID, name):
             self.err(sp, f"invalid identifier {name!r}")
             return False
@@ -196,9 +194,9 @@ class _Parser:
     def _d_system(self, lineno, tokens):
         if not self._expect_arity(lineno, tokens, 2, "system <id>"):
             return
-        name, s, e = tokens[1]
+        name, s = tokens[1]
         if self.system is not None and self.system != "?":
-            self.err(self.span(lineno, s, e), "duplicate 'system' declaration")
+            self.err(self.span(lineno, s), "duplicate 'system' declaration")
             return
         self.system = name
 
@@ -219,14 +217,14 @@ class _Parser:
         if not self._expect_arity(lineno, tokens, 5, "int <id> <min> <max> <init>"):
             return
         nums = []
-        for tok, s, e in tokens[2:5]:
-            val = self._int_literal(lineno, tok, s, e, signed=True)
+        for tok, s in tokens[2:5]:
+            val = self._int_literal(lineno, tok, s)
             if val is None:
                 return
             nums.append(val)
         lo, hi, init = nums
         if lo > hi:
-            self.err(self.span(lineno, tokens[2][1], tokens[3][2]), "empty int range")
+            self.err(self.span(lineno, tokens[2][1]), "empty int range")
             return
         if self._declare(lineno, tokens[1], "int"):
             self.int_index[tokens[1][0]] = len(self.ints)
@@ -235,76 +233,76 @@ class _Parser:
     def _d_process(self, lineno, tokens):
         if not self._expect_arity(lineno, tokens, 2, "process <id>"):
             return
-        name, s, e = tokens[1]
+        name, s = tokens[1]
         if self._declare(lineno, tokens[1], "process"):
             self.proc_index[name] = len(self.procs)
-            self.procs.append(_ProcBuilder(name, self.span(lineno, s, e)))
+            self.procs.append(_ProcBuilder(name, self.span(lineno, s)))
 
-    def _int_literal(self, lineno, tok, s, e, signed: bool) -> Optional[int]:
-        sp = self.span(lineno, s, e)
+    def _int_literal(self, lineno, tok, s) -> Optional[int]:
+        sp = self.span(lineno, s)
         if not re.fullmatch(r"-?\d+", tok):
             self.err(sp, f"expected integer, got {tok!r}")
             return None
-        val = int(tok)
+        return self._int64(tok, sp)
+
+    def _int64(self, text: str, sp: SourceSpan) -> Optional[int]:
+        """The value of an integer literal, or None after an error when it
+        does not fit in 64-bit signed range."""
+        val = int(text)
         if not -INT64_MAX - 1 <= val <= INT64_MAX:
-            self.err(sp, f"constant {tok} does not fit in 64-bit signed range")
-            return None
-        if not signed and val < 0:
-            self.err(sp, f"negative constant {tok} not allowed here")
+            self.err(sp, f"constant {text} does not fit in 64-bit signed range")
             return None
         return val
 
     # -- locations and edges -----------------------------------------------
 
     def _lookup_proc(self, lineno, tok) -> Optional[_ProcBuilder]:
-        name, s, e = tok
+        name, s = tok
         if name not in self.proc_index:
-            self.err(self.span(lineno, s, e), f"unknown process {name!r}")
+            self.err(self.span(lineno, s), f"unknown process {name!r}")
             return None
         return self.procs[self.proc_index[name]]
 
     def _split_sections(self, lineno, tokens, keywords) -> Optional[dict]:
         """Group trailing tokens into flag set / keyword-delimited sections."""
-        out: dict[str, object] = {"flags": [], "order": []}
+        out: dict[str, object] = {"flags": []}
         current: Optional[str] = None
-        for tok, s, e in tokens:
+        for tok, s in tokens:
             if tok in keywords:
                 if tok in out:
-                    self.err(self.span(lineno, s, e), f"duplicate section {tok!r}")
+                    self.err(self.span(lineno, s), f"duplicate section {tok!r}")
                     return None
                 current = tok
                 out[tok] = []
-                out["order"].append(tok)
             elif tok in _LOC_FLAGS and keywords is _LOC_SECTIONS:
                 out["flags"].append(tok)
                 current = None
             elif current is not None:
-                out[current].append((tok, s, e))
+                out[current].append((tok, s))
             else:
-                self.err(self.span(lineno, s, e), f"unexpected token {tok!r}")
+                self.err(self.span(lineno, s), f"unexpected token {tok!r}")
                 return None
         return out
 
     def _d_location(self, lineno, tokens):
         if len(tokens) < 3:
-            t, s, e = tokens[0]
             self.err(
-                self.span(lineno, s, e),
+                self.span(lineno, tokens[0][1]),
                 "usage: location <proc> <id> [initial] [committed] "
                 "[invariant: <clock-conj>]",
             )
             return
         pb = self._lookup_proc(lineno, tokens[1])
-        name, ns, ne = tokens[2]
+        name, ns = tokens[2]
         sections = self._split_sections(lineno, tokens[3:], _LOC_SECTIONS)
         if pb is None or sections is None:
             return
         if not re.fullmatch(_ID, name):
-            self.err(self.span(lineno, ns, ne), f"invalid identifier {name!r}")
+            self.err(self.span(lineno, ns), f"invalid identifier {name!r}")
             return
         if name in pb.loc_index:
             self.err(
-                self.span(lineno, ns, ne),
+                self.span(lineno, ns),
                 f"duplicate declaration of location {name!r} in process {pb.name}",
             )
             return
@@ -317,7 +315,7 @@ class _Parser:
             if int_atoms:
                 toks = sections["invariant:"]
                 self.err(
-                    self.span(lineno, toks[0][1], toks[-1][2]),
+                    self.span(lineno, toks[0][1]),
                     "invariants must constrain clocks only",
                 )
                 return
@@ -335,9 +333,8 @@ class _Parser:
 
     def _d_edge(self, lineno, tokens):
         if len(tokens) < 4:
-            t, s, e = tokens[0]
             self.err(
-                self.span(lineno, s, e),
+                self.span(lineno, tokens[0][1]),
                 "usage: edge <proc> <src> <dst> [provided: <conj>] "
                 "[do: <upd>{; <upd>}] [sync: <event>! | <event>?]",
             )
@@ -347,10 +344,10 @@ class _Parser:
         if pb is None or sections is None:
             return
         endpoints = []
-        for tok, s, e in tokens[2:4]:
+        for tok, s in tokens[2:4]:
             if tok not in pb.loc_index:
                 self.err(
-                    self.span(lineno, s, e),
+                    self.span(lineno, s),
                     f"unknown location {tok!r} in process {pb.name}",
                 )
                 return
@@ -379,11 +376,10 @@ class _Parser:
     def _parse_sync(self, lineno, toks) -> Optional[tuple[str, str]]:
         if len(toks) != 1:
             s = toks[0][1] if toks else 0
-            e = toks[-1][2] if toks else 1
-            self.err(self.span(lineno, s, e), "usage: sync: <event>! or sync: <event>?")
+            self.err(self.span(lineno, s), "usage: sync: <event>! or sync: <event>?")
             return None
-        tok, s, e = toks[0]
-        sp = self.span(lineno, s, e)
+        tok, s = toks[0]
+        sp = self.span(lineno, s)
         if not tok or tok[-1] not in "!?":
             self.err(sp, "sync must end with '!' or '?'")
             return None
@@ -397,10 +393,10 @@ class _Parser:
 
     def _parse_conj(self, lineno, toks):
         if not toks:
-            self.err(self.span(lineno, 0, 1), "empty constraint section")
+            self.err(self.span(lineno, 0), "empty constraint section")
             return None
-        sp = self.span(lineno, toks[0][1], toks[-1][2])
-        joined = " ".join(t for t, _, _ in toks)
+        sp = self.span(lineno, toks[0][1])
+        joined = " ".join(t for t, _ in toks)
         clock_atoms: list[AtomicConstraint] = []
         int_atoms: list[IntAtom] = []
         ok = True
@@ -464,9 +460,8 @@ class _Parser:
         if kind == "int":
             var = self.int_index[lhs]
             if rhs_num:
-                val = int(rhs)
-                if not -INT64_MAX - 1 <= val <= INT64_MAX:
-                    self.err(sp, f"constant {rhs} does not fit in 64-bit signed range")
+                val = self._int64(rhs, sp)
+                if val is None:
                     return False
                 int_atoms.append(IntAtom(var, op, rhs_lit=val))
                 return True
@@ -509,8 +504,8 @@ class _Parser:
     # -- updates -----------------------------------------------------------
 
     def _parse_updates(self, lineno, toks):
-        sp = self.span(lineno, toks[0][1], toks[-1][2]) if toks else self.span(lineno, 0, 1)
-        joined = " ".join(t for t, _, _ in toks)
+        sp = self.span(lineno, toks[0][1]) if toks else self.span(lineno, 0)
+        joined = " ".join(t for t, _ in toks)
         clock_map: dict[int, object] = {}
         int_assigns: list[IntAssign] = []
         assigned_ints: set[int] = set()
@@ -595,9 +590,8 @@ class _Parser:
                 return None
             sign = -1 if sign_s == "-" else 1
             if body[0].isdigit():
-                val = int(body)
-                if val > INT64_MAX:
-                    self.err(sp, f"constant {body} does not fit in 64-bit signed range")
+                val = self._int64(body, sp)
+                if val is None:
                     return None
                 terms.append((sign, -1, val))
             else:

@@ -193,7 +193,6 @@ class CompiledNet:
                     pair[e.sync[1] == "?"].append(ei)
             self._internal.append(internal)
             self._sync.append(sync)
-        self.shared_clocks = net.shared_clocks()
         self._moves: dict[tuple[int, ...], tuple[Firing, ...]] = {}
         self._move: dict[tuple[tuple[int, int], ...], Move] = {}
         self._target: dict[tuple[int, ...], tuple[tuple[Triple, ...], bool]] = {}
@@ -355,31 +354,23 @@ def _initial_node(net: Network, compiled: CompiledNet) -> Optional[SearchNode]:
 
 
 class ProductSets:
-    """The prepared constraint set of each product location: `prepare` of
-    the union of its components' sets, built on first use and kept.
+    """The prepared constraint set of each product location.
 
-    Each (component, location) set is prepared once, and a product
-    location combines its components' results with `prepare_union`.
+    Every (component, location) set is prepared when the search starts,
+    so a constant outside the zone arithmetic's range raises OverflowError
+    here, before the first node.  A product location combines its
+    components' results with `prepare_union` on first use and keeps it.
     """
 
     def __init__(self, gmaps: Sequence[GMap], n_clocks: int):
-        self.gmaps = gmaps
-        self.n_clocks = n_clocks
-        self._parts: dict[tuple[int, int], SimPrepared] = {}
+        self._parts = [[prepare(g, n_clocks) for g in gmap.sets] for gmap in gmaps]
         self._at: dict[tuple[int, ...], SimPrepared] = {}
-
-    def _part(self, c: int, q: int) -> SimPrepared:
-        got = self._parts.get((c, q))
-        if got is None:
-            got = self._parts[(c, q)] = prepare(self.gmaps[c].at(q),
-                                                self.n_clocks)
-        return got
 
     def at(self, locs: tuple[int, ...]) -> SimPrepared:
         got = self._at.get(locs)
         if got is None:
             got = self._at[locs] = prepare_union(
-                [self._part(c, q) for c, q in enumerate(locs)])
+                [parts[q] for parts, q in zip(self._parts, locs)])
         return got
 
 
@@ -423,28 +414,38 @@ def reach(
 
     Prunes by simulation exactly when gmaps (one constraint map per
     component) is given; with None only exact duplicates are dropped.
+    This is the one place that refuses pruning, with a ValueError before
+    the first node: on clocks shared between components, on a map that did
+    not converge, and on a constant `ProductSets` cannot encode.
     """
     pairs = _resolve_target(net, target)
     compiled = CompiledNet(net)
+    start = time.monotonic()
+    n_clocks = compiled.n_clocks
+    sets = None
     if gmaps is not None:
-        if compiled.shared_clocks:
+        if shared := net.shared_clocks():
             # the constraint sets are computed per component, so they miss
             # what one component's updates do to another's constraints
             raise ValueError(
-                "; ".join(compiled.shared_clocks) + "; simulation pruning is "
-                "unsound on shared clocks, rerun with pruning disabled "
-                "(--no-simulation)"
+                "; ".join(shared) + "; simulation pruning is unsound on "
+                "shared clocks, rerun with pruning disabled (--no-simulation)"
             )
-        for g in gmaps:
+        for comp, g in zip(net.components, gmaps):
             if g.status is not Status.CONVERGED:
                 raise ValueError(
-                    f"constraint analysis did not converge ({g.status.value}); "
-                    "rerun with pruning disabled"
+                    f"static analysis did not converge for component "
+                    f"{comp.name} ({g.status.value}); rerun with "
+                    f"--no-simulation to search unpruned"
                 )
-    start = time.monotonic()
+        try:
+            sets = ProductSets(gmaps, n_clocks)
+        except OverflowError as exc:
+            raise ValueError(
+                f"{exc} in a constraint set; rerun with --no-simulation "
+                "to search unpruned"
+            ) from None
     deadline = None if timeout is None else start + timeout
-    n_clocks = compiled.n_clocks
-    sets = None if gmaps is None else ProductSets(gmaps, n_clocks)
     stats = SearchStats(UNREACHABLE)
     init = _initial_node(net, compiled)
     if init is None:

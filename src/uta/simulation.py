@@ -30,13 +30,13 @@ from .dbm import (
     INF,
     LE_ZERO,
     Dbm,
+    Triple,
     Zone,
     _add_mat,
     _atom_entry,
     add_bounds,
     constrain,
 )
-from .model import AtomicConstraint, Kind
 
 
 # encoded bound below every finite one: a threshold no entry can go under
@@ -50,10 +50,11 @@ class SimPrepared:
     has_u/u_enc and has_l/l_edge are the per-clock aggregates; u_thr and
     l_thr are the thresholds the kernel compares against, and pairs marks
     the (lower clock y, upper clock x) pairs, x != y, of its two-sided
-    condition.
+    condition.  diags holds the diagonal atoms as matrix entries, sorted and
+    deduplicated, so atoms with the same entry are one diagonal.
     """
 
-    diags: tuple[AtomicConstraint, ...]
+    diags: tuple[Triple, ...]
     has_u: np.ndarray
     u_enc: np.ndarray
     has_l: np.ndarray
@@ -65,43 +66,34 @@ class SimPrepared:
 
 
 def _prepared(u_thr: np.ndarray, l_thr: np.ndarray,
-              diags: tuple[AtomicConstraint, ...]) -> SimPrepared:
+              diags: set[Triple]) -> SimPrepared:
     has_u = u_thr < INF
     has_l = l_thr > NEVER
     pairs = has_l[:, None] & has_u[None, :]
     np.fill_diagonal(pairs, False)
-    return SimPrepared(diags, has_u, np.where(has_u, 1 - u_thr, 0),
+    return SimPrepared(tuple(sorted(diags)), has_u, np.where(has_u, 1 - u_thr, 0),
                        has_l, np.where(has_l, 2 - l_thr, 0), u_thr, l_thr,
                        pairs, bool(pairs.any()))
 
 
 def prepare(g: GSet, n_clocks: int) -> SimPrepared:
-    """Aggregate the non-diagonal atoms of g into per-clock encoded bounds.
+    """Encode g into the matrix bounds the kernel and the recursion read.
 
-    For uppers the binding atom is the weakest one (largest bound, weak over
-    strict at equal constants).  For lowers it is the strongest one, and at
-    equal constants the strict atom is the harder to satisfy, so it wins; the
-    bound is stored as the encoded edge of the satisfying ray.
+    This is the one place where a constraint set becomes matrix entries:
+    every atom goes through `dbm._atom_entry`, so a constant outside the
+    zone arithmetic's range raises OverflowError here, before any zone is
+    compared.  An upper (i, 0, b) binds through its weakest entry and a
+    lower (0, j, b) through its strongest, so the thresholds fold as
+    u_thr = min(1 - b) and l_thr = max(2 - b).
     """
-    upper: dict[int, int] = {}
-    lower: dict[int, int] = {}
-    for phi in g.nond:
-        x = phi.x
-        if phi.kind is Kind.UPPER:
-            b = 2 * phi.constant + int(phi.strictness)
-            if x not in upper or b > upper[x]:
-                upper[x] = b
+    u_thr = np.full(n_clocks, INF)
+    l_thr = np.full(n_clocks, NEVER)
+    for i, j, b in map(_atom_entry, g.nond):
+        if j == 0:
+            u_thr[i - 1] = min(u_thr[i - 1], 1 - b)
         else:
-            b = -2 * phi.constant + int(phi.strictness)
-            if x not in lower or b < lower[x]:
-                lower[x] = b
-    clocks = range(n_clocks)
-    u_thr, l_thr = np.array([
-        [1 - upper[x] if x in upper else int(INF) for x in clocks],
-        [2 - lower[x] if x in lower else int(NEVER) for x in clocks],
-    ], dtype=np.int64).reshape(2, n_clocks)
-    return _prepared(u_thr, l_thr,
-                     tuple(sorted(g.diag, key=AtomicConstraint.sort_key)))
+            l_thr[j - 1] = max(l_thr[j - 1], 2 - b)
+    return _prepared(u_thr, l_thr, set(map(_atom_entry, g.diag)))
 
 
 def prepare_union(parts: Sequence[SimPrepared]) -> SimPrepared:
@@ -114,10 +106,9 @@ def prepare_union(parts: Sequence[SimPrepared]) -> SimPrepared:
     """
     if len(parts) == 1:
         return parts[0]
-    diags = set().union(*(p.diags for p in parts))
     return _prepared(np.minimum.reduce([p.u_thr for p in parts]),
                      np.maximum.reduce([p.l_thr for p in parts]),
-                     tuple(sorted(diags, key=AtomicConstraint.sort_key)))
+                     set().union(*(p.diags for p in parts)))
 
 
 def bound_row(zp: Dbm) -> np.ndarray:
@@ -165,8 +156,6 @@ def not_simulated_batch(z: Dbm, rows: np.ndarray, zps: Sequence[Dbm],
     the two-sided condition: an upper on x against a lower on y closed
     through zp[y, x].
     """
-    if z.n == 0:
-        return np.zeros(rows.shape[0], dtype=bool)
     zm = z.m
     z0 = zm[0, 1:]
     zx0 = zm[1:, 0]
@@ -201,13 +190,12 @@ def not_simulated_batch(z: Dbm, rows: np.ndarray, zps: Sequence[Dbm],
     return out
 
 
-def _sim(z: Zone, zp: Zone, diags: tuple, prep: SimPrepared) -> bool:
+def _sim(z: Zone, zp: Zone, diags: tuple[Triple, ...], prep: SimPrepared) -> bool:
     if z is EMPTY:
         return True
     if zp is EMPTY:
         return False
-    for k, phi in enumerate(diags):
-        i, j, bound = _atom_entry(phi)
+    for k, (i, j, bound) in enumerate(diags):
         cut = ((i, j, bound),)
         rest = diags[k + 1:]
         if int(z.m[i, j]) <= bound:
@@ -325,10 +313,7 @@ def brute_force_sim(q: SimQuery, max_const: int) -> bool:
     prep = prepare(q.g, n)
     u_scaled = [_scale_enc(int(prep.u_enc[x]), s) for x in range(n)]
     l_scaled = [_scale_enc(int(prep.l_edge[x]), s) for x in range(n)]
-    diag_scaled = []
-    for phi in prep.diags:
-        i, j, bound = _atom_entry(phi)
-        diag_scaled.append((i, j, _scale_enc(bound, s)))
+    diag_scaled = [(i, j, _scale_enc(b, s)) for i, j, b in prep.diags]
     cap = max_const + 1
     seen = set()
 
@@ -367,7 +352,7 @@ def brute_force_sim(q: SimQuery, max_const: int) -> bool:
                 m[x + 1][0] = min(m[x + 1][0], 2 * ks[x] + 1)
             if prep.has_l[x]:
                 m[0][x + 1] = min(m[0][x + 1], max(-2 * ks[x] + 1, l_scaled[x]))
-        for (i, j, bound), phi in zip(diag_scaled, prep.diags):
+        for i, j, bound in diag_scaled:
             vi = ks[i - 1] if i else 0
             vj = ks[j - 1] if j else 0
             if 2 * (vi - vj) + 1 <= bound:

@@ -4,6 +4,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 from reference import delayed
+from uta.benchgen import gen_fig1, gen_fig1_unguarded
 from uta.model import (
     INT_OPS,
     STRICT,
@@ -35,15 +36,7 @@ def fig1_automaton(guard_on: bool = True) -> Automaton:
     With guard_on=False the upper guard on the subtracting edge is removed,
     which makes the reduced propagation grow without bound.
     """
-    clocks = ("x", "y")
-    locs = (Location("q0", initial=True), Location("q1"), Location("q2"))
-    g = Guard((make_upper(0, WEAK, 3),)) if guard_on else Guard()
-    edges = (
-        Edge(0, 1, g, Update.of({0: Shift(0, -1)})),
-        Edge(1, 0),
-        Edge(1, 2, Guard((make_upper_diag(0, 1, STRICT, 1),))),
-    )
-    return Automaton("loop", locs, edges, clocks)
+    return (gen_fig1() if guard_on else gen_fig1_unguarded()).components[0]
 
 
 def random_atom(rng: random.Random, n_clocks: int, max_const: int) -> AtomicConstraint:

@@ -72,6 +72,23 @@ edge p b c provided: x<=5
 """
 
 
+# converges after 2 sweeps with x-y<2^41 at q0: a constant the zone
+# arithmetic cannot encode, so pruning must be refused, not crash
+BIG_DIAGONAL = """\
+system big
+clock x
+clock y
+process P
+location P q0 initial
+location P q1
+location P q2
+location P q3
+edge P q0 q0 do: y=0
+edge P q0 q1 do: x=x-1099511627776
+edge P q1 q2 provided: x-y<1099511627776
+"""
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -207,6 +224,21 @@ class TestReach:
                            "--allow-shared-clocks", "--no-simulation")
         assert code == 1
         assert "Reachable" in out
+
+    def test_unencodable_constraint_set_refuses_pruning(self, capsys, tmp_path):
+        path = tmp_path / "big.uta"
+        path.write_text(BIG_DIAGONAL)
+        code, out, err = run(capsys, "reach", str(path), "--target", "q3")
+        assert code == 2
+        assert out == ""
+        errors = [l for l in err.splitlines() if l.startswith("error:")]
+        assert len(errors) == 1
+        assert "2199023255552" in errors[0] and "--no-simulation" in errors[0]
+        assert "Traceback" not in err
+        code, out, _ = run(capsys, "reach", str(path), "--target", "q3",
+                           "--no-simulation")
+        assert code == 0
+        assert "big: q3 Unreachable" in out
 
     def test_unknown_process_in_target(self, capsys, loop_file):
         code, _, err = run(capsys, "reach", loop_file, "--target", "nosuch.c")

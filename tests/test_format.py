@@ -297,3 +297,45 @@ def test_round_trip_guarded_loop():
     net = parse(LOOP_TEXT)
     assert parse(print_network(net)) == net
 
+
+
+SYNC_TEXT = """\
+system s
+clock x
+clock y
+int n 0 5 0
+event go
+process P
+location P a initial invariant: x<=4
+location P b committed
+edge P a b provided: x<3 && 2<x-y && n==1 do: x=0; n=n+1; y=x+2 sync: go!
+process Q
+location Q c initial
+edge Q c c provided: x-y<=5 sync: go?
+"""
+
+# what a mutation inserts: names, operators, section keywords and literals
+# at and past the 2^40 clock bound and the 64-bit range
+_PIECES = ("x", "y", "n", "q1", "P0", "go!", "<", "<=", ">=", "==", "!=", "=",
+           "-", "+", ";", "&&", " ", "\n", "#", "provided:", "do:", "sync:",
+           "invariant:", "initial", "committed", "edge", "int", "clock", "-1",
+           "007", str(2**40 + 1), str(2**63), str(-2**63 - 1))
+
+
+def test_mutated_models_raise_only_parse_errors():
+    rng = random.Random(8)
+    bases = [LOOP_TEXT, SYNC_TEXT]
+    failed = 0
+    for _ in range(2000):
+        text = rng.choice(bases)
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(text))
+            cut = rng.randint(0, 3)
+            text = text[:i] + rng.choice(_PIECES) * rng.randint(0, 1) + text[i + cut:]
+        try:
+            parse(text)
+        except ParseErrors as exc:
+            failed += 1
+            assert all(e.span.line >= 1 and e.span.col_start >= 1
+                       for e in exc.errors)
+    assert failed >= 1000

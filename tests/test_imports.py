@@ -114,14 +114,15 @@ def test_checker_finds_unread_definitions():
         "lib.py:recursive", "lib.py:Unread"]
 
 
-def test_package_has_no_unread_definitions():
-    def sources(*parts):
-        return {str(f.relative_to(ROOT)): f.read_text()
-                for f in sorted(ROOT.joinpath(*parts).glob("*.py"))}
+def _sources(*parts) -> dict[str, str]:
+    return {str(f.relative_to(ROOT)): f.read_text()
+            for f in sorted(ROOT.joinpath(*parts).glob("*.py"))}
 
-    modules = sources("src", "uta")
+
+def test_package_has_no_unread_definitions():
+    modules = _sources("src", "uta")
     del modules[str(Path("src", "uta", "__init__.py"))]
-    readers = {**sources("tests"), **sources("perfbench")}
+    readers = {**_sources("tests"), **_sources("perfbench")}
     assert len(modules) >= 8 and len(readers) >= 15
     found = unread_definitions(modules, readers)
     assert not found, "definitions nothing reads:\n" + "\n".join(found)
@@ -136,3 +137,59 @@ def test_shared_test_code_has_no_unread_definitions():
                (str(Path("tests", "reference.py")), str(Path("tests", "conftest.py")))}
     found = unread_definitions(modules, readers)
     assert not found, "definitions nothing reads:\n" + "\n".join(found)
+
+
+def _is_dataclass(decorator: ast.expr) -> bool:
+    if isinstance(decorator, ast.Call):
+        decorator = decorator.func
+    return isinstance(decorator, ast.Name) and decorator.id == "dataclass"
+
+
+def unread_fields(modules: dict[str, str], readers: dict[str, str]) -> list[str]:
+    """module:Class.field of each dataclass field of modules that no module
+    of readers (modules included) reads as an attribute or names in a
+    string; assigning the field does not count as reading it."""
+    read: set[str] = set()
+    for src in {**readers, **modules}.values():
+        for node in ast.walk(ast.parse(src)):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    return [f"{path}:{node.name}.{item.target.id}"
+            for path, src in modules.items()
+            for node in ast.parse(src).body
+            if isinstance(node, ast.ClassDef)
+            and any(map(_is_dataclass, node.decorator_list))
+            for item in node.body
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+            and item.target.id not in read]
+
+
+def test_checker_finds_unread_fields():
+    lib = (
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\n"
+        "class Span:\n"
+        "    line: int\n"
+        "    col: int\n"
+        "    end: int\n"
+        "    note: str = ''\n"
+        "@dataclass\n"
+        "class Box:\n"
+        "    size: int\n"
+        "class Plain:\n"
+        "    hidden: int\n"
+    )
+    user = ("import lib\ns = lib.Span(1, 2, 3)\nprint(s.line, getattr(s, 'col'))\n"
+            "b = lib.Box(1)\nb.size = 2\n")
+    assert unread_fields({"lib.py": lib}, {"user.py": user}) == [
+        "lib.py:Span.end", "lib.py:Span.note", "lib.py:Box.size"]
+
+
+def test_package_has_no_unread_fields():
+    modules = _sources("src", "uta")
+    readers = {**_sources("tests"), **_sources("perfbench")}
+    assert len(modules) >= 8 and len(readers) >= 15
+    found = unread_fields(modules, readers)
+    assert not found, "dataclass fields nothing reads:\n" + "\n".join(found)

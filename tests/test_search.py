@@ -15,6 +15,7 @@ from uta.dbm import (
     elapse,
     encode_bound,
 )
+from uta.format import parse
 from uta.model import (
     WEAK,
     Automaton,
@@ -48,6 +49,7 @@ from uta.search import (
 from conftest import fig1_automaton, random_automaton, random_sync_network
 from reference import apply_update_relational, intersect_all, product_gset
 from test_acceptance import DESK_ROWS
+from test_cli import BIG_DIAGONAL
 from test_simulation import reference_not_simulated
 
 X, Y = 0, 1
@@ -464,6 +466,20 @@ class TestValidation:
         stats = reach(net, None, "goal")
         assert stats.verdict == REACHABLE
         assert replay(stats.path, net, "goal")
+
+    def test_pruning_refused_on_unencodable_constant(self, monkeypatch):
+        net = parse(BIG_DIAGONAL)
+        gmaps = [compute_gmap(c) for c in net.components]
+        assert all(g.status is Status.CONVERGED for g in gmaps)
+
+        def no_search(*args):
+            raise AssertionError("refused only after the search started")
+
+        with monkeypatch.context() as m:
+            m.setattr(search, "_initial_node", no_search)
+            with pytest.raises(ValueError, match="--no-simulation"):
+                reach(net, gmaps, "q3")
+        assert reach(net, None, "q3").verdict == UNREACHABLE
 
     def test_timeout_reports_instead_of_spinning(self):
         clocks = ("x", "y")

@@ -20,12 +20,22 @@ from uta.dbm import (
     INF,
     LE_ZERO,
     _add_mat,
+    _atom_entry,
     compile_step,
     elapse,
     encode_bound,
     successor,
 )
-from uta.model import STRICT, WEAK, Kind, make_lower, make_lower_diag, make_upper
+from uta.model import (
+    MAX_CONST,
+    STRICT,
+    WEAK,
+    Kind,
+    make_lower,
+    make_lower_diag,
+    make_upper,
+    make_upper_diag,
+)
 from uta.simulation import (
     NEVER,
     SimQuery,
@@ -418,7 +428,25 @@ class TestKernel:
                       for x in range(n)] for y in range(n)]
             assert prep.pairs.tolist() == pairs
             assert prep.two_sided == any(map(any, pairs))
-            assert set(prep.diags) == set(g.diag)
+            assert set(prep.diags) == set(map(_atom_entry, g.diag))
+
+    def test_prepare_refuses_constants_out_of_range(self):
+        # every atom is encoded by dbm's one range rule, diagonals included
+        for build in (lambda c: make_upper(X, WEAK, c),
+                      lambda c: make_lower(Y, STRICT, c),
+                      lambda c: make_upper_diag(X, Y, STRICT, c),
+                      lambda c: make_lower_diag(X, Y, WEAK, c)):
+            prep = prepare(GSet.of([build(MAX_CONST)]), 2)
+            assert len(prep.diags) + prep.has_u.sum() + prep.has_l.sum() == 1
+            with pytest.raises(OverflowError):
+                prepare(GSet.of([build(MAX_CONST + 1)]), 2)
+
+    def test_one_entry_is_one_diagonal(self):
+        # 0 < x - y and y - x < 0 are the same matrix entry
+        g = GSet.of([make_lower_diag(X, Y, STRICT, 0),
+                     make_upper_diag(Y, X, STRICT, 0)])
+        assert len(g.diag) == 2
+        assert prepare(g, 2).diags == ((2, 1, 0),)
 
 
 class TestPreorder:
