@@ -3,7 +3,7 @@
 ``uta analyze`` runs the per-component constraint analysis, ``uta reach``
 runs the pruned zone search, and ``uta gen`` writes benchmark models in the
 text format.  Exit codes: 0 for Unreachable or Converged, 1 for Reachable,
-2 for any error, timeout, or non-convergence.
+2 for any error, timeout, non-convergence, or running out of memory.
 """
 import argparse
 import json
@@ -77,12 +77,14 @@ def _print_witness(doc: dict, indent: str) -> None:
 
 
 def cmd_analyze(args) -> int:
+    args.phase = "parse"
     net = _load(args.input, args.allow_shared_clocks)
     if net is None:
         return EXIT_ERROR
     if args.dump_model:
         sys.stdout.write(print_network(net))
     mode = Mode(args.method)
+    args.phase = "static analysis"
     t0 = time.monotonic()
     reports = []
     all_converged = True
@@ -116,6 +118,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_reach(args) -> int:
+    args.phase = "parse"
     net = _load(args.input, args.allow_shared_clocks)
     if net is None:
         return EXIT_ERROR
@@ -123,6 +126,7 @@ def cmd_reach(args) -> int:
         sys.stdout.write(print_network(net))
     timeout = args.timeout if args.timeout is not None else _timeout_default()
     t0 = time.monotonic()
+    args.phase = "static analysis"
     gmaps = None
     if not args.no_simulation:
         gmaps = [compute_gmap(comp, Mode(args.method)) for comp in net.components]
@@ -131,6 +135,7 @@ def cmd_reach(args) -> int:
         print(f"error: timeout after {timeout:.0f}s (static analysis)",
               file=sys.stderr)
         return EXIT_ERROR
+    args.phase = "search"
     try:
         stats = reach(net, gmaps, args.target, timeout=remaining)
     except ValueError as exc:
@@ -233,6 +238,7 @@ def _build_gen(args) -> Network:
 
 
 def cmd_gen(args) -> int:
+    args.phase = "generation"
     try:
         net = _build_gen(args)
     except ValueError as exc:
@@ -321,7 +327,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     handler = {"analyze": cmd_analyze, "reach": cmd_reach, "gen": cmd_gen}
-    return handler[args.cmd](args)
+    try:
+        return handler[args.cmd](args)
+    except MemoryError:
+        pass
+    # reported outside the handler, once the failed phase's frames are freed;
+    # each command names its phase in args.phase as it enters it
+    print(f"error: out of memory during {args.phase}", file=sys.stderr)
+    return EXIT_ERROR
 
 
 if __name__ == "__main__":

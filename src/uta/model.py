@@ -61,17 +61,20 @@ class AtomicConstraint:
     constant: Optional[int] = None
 
     def __post_init__(self) -> None:
+        # raised, not asserted: the invariants must hold under python -O too
         if self.kind in (Kind.TOP, Kind.BOTTOM):
-            assert self.x is None and self.y is None and self.constant is None
-            return
-        assert self.x is not None and self.constant is not None
-        assert self.strictness is not None
-        assert self.constant >= 0, "constraint constants must be natural"
-        assert self.constant <= INT64_MAX
-        if self.kind in (Kind.UPPER_DIAG, Kind.LOWER_DIAG):
-            assert self.y is not None and self.y != self.x
-        else:
-            assert self.y is None
+            if self.x is None and self.y is None and self.constant is None:
+                return
+        elif (self.x is not None and self.strictness is not None
+              and self.constant is not None
+              and (self.y is not None and self.y != self.x
+                   if self.kind in (Kind.UPPER_DIAG, Kind.LOWER_DIAG)
+                   else self.y is None)):
+            if 0 <= self.constant <= INT64_MAX:
+                return
+            raise ValueError(f"constraint constant {self.constant} is not a "
+                             "natural number in int64 range")
+        raise ValueError(f"malformed constraint {self!r}")
 
     @property
     def is_trivial(self) -> bool:

@@ -101,7 +101,9 @@ class SearchStats:
 
     nodes counts dequeued nodes; pruned_exact those dropped because an equal
     zone of the same discrete state was already explored, pruned_sim those
-    dropped because an explored zone simulates them.
+    dropped because an explored zone simulates them.  kernel_candidates sums
+    the explored zones the subsumption scans handed the batched kernel, and
+    diag_calls counts the survivors sent into the diagonal recursion.
     """
 
     verdict: str
@@ -109,6 +111,8 @@ class SearchStats:
     pruned_exact: int = 0
     pruned_sim: int = 0
     max_frontier: int = 0
+    kernel_candidates: int = 0
+    diag_calls: int = 0
     seconds: float = 0.0
     disabled_assigns: int = 0
     path: Optional[tuple[PathStep, ...]] = None
@@ -125,6 +129,8 @@ class SearchStats:
             "pruned_exact": self.pruned_exact,
             "pruned_sim": self.pruned_sim,
             "max_frontier": self.max_frontier,
+            "kernel_candidates": self.kernel_candidates,
+            "diag_calls": self.diag_calls,
             "disabled_assigns": self.disabled_assigns,
             "seconds": round(self.seconds, 4),
         }
@@ -487,7 +493,7 @@ def reach(
         elif zone in here.exact:
             stats.pruned_exact += 1
             continue
-        elif sets is not None and _covered(zone, here, sets.at(loc.locs)):
+        elif sets is not None and _covered(zone, here, sets.at(loc.locs), stats):
             stats.pruned_sim += 1
             continue
         here.add(zone)
@@ -501,16 +507,21 @@ def reach(
     return finish(UNREACHABLE, None)
 
 
-def _covered(zone: Dbm, here: Passed, prep: SimPrepared) -> bool:
+def _covered(zone: Dbm, here: Passed, prep: SimPrepared,
+             stats: SearchStats) -> bool:
     """Whether an explored zone of here simulates zone.
 
     One batched kernel call over the bound rows refutes almost every
     candidate; only the survivors pay for the full diagonal recursion.
     """
     zones = here.zones
+    stats.kernel_candidates += len(zones)
     refuted = not_simulated_batch(zone, here.rows[: len(zones)], zones, prep)
-    return any(sim_zone_prepared(zone, zones[k], prep)
-               for k in np.flatnonzero(~refuted).tolist())
+    for k in np.flatnonzero(~refuted).tolist():
+        stats.diag_calls += 1
+        if sim_zone_prepared(zone, zones[k], prep):
+            return True
+    return False
 
 
 def replay(path: Sequence[PathStep], net: Network, target: Optional[str] = None) -> bool:

@@ -10,14 +10,14 @@ and serves as the testing oracle for that check.
 
 The non-diagonal check is one kernel, `not_simulated_batch`, over K candidate
 zones.  The search's subsumption scan calls it on every explored zone of a
-location at once, and the diagonal recursion on one.  Its two single-sided
-conditions, the per-clock tests of the LU-simulation inclusion check
-(Herbreteau, Srivathsan & Walukiewicz, LICS 2012), are exact threshold
-compares: `prepare` turns each constraint set into per-clock thresholds once,
-a query zone turns them into one vector, and that vector is compared against
-the candidates' bound rows (`bound_row`: row 0 then column 0 of each matrix,
-which the search keeps in one contiguous array).  Only the few candidates
-left standing have their full matrices read, for the two-sided condition.
+location at once, and the diagonal recursion on one.  Its conditions, those
+of the LU-simulation inclusion check (Herbreteau, Srivathsan & Walukiewicz,
+LICS 2012), are one threshold per matrix entry of the candidate: `prepare`
+turns each constraint set into per-clock thresholds once, and a query zone
+turns them into thresholds for row 0, column 0 and the interior.  The bound
+rows (`bound_row`: row 0 then column 0, which the search keeps in one
+contiguous array) are compared first; only the few candidates left standing
+have their interiors read.
 """
 from dataclasses import dataclass
 from typing import Sequence
@@ -131,11 +131,11 @@ def not_simulated_batch(z: Dbm, rows: np.ndarray, zps: Sequence[Dbm],
                         prep: SimPrepared) -> np.ndarray:
     """Non-diagonal kernel: is there a point of z that no point of zp matches?
 
-    zps holds K candidate zones zp and rows, shape (K, 2n), their bound rows
-    (`bound_row`); entry k of the returned bool mask is True when some point
-    of z has no simulator in candidate k, which refutes the simulation.
-    Search feeds it every explored zone of a location at once, the diagonal
-    recursion one candidate (K = 1).
+    z is canonical and non-empty.  zps holds K candidate zones zp and rows,
+    shape (K, 2n), their bound rows (`bound_row`); entry k of the returned
+    bool mask is True when some point of z has no simulator in candidate k,
+    which refutes the simulation.  Search feeds it every explored zone of a
+    location at once, the diagonal recursion one candidate (K = 1).
 
     A witness point v forces a box on v': for each clock x where v meets the
     weakest upper of G, v'(x) <= v(x); for each clock y with a lower in G,
@@ -143,50 +143,46 @@ def not_simulated_batch(z: Dbm, rows: np.ndarray, zps: Sequence[Dbm],
     exactly when the tightened matrix has a negative cycle, and every such
     cycle threads the reference row, so it uses at most one forced upper and
     one forced lower.  Quantifying v away per cycle shape leaves three
-    conditions.
+    conditions, each a threshold per matrix entry of zp by two identities:
+    for finite encoded a, b, add(a, 1 - b) >= LE_ZERO iff b < a (I1), and
+    add(p, l) < LE_ZERO iff p < 2 - l, also for p = INF (I2).
 
-    The two single-sided ones are per-clock threshold tests.  For finite
-    encoded a, b: add(a, 1 - b) >= LE_ZERO iff b < a, and
-    add(p, l) < LE_ZERO iff p < 2 - l, also for p = INF.  So a forced upper
-    on x refutes when zp[0, x] < alpha[x], with alpha[x] = z[0, x] if z
-    reaches x's upper (z[0, x] > u_thr[x]) and NEVER otherwise; a forced
-    lower on y refutes when zp[y, 0] < beta[y] = min(z[y, 0], l_thr[y]).
-    Both run as one compare of the bound rows against alpha then beta.
-    Only the candidates it leaves standing have their matrices stacked, for
-    the two-sided condition: an upper on x against a lower on y closed
-    through zp[y, x].
+    Row 0 and column 0: a forced upper on x refutes when zp[0, x] < alpha[x],
+    with alpha[x] = z[0, x] if z reaches x's upper (z[0, x] > u_thr[x]) and
+    NEVER otherwise; a forced lower on y refutes when
+    zp[y, 0] < min(z[y, 0], l_thr[y]).  One compare of the bound rows.
+
+    The interior: an upper on x against a lower on y, x != y, closed through
+    a finite zp[y, x] (an unbounded one closes no cycle).  It refutes when z
+    cut by v(x) <= min(z[x, 0], u_enc[x], 1 - add(l_edge[y], zp[y, x])) and
+    v(x) - v(y) <= min(z[x, y], 1 - zp[y, x]) keeps a point, i.e. when its
+    cycles x0+0x, x0+0y+yx, xy+yx and xy+y0+0x are >= LE_ZERO.  Canonicity
+    (z[0, x] <= add(z[0, y], z[y, x]), z[y, x] <= add(z[y, 0], z[0, x]))
+    puts each three-edge cycle above a two-edge one, and non-emptiness
+    (add(z[x, 0], z[0, x]), add(z[x, y], z[y, x]) >= LE_ZERO) settles the
+    two-edge cycles through z's own bounds.  Left are: z reaches x's upper,
+    the test of alpha; zp[y, x] < z[y, x] by I1; and
+    add(l_edge[y], zp[y, x]) < z[0, x] by I1, which is
+    zp[y, x] < 2 - add(l_edge[y], 2 - z[0, x]) by I2 and associativity.
+    So the interior thresholds `inner` are the min of the two bounds on
+    pairs where z reaches x's upper, else NEVER; they hang on z and prep
+    alone, and only the candidates left standing are compared against them.
     """
     zm = z.m
     z0 = zm[0, 1:]
-    zx0 = zm[1:, 0]
-    thr = np.concatenate((np.where(z0 > prep.u_thr, z0, NEVER),
-                          np.minimum(zx0, prep.l_thr)))
+    reach = z0 > prep.u_thr
+    thr = np.concatenate((np.where(reach, z0, NEVER),
+                          np.minimum(zm[1:, 0], prep.l_thr)))
     out = (rows < thr).any(axis=1)
     if not prep.two_sided or out.all():
         return out
+    inner = np.where(prep.pairs & reach[None, :],
+                     np.minimum(2 - _add_mat(prep.l_edge[:, None], 2 - z0[None, :]),
+                                zm[1:, 1:]),
+                     NEVER)
     todo = np.flatnonzero(~out)
-    zd = zm[1:, 1:]
     pd = np.stack([zps[k].m[1:, 1:] for k in todo.tolist()])
-    guard = -(np.int64(1) << 50)
-    # an unbounded zp entry means the cycle can never go negative, so the
-    # cap collapses to an unsatisfiable bound rather than to "no constraint"
-    t = _add_mat(prep.l_edge[None, :, None], pd)
-    cap_l = np.where(t >= INF, NEVER, 1 - t)
-    cap_d = np.where(pd >= INF, NEVER, 1 - pd)
-    e_x0 = np.minimum(
-        np.minimum(zx0[None, None, :], prep.u_enc[None, None, :]), cap_l
-    )
-    e_xy = np.minimum(zd.T[None, :, :], cap_d)
-    c = (
-        prep.pairs
-        & (e_x0 > guard)
-        & (e_xy > guard)
-        & (_add_mat(e_x0, z0[None, None, :]) >= LE_ZERO)
-        & (_add_mat(e_xy, zd[None, :, :]) >= LE_ZERO)
-        & (_add_mat(_add_mat(e_x0, z0[None, :, None]), zd[None, :, :]) >= LE_ZERO)
-        & (_add_mat(_add_mat(e_xy, zx0[None, :, None]), z0[None, None, :]) >= LE_ZERO)
-    )
-    out[todo] = c.any(axis=(1, 2))
+    out[todo] = (pd < inner).any(axis=(1, 2))
     return out
 
 

@@ -15,6 +15,7 @@ from uta.benchgen import (
     gen_fig1_unguarded,
     gen_mine_pump,
 )
+from uta import cli
 from uta.cli import main
 from uta.format import parse, parse_file, print_network
 
@@ -87,6 +88,10 @@ edge P q0 q0 do: y=0
 edge P q0 q1 do: x=x-1099511627776
 edge P q1 q2 provided: x-y<1099511627776
 """
+
+
+def raise_memory_error(*args, **kwargs):
+    raise MemoryError
 
 
 def run(capsys, *argv):
@@ -163,6 +168,12 @@ class TestAnalyze:
         code, out, _ = run(capsys, "analyze", loop_file, "--dump-model")
         assert code == 0
         assert out.startswith("system loop\n")
+
+    def test_out_of_memory_exit_two(self, capsys, loop_file, monkeypatch):
+        monkeypatch.setattr(cli, "compute_gmap", raise_memory_error)
+        code, out, err = run(capsys, "analyze", loop_file)
+        assert (code, out) == (2, "")
+        assert err == "error: out of memory during static analysis\n"
 
 
 class TestReach:
@@ -273,6 +284,16 @@ class TestReach:
         assert code == 1
         assert "Reachable" in out
 
+    @pytest.mark.parametrize("name, phase", [("compute_gmap", "static analysis"),
+                                             ("reach", "search")])
+    def test_out_of_memory_exit_two(self, capsys, loop_file, monkeypatch,
+                                    name, phase):
+        # exit 1 would read as Reachable, so no traceback may escape
+        monkeypatch.setattr(cli, name, raise_memory_error)
+        code, out, err = run(capsys, "reach", loop_file, "--target", "q2")
+        assert (code, out) == (2, "")
+        assert err == f"error: out of memory during {phase}\n"
+
     def test_json_stats(self, capsys, loop_file):
         code, out, _ = run(capsys, "reach", loop_file, "--target", "q2",
                            "--format", "json")
@@ -282,6 +303,7 @@ class TestReach:
         assert doc["nodes"] == 4 and doc["pruned"] == 1
         assert doc["pruned_exact"] == 0 and doc["pruned_sim"] == 1
         assert doc["max_frontier"] == 2 and doc["disabled_assigns"] == 0
+        assert doc["kernel_candidates"] == 1 and doc["diag_calls"] == 1
         assert [step["state"] for step in doc["path"]] == ["q1", "q2"]
         assert doc["total_seconds"] >= doc["seconds"]
 

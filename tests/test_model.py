@@ -1,5 +1,7 @@
 """Core type behaviour: constraint normalization, valuations, updates."""
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -68,8 +70,27 @@ class TestNormalization:
         assert make_lower_diag(X, X, WEAK, 1) is BOTTOM    # 1 <= 0
 
     def test_natural_constant_enforced(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError):
             AtomicConstraint(Kind.UPPER, X, None, WEAK, -1)
+
+    def test_malformed_constraints_refused(self):
+        for args in ((Kind.TOP, X), (Kind.UPPER, X, Y, WEAK, 1),
+                     (Kind.UPPER, X, None, None, 1), (Kind.UPPER_DIAG, X, X, WEAK, 1),
+                     (Kind.LOWER_DIAG, X, None, WEAK, 1), (Kind.LOWER, X, None, WEAK, 2**63)):
+            with pytest.raises(ValueError):
+                AtomicConstraint(*args)
+
+    def test_natural_constant_enforced_under_optimize(self):
+        # python -O strips asserts; the invariants must not go with them
+        code = ("from uta.model import AtomicConstraint, Kind, WEAK\n"
+                "try:\n"
+                "    AtomicConstraint(Kind.UPPER, 0, None, WEAK, -1)\n"
+                "except ValueError as exc:\n"
+                "    print(exc)\n")
+        proc = subprocess.run([sys.executable, "-O", "-c", code],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert "constraint constant -1 is not a natural number" in proc.stdout
 
     def test_normalize_idempotent_and_semantics_preserving(self):
         rng = random.Random(20240811)

@@ -550,6 +550,32 @@ class TestStatsOutput:
             b.path,
         )
 
+    def test_kernel_counters_match_wrapped_calls(self, monkeypatch):
+        # the counters read what a profiler wrapping the scan's two calls reads
+        label, build, verdict = DESK_ROWS[2]
+        net = build()
+        gmaps = [compute_gmap(c) for c in net.components]
+        batched, recursion = search.not_simulated_batch, search.sim_zone_prepared
+        seen = {"candidates": 0, "diag": 0}
+
+        def scan(z, rows, zps, prep):
+            seen["candidates"] += len(rows)
+            return batched(z, rows, zps, prep)
+
+        def diag(z, zp, prep):
+            seen["diag"] += 1
+            return recursion(z, zp, prep)
+
+        monkeypatch.setattr(search, "not_simulated_batch", scan)
+        monkeypatch.setattr(search, "sim_zone_prepared", diag)
+        stats = reach(net, gmaps, "error")
+        assert stats.verdict == verdict, label
+        assert stats.kernel_candidates == seen["candidates"] >= 100, label
+        assert stats.diag_calls == seen["diag"] >= stats.pruned_sim > 0, label
+        doc = stats.to_json(net)
+        assert (doc["kernel_candidates"], doc["diag_calls"]) == (
+            stats.kernel_candidates, stats.diag_calls)
+
 
 class TestPrunedVersusUnpruned:
     def test_seeded_models_agree_and_pruning_never_grows_the_search(self):

@@ -1,5 +1,6 @@
 """Zone simulation decision vs the region-enumeration oracle."""
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +14,7 @@ from conftest import (
     random_zone_chain,
     sim_atom_ref,
 )
-from reference import initial_zone, intersect_all, sim_point, zone_of
+from reference import initial_zone, intersect_all, sim_point, universe, zone_of
 from uta.analysis import EMPTY_GSET, GSet, Mode, compute_gmap
 from uta.dbm import (
     EMPTY,
@@ -39,6 +40,7 @@ from uta.model import (
 from uta.simulation import (
     NEVER,
     SimQuery,
+    bound_row,
     brute_force_sim,
     not_simulated_batch,
     prepare,
@@ -400,6 +402,37 @@ class TestKernel:
         assert sim_zone_prepared(z, z, prep)
         crossed = prepare(GSet.of([make_upper(X, WEAK, 3), make_lower(Y, STRICT, 1)]), 2)
         assert batch_matches_reference(initial_zone(2), [], crossed).shape == (0,)
+
+    def test_two_sided_threshold(self):
+        # zones cut from the universe and the elapsed initial zone, against
+        # G-sets with an upper on one clock and a lower on another; a verdict
+        # is the two-sided stage's when the single-sided compare leaves the
+        # candidate standing and the kernel still refutes it
+        rng = random.Random(71)
+        decided = 0
+        for n in (2, 3):
+            zones = []
+            while len(zones) < 40:
+                base = rng.choice((universe(n), initial_zone(n)))
+                z = intersect_all(base, [random_atom(rng, n, 3)
+                                         for _ in range(rng.randint(1, 3))])
+                if z is not EMPTY and z not in zones:
+                    zones.append(z)
+            rows = np.array([bound_row(zp) for zp in zones])
+            for _ in range(20):
+                prep = prepare(EMPTY_GSET, n)
+                while not prep.two_sided:
+                    prep = prepare(GSet.of([
+                        rng.choice((make_upper, make_lower))(
+                            rng.randrange(n), rng.choice((WEAK, STRICT)),
+                            rng.randint(1, 3))
+                        for _ in range(rng.randint(2, 4))]), n)
+                single_sided = replace(prep, two_sided=False)
+                for z in zones:
+                    mask = batch_matches_reference(z, zones, prep)
+                    standing = ~not_simulated_batch(z, rows, zones, single_sided)
+                    decided += int((mask & standing).sum())
+        assert decided >= 500
 
     def test_prepare_matches_a_fold_over_the_atoms(self):
         rng = random.Random(61)
