@@ -18,6 +18,7 @@ so each lap is the previous one with every constant grown by delta.
 from __future__ import annotations
 
 import enum
+import time
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
@@ -27,15 +28,11 @@ from .model import (
     WEAK,
     AtomicConstraint,
     Automaton,
-    Const,
     Kind,
     Strictness,
     Update,
-    eval_const_cmp,
+    from_entry,
     make_lower,
-    make_lower_diag,
-    make_upper,
-    make_upper_diag,
 )
 
 
@@ -58,42 +55,14 @@ def up_inverse(phi: AtomicConstraint, up: Update) -> AtomicConstraint:
     """Preimage of an atomic constraint under an update, normalized.
 
     Characterized by: v satisfies the result iff up(v) satisfies phi,
-    whenever up(v) is defined.
+    whenever up(v) is defined.  Through ``x_i := x_si + oi`` (`Update.source`)
+    phi's entry ``x_i - x_j < c`` becomes ``x_si - x_sj < c - oi + oj``, a
+    zero-constant difference in phi's orientation.
     """
-    if phi.is_trivial:
-        return phi
-    s, c = phi.strictness, phi.constant
-    if phi.kind is Kind.UPPER:
-        u = up.get(phi.x)
-        if isinstance(u, Const):
-            return eval_const_cmp(u.value, s, c)
-        return make_upper(u.source, s, c - u.offset)
-    if phi.kind is Kind.LOWER:
-        u = up.get(phi.x)
-        if isinstance(u, Const):
-            return eval_const_cmp(c, s, u.value)
-        return make_lower(u.source, s, c - u.offset)
-    ux, uy = up.get(phi.x), up.get(phi.y)
-    if phi.kind is Kind.UPPER_DIAG:
-        if isinstance(ux, Const) and isinstance(uy, Const):
-            return eval_const_cmp(ux.value - uy.value, s, c)
-        if isinstance(ux, Const):
-            # e1 - (y'+e2) < c  becomes  e1-e2-c < y'
-            return make_lower(uy.source, s, ux.value - uy.offset - c)
-        if isinstance(uy, Const):
-            # (x'+d) - e2 < c  becomes  x' < c-d+e2
-            return make_upper(ux.source, s, c - ux.offset + uy.value)
-        return make_upper_diag(ux.source, uy.source, s, c - ux.offset + uy.offset)
-    # c < x - y
-    if isinstance(ux, Const) and isinstance(uy, Const):
-        return eval_const_cmp(c, s, ux.value - uy.value)
-    if isinstance(ux, Const):
-        # c < e1 - (y'+e2)  becomes  y' < e1-e2-c
-        return make_upper(uy.source, s, ux.value - uy.offset - c)
-    if isinstance(uy, Const):
-        # c < (x'+d) - e2  becomes  c-d+e2 < x'
-        return make_lower(ux.source, s, c - ux.offset + uy.value)
-    return make_lower_diag(ux.source, uy.source, s, c - ux.offset + uy.offset)
+    i, j, s, c = phi.entry()
+    si, oi = up.source(i)
+    sj, oj = up.source(j)
+    return from_entry(si, sj, s, c - oi + oj, phi.kind is Kind.LOWER_DIAG)
 
 
 def nonneg_source(x: int) -> AtomicConstraint:
@@ -333,6 +302,7 @@ def compute_gmap(
     a: Automaton,
     mode: Mode = Mode.REDUCED,
     budget_override: Optional[int] = None,
+    deadline: Optional[float] = None,
 ) -> GMap:
     """Iterate propagation to the least fixed point or a stop condition.
 
@@ -348,7 +318,8 @@ def compute_gmap(
     witness atoms, and ``iterations`` counts the sweeps run.  The step
     budget is a hard stop that the convergence guarantees make unreachable
     in reduced mode.  Plain preimage mode has no constant bound and can only
-    converge or exhaust the budget.
+    converge or exhaust the budget.  A sweep or pumped step begun after
+    deadline (a `time.monotonic` value) raises TimeoutError.
     """
     bounds = analysis_bounds(a)
     budget = bounds.budget if budget_override is None else budget_override
@@ -385,6 +356,7 @@ def compute_gmap(
         )
 
     while frontier:
+        _check_deadline(deadline)
         new_frontier: list[tuple[int, AtomicConstraint]] = []
         for qp, phi in frontier:
             for ei in edges_by_dst[qp]:
@@ -401,7 +373,8 @@ def compute_gmap(
         if mode is Mode.REDUCED:
             for q, phi in sorted(new_frontier, key=lambda r: r[0]):
                 if phi.constant > bounds.floor:
-                    witness = _witness(_chain(q, phi, parent), bounds, budget + 1)
+                    witness = _witness(_chain(q, phi, parent), bounds, budget + 1,
+                                       deadline)
                     if witness is not None:
                         for st in witness.steps:
                             sets[st.location].add(st.constraint)
@@ -410,6 +383,11 @@ def compute_gmap(
             return result(Status.BUDGET_EXHAUSTED)
         frontier = new_frontier
     return result(Status.CONVERGED)
+
+
+def _check_deadline(deadline: Optional[float]) -> None:
+    if deadline is not None and time.monotonic() > deadline:
+        raise TimeoutError("static analysis passed its deadline")
 
 
 def _chain(q: int, phi: AtomicConstraint, parent: ParentMap) -> list[PropStep]:
@@ -425,7 +403,8 @@ def _chain(q: int, phi: AtomicConstraint, parent: ParentMap) -> list[PropStep]:
 
 
 def _witness(
-    chain: list[PropStep], bounds: AnalysisBounds, max_depth: int
+    chain: list[PropStep], bounds: AnalysisBounds, max_depth: int,
+    deadline: Optional[float],
 ) -> Optional[PropagationSequence]:
     """Divergence witness extending chain, or None when it shows none.
 
@@ -437,11 +416,15 @@ def _witness(
     The shift is exact, as every cycle constant c lies above max(M, L).  A
     `table_cut` cut then depends only on which guard atoms exist, since their
     constants are at most M < c; a LOWER cut yields a constant at most M, so
-    never a cycle step.  The cases of `up_inverse` that depend on c (a sign
-    flip, a Const on the left clock of a difference) yield constants below
-    L, so never a cycle step either.  Each cycle step thus keeps its input's
-    strictness and subtracts a fixed offset from its constant, which holds
-    under +delta too.  `verify_witness` re-checks every step by propagation.
+    never a cycle step.  `up_inverse` takes the entry ``x_i - x_j < e`` to
+    ``x_si - x_sj < e - oi + oj``, where the indices and the offsets, each
+    at most L in absolute value, do not depend on e, and keeps the
+    strictness.  An upper form stores its entry's bound e as its constant
+    and a lower form stores -e.  A step whose form stays on its input's
+    side thus moves its constant by the fixed -oi + oj or oi - oj, which
+    holds under +delta too; one that changes side gets the constant
+    ±(oi - oj) - c <= 2L - c < L, so it is never a cycle step.
+    `verify_witness` re-checks every step by propagation.
     """
     cycle = _find_cycle(chain, bounds)
     if chain[-1].constraint.constant > bounds.N:
@@ -453,6 +436,7 @@ def _witness(
     while chain[-1].constraint.constant <= bounds.N:
         if len(chain) > max_depth:
             return None
+        _check_deadline(deadline)
         ref = chain[len(chain) - (j - i)]
         phi = ref.constraint.with_constant(ref.constraint.constant + delta)
         chain.append(PropStep(ref.location, phi, ref.edge))

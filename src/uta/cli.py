@@ -127,10 +127,13 @@ def cmd_reach(args) -> int:
     timeout = args.timeout if args.timeout is not None else _timeout_default()
     t0 = time.monotonic()
     args.phase = "static analysis"
-    gmaps = None
-    if not args.no_simulation:
-        gmaps = [compute_gmap(comp, Mode(args.method)) for comp in net.components]
-    remaining = timeout - (time.monotonic() - t0)
+    try:
+        gmaps = None if args.no_simulation else [
+            compute_gmap(comp, Mode(args.method), deadline=t0 + timeout)
+            for comp in net.components]
+        remaining = timeout - (time.monotonic() - t0)
+    except TimeoutError:
+        remaining = 0.0
     if remaining <= 0:
         print(f"error: timeout after {timeout:.0f}s (static analysis)",
               file=sys.stderr)

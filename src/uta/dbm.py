@@ -6,7 +6,9 @@ weak and ``2*value`` for strict; integer order then matches bound order
 ``a + b - ((a | b) & 1)``.  Infinity is a large even sentinel, masked out
 explicitly in matrix operations.  Matrix row/column 0 is the zero
 reference, so entry (i, j) bounds ``x_i - x_j`` with clock k at index
-k + 1.  All public operations return matrices in canonical (all-pairs
+k + 1.  The model states constraints and updates in these indices
+(`AtomicConstraint.entry`, `Update.source`); this module only encodes
+them.  All public operations return matrices in canonical (all-pairs
 tightest) form, or the EMPTY sentinel.
 """
 from __future__ import annotations
@@ -21,9 +23,7 @@ from .model import (
     STRICT,
     WEAK,
     AtomicConstraint,
-    Const,
     Kind,
-    Shift,
     Strictness,
     Update,
 )
@@ -96,17 +96,9 @@ def zero_zone(n_clocks: int) -> Dbm:
 
 
 def _atom_entry(phi: AtomicConstraint) -> tuple[int, int, int]:
-    """(row, col, encoded bound) for a proper constraint."""
-    s = phi.strictness
-    if phi.kind is Kind.UPPER:
-        return (phi.x + 1, 0, encode_bound(phi.constant, s))
-    if phi.kind is Kind.LOWER:
-        return (0, phi.x + 1, encode_bound(-phi.constant, s))
-    if phi.kind is Kind.UPPER_DIAG:
-        return (phi.x + 1, phi.y + 1, encode_bound(phi.constant, s))
-    if phi.kind is Kind.LOWER_DIAG:
-        return (phi.y + 1, phi.x + 1, encode_bound(-phi.constant, s))
-    raise ValueError(f"no matrix entry for {phi.kind}")
+    """(row, col, encoded bound) of the constraint's `entry`."""
+    i, j, s, c = phi.entry()
+    return (i, j, encode_bound(c, s))
 
 
 def _tighten(m: np.ndarray, i: int, j: int, b: int) -> bool:
@@ -161,17 +153,8 @@ def constrain(d: Zone, cut: Iterable[Triple]) -> Zone:
 
 
 def _substitution(up: Update, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per matrix index: source index and offset, with x := c read as a
-    shift of the zero reference."""
-    src = np.arange(n + 1, dtype=np.int64)
-    off = np.zeros(n + 1, dtype=np.int64)
-    for x, u in up.entries:
-        if isinstance(u, Const):
-            src[x + 1] = 0
-            off[x + 1] = u.value
-        else:
-            src[x + 1] = u.source + 1
-            off[x + 1] = u.offset
+    """Per matrix index: source index and offset (`Update.source`)."""
+    src, off = np.array([up.source(i) for i in range(n + 1)], dtype=np.int64).T
     return src, off
 
 
@@ -196,12 +179,12 @@ def compile_step(guard: Iterable[AtomicConstraint], up: Update,
     cut = list(encode_atoms(guard))
     if up.is_identity:
         return Step(tuple(cut))
-    for x, u in up.entries:
-        d = u.value if isinstance(u, Const) else u.offset
+    for x in up.written():
+        si, d = up.source(x + 1)
         if abs(d) > MAX_CONST:
             raise OverflowError(f"update constant {d} too large for zone arithmetic")
-        if isinstance(u, Shift) and d < 0:
-            cut.append((0, u.source + 1, encode_bound(d, WEAK)))
+        if d < 0:  # a reset x := c has c >= 0, so this is x := y+d
+            cut.append((0, si, encode_bound(d, WEAK)))
     src, off = _substitution(up, n_clocks)
     flat = src[:, None] * (n_clocks + 1) + src[None, :]
     delta = 2 * (off[:, None] - off[None, :])

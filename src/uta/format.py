@@ -40,10 +40,7 @@ from .model import (
     Network,
     Shift,
     Update,
-    make_lower,
-    make_lower_diag,
-    make_upper,
-    make_upper_diag,
+    from_entry,
 )
 
 
@@ -454,9 +451,7 @@ class _Parser:
             c = self._clock_const(rhs, sp)
             if c is None:
                 return False
-            x = self.clock_index[lhs]
-            return self._bounds(op, sp, clock_atoms, lambda s: make_upper(x, s, c),
-                                lambda s: make_lower(x, s, c))
+            return self._bounds(op, self.clock_index[lhs] + 1, 0, c, sp, clock_atoms)
         if kind == "int":
             var = self.int_index[lhs]
             if rhs_num:
@@ -482,22 +477,23 @@ class _Parser:
         c = self._clock_const(const, sp)
         if c is None:
             return False
-        x, y = self.clock_index[xn], self.clock_index[yn]
         if const_left:
             op = _FLIP[op]
         # op now reads as: x - y <op> c
-        return self._bounds(op, sp, out, lambda s: make_upper_diag(x, y, s, c),
-                            lambda s: make_lower_diag(x, y, s, c))
+        return self._bounds(op, self.clock_index[xn] + 1, self.clock_index[yn] + 1,
+                            c, sp, out)
 
-    def _bounds(self, op, sp, out, upper, lower) -> bool:
-        """Append the atoms of comparison op, upper and lower building each
-        bound from its strictness.  Trivially true atoms are dropped; false
-        ones are kept so the guard stays visibly unsatisfiable."""
+    def _bounds(self, op, i, j, c, sp, out) -> bool:
+        """Append the upper and lower bound atoms of ``x_i - x_j <op> c``
+        over DBM indices, the lower one in its written orientation.  Trivially
+        true atoms are dropped; false ones are kept so the guard stays
+        visibly unsatisfiable."""
         if op not in _CLOCK_OPS:
             self.err(sp, "'!=' is not expressible as a conjunction of clock atoms")
             return False
-        for make, s in zip((upper, lower), _CLOCK_OPS[op]):
-            if s is not None and (phi := make(s)).kind is not Kind.TOP:
+        sides = ((i, j, c, False), (j, i, -c, True))
+        for s, (p, q, d, low) in zip(_CLOCK_OPS[op], sides):
+            if s is not None and (phi := from_entry(p, q, s, d, low)).kind is not Kind.TOP:
                 out.append(phi)
         return True
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
@@ -91,6 +91,21 @@ class AtomicConstraint:
             return (self.x, self.y)
         return (self.x,)
 
+    def entry(self) -> tuple[int, int, Strictness, int]:
+        """The atom as ``x_i - x_j < c`` or ``<= c`` over DBM indices: (i, j,
+        strictness, c), clock k at index k + 1 and index 0 the constant 0.
+        TOP is ``0 - 0 <= 0`` and BOTTOM ``0 - 0 < 0``; `from_entry` inverts."""
+        k = self.kind
+        if k is Kind.UPPER:
+            return (self.x + 1, 0, self.strictness, self.constant)
+        if k is Kind.LOWER:
+            return (0, self.x + 1, self.strictness, -self.constant)
+        if k is Kind.UPPER_DIAG:
+            return (self.x + 1, self.y + 1, self.strictness, self.constant)
+        if k is Kind.LOWER_DIAG:
+            return (self.y + 1, self.x + 1, self.strictness, -self.constant)
+        return (0, 0, WEAK if k is Kind.TOP else STRICT, 0)
+
     def context(self) -> tuple:
         """Shape of the constraint without its constant and strictness."""
         return (self.kind, self.x, self.y)
@@ -147,21 +162,29 @@ def make_lower(x: int, strictness: Strictness, c: int) -> AtomicConstraint:
     return AtomicConstraint(Kind.LOWER, x, None, strictness, c)
 
 
-def make_upper_diag(x: int, y: int, strictness: Strictness, c: int) -> AtomicConstraint:
-    if x == y:
+def from_entry(i: int, j: int, strictness: Strictness, c: int,
+               lower: bool = False) -> AtomicConstraint:
+    """Normalized atom for ``x_i - x_j < c`` (or ``<= c``) over DBM indices:
+    TOP or BOTTOM for i == j, else upper, lower or diagonal, the diagonal as
+    ``-c < x_j - x_i`` when c < 0, or when c == 0 and lower is set, so that
+    a zero-constant atom keeps the orientation it was written in."""
+    if i == j:
         return eval_const_cmp(0, strictness, c)
-    if c < 0:
-        # x - y < c  with c < 0  is  -c < y - x  with the same strictness.
-        return AtomicConstraint(Kind.LOWER_DIAG, y, x, strictness, -c)
-    return AtomicConstraint(Kind.UPPER_DIAG, x, y, strictness, c)
+    if j == 0:
+        return make_upper(i - 1, strictness, c)
+    if i == 0:
+        return make_lower(j - 1, strictness, -c)
+    if c < 0 or (c == 0 and lower):
+        return AtomicConstraint(Kind.LOWER_DIAG, j - 1, i - 1, strictness, -c)
+    return AtomicConstraint(Kind.UPPER_DIAG, i - 1, j - 1, strictness, c)
+
+
+def make_upper_diag(x: int, y: int, strictness: Strictness, c: int) -> AtomicConstraint:
+    return from_entry(x + 1, y + 1, strictness, c)
 
 
 def make_lower_diag(x: int, y: int, strictness: Strictness, c: int) -> AtomicConstraint:
-    if x == y:
-        return eval_const_cmp(c, strictness, 0)
-    if c < 0:
-        return AtomicConstraint(Kind.UPPER_DIAG, y, x, strictness, -c)
-    return AtomicConstraint(Kind.LOWER_DIAG, x, y, strictness, c)
+    return from_entry(y + 1, x + 1, strictness, -c, lower=True)
 
 
 Number = Union[int, Fraction]
@@ -217,12 +240,15 @@ class Update:
     """Simultaneous total clock update; unlisted clocks keep their value."""
 
     entries: tuple[tuple[int, ClockUpdate], ...] = ()
+    # `source` of each written clock's index, built once for every preimage
+    _sources: dict[int, tuple[int, int]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        seen = set()
-        for x, _ in self.entries:
-            assert x not in seen, "one assignment per clock"
-            seen.add(x)
+        for x, u in self.entries:
+            assert x + 1 not in self._sources, "one assignment per clock"
+            self._sources[x + 1] = ((0, u.value) if isinstance(u, Const)
+                                    else (u.source + 1, u.offset))
 
     @staticmethod
     def of(mapping: Mapping[int, ClockUpdate]) -> "Update":
@@ -241,6 +267,11 @@ class Update:
                 return u
         return Shift(x, 0)
 
+    def source(self, i: int) -> tuple[int, int]:
+        """(source, offset) with ``x_i := x_source + offset`` over DBM
+        indices, index 0 being the constant 0: ``x := c`` is (0, c)."""
+        return self._sources.get(i, (i, 0))
+
     @property
     def is_identity(self) -> bool:
         return not self.entries
@@ -253,10 +284,7 @@ class Update:
 
     def max_offset(self) -> int:
         """Largest absolute constant among assignments (0 if identity)."""
-        best = 0
-        for _, u in self.entries:
-            best = max(best, abs(u.offset) if isinstance(u, Shift) else u.value)
-        return best
+        return max((abs(off) for _, off in self._sources.values()), default=0)
 
 
 IDENTITY_UPDATE = Update()

@@ -38,8 +38,6 @@ from .dbm import (
     Step,
     Triple,
     compile_step,
-    constrain,
-    elapse,
     encode_atoms,
     successor,
     zero_zone,
@@ -350,10 +348,9 @@ def _initial_node(net: Network, compiled: CompiledNet) -> Optional[SearchNode]:
     locs = tuple(c.initial for c in net.components)
     ints = net.int_initials()
     invariant, do_elapse = compiled.target(locs)
-    # the invariant must already hold at the all-zero starting point
-    z = constrain(zero_zone(compiled.n_clocks), invariant)
-    if z is not EMPTY and do_elapse:
-        z = constrain(elapse(z), invariant)
+    # a move with no guard or update into the initial locations: the
+    # invariant must already hold at the all-zero starting point
+    z = successor(zero_zone(compiled.n_clocks), Step(()), invariant, do_elapse)
     if z is EMPTY:
         return None
     return SearchNode(ProductLoc(locs, ints), z)

@@ -1,7 +1,9 @@
 """Shared builders and reference predicates for the test suite."""
+import os
 import random
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 from reference import delayed
 from uta.benchgen import gen_fig1, gen_fig1_unguarded
@@ -28,6 +30,15 @@ from uta.model import (
     make_upper_diag,
     satisfies,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def child_env() -> dict[str, str]:
+    """The environment with the package source first on PYTHONPATH, so that
+    a child interpreter imports this checkout's uta."""
+    rest = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": str(SRC) + (os.pathsep + rest if rest else "")}
 
 
 def fig1_automaton(guard_on: bool = True) -> Automaton:

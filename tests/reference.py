@@ -6,8 +6,9 @@ conjunctions, the zone image of an update directly and through its
 defining relation, closure of an arbitrary bound matrix, exact point
 membership, plain zone equality and printing, building, complementing and
 delaying constraints and valuations, pointwise simulation, the syntactic
-boundedness test and the capping transform behind it, one synchronous
-propagation sweep of the constraint analysis, the analysis swept until a
+boundedness test and the capping transform behind it, the preimage of a
+constraint under an update case by case, one synchronous propagation
+sweep of the constraint analysis, the analysis swept until a
 constant exceeds its bound, and the constraint set of a product location
 as the union of its components' sets.
 """
@@ -60,6 +61,7 @@ from uta.model import (
     Strictness,
     Update,
     Valuation,
+    eval_const_cmp,
     make_lower,
     make_lower_diag,
     make_upper,
@@ -253,6 +255,48 @@ def sim_point(v: Valuation, vp: Valuation, g: GSet) -> bool:
         if satisfies(v, phi) and not satisfies(vp, phi):
             return False
     return True
+
+
+def up_inverse(phi: AtomicConstraint, up: Update) -> AtomicConstraint:
+    """Preimage of an atomic constraint under an update, normalized.
+
+    Characterized by: v satisfies the result iff up(v) satisfies phi,
+    whenever up(v) is defined.
+    """
+    if phi.is_trivial:
+        return phi
+    s, c = phi.strictness, phi.constant
+    if phi.kind is Kind.UPPER:
+        u = up.get(phi.x)
+        if isinstance(u, Const):
+            return eval_const_cmp(u.value, s, c)
+        return make_upper(u.source, s, c - u.offset)
+    if phi.kind is Kind.LOWER:
+        u = up.get(phi.x)
+        if isinstance(u, Const):
+            return eval_const_cmp(c, s, u.value)
+        return make_lower(u.source, s, c - u.offset)
+    ux, uy = up.get(phi.x), up.get(phi.y)
+    if phi.kind is Kind.UPPER_DIAG:
+        if isinstance(ux, Const) and isinstance(uy, Const):
+            return eval_const_cmp(ux.value - uy.value, s, c)
+        if isinstance(ux, Const):
+            # e1 - (y'+e2) < c  becomes  e1-e2-c < y'
+            return make_lower(uy.source, s, ux.value - uy.offset - c)
+        if isinstance(uy, Const):
+            # (x'+d) - e2 < c  becomes  x' < c-d+e2
+            return make_upper(ux.source, s, c - ux.offset + uy.value)
+        return make_upper_diag(ux.source, uy.source, s, c - ux.offset + uy.offset)
+    # c < x - y
+    if isinstance(ux, Const) and isinstance(uy, Const):
+        return eval_const_cmp(c, s, ux.value - uy.value)
+    if isinstance(ux, Const):
+        # c < e1 - (y'+e2)  becomes  y' < e1-e2-c
+        return make_upper(uy.source, s, ux.value - uy.offset - c)
+    if isinstance(uy, Const):
+        # c < (x'+d) - e2  becomes  c-d+e2 < x'
+        return make_lower(ux.source, s, c - ux.offset + uy.value)
+    return make_lower_diag(ux.source, uy.source, s, c - ux.offset + uy.offset)
 
 
 def kleene_step(

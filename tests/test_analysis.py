@@ -1,4 +1,5 @@
 """Constraint propagation: preimages, guard cuts, fixed points, divergence."""
+import itertools
 import random
 from collections import Counter
 from dataclasses import replace
@@ -14,7 +15,13 @@ from conftest import (
     sim_atom_grid,
     sim_atom_ref,
 )
-from reference import bound_transform, check_syntactically_bounded, kleene_step, sweep_gmap
+from reference import (
+    bound_transform,
+    check_syntactically_bounded,
+    kleene_step,
+    sweep_gmap,
+    up_inverse as case_up_inverse,
+)
 from uta.analysis import (
     GSet,
     Mode,
@@ -25,6 +32,7 @@ from uta.analysis import (
     edge_context,
     extract_lu,
     g0,
+    nonneg_source,
     report_json,
     up_inverse,
     verify_witness,
@@ -98,6 +106,26 @@ class TestUpInverse:
         phi = make_upper_diag(X, Y, STRICT, 2)
         up = Update.of({X: Shift(2, 3), Y: Shift(2, 0)})
         assert up_inverse(phi, up) is BOTTOM
+
+    def test_matches_case_by_case_reference(self):
+        # every normalized two-clock atom with constants 0..4, and the
+        # un-normalized 0 <= x the analysis takes back, under every update
+        # of identity, x := 0..3 and x := y + (-2..2) per clock; == compares
+        # kind and orientation, so 0 <= x-y must not come back as y-x <= 0
+        atoms = [nonneg_source(X), nonneg_source(Y)]
+        for s, c, x in itertools.product((STRICT, WEAK), range(5), (X, Y)):
+            atoms += [make_upper(x, s, c), make_lower(x, s, c),
+                      make_upper_diag(x, 1 - x, s, c), make_lower_diag(x, 1 - x, s, c)]
+        choices = ([None] + [Const(v) for v in range(4)]
+                   + [Shift(src, d) for src in (X, Y) for d in range(-2, 3)])
+        zero_diag = 0
+        for ux, uy in itertools.product(choices, repeat=2):
+            up = Update.of({x: u for x, u in ((X, ux), (Y, uy)) if u is not None})
+            for phi in atoms:
+                want = case_up_inverse(phi, up)
+                assert up_inverse(phi, up) == want, (phi, up)
+                zero_diag += want.is_diagonal and want.constant == 0
+        assert zero_diag > 100
 
     def test_preimage_semantics_random(self):
         rng = random.Random(314159)

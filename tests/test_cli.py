@@ -1,10 +1,13 @@
 """Exit codes, report shapes, and generation round-trips for the uta tool."""
 import json
+import resource
 import subprocess
 import sys
+import time
 
 import pytest
 
+from conftest import child_env
 from uta.benchgen import (
     FLOWER,
     CounterAutomaton,
@@ -88,6 +91,26 @@ edge P q0 q0 do: y=0
 edge P q0 q1 do: x=x-1099511627776
 edge P q1 q2 provided: x-y<1099511627776
 """
+
+# analyses that do not end on their own: with bound 2^40 the first growth
+# cycle is pumped toward N = 25 * 2^40, with bound 1 toward N = 2.7e13
+PUMP = """\
+system pump
+clock x
+clock y
+process P
+location P q0 initial
+location P q1
+location P q2
+edge P q0 q1 do: x=x-1
+edge P q1 q0
+edge P q1 q2 provided: x-y<{bound}
+edge P q2 q2 do: y=1099511627776
+"""
+
+
+def limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
 
 
 def raise_memory_error(*args, **kwargs):
@@ -211,6 +234,20 @@ class TestReach:
                            "--no-simulation")
         assert code == 2
         assert "timeout" in err
+
+    @pytest.mark.parametrize("bound", ["1099511627776", "1"])
+    def test_timeout_bounds_the_analysis(self, tmp_path, bound):
+        path = tmp_path / "pump.uta"
+        path.write_text(PUMP.format(bound=bound))
+        t0 = time.monotonic()
+        proc = subprocess.run(
+            [sys.executable, "-m", "uta.cli", "reach", str(path), "--target", "q2",
+             "--timeout", "1"],
+            capture_output=True, text=True, timeout=60, env=child_env(),
+            preexec_fn=limit_address_space)
+        assert time.monotonic() - t0 < 10
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "error: timeout after 1s (static analysis)\n"
 
     def test_flag_beats_env(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "spin.uta"
@@ -376,6 +413,6 @@ class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "uta.cli", "gen", "fig1", "-o", "-"],
-            capture_output=True, text=True, timeout=60)
+            capture_output=True, text=True, timeout=60, env=child_env())
         assert proc.returncode == 0
         assert parse(proc.stdout) == gen_fig1()

@@ -5,6 +5,7 @@ import pytest
 
 from uta.format import (
     ParseErrors,
+    guard_to_str,
     parse,
     print_network,
 )
@@ -158,6 +159,25 @@ def test_flipped_comparison_forms():
             guard(atom)
         assert [e.message for e in exc.value.errors] == [
             "'!=' is not expressible as a conjunction of clock atoms"]
+
+
+def test_zero_constant_forms_keep_orientation():
+    # at constant 0, 0<=x-y and y-x<=0 are one constraint in two
+    # orientations; the parsed and printed model keeps the one written
+    printed = {
+        "x<0": "false", "x<=0": "x<=0", "x>0": "0<x", "x>=0": "", "x==0": "x<=0",
+        "0<x": "0<x", "0<=x": "", "0>x": "false", "0>=x": "x<=0", "0==x": "x<=0",
+        "x-y<0": "x-y<0", "x-y<=0": "x-y<=0", "x-y>0": "0<x-y", "x-y>=0": "0<=x-y",
+        "x-y==0": "x-y<=0 && 0<=x-y", "0<x-y": "0<x-y", "0<=x-y": "0<=x-y",
+        "0>x-y": "x-y<0", "0>=x-y": "x-y<=0", "0==x-y": "x-y<=0 && 0<=x-y",
+    }
+    for atom, want in printed.items():
+        net = parse("system s\nclock x\nclock y\nprocess P\nlocation P a initial\n"
+                    f"location P b\nedge P a b provided: {atom}\n")
+        guard = net.components[0].edges[0].guard
+        assert guard_to_str(guard, net.clocks) == want, atom
+        if want != "false":  # the parser reads no 'false' atom
+            assert parse(print_network(net)) == net
 
 
 def test_trivial_atoms_dropped():

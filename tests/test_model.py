@@ -1,4 +1,5 @@
 """Core type behaviour: constraint normalization, valuations, updates."""
+import itertools
 import random
 import subprocess
 import sys
@@ -6,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import child_env
 from reference import delayed, negate_atomic, normalize_atomic
 from uta.model import (
     BOTTOM,
@@ -19,6 +21,7 @@ from uta.model import (
     Shift,
     Update,
     apply_update,
+    from_entry,
     make_lower,
     make_lower_diag,
     make_upper,
@@ -88,7 +91,8 @@ class TestNormalization:
                 "except ValueError as exc:\n"
                 "    print(exc)\n")
         proc = subprocess.run([sys.executable, "-O", "-c", code],
-                              capture_output=True, text=True, timeout=60)
+                              capture_output=True, text=True, timeout=60,
+                              env=child_env())
         assert proc.returncode == 0, proc.stderr
         assert "constraint constant -1 is not a natural number" in proc.stdout
 
@@ -124,6 +128,44 @@ class TestNormalization:
                     d = v[x] - v[y]
                     want = c < d if s is STRICT else c <= d
                 assert satisfies(v, phi) == want
+
+
+class TestEntries:
+    @staticmethod
+    def atoms(n_clocks, constants):
+        out = [TOP, BOTTOM]
+        for s, c, x in itertools.product((STRICT, WEAK), constants, range(n_clocks)):
+            out += [make_upper(x, s, c), make_lower(x, s, c)]
+            out += [make(x, y, s, c) for y in range(n_clocks) if y != x
+                    for make in (make_upper_diag, make_lower_diag)]
+        return out
+
+    def test_round_trip(self):
+        # a zero-constant difference keeps its orientation only through lower
+        atoms = self.atoms(3, range(4))
+        assert AtomicConstraint(Kind.LOWER_DIAG, X, Y, WEAK, 0) in atoms
+        for phi in atoms:
+            assert from_entry(*phi.entry(), lower=phi.kind is Kind.LOWER_DIAG) == phi
+
+    def test_entry_means_the_constraint(self):
+        points = list(itertools.product(range(4), repeat=3))
+        for phi in self.atoms(3, range(4)):
+            i, j, s, c = phi.entry()
+            for p in points:
+                at = (0,) + p
+                diff = at[i] - at[j]
+                assert satisfies(dict(enumerate(p)), phi) == (
+                    diff < c if s is STRICT else diff <= c)
+
+    def test_from_entry_normalizes_raw_bounds(self):
+        for i, j, s, c in itertools.product(range(3), range(3), (STRICT, WEAK), range(-3, 4)):
+            for lower in (False, True):
+                phi = from_entry(i, j, s, c, lower)
+                assert phi is TOP or phi is BOTTOM or phi.constant >= 0
+                for v in itertools.product(range(4), repeat=2):
+                    at = (0,) + v
+                    want = at[i] - at[j] < c if s is STRICT else at[i] - at[j] <= c
+                    assert satisfies(dict(enumerate(v)), phi) == want
 
 
 class TestNegation:
@@ -203,6 +245,20 @@ class TestUpdates:
                 assert out[X] == v[Y] + up.get(X).offset
                 assert out[Y] == v[Z] + up.get(Y).offset
                 assert out[Z] == v[X] + up.get(Z).offset
+
+    def test_source_reads_the_update(self):
+        rng = random.Random(11)
+        for _ in range(200):
+            up = Update.of({x: rng.choice((Const(rng.randint(0, 3)),
+                                           Shift(rng.randrange(3), rng.randint(-2, 2))))
+                            for x in rng.sample(range(3), rng.randint(0, 3))})
+            v = {k: rng.randint(2, 9) for k in range(3)}
+            out = apply_update(up, v)
+            at = [0] + [v[k] for k in range(3)]
+            assert up.source(0) == (0, 0)
+            for x in range(3):
+                si, off = up.source(x + 1)
+                assert out[x] == at[si] + off
 
     def test_max_offset(self):
         up = Update.of({X: Shift(Y, -7), Y: Const(3)})
