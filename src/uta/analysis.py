@@ -29,7 +29,6 @@ from .model import (
     AtomicConstraint,
     Automaton,
     Kind,
-    Strictness,
     Update,
     from_entry,
     make_lower,
@@ -519,46 +518,7 @@ def verify_witness(gmap: GMap, a: Automaton) -> list[str]:
 
 
 # --------------------------------------------------------------------------
-# Summaries and checks
-
-
-Bound = Optional[tuple[int, Strictness]]
-
-
-@dataclass(frozen=True)
-class LUBounds:
-    """Per-clock maxima of lower/upper non-diagonal constraints.
-
-    None encodes "no constraint of that kind".  At equal constants the weak
-    variant dominates the strict one.
-    """
-
-    lower: tuple[Bound, ...]
-    upper: tuple[Bound, ...]
-
-    @staticmethod
-    def key(b: Bound) -> int:
-        if b is None:
-            return -1
-        return 2 * b[0] + int(b[1])
-
-    def dominated_by(self, other: "LUBounds") -> bool:
-        return all(
-            self.key(a) <= self.key(b) for a, b in zip(self.lower, other.lower)
-        ) and all(
-            self.key(a) <= self.key(b) for a, b in zip(self.upper, other.upper)
-        )
-
-
-def extract_lu(g: GSet, n_clocks: int) -> LUBounds:
-    lower: list[Bound] = [None] * n_clocks
-    upper: list[Bound] = [None] * n_clocks
-    for phi in g.nond:
-        cand = (phi.constant, phi.strictness)
-        table = upper if phi.kind is Kind.UPPER else lower
-        if table[phi.x] is None or LUBounds.key(table[phi.x]) < LUBounds.key(cand):
-            table[phi.x] = cand
-    return LUBounds(tuple(lower), tuple(upper))
+# Checks
 
 
 def check_closure(gmap: GMap, a: Automaton) -> bool:

@@ -12,7 +12,6 @@ and task completion is fanned out by the scheduler (``sub``/``wcdone``
 chains) through committed states, all in zero time.
 """
 import random
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -405,39 +404,6 @@ class CounterAutomaton:
                 raise ValueError(f"transition ({src},{p},{dst}) uses unknown state")
             if abs(p) > self.bound:
                 raise ValueError(f"step {p} exceeds the counter bound {self.bound}")
-
-
-def counter_run(b: CounterAutomaton):
-    """Shortest run (state, value) ... to the target, or None."""
-    start = (b.initial, 0)
-    parent: dict[tuple[str, int], Optional[tuple[str, int]]] = {start: None}
-    queue = deque([start])
-    goal = None
-    while queue:
-        cur = queue.popleft()
-        if cur[0] == b.target:
-            goal = cur
-            break
-        state, value = cur
-        for src, p, dst in b.transitions:
-            if src != state:
-                continue
-            nxt = (dst, value + p)
-            if 0 <= nxt[1] <= b.bound and nxt not in parent:
-                parent[nxt] = cur
-                queue.append(nxt)
-    if goal is None:
-        return None
-    path = []
-    at: Optional[tuple[str, int]] = goal
-    while at is not None:
-        path.append(at)
-        at = parent[at]
-    return tuple(reversed(path))
-
-
-def counter_reach_oracle(b: CounterAutomaton) -> bool:
-    return counter_run(b) is not None
 
 
 def _fresh_name(base: str, used) -> str:

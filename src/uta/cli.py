@@ -49,6 +49,11 @@ def _timeout_default() -> float:
     return DEFAULT_TIMEOUT
 
 
+def _timed_out(timeout: float, phase: str) -> int:
+    print(f"error: timeout after {timeout:.0f}s ({phase})", file=sys.stderr)
+    return EXIT_ERROR
+
+
 def _load(path: str, allow_shared: bool) -> Optional[Network]:
     try:
         net = parse_file(path)
@@ -84,15 +89,16 @@ def cmd_analyze(args) -> int:
     if args.dump_model:
         sys.stdout.write(print_network(net))
     mode = Mode(args.method)
+    timeout = _timeout_default()
     args.phase = "static analysis"
     t0 = time.monotonic()
-    reports = []
-    all_converged = True
-    for comp in net.components:
-        gmap = compute_gmap(comp, mode)
-        reports.append(report_json(comp, gmap))
-        if gmap.status is not Status.CONVERGED:
-            all_converged = False
+    try:
+        gmaps = [compute_gmap(comp, mode, deadline=t0 + timeout)
+                 for comp in net.components]
+    except TimeoutError:
+        return _timed_out(timeout, args.phase)
+    reports = [report_json(comp, g) for comp, g in zip(net.components, gmaps)]
+    all_converged = all(g.status is Status.CONVERGED for g in gmaps)
     seconds = time.monotonic() - t0
     if args.out_format == "json":
         print(json.dumps(
@@ -135,9 +141,7 @@ def cmd_reach(args) -> int:
     except TimeoutError:
         remaining = 0.0
     if remaining <= 0:
-        print(f"error: timeout after {timeout:.0f}s (static analysis)",
-              file=sys.stderr)
-        return EXIT_ERROR
+        return _timed_out(timeout, args.phase)
     args.phase = "search"
     try:
         stats = reach(net, gmaps, args.target, timeout=remaining)
@@ -157,8 +161,7 @@ def cmd_reach(args) -> int:
         return EXIT_POSITIVE
     if stats.verdict == UNREACHABLE:
         return EXIT_NEGATIVE
-    print(f"error: timeout after {timeout:.0f}s (search)", file=sys.stderr)
-    return EXIT_ERROR
+    return _timed_out(timeout, args.phase)
 
 
 def _parse_tasks(text: str) -> tuple[TaskSpec, ...]:

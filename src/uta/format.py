@@ -11,10 +11,10 @@ One directive per line, ``#`` starts a comment:
     edge <proc> <src> <dst> [provided: <conj>] [do: <upd>{; <upd>}] [sync: <event>! | <event>?]
 
 Conjunctions are ``&&``-joined atoms (``x<=3``, ``1<x``, ``x-y<2``,
-``2<=x-y``, integer comparisons); updates are ``x=c``, ``x=y+d``, ``x=y-d``
-or integer sums (``n=n+1``).  Every identifier is declared before use; clock
-constraint constants, reset values and shift offsets must be natural and at
-most ``MAX_CONST`` (2^40).
+``2<=x-y``, ``false``, integer comparisons); updates are ``x=c``,
+``x=y+d``, ``x=y-d`` or integer sums (``n=n+1``).  Every identifier is
+declared before use; clock constraint constants, reset values and shift
+offsets must be natural and at most ``MAX_CONST`` (2^40).
 """
 from __future__ import annotations
 
@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .model import (
+    BOTTOM,
     INT64_MAX,
     MAX_CONST,
     STRICT,
@@ -421,6 +422,9 @@ class _Parser:
         return val
 
     def _parse_atom(self, atom: str, sp, clock_atoms, int_atoms) -> bool:
+        if atom == "false":  # how an unsatisfiable clock atom prints
+            clock_atoms.append(BOTTOM)
+            return True
         m = _DIAG_L.match(atom)
         if m:
             return self._diag_atom(m.group(1), m.group(2), m.group(3), m.group(4),

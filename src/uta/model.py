@@ -10,7 +10,6 @@ from __future__ import annotations
 import enum
 import operator
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
 INT64_MIN = -(2**63)
@@ -187,26 +186,6 @@ def make_lower_diag(x: int, y: int, strictness: Strictness, c: int) -> AtomicCon
     return from_entry(y + 1, x + 1, strictness, -c, lower=True)
 
 
-Number = Union[int, Fraction]
-Valuation = Mapping[int, Number]
-
-
-def satisfies(v: Valuation, phi: AtomicConstraint) -> bool:
-    if phi.kind is Kind.TOP:
-        return True
-    if phi.kind is Kind.BOTTOM:
-        return False
-    if phi.kind is Kind.UPPER:
-        lhs, rhs = v[phi.x], phi.constant
-    elif phi.kind is Kind.LOWER:
-        lhs, rhs = phi.constant, v[phi.x]
-    elif phi.kind is Kind.UPPER_DIAG:
-        lhs, rhs = v[phi.x] - v[phi.y], phi.constant
-    else:
-        lhs, rhs = phi.constant, v[phi.x] - v[phi.y]
-    return lhs < rhs if phi.strictness is STRICT else lhs <= rhs
-
-
 # --------------------------------------------------------------------------
 # Clock updates
 
@@ -261,12 +240,6 @@ class Update:
         )
         return Update(entries)
 
-    def get(self, x: int) -> ClockUpdate:
-        for cx, u in self.entries:
-            if cx == x:
-                return u
-        return Shift(x, 0)
-
     def source(self, i: int) -> tuple[int, int]:
         """(source, offset) with ``x_i := x_source + offset`` over DBM
         indices, index 0 being the constant 0: ``x := c`` is (0, c)."""
@@ -288,21 +261,6 @@ class Update:
 
 
 IDENTITY_UPDATE = Update()
-
-
-def apply_update(up: Update, v: Valuation) -> Optional[dict[int, Number]]:
-    """Apply all assignments simultaneously over the pre-valuation.
-
-    Returns None when some clock would go negative (the transition is
-    disabled at ``v``).
-    """
-    out = dict(v)
-    for x, u in up.entries:
-        val = u.value if isinstance(u, Const) else v[u.source] + u.offset
-        if val < 0:
-            return None
-        out[x] = val
-    return out
 
 
 # --------------------------------------------------------------------------

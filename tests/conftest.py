@@ -5,7 +5,7 @@ from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
-from reference import delayed
+from reference import delayed, satisfies
 from uta.benchgen import gen_fig1, gen_fig1_unguarded
 from uta.model import (
     INT_OPS,
@@ -28,7 +28,6 @@ from uta.model import (
     make_lower_diag,
     make_upper,
     make_upper_diag,
-    satisfies,
 )
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -245,9 +244,8 @@ def random_zone_chain(rng: random.Random, n_clocks: int, max_steps: int = 4,
 def random_sim_query(rng: random.Random, max_const: int = 6):
     """Paired zones plus a constraint set; None when a zone degenerates."""
     from uta.analysis import GSet
-    from reference import apply_update, intersect_all
+    from reference import SimQuery, apply_update, intersect_all
     from uta.dbm import EMPTY, elapse
-    from uta.simulation import SimQuery
 
     from uta.model import WEAK, make_upper
 

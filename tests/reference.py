@@ -5,20 +5,24 @@ inputs, or shows a value for a failure message: zones built from constraint
 conjunctions, the zone image of an update directly and through its
 defining relation, closure of an arbitrary bound matrix, exact point
 membership, plain zone equality and printing, building, complementing and
-delaying constraints and valuations, pointwise simulation, the syntactic
-boundedness test and the capping transform behind it, the preimage of a
-constraint under an update case by case, one synchronous propagation
-sweep of the constraint analysis, the analysis swept until a
-constant exceeds its bound, and the constraint set of a product location
-as the union of its components' sets.
+delaying constraints and valuations, constraint satisfaction and updates
+of a single valuation, pointwise simulation, the zone simulation decided
+by region enumeration from the definition, the per-clock LU bounds of a
+constraint set, the syntactic boundedness test and the capping transform
+behind it, the preimage of a constraint under an update case by case, one
+synchronous propagation sweep of the constraint analysis, the analysis
+swept until a constant exceeds its bound, the constraint set of a product
+location as the union of its components' sets, and the runs of a bounded
+one-counter automaton.
 """
-from collections import defaultdict
-from dataclasses import replace
+from collections import defaultdict, deque
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
+from uta import simulation
 from uta.analysis import (
     GMap,
     GSet,
@@ -32,6 +36,7 @@ from uta.analysis import (
     edge_context,
     propagation,
 )
+from uta.benchgen import CounterAutomaton
 from uta.dbm import (
     EMPTY,
     INF,
@@ -57,18 +62,19 @@ from uta.model import (
     Const,
     Guard,
     Kind,
-    Number,
+    Shift,
     Strictness,
     Update,
-    Valuation,
     eval_const_cmp,
     make_lower,
     make_lower_diag,
     make_upper,
     make_upper_diag,
-    satisfies,
 )
 from uta.search import ProductLoc
+
+Number = Union[int, Fraction]
+Valuation = Mapping[int, Number]
 
 
 def universe(n_clocks: int) -> Dbm:
@@ -206,6 +212,37 @@ def delayed(v: Valuation, delta: Number) -> dict[int, Number]:
     return {x: val + delta for x, val in v.items()}
 
 
+def satisfies(v: Valuation, phi: AtomicConstraint) -> bool:
+    if phi.kind is Kind.TOP:
+        return True
+    if phi.kind is Kind.BOTTOM:
+        return False
+    if phi.kind is Kind.UPPER:
+        lhs, rhs = v[phi.x], phi.constant
+    elif phi.kind is Kind.LOWER:
+        lhs, rhs = phi.constant, v[phi.x]
+    elif phi.kind is Kind.UPPER_DIAG:
+        lhs, rhs = v[phi.x] - v[phi.y], phi.constant
+    else:
+        lhs, rhs = phi.constant, v[phi.x] - v[phi.y]
+    return lhs < rhs if phi.strictness is STRICT else lhs <= rhs
+
+
+def apply_update_point(up: Update, v: Valuation) -> Optional[dict[int, Number]]:
+    """Apply all assignments simultaneously over the pre-valuation.
+
+    Returns None when some clock would go negative (the transition is
+    disabled at ``v``).
+    """
+    out = dict(v)
+    for x, u in up.entries:
+        val = u.value if isinstance(u, Const) else v[u.source] + u.offset
+        if val < 0:
+            return None
+        out[x] = val
+    return out
+
+
 def normalize_atomic(
     kind: Kind,
     x: Optional[int],
@@ -257,6 +294,243 @@ def sim_point(v: Valuation, vp: Valuation, g: GSet) -> bool:
     return True
 
 
+
+@dataclass(frozen=True, eq=False)
+class SimQuery:
+    """One zone-simulation question: is every point of z simulated by a
+    point of zp relative to g?"""
+
+    z: Dbm
+    zp: Dbm
+    g: GSet
+
+
+def sim_zone(q: SimQuery) -> bool:
+    """The program's decision of q, with q.g prepared for this query alone.
+
+    `prepare` is looked up through its module, so that a test can replace
+    the fold and see the oracle disagree.
+    """
+    if q.z is EMPTY:
+        return True
+    if q.zp is EMPTY:
+        return False
+    return simulation.sim_zone_prepared(q.z, q.zp, simulation.prepare(q.g, q.z.n))
+
+
+_INF_PY = 1 << 60
+
+
+def _py_add(a: int, b: int) -> int:
+    if a >= _INF_PY or b >= _INF_PY:
+        return _INF_PY
+    return a + b - ((a | b) & 1)
+
+
+def _enc(value: int, weak: bool) -> int:
+    """``< value`` or ``<= value`` in the zone matrices' bound encoding."""
+    return 2 * value + weak
+
+
+def _scale_enc(b: int, s: int) -> int:
+    return _enc((b >> 1) * s, b & 1)
+
+
+def _scaled_matrix(d: Dbm, s: int) -> list:
+    size = d.n + 1
+    out = [[_INF_PY] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(size):
+            v = int(d.m[i, j])
+            out[i][j] = _INF_PY if v >= INF else _scale_enc(v, s)
+    return out
+
+
+def _zone_max_const(d: Dbm) -> int:
+    worst = 0
+    for v in d.m.flat:
+        v = int(v)
+        if v < INF:
+            worst = max(worst, abs(v >> 1))
+    return worst
+
+
+def _mini_empty(m: list) -> bool:
+    size = len(m)
+    for k in range(size):
+        row_k = m[k]
+        for i in range(size):
+            mik = m[i][k]
+            if mik >= _INF_PY:
+                continue
+            row_i = m[i]
+            for j in range(size):
+                cand = _py_add(mik, row_k[j])
+                if cand < row_i[j]:
+                    row_i[j] = cand
+    return any(m[i][i] < LE_ZERO for i in range(size))
+
+
+def _matched(ks: list, s: int, g: GSet) -> list[tuple[int, int, int]]:
+    """The simulators of the point v = ks / s relative to g, as bounds
+    (i, j, b) on v'(i) - v'(j) scaled by s, index 0 the constant 0.
+
+    Built from the atoms by the definition of the simulation (the LU
+    conditions of Herbreteau, Srivathsan & Walukiewicz, LICS 2012, with
+    diagonal transfer as in Gastin, Mukherjee & Srivathsan, CONCUR 2018):
+    an upper that v meets gives v'(x) <= v(x); a lower gives v'(x) >= v(x)
+    or else v' meets it, the weaker of the two rays; a diagonal that v
+    meets must hold for v' too.
+    """
+    v = {x: Fraction(k, s) for x, k in enumerate(ks)}
+    out = []
+    for phi in g.nond:
+        x, weak = phi.x, phi.strictness is WEAK
+        if phi.kind is Kind.UPPER:
+            if satisfies(v, phi):
+                out.append((x + 1, 0, _enc(ks[x], True)))
+        else:
+            out.append((0, x + 1, max(_enc(-ks[x], True),
+                                      _enc(-phi.constant * s, weak))))
+    for phi in g.diag:
+        if satisfies(v, phi):
+            x, y, weak = phi.x + 1, phi.y + 1, phi.strictness is WEAK
+            if phi.kind is Kind.UPPER_DIAG:
+                out.append((x, y, _enc(phi.constant * s, weak)))
+            else:
+                out.append((y, x, _enc(-phi.constant * s, weak)))
+    return out
+
+
+def brute_force_sim(q: SimQuery, max_const: int) -> bool:
+    """Decide the zone simulation by enumerating one point per region of q.z.
+
+    Valuations are scanned on the grid of step 1/(2(|X|+1)) up to max_const+1
+    per coordinate; a point's verdict depends only on its region relative to
+    the integer constants involved, so each region signature is tested once.
+    For each point, the bounds of `_matched` cut q.zp, and a local
+    all-pairs pass decides emptiness.  Neither reads the program's
+    encoding of q.g.
+
+    A found counterexample refutes the simulation outright.  An exhausted
+    scan proves it only when q.z fits inside the scanned box: with clocks of
+    q.z reaching past max_const+1, a constrained far-out point can satisfy a
+    diagonal of G that no scanned point satisfies, so completion proves
+    nothing and the call is rejected as inconclusive.
+    """
+    n = q.z.n
+    if n > 4:
+        raise ValueError(f"oracle limited to 4 clocks, got {n}")
+    worst = max(_zone_max_const(q.z), _zone_max_const(q.zp))
+    for phi in q.g:
+        worst = max(worst, phi.constant)
+    if worst > max_const:
+        raise ValueError(f"constant {worst} above oracle bound {max_const}")
+    if n == 0:
+        return True
+
+    s = 2 * (n + 1)
+    limit = s * (max_const + 1)
+    zs = _scaled_matrix(q.z, s)
+    ps = _scaled_matrix(q.zp, s)
+    cap = max_const + 1
+    seen = set()
+
+    def ranges(ks: list, x: int) -> range:
+        lo, hi = 0, limit
+        row, col = zs[x + 1], [zs[i][x + 1] for i in range(n + 1)]
+        b = row[0]
+        if b < _INF_PY:
+            hi = min(hi, (b >> 1) - (1 - (b & 1)))
+        b = col[0]
+        if b < _INF_PY:
+            lo = max(lo, -(b >> 1) + (1 - (b & 1)))
+        for y in range(x):
+            b = row[y + 1]  # k_x - k_y bounded above
+            if b < _INF_PY:
+                hi = min(hi, ks[y] + (b >> 1) - (1 - (b & 1)))
+            b = col[y + 1]  # k_y - k_x bounded above
+            if b < _INF_PY:
+                lo = max(lo, ks[y] - (b >> 1) + (1 - (b & 1)))
+        return range(lo, hi + 1)
+
+    def signature(ks: list) -> tuple:
+        parts = [(min(k // s, cap), k % s == 0) for k in ks]
+        for x in range(n):
+            for y in range(x + 1, n):
+                d = ks[x] - ks[y]
+                fx, fy = ks[x] % s, ks[y] % s
+                parts.append((max(-cap - 1, min(cap + 1, d // s)),
+                              (fx > fy) - (fx < fy)))
+        return tuple(parts)
+
+    def simulated(ks: list) -> bool:
+        m = [row[:] for row in ps]
+        for i, j, b in _matched(ks, s, q.g):
+            m[i][j] = min(m[i][j], b)
+        return not _mini_empty(m)
+
+    def walk(ks: list, x: int) -> bool:
+        if x == n:
+            sig = signature(ks)
+            if sig in seen:
+                return True
+            seen.add(sig)
+            return simulated(ks)
+        for k in ranges(ks, x):
+            ks.append(k)
+            ok = walk(ks, x + 1)
+            ks.pop()
+            if not ok:
+                return False
+        return True
+
+    if not walk([], 0):
+        return False
+    boxed = all(zs[x + 1][0] <= 2 * limit + 1 for x in range(n))
+    if not boxed:
+        raise ValueError("unbounded zone on the left: exhaustive scan inconclusive")
+    return True
+
+
+Bound = Optional[tuple[int, Strictness]]
+
+
+@dataclass(frozen=True)
+class LUBounds:
+    """Per-clock maxima of lower/upper non-diagonal constraints.
+
+    None encodes "no constraint of that kind".  At equal constants the weak
+    variant dominates the strict one.
+    """
+
+    lower: tuple[Bound, ...]
+    upper: tuple[Bound, ...]
+
+    @staticmethod
+    def key(b: Bound) -> int:
+        if b is None:
+            return -1
+        return 2 * b[0] + int(b[1])
+
+    def dominated_by(self, other: "LUBounds") -> bool:
+        return all(
+            self.key(a) <= self.key(b) for a, b in zip(self.lower, other.lower)
+        ) and all(
+            self.key(a) <= self.key(b) for a, b in zip(self.upper, other.upper)
+        )
+
+
+def extract_lu(g: GSet, n_clocks: int) -> LUBounds:
+    lower: list[Bound] = [None] * n_clocks
+    upper: list[Bound] = [None] * n_clocks
+    for phi in g.nond:
+        cand = (phi.constant, phi.strictness)
+        table = upper if phi.kind is Kind.UPPER else lower
+        if table[phi.x] is None or LUBounds.key(table[phi.x]) < LUBounds.key(cand):
+            table[phi.x] = cand
+    return LUBounds(tuple(lower), tuple(upper))
+
 def up_inverse(phi: AtomicConstraint, up: Update) -> AtomicConstraint:
     """Preimage of an atomic constraint under an update, normalized.
 
@@ -265,18 +539,23 @@ def up_inverse(phi: AtomicConstraint, up: Update) -> AtomicConstraint:
     """
     if phi.is_trivial:
         return phi
+    written = dict(up.entries)
+
+    def get(x: int):
+        return written.get(x, Shift(x, 0))
+
     s, c = phi.strictness, phi.constant
     if phi.kind is Kind.UPPER:
-        u = up.get(phi.x)
+        u = get(phi.x)
         if isinstance(u, Const):
             return eval_const_cmp(u.value, s, c)
         return make_upper(u.source, s, c - u.offset)
     if phi.kind is Kind.LOWER:
-        u = up.get(phi.x)
+        u = get(phi.x)
         if isinstance(u, Const):
             return eval_const_cmp(c, s, u.value)
         return make_lower(u.source, s, c - u.offset)
-    ux, uy = up.get(phi.x), up.get(phi.y)
+    ux, uy = get(phi.x), get(phi.y)
     if phi.kind is Kind.UPPER_DIAG:
         if isinstance(ux, Const) and isinstance(uy, Const):
             return eval_const_cmp(ux.value - uy.value, s, c)
@@ -431,3 +710,36 @@ def product_gset(gmaps: Sequence[GMap], loc: ProductLoc) -> GSet:
     nond = frozenset().union(*(g.at(q).nond for g, q in zip(gmaps, loc.locs)))
     diag = frozenset().union(*(g.at(q).diag for g, q in zip(gmaps, loc.locs)))
     return GSet(nond, diag)
+
+
+def counter_run(b: CounterAutomaton):
+    """Shortest run (state, value) ... to the target, or None."""
+    start = (b.initial, 0)
+    parent: dict[tuple[str, int], Optional[tuple[str, int]]] = {start: None}
+    queue = deque([start])
+    goal = None
+    while queue:
+        cur = queue.popleft()
+        if cur[0] == b.target:
+            goal = cur
+            break
+        state, value = cur
+        for src, p, dst in b.transitions:
+            if src != state:
+                continue
+            nxt = (dst, value + p)
+            if 0 <= nxt[1] <= b.bound and nxt not in parent:
+                parent[nxt] = cur
+                queue.append(nxt)
+    if goal is None:
+        return None
+    path = []
+    at: Optional[tuple[str, int]] = goal
+    while at is not None:
+        path.append(at)
+        at = parent[at]
+    return tuple(reversed(path))
+
+
+def counter_reach_oracle(b: CounterAutomaton) -> bool:
+    return counter_run(b) is not None

@@ -18,12 +18,12 @@ import time
 import pytest
 
 from conftest import random_automaton, random_sim_query
+from reference import brute_force_sim, counter_reach_oracle, extract_lu, sim_zone
 from uta.analysis import (
     Mode,
     Status,
     analysis_bounds,
     compute_gmap,
-    extract_lu,
     verify_witness,
 )
 from uta.benchgen import (
@@ -31,7 +31,6 @@ from uta.benchgen import (
     WORST_CASE,
     CounterAutomaton,
     TaskSpec,
-    counter_reach_oracle,
     gen_counter_reduction,
     gen_edf,
     gen_fig1,
@@ -49,7 +48,6 @@ from uta.model import (
     single_component_network,
 )
 from uta.search import REACHABLE, TIMEOUT, UNREACHABLE, reach
-from uta.simulation import brute_force_sim, sim_zone
 
 X, Y = 0, 1
 

@@ -16,9 +16,12 @@ from conftest import (
     sim_atom_ref,
 )
 from reference import (
+    apply_update_point,
     bound_transform,
     check_syntactically_bounded,
+    extract_lu,
     kleene_step,
+    satisfies,
     sweep_gmap,
     up_inverse as case_up_inverse,
 )
@@ -30,7 +33,6 @@ from uta.analysis import (
     check_closure,
     compute_gmap,
     edge_context,
-    extract_lu,
     g0,
     nonneg_source,
     report_json,
@@ -52,12 +54,10 @@ from uta.model import (
     Location,
     Shift,
     Update,
-    apply_update,
     make_lower,
     make_lower_diag,
     make_upper,
     make_upper_diag,
-    satisfies,
 )
 
 X, Y = 0, 1
@@ -134,7 +134,7 @@ class TestUpInverse:
             phi = random_atom(rng, 3, 5)
             up = random_update(rng, 3)
             v = random_valuation(rng, 3)
-            w = apply_update(up, v)
+            w = apply_update_point(up, v)
             if w is None:
                 continue
             psi = up_inverse(phi, up)
@@ -186,7 +186,7 @@ class TestWp:
                 continue
             if not all(sim_atom_ref(v, vp, g) for g in guard):
                 continue
-            w, wq = apply_update(up, v), apply_update(up, vp)
+            w, wq = apply_update_point(up, v), apply_update_point(up, vp)
             if w is None or wq is None:
                 continue
             raw = up_inverse(phi, up)

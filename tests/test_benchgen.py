@@ -5,7 +5,7 @@ from collections import deque
 
 import pytest
 
-from reference import check_syntactically_bounded
+from reference import check_syntactically_bounded, counter_reach_oracle, counter_run
 from uta.analysis import Mode, Status, compute_gmap
 from uta.benchgen import (
     FLOWER,
@@ -18,8 +18,6 @@ from uta.benchgen import (
     RandomProfile,
     ReleasePattern,
     TaskSpec,
-    counter_reach_oracle,
-    counter_run,
     gen_counter_reduction,
     gen_edf,
     gen_fig1,

@@ -198,6 +198,20 @@ class TestAnalyze:
         assert (code, out) == (2, "")
         assert err == "error: out of memory during static analysis\n"
 
+    @pytest.mark.parametrize("bound", ["1099511627776", "1"])
+    def test_timeout_bounds_the_analysis(self, tmp_path, bound):
+        path = tmp_path / "pump.uta"
+        path.write_text(PUMP.format(bound=bound))
+        t0 = time.monotonic()
+        proc = subprocess.run(
+            [sys.executable, "-m", "uta.cli", "analyze", str(path)],
+            capture_output=True, text=True, timeout=60,
+            env={**child_env(), "UTA_TIMEOUT_SECS": "1"},
+            preexec_fn=limit_address_space)
+        assert time.monotonic() - t0 < 10
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "error: timeout after 1s (static analysis)\n"
+
 
 class TestReach:
     def test_reachable_exit_one(self, capsys, loop_file):

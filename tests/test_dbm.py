@@ -8,6 +8,7 @@ import pytest
 from conftest import fig1_automaton, random_atom, random_update, random_valuation
 from reference import (
     apply_update,
+    apply_update_point,
     apply_update_relational,
     bound_str,
     canonicalize,
@@ -18,6 +19,7 @@ from reference import (
     initial_zone,
     intersect_all,
     membership,
+    satisfies,
     universe,
     zone_of,
 )
@@ -41,12 +43,10 @@ from uta.model import (
     Guard,
     Shift,
     Update,
-    apply_update as apply_update_point,
     make_lower,
     make_lower_diag,
     make_upper,
     make_upper_diag,
-    satisfies,
 )
 
 X, Y, Z = 0, 1, 2

@@ -10,6 +10,7 @@ from uta.format import (
     print_network,
 )
 from uta.model import (
+    BOTTOM,
     STRICT,
     WEAK,
     Automaton,
@@ -54,7 +55,7 @@ def test_parse_guarded_loop_example():
     assert comp.initial == 0
     e0 = comp.edges[0]
     assert e0.guard.clock_atoms == (make_upper(0, WEAK, 3),)
-    assert e0.update.get(0) == Shift(0, -1)
+    assert e0.update.entries == ((0, Shift(0, -1)),)
     e2 = comp.edges[2]
     assert e2.guard.clock_atoms == (make_upper_diag(0, 1, STRICT, 1),)
 
@@ -176,8 +177,21 @@ def test_zero_constant_forms_keep_orientation():
                     f"location P b\nedge P a b provided: {atom}\n")
         guard = net.components[0].edges[0].guard
         assert guard_to_str(guard, net.clocks) == want, atom
-        if want != "false":  # the parser reads no 'false' atom
-            assert parse(print_network(net)) == net
+        assert parse(print_network(net)) == net
+
+
+def test_unsatisfiable_atoms_read_back():
+    # x<0 and 0>x normalize to BOTTOM, which prints as false
+    text = ("system s\nclock x\nclock y\nprocess P\n"
+            "location P a initial invariant: x<0 && y<=4\nlocation P b\n"
+            "edge P a b provided: 0>y && x-y<2\n")
+    net = parse(text)
+    assert net.components[0].locations[0].invariant.clock_atoms[0] == BOTTOM
+    assert net.components[0].edges[0].guard.clock_atoms[0] == BOTTOM
+    printed = print_network(net)
+    assert "invariant: false && y<=4" in printed
+    assert "provided: false && x-y<2" in printed
+    assert parse(printed) == net
 
 
 def test_trivial_atoms_dropped():
@@ -195,7 +209,7 @@ def test_int_guards_and_updates():
     e = net.components[0].edges[0]
     assert IntAtom(0, "<", rhs_lit=3) in e.guard.int_atoms
     assert IntAtom(1, "==", rhs_lit=0) in e.guard.int_atoms
-    assert e.update.get(0) == Const(0)
+    assert e.update.entries == ((0, Const(0)),)
     assert e.int_assigns[0] == IntAssign(0, ((1, 0, 0), (1, -1, 1)))
     assert e.int_assigns[1] == IntAssign(1, ((1, 1, 0), (-1, 0, 0), (1, -1, 2)))
     assert e.sync == ("go", "!")

@@ -8,7 +8,13 @@ from fractions import Fraction
 import pytest
 
 from conftest import child_env
-from reference import delayed, negate_atomic, normalize_atomic
+from reference import (
+    apply_update_point,
+    delayed,
+    negate_atomic,
+    normalize_atomic,
+    satisfies,
+)
 from uta.model import (
     BOTTOM,
     STRICT,
@@ -20,13 +26,11 @@ from uta.model import (
     Kind,
     Shift,
     Update,
-    apply_update,
     from_entry,
     make_lower,
     make_lower_diag,
     make_upper,
     make_upper_diag,
-    satisfies,
 )
 
 X, Y, Z = 0, 1, 2
@@ -198,7 +202,7 @@ class TestUpdates:
     def test_simultaneous_swap_with_offset(self):
         v = {X: 2, Y: 7}
         up = Update.of({X: Shift(Y, 1), Y: Shift(X, 0)})
-        out = apply_update(up, v)
+        out = apply_update_point(up, v)
         assert out == {X: 8, Y: 2}
 
     def test_double_swap_is_identity(self):
@@ -206,28 +210,28 @@ class TestUpdates:
         swap = Update.of({X: Shift(Y, 0), Y: Shift(X, 0)})
         for _ in range(50):
             v = {X: rng.randint(0, 30), Y: rng.randint(0, 30)}
-            assert apply_update(swap, apply_update(swap, v)) == v
+            assert apply_update_point(swap, apply_update_point(swap, v)) == v
 
     def test_negative_result_is_undefined(self):
         v = {X: 5}
         up = Update.of({X: Shift(X, -10)})
-        assert apply_update(up, v) is None
+        assert apply_update_point(up, v) is None
         # Exactly reaching zero stays defined.
-        assert apply_update(Update.of({X: Shift(X, -5)}), v) == {X: 0}
+        assert apply_update_point(Update.of({X: Shift(X, -5)}), v) == {X: 0}
 
     def test_const_resets(self):
         v = {X: 3, Y: 4}
-        assert apply_update(Update.of({X: Const(0)}), v) == {X: 0, Y: 4}
-        assert apply_update(Update.of({X: Const(9)}), v) == {X: 9, Y: 4}
+        assert apply_update_point(Update.of({X: Const(0)}), v) == {X: 0, Y: 4}
+        assert apply_update_point(Update.of({X: Const(9)}), v) == {X: 9, Y: 4}
 
     def test_identity_entries_dropped(self):
         up = Update.of({X: Shift(X, 0), Y: Const(2)})
         assert up.written() == (Y,)
         assert Update.of({X: Shift(X, 0)}).is_identity
 
-    def test_get_defaults_to_identity(self):
+    def test_source_defaults_to_identity(self):
         up = Update.of({Y: Const(1)})
-        assert up.get(X) == Shift(X, 0)
+        assert up.source(X + 1) == (X + 1, 0)
 
     def test_update_reads_pre_state_only(self):
         rng = random.Random(4)
@@ -240,11 +244,12 @@ class TestUpdates:
                     Z: Shift(X, rng.randint(-2, 4)),
                 }
             )
-            out = apply_update(up, v)
+            out = apply_update_point(up, v)
             if out is not None:
-                assert out[X] == v[Y] + up.get(X).offset
-                assert out[Y] == v[Z] + up.get(Y).offset
-                assert out[Z] == v[X] + up.get(Z).offset
+                shift = dict(up.entries)
+                assert out[X] == v[Y] + shift[X].offset
+                assert out[Y] == v[Z] + shift[Y].offset
+                assert out[Z] == v[X] + shift[Z].offset
 
     def test_source_reads_the_update(self):
         rng = random.Random(11)
@@ -253,7 +258,7 @@ class TestUpdates:
                                            Shift(rng.randrange(3), rng.randint(-2, 2))))
                             for x in rng.sample(range(3), rng.randint(0, 3))})
             v = {k: rng.randint(2, 9) for k in range(3)}
-            out = apply_update(up, v)
+            out = apply_update_point(up, v)
             at = [0] + [v[k] for k in range(3)]
             assert up.source(0) == (0, 0)
             for x in range(3):

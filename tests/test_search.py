@@ -766,7 +766,7 @@ def same_prepared(a, b) -> bool:
     return a.diags == b.diags and a.two_sided == b.two_sided and all(
         np.array_equal(getattr(a, f), getattr(b, f))
         and getattr(a, f).dtype == getattr(b, f).dtype
-        for f in ("has_u", "u_enc", "has_l", "l_edge", "u_thr", "l_thr", "pairs"))
+        for f in ("l_edge", "u_thr", "l_thr", "pairs"))
 
 
 class TestProductSets:

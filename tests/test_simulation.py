@@ -14,7 +14,17 @@ from conftest import (
     random_zone_chain,
     sim_atom_ref,
 )
-from reference import initial_zone, intersect_all, sim_point, universe, zone_of
+from reference import (
+    SimQuery,
+    brute_force_sim,
+    initial_zone,
+    intersect_all,
+    sim_point,
+    sim_zone,
+    universe,
+    zone_of,
+)
+from uta import simulation
 from uta.analysis import EMPTY_GSET, GSet, Mode, compute_gmap
 from uta.dbm import (
     EMPTY,
@@ -39,17 +49,22 @@ from uta.model import (
 )
 from uta.simulation import (
     NEVER,
-    SimQuery,
+    _prepared,
     bound_row,
-    brute_force_sim,
     not_simulated_batch,
     prepare,
-    sim_zone,
     sim_zone_prepared,
     _sim,
 )
 
 X, Y = 0, 1
+
+
+def aggregates(prep):
+    """Per clock: has an upper, the weakest upper's encoded bound (0 without
+    one), has a lower; read back from the thresholds."""
+    has_u = prep.u_thr < INF
+    return has_u, np.where(has_u, 1 - prep.u_thr, 0), prep.l_thr > NEVER
 
 
 def reference_not_simulated(z, zp, prep) -> bool:
@@ -74,15 +89,16 @@ def reference_not_simulated(z, zp, prep) -> bool:
     px0 = pm[1:, 0]
     zd = zm[1:, 1:]
     pd = pm[1:, 1:]
+    has_u, u_enc, has_l = aggregates(prep)
 
     # single forced upper on x: v(x) below everything zp allows for x
-    a = prep.has_u & (_add_mat(z0, np.minimum(prep.u_enc, 1 - p0)) >= LE_ZERO)
+    a = has_u & (_add_mat(z0, np.minimum(u_enc, 1 - p0)) >= LE_ZERO)
     if a.any():
         return True
 
     # single forced lower on y: v(y) above everything zp allows for y
     b = (
-        prep.has_l
+        has_l
         & (_add_mat(px0, prep.l_edge) < LE_ZERO)
         & (px0 < zx0)
     )
@@ -97,11 +113,11 @@ def reference_not_simulated(z, zp, prep) -> bool:
     t = _add_mat(prep.l_edge[:, None], pd)
     cap_l = np.where(t >= INF, never, 1 - t)
     cap_d = np.where(pd >= INF, never, 1 - pd)
-    e_x0 = np.minimum(np.minimum(zx0[None, :], prep.u_enc[None, :]), cap_l)
+    e_x0 = np.minimum(np.minimum(zx0[None, :], u_enc[None, :]), cap_l)
     e_xy = np.minimum(zd.T, cap_d)
     c = (
-        prep.has_l[:, None]
-        & prep.has_u[None, :]
+        has_l[:, None]
+        & has_u[None, :]
         & (e_x0 > guard)
         & (e_xy > guard)
         & (_add_mat(e_x0, z0[None, :]) >= LE_ZERO)
@@ -198,6 +214,35 @@ class TestBruteForce:
                         GSet.of([make_upper(X, WEAK, 3)]))
         with pytest.raises(ValueError):
             brute_force_sim(q, 6)
+
+    @pytest.mark.parametrize("du, dl, agrees", [(0, 0, True), (0, -2, False),
+                                                (2, 0, False)],
+                             ids=["right-fold", "lower-fold-2", "upper-fold+2"])
+    def test_independent_of_prepare(self, monkeypatch, du, dl, agrees):
+        # the oracle reads g itself: a wrong fold in prepare moves only the
+        # program's side, so some query must come out differently
+        right = simulation.prepare
+
+        def shifted(g, n_clocks):
+            p = right(g, n_clocks)
+            return _prepared(np.where(p.u_thr < INF, p.u_thr + du, INF),
+                             np.where(p.l_thr > NEVER, p.l_thr + dl, NEVER),
+                             set(p.diags))
+
+        monkeypatch.setattr(simulation, "prepare", shifted)
+        rng = random.Random(7)
+        done = differ = 0
+        while done < 300:
+            q = random_sim_query(rng)
+            if q is None:
+                continue
+            try:
+                want = brute_force_sim(q, 6)
+            except ValueError:
+                continue
+            differ += sim_zone(q) != want
+            done += 1
+        assert (differ == 0) == agrees, differ
 
 
 class TestSimZone:
@@ -440,15 +485,16 @@ class TestKernel:
             n = rng.randint(1, 4)
             g = GSet.of([random_atom(rng, n, 6) for _ in range(rng.randint(0, 8))])
             prep = prepare(g, n)
+            has_u, u_enc, has_l = aggregates(prep)
             for x in range(n):
                 ups = [encode_bound(phi.constant, phi.strictness)
                        for phi in g.nond if phi.kind is Kind.UPPER and phi.x == x]
                 los = [encode_bound(-phi.constant, phi.strictness)
                        for phi in g.nond if phi.kind is Kind.LOWER and phi.x == x]
-                assert prep.has_u[x] == bool(ups)
-                assert prep.has_l[x] == bool(los)
+                assert has_u[x] == bool(ups)
+                assert has_l[x] == bool(los)
                 if ups:
-                    assert prep.u_enc[x] == max(ups)
+                    assert u_enc[x] == max(ups)
                     assert prep.u_thr[x] == 1 - max(ups)
                 else:
                     assert prep.u_thr[x] == INF
@@ -457,7 +503,7 @@ class TestKernel:
                     assert prep.l_thr[x] == 2 - min(los)
                 else:
                     assert prep.l_thr[x] == NEVER
-            pairs = [[bool(prep.has_l[y] and prep.has_u[x]) and x != y
+            pairs = [[bool(has_l[y] and has_u[x]) and x != y
                       for x in range(n)] for y in range(n)]
             assert prep.pairs.tolist() == pairs
             assert prep.two_sided == any(map(any, pairs))
@@ -470,7 +516,8 @@ class TestKernel:
                       lambda c: make_upper_diag(X, Y, STRICT, c),
                       lambda c: make_lower_diag(X, Y, WEAK, c)):
             prep = prepare(GSet.of([build(MAX_CONST)]), 2)
-            assert len(prep.diags) + prep.has_u.sum() + prep.has_l.sum() == 1
+            has_u, _, has_l = aggregates(prep)
+            assert len(prep.diags) + has_u.sum() + has_l.sum() == 1
             with pytest.raises(OverflowError):
                 prepare(GSet.of([build(MAX_CONST + 1)]), 2)
 
@@ -534,11 +581,13 @@ class TestPreorder:
             if not g2.diag <= q.g.diag:
                 continue
             p1, p2 = prepare(q.g, n), prepare(g2, n)
+            has_u1, u_enc1, has_l1 = aggregates(p1)
+            has_u2, u_enc2, has_l2 = aggregates(p2)
             ok = True
             for x in range(n):
-                if p2.has_u[x] and (not p1.has_u[x] or p2.u_enc[x] > p1.u_enc[x]):
+                if has_u2[x] and (not has_u1[x] or u_enc2[x] > u_enc1[x]):
                     ok = False
-                if p2.has_l[x] and (not p1.has_l[x] or p2.l_edge[x] < p1.l_edge[x]):
+                if has_l2[x] and (not has_l1[x] or p2.l_edge[x] < p1.l_edge[x]):
                     ok = False
             if not ok or not sim_zone(q):
                 continue
