@@ -10,7 +10,7 @@ import json
 import os
 import sys
 import time
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .analysis import Mode, Status, compute_gmap, report_json
 from .benchgen import (
@@ -72,13 +72,22 @@ def _load(path: str, allow_shared: bool) -> Optional[Network]:
     return None if blocked else net
 
 
-def _print_witness(doc: dict, indent: str) -> None:
+def _print_witness(doc: dict, indent: str, say: Callable[[str], None]) -> None:
     for step in doc.get("witness", ()):
         via = "" if step["edge"] is None else f"  (edge {step['edge']})"
-        print(f"{indent}{step['location']}: {step['constraint']}{via}")
+        say(f"{indent}{step['location']}: {step['constraint']}{via}")
     if "cycle" in doc:
         lo, hi = doc["cycle"]
-        print(f"{indent}positive cycle: steps {lo}..{hi}")
+        say(f"{indent}positive cycle: steps {lo}..{hi}")
+
+
+def _dump(args, net) -> Callable[[str], None]:
+    """Under --dump-model, write the model and return a print that comments
+    out each result line, so standard output parses back as the model."""
+    if not args.dump_model:
+        return print
+    sys.stdout.write(print_network(net))
+    return lambda line: print(f"# {line}")
 
 
 def cmd_analyze(args) -> int:
@@ -86,8 +95,7 @@ def cmd_analyze(args) -> int:
     net = _load(args.input, args.allow_shared_clocks)
     if net is None:
         return EXIT_ERROR
-    if args.dump_model:
-        sys.stdout.write(print_network(net))
+    say = _dump(args, net)
     mode = Mode(args.method)
     timeout = _timeout_default()
     args.phase = "static analysis"
@@ -108,18 +116,18 @@ def cmd_analyze(args) -> int:
     else:
         for doc in reports:
             b = doc["bounds"]
-            print(f"{doc['component']}: {doc['status']} after {doc['iterations']} "
-                  f"iterations (M={b['M']} L={b['L']} N={b['N']} budget={b['budget']})")
+            say(f"{doc['component']}: {doc['status']} after {doc['iterations']} "
+                f"iterations (M={b['M']} L={b['L']} N={b['N']} budget={b['budget']})")
             for loc in sorted(doc["location"]):
                 atoms = ", ".join(sorted(doc["location"][loc]))
-                print(f"  {loc}: {atoms if atoms else '(empty)'}")
+                say(f"  {loc}: {atoms if atoms else '(empty)'}")
             if doc["status"] == "diverged":
                 if args.explain_divergence:
-                    print("  divergence witness:")
-                    _print_witness(doc, "    ")
+                    say("  divergence witness:")
+                    _print_witness(doc, "    ", say)
                 else:
-                    print("  (rerun with --explain-divergence for the witness)")
-        print(f"analysis time: {seconds:.2f}s")
+                    say("  (rerun with --explain-divergence for the witness)")
+        say(f"analysis time: {seconds:.2f}s")
     return EXIT_NEGATIVE if all_converged else EXIT_ERROR
 
 
@@ -128,8 +136,7 @@ def cmd_reach(args) -> int:
     net = _load(args.input, args.allow_shared_clocks)
     if net is None:
         return EXIT_ERROR
-    if args.dump_model:
-        sys.stdout.write(print_network(net))
+    say = _dump(args, net)
     timeout = args.timeout if args.timeout is not None else _timeout_default()
     t0 = time.monotonic()
     args.phase = "static analysis"
@@ -155,8 +162,8 @@ def cmd_reach(args) -> int:
         doc["total_seconds"] = round(total, 4)
         print(json.dumps(doc, indent=2))
     else:
-        print(f"{net.name}: {args.target} {stats.verdict} "
-              f"nodes={stats.nodes} time={total:.2f}s")
+        say(f"{net.name}: {args.target} {stats.verdict} "
+            f"nodes={stats.nodes} time={total:.2f}s")
     if stats.verdict == REACHABLE:
         return EXIT_POSITIVE
     if stats.verdict == UNREACHABLE:
@@ -278,7 +285,9 @@ def _add_common(p, with_target: bool) -> None:
                    help="keep going when components share a clock "
                         "(reach then needs --no-simulation)")
     p.add_argument("--dump-model", action="store_true",
-                   help="echo the parsed model before the result")
+                   help="echo the parsed model before the result; in text format "
+                        "the result lines follow as # comments, so the output "
+                        "parses back")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -363,17 +363,21 @@ class ProductSets:
     so a constant outside the zone arithmetic's range raises OverflowError
     here, before the first node.  A product location combines its
     components' results with `prepare_union` on first use and keeps it.
+    All of them intern their diagonal stages in one dict, so product
+    locations with the same diagonals share one stage.
     """
 
     def __init__(self, gmaps: Sequence[GMap], n_clocks: int):
-        self._parts = [[prepare(g, n_clocks) for g in gmap.sets] for gmap in gmaps]
+        self._stages: dict = {}
+        self._parts = [[prepare(g, n_clocks, self._stages) for g in gmap.sets]
+                       for gmap in gmaps]
         self._at: dict[tuple[int, ...], SimPrepared] = {}
 
     def at(self, locs: tuple[int, ...]) -> SimPrepared:
         got = self._at.get(locs)
         if got is None:
             got = self._at[locs] = prepare_union(
-                [parts[q] for parts, q in zip(self._parts, locs)])
+                [parts[q] for parts, q in zip(self._parts, locs)], self._stages)
         return got
 
 
@@ -508,8 +512,9 @@ def _covered(zone: Dbm, here: Passed, prep: SimPrepared,
              stats: SearchStats) -> bool:
     """Whether an explored zone of here simulates zone.
 
-    One batched kernel call over the bound rows refutes almost every
-    candidate; only the survivors pay for the full diagonal recursion.
+    One batched kernel call refutes almost every candidate, diagonal
+    misses included; only the survivors pay for the full diagonal
+    recursion.
     """
     zones = here.zones
     stats.kernel_candidates += len(zones)

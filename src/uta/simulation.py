@@ -5,21 +5,23 @@ delay step from v that satisfies a constraint of G can be matched from v'.
 That pointwise relation lifts to zones existentially: Z is simulated by Z'
 when every point of Z has a simulator in Z'.  `sim_zone_prepared` decides
 the lifted relation by splitting on diagonal constraints and finishing with
-the non-diagonal check.
+the kernel on each piece.
 
-The non-diagonal check is one kernel, `not_simulated_batch`, over K candidate
-zones.  The search's subsumption scan calls it on every explored zone of a
-location at once, and the diagonal recursion on one.  Its conditions, those
-of the LU-simulation inclusion check (Herbreteau, Srivathsan & Walukiewicz,
-LICS 2012), are one threshold per matrix entry of the candidate: `prepare`
-turns each constraint set into per-clock thresholds once, and a query zone
-turns them into thresholds for row 0, column 0 and the interior.  The bound
-rows (`bound_row`: row 0 then column 0, which the search keeps in one
-contiguous array) are compared first; only the few candidates left standing
-have their interiors read.
+The kernel, `not_simulated_batch`, refutes the relation for K candidate
+zones at once.  The search's subsumption scan calls it on every explored
+zone of a location, and the diagonal recursion on one.  Its conditions,
+those of the LU-simulation inclusion check (Herbreteau, Srivathsan &
+Walukiewicz, LICS 2012) plus the diagonal transfer of G-simulation (Gastin,
+Mukherjee & Srivathsan, CONCUR 2018: a diagonal that z meets and zp misses
+refutes), are one threshold per matrix entry of the candidate: `prepare`
+turns each constraint set into per-clock and per-diagonal thresholds once,
+and a query zone turns them into thresholds for row 0, column 0 and the
+interior.  The bound rows (`bound_row`: row 0 then column 0, which the
+search keeps in one contiguous array) are compared first; only the few
+candidates left standing have their interiors read.
 """
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -43,35 +45,64 @@ NEVER = -INF
 
 
 @dataclass(frozen=True, eq=False)
+class DiagStage:
+    """The diagonals of a constraint set as thresholds on interior entries.
+
+    diags holds the diagonal atoms as matrix entries (i, j, b), sorted and
+    deduplicated, so atoms with the same entry are one diagonal.  cell
+    indexes each diagonal's complement entry (j, i) in the interior (row
+    j - 1, column i - 1) and thr is its threshold 2 - b.  Constraint sets
+    with the same diagonals share one stage (see `prepare`).
+    """
+
+    diags: tuple[Triple, ...]
+    cell: tuple[np.ndarray, np.ndarray]
+    thr: np.ndarray
+
+
+def _diag_stage(diags: set[Triple], stages: dict) -> DiagStage:
+    key = tuple(sorted(diags))
+    got = stages.get(key)
+    if got is None:
+        i, j, b = np.array(key, dtype=np.int64).reshape(-1, 3).T
+        got = stages[key] = DiagStage(key, (j - 1, i - 1), 2 - b)
+    return got
+
+
+@dataclass(frozen=True, eq=False)
 class SimPrepared:
     """Per-constraint-set data reused across many zone comparisons.
 
     u_thr and l_thr are the per-clock thresholds the kernel compares
     against, l_edge the strongest lower's ray edge behind l_thr, and pairs
     marks the (lower clock y, upper clock x) pairs, x != y, of its
-    two-sided condition.  diags holds the diagonal atoms as matrix entries,
-    sorted and deduplicated, so atoms with the same entry are one diagonal.
+    two-sided condition.  diag is the diagonal stage.
     """
 
-    diags: tuple[Triple, ...]
+    diag: DiagStage
     l_edge: np.ndarray  # 2 - l_thr where the clock has a lower, else 0
     u_thr: np.ndarray  # 1 - the weakest upper's entry, INF without one
     l_thr: np.ndarray  # 2 - the strongest lower's entry, NEVER without one
     pairs: np.ndarray  # (n, n): a lower on y, an upper on x and y != x
-    two_sided: bool  # pairs.any()
+    interior: bool  # pairs.any() or diagonals: the interior stage has thresholds
+
+    @property
+    def diags(self) -> tuple[Triple, ...]:
+        return self.diag.diags
 
 
 def _prepared(u_thr: np.ndarray, l_thr: np.ndarray,
-              diags: set[Triple]) -> SimPrepared:
+              diag: DiagStage) -> SimPrepared:
     has_u = u_thr < INF
     has_l = l_thr > NEVER
     pairs = has_l[:, None] & has_u[None, :]
     np.fill_diagonal(pairs, False)
-    return SimPrepared(tuple(sorted(diags)), np.where(has_l, 2 - l_thr, 0),
-                       u_thr, l_thr, pairs, bool(pairs.any()))
+    return SimPrepared(diag, np.where(has_l, 2 - l_thr, 0), u_thr, l_thr,
+                       pairs, bool(pairs.any()) or bool(diag.diags))
 
 
-def prepare(g: GSet, n_clocks: int) -> SimPrepared:
+def prepare(g: GSet, n_clocks: int,
+            stages: Optional[dict] = None) -> SimPrepared:
     """Encode g into the matrix bounds the kernel and the recursion read.
 
     This is the one place where a constraint set becomes matrix entries:
@@ -79,7 +110,9 @@ def prepare(g: GSet, n_clocks: int) -> SimPrepared:
     zone arithmetic's range raises OverflowError here, before any zone is
     compared.  An upper (i, 0, b) binds through its weakest entry and a
     lower (0, j, b) through its strongest, so the thresholds fold as
-    u_thr = min(1 - b) and l_thr = max(2 - b).
+    u_thr = min(1 - b) and l_thr = max(2 - b).  stages interns the
+    diagonal stages by diagonal set: every set prepared with one dict
+    shares the stage of its diagonals.
     """
     u_thr = np.full(n_clocks, INF)
     l_thr = np.full(n_clocks, NEVER)
@@ -88,22 +121,26 @@ def prepare(g: GSet, n_clocks: int) -> SimPrepared:
             u_thr[i - 1] = min(u_thr[i - 1], 1 - b)
         else:
             l_thr[j - 1] = max(l_thr[j - 1], 2 - b)
-    return _prepared(u_thr, l_thr, set(map(_atom_entry, g.diag)))
+    diag = _diag_stage(set(map(_atom_entry, g.diag)),
+                       {} if stages is None else stages)
+    return _prepared(u_thr, l_thr, diag)
 
 
-def prepare_union(parts: Sequence[SimPrepared]) -> SimPrepared:
+def prepare_union(parts: Sequence[SimPrepared], stages: dict) -> SimPrepared:
     """`prepare` of the union of the parts' constraint sets, from the parts.
 
     The weakest upper of a union is the weakest of the parts' and the
     strongest lower the strongest of theirs, so the thresholds combine
-    elementwise: min for u_thr, max for l_thr.  The search folds each
-    (component, location) once and combines the folds per product location.
+    elementwise: min for u_thr, max for l_thr; the diagonals are the union
+    of the parts', interned in stages as by `prepare`.  The search folds
+    each (component, location) once and combines the folds per product
+    location.
     """
     if len(parts) == 1:
         return parts[0]
+    diag = _diag_stage(set().union(*(p.diags for p in parts)), stages)
     return _prepared(np.minimum.reduce([p.u_thr for p in parts]),
-                     np.maximum.reduce([p.l_thr for p in parts]),
-                     set().union(*(p.diags for p in parts)))
+                     np.maximum.reduce([p.l_thr for p in parts]), diag)
 
 
 def bound_row(zp: Dbm) -> np.ndarray:
@@ -114,7 +151,7 @@ def bound_row(zp: Dbm) -> np.ndarray:
 
 def not_simulated_batch(z: Dbm, rows: np.ndarray, zps: Sequence[Dbm],
                         prep: SimPrepared) -> np.ndarray:
-    """Non-diagonal kernel: is there a point of z that no point of zp matches?
+    """The kernel: is there a point of z that no point of zp matches?
 
     z is canonical and non-empty.  zps holds K candidate zones zp and rows,
     shape (K, 2n), their bound rows (`bound_row`); entry k of the returned
@@ -149,9 +186,22 @@ def not_simulated_batch(z: Dbm, rows: np.ndarray, zps: Sequence[Dbm],
     the test of alpha; zp[y, x] < z[y, x] by I1; and
     add(l_edge[y], zp[y, x]) < z[0, x] by I1, which is
     zp[y, x] < 2 - add(l_edge[y], 2 - z[0, x]) by I2 and associativity.
-    So the interior thresholds `inner` are the min of the two bounds on
-    pairs where z reaches x's upper, else NEVER; they hang on z and prep
-    alone, and only the candidates left standing are compared against them.
+    So the interior thresholds are the min of the two bounds on pairs where
+    z reaches x's upper, else NEVER.
+
+    The diagonals: a diagonal x_i - x_j <= b of G, the entry (i, j, b),
+    must hold for v' whenever it holds for v, since a delay moves both
+    clocks.  z meets it when z cut by it is non-empty, i.e. when the cycle
+    through the new edge, add(z[j, i], b), is >= LE_ZERO, which is
+    z[j, i] >= 2 - b by I2; zp misses it when add(zp[j, i], b) < LE_ZERO,
+    which is zp[j, i] < 2 - b by I2.  So a diagonal refutes exactly when
+    z[j, i] >= 2 - b > zp[j, i]: the threshold 2 - b on the interior entry
+    (j, i) where z meets the diagonal, else NEVER.  A compare against
+    several thresholds is one compare against their max, so each met
+    diagonal raises `inner` at its entry to its threshold.  Which diagonals
+    z meets and where z reaches x's upper hang on z and prep alone, so
+    `inner` does too, and only the candidates left standing are compared
+    against it.
     """
     zm = z.m
     z0 = zm[0, 1:]
@@ -159,12 +209,15 @@ def not_simulated_batch(z: Dbm, rows: np.ndarray, zps: Sequence[Dbm],
     thr = np.concatenate((np.where(reach, z0, NEVER),
                           np.minimum(zm[1:, 0], prep.l_thr)))
     out = (rows < thr).any(axis=1)
-    if not prep.two_sided or out.all():
+    if not prep.interior or out.all():
         return out
+    zd = zm[1:, 1:]
     inner = np.where(prep.pairs & reach[None, :],
                      np.minimum(2 - _add_mat(prep.l_edge[:, None], 2 - z0[None, :]),
-                                zm[1:, 1:]),
+                                zd),
                      NEVER)
+    d = prep.diag
+    np.maximum.at(inner, d.cell, np.where(zd[d.cell] >= d.thr, d.thr, NEVER))
     todo = np.flatnonzero(~out)
     pd = np.stack([zps[k].m[1:, 1:] for k in todo.tolist()])
     out[todo] = (pd < inner).any(axis=(1, 2))
@@ -196,7 +249,8 @@ def sim_zone_prepared(z: Zone, zp: Zone, prep: SimPrepared) -> bool:
     reusable `prepare` result of the constraint set.
 
     The search calls it only on candidates the batched kernel left
-    standing, so it goes straight to the diagonal recursion: running the
-    kernel on the whole pair first would repeat that call's verdict.
+    standing, diagonal stage included, so it goes straight to the diagonal
+    recursion: running the kernel on the whole pair first would repeat that
+    call's verdict.
     """
     return _sim(z, zp, prep.diags, prep)

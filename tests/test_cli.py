@@ -192,6 +192,12 @@ class TestAnalyze:
         assert code == 0
         assert out.startswith("system loop\n")
 
+    def test_dump_model_reads_back(self, capsys, loop_file):
+        code, out, _ = run(capsys, "analyze", loop_file, "--dump-model")
+        assert code == 0
+        assert "\n# loop: converged after 5 iterations" in out
+        assert print_network(parse(out)) == print_network(parse_file(loop_file))
+
     def test_out_of_memory_exit_two(self, capsys, loop_file, monkeypatch):
         monkeypatch.setattr(cli, "compute_gmap", raise_memory_error)
         code, out, err = run(capsys, "analyze", loop_file)
@@ -226,6 +232,14 @@ class TestReach:
         assert code == 0
         assert "toy: c Unreachable" in out
         assert "warning" in err  # c is unreachable in the location graph
+
+    def test_dump_model_reads_back(self, capsys, loop_file):
+        code, out, _ = run(capsys, "reach", loop_file, "--target", "q2",
+                           "--dump-model")
+        assert code == 1
+        assert out.startswith("system loop\n")
+        assert "\n# loop: q2 Reachable nodes=4" in out
+        assert print_network(parse(out)) == print_network(parse_file(loop_file))
 
     def test_unknown_target(self, capsys, loop_file):
         code, _, err = run(capsys, "reach", loop_file, "--target", "nowhere")

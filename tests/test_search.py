@@ -763,10 +763,11 @@ class TestSubsumptionKernel:
 
 
 def same_prepared(a, b) -> bool:
-    return a.diags == b.diags and a.two_sided == b.two_sided and all(
-        np.array_equal(getattr(a, f), getattr(b, f))
-        and getattr(a, f).dtype == getattr(b, f).dtype
-        for f in ("l_edge", "u_thr", "l_thr", "pairs"))
+    arrays = [(getattr(a, f), getattr(b, f))
+              for f in ("l_edge", "u_thr", "l_thr", "pairs")]
+    arrays += list(zip(a.diag.cell + (a.diag.thr,), b.diag.cell + (b.diag.thr,)))
+    return a.diags == b.diags and a.interior == b.interior and all(
+        np.array_equal(x, y) and x.dtype == y.dtype for x, y in arrays)
 
 
 class TestProductSets:
@@ -791,22 +792,30 @@ class TestProductSets:
         return seen
 
     @staticmethod
-    def agree(net, gmaps, locs):
+    def agree(net, gmaps, locs) -> int:
+        """Check every product location; the number that reuse the diagonal
+        stage of an earlier one."""
         n = len(net.clocks)
         sets = search.ProductSets(gmaps, n)
+        stages = {}
         for at in sorted(locs):
+            got = sets.at(at)
             want = simulation.prepare(product_gset(gmaps, ProductLoc(at, ())), n)
-            assert same_prepared(sets.at(at), want), at
+            assert same_prepared(got, want), at
+            # equal diagonal sets share one stage object
+            assert stages.setdefault(got.diags, got.diag) is got.diag, at
+        return len(locs) - len(stages)
 
     def test_desk_rows(self, monkeypatch):
-        total = 0
+        total = shared = 0
         for label, build, _ in DESK_ROWS:
             net = build()
             gmaps = [compute_gmap(c) for c in net.components]
             locs = self.visited(monkeypatch, net, gmaps, "error")
-            self.agree(net, gmaps, locs)
+            shared += self.agree(net, gmaps, locs)
             total += len(locs)
-        assert total >= 100
+        # each desk row has one diagonal set over all its product locations
+        assert total >= 100 and shared >= total - len(DESK_ROWS)
 
     def test_random_sync_networks(self, monkeypatch):
         rng = random.Random(2025)
@@ -824,7 +833,7 @@ class TestProductSets:
             for at in locs:
                 total += 1
                 diagonal += bool(sets.at(at).diags)
-                two_sided += sets.at(at).two_sided
+                two_sided += bool(sets.at(at).pairs.any())
                 # diagonals from two components or more: a sorted union
                 merged += sum(bool(g.at(q).diag) for g, q in zip(gmaps, at)) > 1
         assert total >= 200 and diagonal >= 100 and two_sided >= 100

@@ -16,6 +16,7 @@ from conftest import (
 )
 from reference import (
     SimQuery,
+    _zone_max_const,
     brute_force_sim,
     initial_zone,
     intersect_all,
@@ -68,21 +69,27 @@ def aggregates(prep):
 
 
 def reference_not_simulated(z, zp, prep) -> bool:
-    """The non-diagonal kernel on one candidate, each condition computed
-    with encoded bound addition as derived (no threshold rewriting).
+    """The kernel on one candidate, each condition computed with encoded
+    bound addition as derived (no threshold rewriting).
 
-    A witness point v forces a box on v': for each clock x where v meets the
-    weakest upper of G, v'(x) <= v(x); for each clock y with a lower in G,
-    v'(y) >= min(v(y), the strongest lower's ray edge).  zp misses the box
-    exactly when the tightened matrix has a negative cycle, and every such
-    cycle threads the reference row, so it uses at most one forced upper and
-    one forced lower.  Quantifying v away per cycle shape leaves three
-    conditions checked entrywise below.
+    A diagonal x_i - x_j <= b of G, the entry (i, j, b), refutes when z
+    meets it and zp misses it.  A witness point v forces a box on v': for
+    each clock x where v meets the weakest upper of G, v'(x) <= v(x); for
+    each clock y with a lower in G, v'(y) >= min(v(y), the strongest
+    lower's ray edge).  zp misses the box exactly when the tightened matrix
+    has a negative cycle, and every such cycle threads the reference row,
+    so it uses at most one forced upper and one forced lower.  Quantifying v
+    away per cycle shape leaves three conditions checked entrywise below.
     """
     n = z.n
     if n == 0:
         return False
     zm, pm = z.m, zp.m
+    for i, j, b in prep.diags:
+        # z cut by the diagonal is non-empty, zp cut by it empty
+        if (_add_mat(zm[j, i], np.int64(b)) >= LE_ZERO
+                and _add_mat(pm[j, i], np.int64(b)) < LE_ZERO):
+            return True
     z0 = zm[0, 1:]
     zx0 = zm[1:, 0]
     p0 = pm[0, 1:]
@@ -227,7 +234,7 @@ class TestBruteForce:
             p = right(g, n_clocks)
             return _prepared(np.where(p.u_thr < INF, p.u_thr + du, INF),
                              np.where(p.l_thr > NEVER, p.l_thr + dl, NEVER),
-                             set(p.diags))
+                             p.diag)
 
         monkeypatch.setattr(simulation, "prepare", shifted)
         rng = random.Random(7)
@@ -332,6 +339,96 @@ class TestSimZone:
             checked += 1
 
 
+def random_diagonal(rng, n):
+    """A diagonal atom over two random clocks, and its complement."""
+    x, y = rng.sample(range(n), 2)
+    st, c = rng.choice((WEAK, STRICT)), rng.randint(0, 4)
+    flip = STRICT if st is WEAK else WEAK
+    pair = (make_upper_diag(x, y, st, c), make_lower_diag(x, y, flip, c))
+    return pair if rng.random() < 0.5 else pair[::-1]
+
+
+def diagonal_queries(rng, count):
+    """count batches (z, zps, diags, g): z boxed so that the oracle
+    concludes; g holding diags and up to two random atoms; zps mixing z
+    cut by the complement of diags[0], z cut by two other atoms and
+    unrelated zones."""
+    out = []
+    while len(out) < count:
+        n = rng.choice((2, 2, 3))
+        z = intersect_all(random_zone_chain(rng, n),
+                          [make_upper(x, WEAK, rng.randint(3, 5)) for x in range(n)])
+        if z is EMPTY:
+            continue
+        # a first diagonal that cuts z in two, when a few draws find one
+        for _ in range(10):
+            first = random_diagonal(rng, n)
+            if all(intersect_all(z, [phi]) is not EMPTY for phi in first):
+                break
+        diags, outside = zip(first, *(random_diagonal(rng, n)
+                                      for _ in range(rng.randint(0, 2))))
+        g = GSet.of(list(diags) + [random_atom(rng, n, 4)
+                                   for _ in range(rng.randint(0, 2))])
+        cuts = [outside[0]] + [rng.choice(diags + outside + (random_atom(rng, n, 4),))
+                               for _ in range(2)]
+        zps = [intersect_all(z, [cut]) for cut in cuts]
+        zps += [random_zone_chain(rng, n) for _ in range(3)]
+        # constants within the oracle's bound 6
+        zps = [zp for zp in zps if zp is not EMPTY and _zone_max_const(zp) <= 6]
+        if zps and _zone_max_const(z) <= 6:
+            out.append((z, zps, diags, g))
+    return out
+
+
+def kernel_mask(z, zps, prep) -> np.ndarray:
+    return not_simulated_batch(z, np.array([bound_row(zp) for zp in zps]),
+                               zps, prep)
+
+
+class TestDiagonalStage:
+    """The kernel's diagonal stage against the region-enumeration oracle,
+    which builds each point's simulators from the atoms of g and never
+    reads `prepare`; the kernel is called directly, so these tests stand
+    without `reference_not_simulated`."""
+
+    def test_single_diagonal_is_decided_exactly(self):
+        # with g one diagonal, z is simulated by zp iff zp meets the
+        # diagonal whenever z does; the kernel has only its diagonal stage
+        # to go on and must give the oracle's verdict on every candidate
+        rng = random.Random(89)
+        refuted = kept = 0
+        for z, zps, diags, _ in diagonal_queries(rng, 400):
+            g = GSet.of([diags[0]])
+            prep = prepare(g, z.n)
+            for zp, got in zip(zps, kernel_mask(z, zps, prep).tolist()):
+                try:
+                    want = brute_force_sim(SimQuery(z, zp, g), 6)
+                except ValueError:
+                    continue
+                assert got is not want, (z.m, zp.m, g.atoms())
+                refuted += got
+                kept += not got
+        assert refuted >= 200 and kept >= 200, (refuted, kept)
+
+    def test_refutations_are_sound(self):
+        # every refutation, on sets mixing diagonals with uppers and lowers,
+        # is a real counterexample; a few hundred come from the diagonal
+        # stage alone (the kernel without it leaves the candidate standing)
+        rng = random.Random(97)
+        by_diagonals = refuted = 0
+        for z, zps, _, g in diagonal_queries(rng, 400):
+            prep = prepare(g, z.n)
+            without = replace(prep, diag=prepare(EMPTY_GSET, z.n).diag)
+            mask = kernel_mask(z, zps, prep)
+            alone = mask & ~kernel_mask(z, zps, without)
+            for k in np.flatnonzero(mask).tolist():
+                assert not brute_force_sim(SimQuery(z, zps[k], g), 6), (
+                    z.m, zps[k].m, g.atoms())
+            refuted += int(mask.sum())
+            by_diagonals += int(alone.sum())
+        assert by_diagonals >= 300 and refuted > by_diagonals, (refuted, by_diagonals)
+
+
 def one_clock_zones():
     """Every nonempty zone over one clock bounded by constants 2 and 3,
     weak and strict, from below and above, or unbounded above."""
@@ -429,12 +526,14 @@ class TestKernel:
         lowers = GSet.of([make_lower(X, WEAK, 3), make_lower(Y, STRICT, 2)])
         same_clock = GSet.of([make_upper(X, WEAK, 3), make_lower(X, STRICT, 1)])
         crossed = GSet.of([make_upper(X, WEAK, 3), make_lower(Y, STRICT, 1)])
-        for g, two_sided in ((uppers, False), (lowers, False),
-                             (same_clock, False), (crossed, True)):
-            assert prepare(g, 2).two_sided is two_sided
+        diagonal = GSet.of([make_upper(X, WEAK, 3), make_upper_diag(X, Y, STRICT, 1)])
+        for g, interior in ((uppers, False), (lowers, False),
+                            (same_clock, False), (crossed, True),
+                            (diagonal, True)):
+            assert prepare(g, 2).interior is interior
         rng = random.Random(59)
         zones = [random_zone_chain(rng, 2) for _ in range(40)]
-        for g in (uppers, lowers, same_clock, crossed):
+        for g in (uppers, lowers, same_clock, crossed, diagonal):
             prep = prepare(g, 2)
             for z in zones[:10]:
                 batch_matches_reference(z, zones, prep)
@@ -466,13 +565,13 @@ class TestKernel:
             rows = np.array([bound_row(zp) for zp in zones])
             for _ in range(20):
                 prep = prepare(EMPTY_GSET, n)
-                while not prep.two_sided:
+                while not prep.interior:
                     prep = prepare(GSet.of([
                         rng.choice((make_upper, make_lower))(
                             rng.randrange(n), rng.choice((WEAK, STRICT)),
                             rng.randint(1, 3))
                         for _ in range(rng.randint(2, 4))]), n)
-                single_sided = replace(prep, two_sided=False)
+                single_sided = replace(prep, interior=False)
                 for z in zones:
                     mask = batch_matches_reference(z, zones, prep)
                     standing = ~not_simulated_batch(z, rows, zones, single_sided)
@@ -506,8 +605,13 @@ class TestKernel:
             pairs = [[bool(has_l[y] and has_u[x]) and x != y
                       for x in range(n)] for y in range(n)]
             assert prep.pairs.tolist() == pairs
-            assert prep.two_sided == any(map(any, pairs))
-            assert set(prep.diags) == set(map(_atom_entry, g.diag))
+            assert prep.interior == (any(map(any, pairs)) or bool(g.diag))
+            entries = set(map(_atom_entry, g.diag))
+            assert set(prep.diags) == entries
+            rows, cols = prep.diag.cell
+            assert sorted(zip(rows.tolist(), cols.tolist(),
+                              prep.diag.thr.tolist())) == sorted(
+                (j - 1, i - 1, 2 - b) for i, j, b in entries)
 
     def test_prepare_refuses_constants_out_of_range(self):
         # every atom is encoded by dbm's one range rule, diagonals included
