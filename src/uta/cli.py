@@ -1,9 +1,12 @@
 """Command line front end.
 
 ``uta analyze`` runs the per-component constraint analysis, ``uta reach``
-runs the pruned zone search, and ``uta gen`` writes benchmark models in the
-text format.  Exit codes: 0 for Unreachable or Converged, 1 for Reachable,
-2 for any error, timeout, non-convergence, or running out of memory.
+runs it and then the pruned zone search; both share one front half
+(`_front`) and return only their verdict.  ``uta gen`` writes benchmark
+models in the text format.  Failures are raised, and `main` alone reports
+them.  Exit codes: 0 for Unreachable or Converged, 1 for Reachable, 2 for
+any error, timeout, non-convergence, running out of memory, or internal
+error (reported with its traceback).
 """
 import argparse
 import json
@@ -39,37 +42,55 @@ EXIT_ERROR = 2
 DEFAULT_TIMEOUT = 1200.0
 
 
+def _seconds(text: str) -> float:
+    """A time bound: a number of seconds greater than 0, inf included."""
+    try:
+        if (seconds := float(text)) > 0:  # false for NaN
+            return seconds
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected seconds greater than 0, got {text!r}")
+
+
 def _timeout_default() -> float:
     env = os.environ.get("UTA_TIMEOUT_SECS")
     if env is not None:
         try:
-            return float(env)
-        except ValueError:
+            return _seconds(env)
+        except argparse.ArgumentTypeError:
             print(f"warning: ignoring bad UTA_TIMEOUT_SECS={env!r}", file=sys.stderr)
     return DEFAULT_TIMEOUT
 
 
-def _timed_out(timeout: float, phase: str) -> int:
-    print(f"error: timeout after {timeout:.0f}s ({phase})", file=sys.stderr)
-    return EXIT_ERROR
+class _Invalid(Exception):
+    """The model failed validation; args are its diagnostic lines."""
 
 
-def _load(path: str, allow_shared: bool) -> Optional[Network]:
-    try:
-        net = parse_file(path)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None
-    except ParseErrors as exc:
-        for e in exc.errors:
-            print(f"error: {e}", file=sys.stderr)
-        return None
-    blocked = False
-    for diag in validate_network(net):
-        print(f"{diag.level}: {diag.message}", file=sys.stderr)
-        if diag.level == "error" and not allow_shared:
-            blocked = True
-    return None if blocked else net
+def _front(args) -> tuple[Network, Callable[[str], None], Optional[list], float]:
+    """Parse and validate args.input, echo it under --dump-model, and
+    analyse each component within args.timeout (resolved here) unless
+    --no-simulation.  Returns the network, the print for the result (under
+    --dump-model it comments out every line, so the output parses back), the
+    constraint maps and the time the analysis started."""
+    args.phase = "parse"
+    net = parse_file(args.input)
+    diags = validate_network(net)
+    lines = [f"{d.level}: {d.message}" for d in diags]
+    if not args.allow_shared_clocks and any(d.level == "error" for d in diags):
+        raise _Invalid(*lines)
+    for line in lines:
+        print(line, file=sys.stderr)
+    say = print
+    if args.dump_model:
+        sys.stdout.write(print_network(net))
+        say = lambda text: print("# " + text.replace("\n", "\n# "))
+    args.timeout = args.timeout or _timeout_default()
+    args.phase = "static analysis"
+    t0 = time.monotonic()
+    gmaps = None if args.no_simulation else [
+        compute_gmap(comp, Mode(args.method), deadline=t0 + args.timeout)
+        for comp in net.components]
+    return net, say, gmaps, t0
 
 
 def _print_witness(doc: dict, indent: str, say: Callable[[str], None]) -> None:
@@ -81,35 +102,13 @@ def _print_witness(doc: dict, indent: str, say: Callable[[str], None]) -> None:
         say(f"{indent}positive cycle: steps {lo}..{hi}")
 
 
-def _dump(args, net) -> Callable[[str], None]:
-    """Under --dump-model, write the model and return a print that comments
-    out each result line, so standard output parses back as the model."""
-    if not args.dump_model:
-        return print
-    sys.stdout.write(print_network(net))
-    return lambda line: print(f"# {line}")
-
-
 def cmd_analyze(args) -> int:
-    args.phase = "parse"
-    net = _load(args.input, args.allow_shared_clocks)
-    if net is None:
-        return EXIT_ERROR
-    say = _dump(args, net)
-    mode = Mode(args.method)
-    timeout = _timeout_default()
-    args.phase = "static analysis"
-    t0 = time.monotonic()
-    try:
-        gmaps = [compute_gmap(comp, mode, deadline=t0 + timeout)
-                 for comp in net.components]
-    except TimeoutError:
-        return _timed_out(timeout, args.phase)
+    net, say, gmaps, t0 = _front(args)
     reports = [report_json(comp, g) for comp, g in zip(net.components, gmaps)]
     all_converged = all(g.status is Status.CONVERGED for g in gmaps)
     seconds = time.monotonic() - t0
     if args.out_format == "json":
-        print(json.dumps(
+        say(json.dumps(
             {"model": net.name, "method": args.method, "seconds": round(seconds, 4),
              "components": reports},
             indent=2))
@@ -132,43 +131,24 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_reach(args) -> int:
-    args.phase = "parse"
-    net = _load(args.input, args.allow_shared_clocks)
-    if net is None:
-        return EXIT_ERROR
-    say = _dump(args, net)
-    timeout = args.timeout if args.timeout is not None else _timeout_default()
-    t0 = time.monotonic()
-    args.phase = "static analysis"
-    try:
-        gmaps = None if args.no_simulation else [
-            compute_gmap(comp, Mode(args.method), deadline=t0 + timeout)
-            for comp in net.components]
-        remaining = timeout - (time.monotonic() - t0)
-    except TimeoutError:
-        remaining = 0.0
+    net, say, gmaps, t0 = _front(args)
+    remaining = args.timeout - (time.monotonic() - t0)
     if remaining <= 0:
-        return _timed_out(timeout, args.phase)
+        raise TimeoutError
     args.phase = "search"
-    try:
-        stats = reach(net, gmaps, args.target, timeout=remaining)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    stats = reach(net, gmaps, args.target, timeout=remaining)
     total = time.monotonic() - t0
     if args.out_format == "json":
         doc = {"model": net.name, "target": args.target, "method": args.method}
         doc.update(stats.to_json(net))
         doc["total_seconds"] = round(total, 4)
-        print(json.dumps(doc, indent=2))
+        say(json.dumps(doc, indent=2))
     else:
         say(f"{net.name}: {args.target} {stats.verdict} "
             f"nodes={stats.nodes} time={total:.2f}s")
-    if stats.verdict == REACHABLE:
-        return EXIT_POSITIVE
-    if stats.verdict == UNREACHABLE:
-        return EXIT_NEGATIVE
-    return _timed_out(timeout, args.phase)
+    if stats.verdict not in (REACHABLE, UNREACHABLE):
+        raise TimeoutError
+    return EXIT_POSITIVE if stats.verdict == REACHABLE else EXIT_NEGATIVE
 
 
 def _parse_tasks(text: str) -> tuple[TaskSpec, ...]:
@@ -252,22 +232,14 @@ def _build_gen(args) -> Network:
 
 def cmd_gen(args) -> int:
     args.phase = "generation"
-    try:
-        net = _build_gen(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    net = _build_gen(args)
     text = print_network(net)
     if args.output == "-":
         sys.stdout.write(text)
         return EXIT_NEGATIVE
-    path = args.output if args.output else f"{net.name}.uta"
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    path = args.output or f"{net.name}.uta"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
     print(path)
     return EXIT_NEGATIVE
 
@@ -285,9 +257,8 @@ def _add_common(p, with_target: bool) -> None:
                    help="keep going when components share a clock "
                         "(reach then needs --no-simulation)")
     p.add_argument("--dump-model", action="store_true",
-                   help="echo the parsed model before the result; in text format "
-                        "the result lines follow as # comments, so the output "
-                        "parses back")
+                   help="echo the parsed model before the result, which then "
+                        "follows as # comment lines, so the output parses back")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -301,11 +272,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(pa, with_target=False)
     pa.add_argument("--explain-divergence", action="store_true",
                     help="print the propagation witness for diverged components")
+    # bounded by the default time bound only, and always analysing
+    pa.set_defaults(timeout=None, no_simulation=False)
 
     pr = sub.add_parser("reach", help="zone-graph reachability")
     _add_common(pr, with_target=True)
-    pr.add_argument("--timeout", type=float, default=None,
-                    help=f"seconds; default {DEFAULT_TIMEOUT:.0f} or UTA_TIMEOUT_SECS")
+    pr.add_argument("--timeout", type=_seconds, default=None,
+                    help=f"seconds, greater than 0; default {DEFAULT_TIMEOUT:.0f} "
+                         "or UTA_TIMEOUT_SECS")
     pr.add_argument("--no-simulation", action="store_true",
                     help="disable simulation pruning (exact-duplicate dedup only)")
 
@@ -340,15 +314,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command: the one place that reports a failure and exits 2.
+    Each command names its phase in args.phase as it enters it."""
     args = build_parser().parse_args(argv)
     handler = {"analyze": cmd_analyze, "reach": cmd_reach, "gen": cmd_gen}
     try:
         return handler[args.cmd](args)
+    except ParseErrors as exc:
+        lines = [f"error: {e}" for e in exc.errors]
+    except _Invalid as exc:
+        lines = list(exc.args)
+    except TimeoutError:  # before OSError, its base class
+        lines = [f"error: timeout after {args.timeout:.0f}s ({args.phase})"]
+    except (OSError, ValueError) as exc:
+        lines = [f"error: {exc}"]
     except MemoryError:
-        pass
-    # reported outside the handler, once the failed phase's frames are freed;
-    # each command names its phase in args.phase as it enters it
-    print(f"error: out of memory during {args.phase}", file=sys.stderr)
+        lines = []  # reported below, once the failed phase's frames are freed
+    except Exception:
+        sys.excepthook(*sys.exc_info())
+        lines = [f"error: internal error during {args.phase}"]
+    for line in lines or [f"error: out of memory during {args.phase}"]:
+        print(line, file=sys.stderr)
     return EXIT_ERROR
 
 

@@ -383,12 +383,6 @@ class Automaton:
     def initial(self) -> int:
         return next(i for i, loc in enumerate(self.locations) if loc.initial)
 
-    def location_index(self, name: str) -> int:
-        for i, loc in enumerate(self.locations):
-            if loc.name == name:
-                return i
-        raise KeyError(f"{self.name}: no location named {name!r}")
-
     def clocks_written(self) -> frozenset[int]:
         out = set()
         for e in self.edges:

@@ -125,7 +125,7 @@ class TestEdfStructure:
     def test_subtraction_relay_edges(self):
         net = tight_triple()
         task1 = net.components[1]
-        pre = task1.location_index("preempted")
+        pre = [loc.name for loc in task1.locations].index("preempted")
         subs = [e for e in task1.edges
                 if e.sync and e.sync[0].startswith("sub") and e.src == pre]
         assert len(subs) == 2

@@ -373,6 +373,64 @@ class TestReach:
         assert doc["total_seconds"] >= doc["seconds"]
 
 
+class TestExitPath:
+    @pytest.mark.parametrize("argv, want", [(("analyze",), 0),
+                                            (("reach", "--target", "q2"), 1)])
+    def test_dump_model_json_reads_back(self, capsys, loop_file, argv, want):
+        argv = (argv[0], loop_file, *argv[1:], "--format", "json")
+        code, out, _ = run(capsys, *argv, "--dump-model")
+        assert code == want
+        assert print_network(parse(out)) == print_network(parse_file(loop_file))
+        comments = [l[2:] for l in out.splitlines() if l.startswith("# ")]
+        dumped = json.loads("\n".join(comments))
+        _, plain, _ = run(capsys, *argv)
+        untimed = lambda doc: {k: v for k, v in doc.items() if "seconds" not in k}
+        assert untimed(dumped) == untimed(json.loads(plain))
+
+    @pytest.mark.parametrize("argv, name, phase", [
+        (("analyze", "LOOP"), "compute_gmap", "static analysis"),
+        (("reach", "LOOP", "--target", "q2"), "reach", "search"),
+        (("gen", "fig1", "-o", "-"), "_build_gen", "generation"),
+    ])
+    def test_internal_error_exit_two(self, capsys, loop_file, monkeypatch,
+                                     argv, name, phase):
+        # exit 1 would read as Reachable, so no exception may escape
+        def fail(*args, **kwargs):
+            raise RuntimeError("injected fault")
+
+        monkeypatch.setattr(cli, name, fail)
+        argv = [loop_file if a == "LOOP" else a for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "RuntimeError: injected fault" in err
+        assert err.splitlines()[-1] == f"error: internal error during {phase}"
+
+    @pytest.mark.parametrize("timeout", ["nan", "0", "-1"])
+    def test_timeout_must_be_positive(self, tmp_path, timeout):
+        path = tmp_path / "spin.uta"
+        path.write_text(SPIN)
+        t0 = time.monotonic()
+        proc = subprocess.run(
+            [sys.executable, "-m", "uta.cli", "reach", str(path), "--target", "b",
+             "--no-simulation", f"--timeout={timeout}"],
+            capture_output=True, text=True, timeout=60, env=child_env())
+        assert time.monotonic() - t0 < 10
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert "argument --timeout: expected seconds greater than 0" in proc.stderr
+
+    def test_infinite_timeout_allowed(self, capsys, loop_file):
+        code, out, _ = run(capsys, "reach", loop_file, "--target", "q2",
+                           "--timeout", "inf")
+        assert code == 1 and "Reachable" in out
+
+    @pytest.mark.parametrize("env", ["nan", "0", "-1", "soon"])
+    def test_bad_env_timeout_falls_back(self, capsys, monkeypatch, env):
+        monkeypatch.setenv("UTA_TIMEOUT_SECS", env)
+        assert cli._timeout_default() == cli.DEFAULT_TIMEOUT
+        assert capsys.readouterr().err == (
+            f"warning: ignoring bad UTA_TIMEOUT_SECS={env!r}\n")
+
+
 class TestGen:
     def test_edf_file_matches_library(self, capsys, tmp_path):
         path = tmp_path / "f3.uta"

@@ -1,6 +1,7 @@
 """No module-level import binds a name its module never uses, no top-level
-definition or dataclass field of the package goes unread by the program and
-its benchmark, and no shared test code goes unread by the tests."""
+definition, public method or dataclass field of the package goes unread by
+the program and its benchmark, and no shared test code goes unread by the
+tests."""
 import ast
 from pathlib import Path
 from typing import Optional
@@ -76,11 +77,10 @@ def _referenced(tree: ast.AST, skip: Optional[ast.AST] = None) -> set[str]:
     return out
 
 
-def unread_definitions(modules: dict[str, str],
-                       readers: dict[str, str]) -> list[str]:
-    """module:name of each top-level function or class of modules that no
-    module of readers (modules included) references outside its own
-    definition."""
+def _unread(modules: dict[str, str], readers: dict[str, str], pick) -> list[str]:
+    """module:label of each definition pick(tree) yields as (label, node)
+    that no module of readers (modules included) references outside
+    node."""
     trees = {path: ast.parse(src) for path, src in {**readers, **modules}.items()}
     everywhere: dict[str, set[str]] = {}
     for path, tree in trees.items():
@@ -89,16 +89,35 @@ def unread_definitions(modules: dict[str, str],
     found = []
     for path in modules:
         tree = trees[path]
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                continue
+        for label, node in pick(tree):
             where = everywhere.get(node.name, set())
             if where - {path}:
                 continue
             if path in where and node.name in _referenced(tree, skip=node):
                 continue
-            found.append(f"{path}:{node.name}")
+            found.append(f"{path}:{label}")
     return found
+
+
+def unread_definitions(modules: dict[str, str],
+                       readers: dict[str, str]) -> list[str]:
+    """module:name of each top-level function or class of modules that no
+    module of readers (modules included) references outside its own
+    definition."""
+    return _unread(modules, readers, lambda tree: [
+        (node.name, node) for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))])
+
+
+def unread_methods(modules: dict[str, str], readers: dict[str, str]) -> list[str]:
+    """module:Class.method of each public method of a top-level class of
+    modules that no module of readers (modules included) references outside
+    its own definition."""
+    return _unread(modules, readers, lambda tree: [
+        (f"{cls.name}.{node.name}", node) for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")])
 
 
 def test_checker_finds_unread_definitions():
@@ -115,6 +134,25 @@ def test_checker_finds_unread_definitions():
         "lib.py:recursive", "lib.py:Unread"]
 
 
+def test_checker_finds_unread_methods():
+    lib = (
+        "class Box:\n"
+        "    def __init__(self): self.n = self.size()\n"
+        "    def size(self): return 1\n"
+        "    def grow(self): return self.grow()\n"
+        "    def by_name(self): pass\n"
+        "    def unread(self): pass\n"
+        "    def _private(self): pass\n"
+        "    @property\n"
+        "    def width(self): return 2\n"
+        "    @property\n"
+        "    def height(self): return 3\n"
+    )
+    user = "import lib\nprint(lib.Box().width)\nTABLE = ['by_name']\n"
+    assert unread_methods({"lib.py": lib}, {"user.py": user}) == [
+        "lib.py:Box.grow", "lib.py:Box.unread", "lib.py:Box.height"]
+
+
 def _sources(*parts) -> dict[str, str]:
     return {str(f.relative_to(ROOT)): f.read_text()
             for f in sorted(ROOT.joinpath(*parts).glob("*.py"))}
@@ -129,6 +167,15 @@ def test_package_has_no_unread_definitions():
     assert len(modules) >= 8 and len(readers) >= 4
     found = unread_definitions(modules, readers)
     assert not found, "definitions nothing reads:\n" + "\n".join(found)
+
+
+def test_package_has_no_unread_methods():
+    # a method only tests call is reference code, as for definitions
+    modules = _sources("src", "uta")
+    readers = _sources("perfbench")
+    assert len(modules) >= 8 and len(readers) >= 4
+    found = unread_methods(modules, readers)
+    assert not found, "public methods nothing reads:\n" + "\n".join(found)
 
 
 def test_shared_test_code_has_no_unread_definitions():
