@@ -3,17 +3,17 @@
 A location's set collects the atomic constraints that matter for simulation
 at that location: guard atoms of outgoing edges, preimages of clock
 nonnegativity under updates, invariant atoms, and backward propagations of
-the targets' constraints.  The reduced propagation applies guard-aware cuts
-so the fixed point converges on many automata where plain preimage
-propagation grows forever.  The remaining non-convergence becomes an
-explicit divergence verdict with a replayable witness: a propagated
-constant above the bound N proves it.  Rather than sweeping until some
-constant gets there, the analysis stops at the first new atom that repeats
-the location and shape of an ancestor with a smaller constant, and pumps
-that growth cycle past N, as deep as the sweep budget would have reached.
+the targets' constraints.  The propagation applies guard-aware cuts to the
+preimage, so the fixed point converges on many automata where the plain
+preimage grows forever.  The remaining non-convergence becomes an explicit
+divergence verdict with a replayable witness: a propagated constant above
+the bound N proves it.  Rather than sweeping until some constant gets
+there, the analysis stops at the first new atom that repeats the location
+and shape of an ancestor with a smaller constant, and pumps that growth
+cycle past N, as deep as the sweep budget would have reached.
 Pumping shifts the cycle's steps instead of propagating them again: above
-max(M, L) the reduced propagation treats a constant c and c + delta alike,
-so each lap is the previous one with every constant grown by delta.
+max(M, L) the propagation treats a constant c and c + delta alike, so
+each lap is the previous one with every constant grown by delta.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ import enum
 import time
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .model import (
     TOP,
@@ -33,11 +33,6 @@ from .model import (
     from_entry,
     make_lower,
 )
-
-
-class Mode(enum.Enum):
-    REDUCED = "reduced"
-    NON_REDUCED = "nonreduced"
 
 
 class Status(enum.Enum):
@@ -113,23 +108,8 @@ def wp(
     guard_atoms: Sequence[AtomicConstraint],
     up: Update,
 ) -> AtomicConstraint:
-    """Reduced backward propagation: preimage, then guard-context cut."""
+    """Backward propagation: preimage, then guard-context cut."""
     return table_cut(up_inverse(phi, up), guard_atoms)
-
-
-def preimage(
-    phi: AtomicConstraint,
-    guard_atoms: Sequence[AtomicConstraint],
-    up: Update,
-) -> AtomicConstraint:
-    """Plain backward propagation: the preimage, guard context unused."""
-    return up_inverse(phi, up)
-
-
-def propagation(mode: Mode) -> Callable[..., AtomicConstraint]:
-    """The backward propagation rule of mode: `wp` when reduced, else
-    `preimage`.  Callers pick it once per call, not per propagation."""
-    return wp if mode is Mode.REDUCED else preimage
 
 
 def edge_context(a: Automaton, edge_idx: int) -> tuple[AtomicConstraint, ...]:
@@ -189,7 +169,7 @@ class AnalysisBounds:
 
     @property
     def floor(self) -> int:
-        """Constants above this are treated alike by reduced propagation."""
+        """Constants above this are treated alike by propagation."""
         return max(self.M, self.L)
 
     @property
@@ -246,52 +226,32 @@ class GMap:
     sets: tuple[GSet, ...]
     iterations: int
     bounds: AnalysisBounds
-    mode: Mode
     budget: int
     witness: Optional[PropagationSequence] = None
-
-    def at(self, q: int) -> GSet:
-        return self.sets[q]
 
 
 # --------------------------------------------------------------------------
 # Base case and iteration
 
 
-def _base_records(a: Automaton, mode: Mode) -> list[tuple[int, AtomicConstraint]]:
-    records: list[tuple[int, AtomicConstraint]] = []
-    seen: set[tuple[int, AtomicConstraint]] = set()
-
-    def add(q: int, phi: AtomicConstraint) -> None:
-        if phi.is_trivial:
-            return
-        if (q, phi) not in seen:
-            seen.add((q, phi))
-            records.append((q, phi))
-
-    prop = propagation(mode)
+def _base_records(a: Automaton) -> list[tuple[int, AtomicConstraint]]:
+    """Base constraints by location: invariant atoms, then per outgoing edge
+    its guard atoms and the images of 0 <= x; trivial ones and repeats
+    dropped."""
+    records: dict[tuple[int, AtomicConstraint], None] = {}  # insertion-ordered
     by_src: dict[int, list[int]] = defaultdict(list)
     for ei, e in enumerate(a.edges):
         by_src[e.src].append(ei)
     for q, loc in enumerate(a.locations):
-        for phi in loc.invariant.clock_atoms:
-            add(q, phi)
+        atoms = list(loc.invariant.clock_atoms)
         for ei in by_src[q]:
             e = a.edges[ei]
-            for phi in e.guard.clock_atoms:
-                add(q, phi)
             ctx = edge_context(a, ei)
-            for x in range(len(a.clock_names)):
-                add(q, prop(nonneg_source(x), ctx, e.update))
-    return records
-
-
-def g0(a: Automaton, mode: Mode = Mode.REDUCED) -> tuple[GSet, ...]:
-    """Base constraint sets: guard atoms, nonnegativity preimages, invariants."""
-    sets: list[list[AtomicConstraint]] = [[] for _ in a.locations]
-    for q, phi in _base_records(a, mode):
-        sets[q].append(phi)
-    return tuple(GSet.of(s) for s in sets)
+            atoms += e.guard.clock_atoms
+            atoms += [wp(nonneg_source(x), ctx, e.update)
+                      for x in range(len(a.clock_names))]
+        records.update(((q, phi), None) for phi in atoms if not phi.is_trivial)
+    return list(records)
 
 
 ParentMap = dict[tuple[int, AtomicConstraint], Optional[tuple[int, AtomicConstraint, int]]]
@@ -299,26 +259,24 @@ ParentMap = dict[tuple[int, AtomicConstraint], Optional[tuple[int, AtomicConstra
 
 def compute_gmap(
     a: Automaton,
-    mode: Mode = Mode.REDUCED,
     budget_override: Optional[int] = None,
     deadline: Optional[float] = None,
 ) -> GMap:
     """Iterate propagation to the least fixed point or a stop condition.
 
-    Reduced mode stops Diverged on the first sweep that shows a propagated
-    constant above the bound N within budget + 1 propagations of a base
-    atom, which is exactly when sweeping on until such a constant appears
-    would stop Diverged.  A sweep shows it when it produces such a constant,
+    It stops Diverged on the first sweep that shows a propagated constant
+    above the bound N within budget + 1 propagations of a base atom, which
+    is exactly when sweeping on until such a constant appears would stop
+    Diverged.  A sweep shows it when it produces such a constant,
     or when a new atom closes a growth cycle (`_find_cycle`) whose pumped
     laps pass N within that depth (`_witness`); each lap is the previous one
     shifted up by the cycle's growth, which is exact above max(M, L), where
     every cycle constant lies.  The witness is the chain to the constant; a
     diverged map's sets are those found by the detecting sweep plus the
     witness atoms, and ``iterations`` counts the sweeps run.  The step
-    budget is a hard stop that the convergence guarantees make unreachable
-    in reduced mode.  Plain preimage mode has no constant bound and can only
-    converge or exhaust the budget.  A sweep or pumped step begun after
-    deadline (a `time.monotonic` value) raises TimeoutError.
+    budget is a hard stop that the convergence guarantees make unreachable.
+    A sweep or pumped step begun after deadline (a `time.monotonic` value)
+    raises TimeoutError.
     """
     bounds = analysis_bounds(a)
     budget = bounds.budget if budget_override is None else budget_override
@@ -331,7 +289,7 @@ def compute_gmap(
     sets: list[set[AtomicConstraint]] = [set() for _ in range(n_loc)]
     parent: ParentMap = {}
     frontier: list[tuple[int, AtomicConstraint]] = []
-    for q, phi in _base_records(a, mode):
+    for q, phi in _base_records(a):
         if phi not in sets[q]:
             sets[q].add(phi)
             parent[(q, phi)] = None
@@ -340,19 +298,11 @@ def compute_gmap(
     for ei, e in enumerate(a.edges):
         edges_by_dst[e.dst].append(ei)
     contexts = [edge_context(a, ei) for ei in range(len(a.edges))]
-    prop = propagation(mode)
     steps = 0
 
     def result(status: Status, witness=None) -> GMap:
-        return GMap(
-            status,
-            tuple(GSet.of(s) for s in sets),
-            steps,
-            bounds,
-            mode,
-            budget,
-            witness,
-        )
+        return GMap(status, tuple(GSet.of(s) for s in sets), steps, bounds,
+                    budget, witness)
 
     while frontier:
         _check_deadline(deadline)
@@ -360,7 +310,7 @@ def compute_gmap(
         for qp, phi in frontier:
             for ei in edges_by_dst[qp]:
                 e = a.edges[ei]
-                psi = prop(phi, contexts[ei], e.update)
+                psi = wp(phi, contexts[ei], e.update)
                 if psi.is_trivial or psi in sets[e.src]:
                     continue
                 sets[e.src].add(psi)
@@ -369,15 +319,14 @@ def compute_gmap(
         if not new_frontier:
             return result(Status.CONVERGED)
         steps += 1
-        if mode is Mode.REDUCED:
-            for q, phi in sorted(new_frontier, key=lambda r: r[0]):
-                if phi.constant > bounds.floor:
-                    witness = _witness(_chain(q, phi, parent), bounds, budget + 1,
-                                       deadline)
-                    if witness is not None:
-                        for st in witness.steps:
-                            sets[st.location].add(st.constraint)
-                        return result(Status.DIVERGED, witness)
+        for q, phi in sorted(new_frontier, key=lambda r: r[0]):
+            if phi.constant > bounds.floor:
+                witness = _witness(_chain(q, phi, parent), bounds, budget + 1,
+                                   deadline)
+                if witness is not None:
+                    for st in witness.steps:
+                        sets[st.location].add(st.constraint)
+                    return result(Status.DIVERGED, witness)
         if steps > budget:
             return result(Status.BUDGET_EXHAUSTED)
         frontier = new_frontier
@@ -471,9 +420,7 @@ def verify_witness(gmap: GMap, a: Automaton) -> list[str]:
     steps = seq.steps
     if not steps:
         return ["empty witness"]
-    base = g0(a, gmap.mode)
-    prop = propagation(gmap.mode)
-    if steps[0].constraint not in base[steps[0].location]:
+    if (steps[0].location, steps[0].constraint) not in _base_records(a):
         problems.append("witness does not start at a base-set constraint")
     for k in range(1, len(steps)):
         ei = steps[k].edge
@@ -484,7 +431,7 @@ def verify_witness(gmap: GMap, a: Automaton) -> list[str]:
         if e.src != steps[k].location or e.dst != steps[k - 1].location:
             problems.append(f"step {k}: edge endpoints do not match")
             continue
-        expect = prop(steps[k - 1].constraint, edge_context(a, ei), e.update)
+        expect = wp(steps[k - 1].constraint, edge_context(a, ei), e.update)
         if expect != steps[k].constraint:
             problems.append(f"step {k}: propagation does not reproduce the constraint")
     if steps[-1].constraint.constant <= gmap.bounds.N:
@@ -509,8 +456,8 @@ def verify_witness(gmap: GMap, a: Automaton) -> list[str]:
                 cur = steps[k].constraint
                 ei = steps[k].edge
                 e = a.edges[ei]
-                shifted = prop(prev.with_constant(prev.constant + delta),
-                               edge_context(a, ei), e.update)
+                shifted = wp(prev.with_constant(prev.constant + delta),
+                             edge_context(a, ei), e.update)
                 if shifted != cur.with_constant(cur.constant + delta):
                     problems.append(f"cycle step {k} does not re-propagate shifted")
                     break
@@ -523,19 +470,18 @@ def verify_witness(gmap: GMap, a: Automaton) -> list[str]:
 
 def check_closure(gmap: GMap, a: Automaton) -> bool:
     """Fixed-point conditions: base atoms present, propagations present or cut."""
-    prop = propagation(gmap.mode)
     sets = gmap.sets
 
     def covered(q: int, phi: AtomicConstraint) -> bool:
         return phi.is_trivial or phi in sets[q]
 
-    for q, phi in _base_records(a, gmap.mode):
+    for q, phi in _base_records(a):
         if not covered(q, phi):
             return False
     for ei, e in enumerate(a.edges):
         ctx = edge_context(a, ei)
         for phi in sets[e.dst]:
-            if not covered(e.src, prop(phi, ctx, e.update)):
+            if not covered(e.src, wp(phi, ctx, e.update)):
                 return False
     return True
 

@@ -15,7 +15,7 @@ import sys
 import time
 from typing import Callable, Optional, Sequence
 
-from .analysis import Mode, Status, compute_gmap, report_json
+from .analysis import Status, compute_gmap, report_json
 from .benchgen import (
     FRAGMENTS,
     CounterAutomaton,
@@ -74,9 +74,10 @@ def _front(args) -> tuple[Network, Callable[[str], None], Optional[list], float]
     constraint maps and the time the analysis started."""
     args.phase = "parse"
     net = parse_file(args.input)
-    diags = validate_network(net)
-    lines = [f"{d.level}: {d.message}" for d in diags]
-    if not args.allow_shared_clocks and any(d.level == "error" for d in diags):
+    # every validation error is a shared clock, which the flag lets through
+    lines = [f"{'warning' if args.allow_shared_clocks else d.level}: {d.message}"
+             for d in validate_network(net)]
+    if any(line.startswith("error:") for line in lines):
         raise _Invalid(*lines)
     for line in lines:
         print(line, file=sys.stderr)
@@ -88,7 +89,7 @@ def _front(args) -> tuple[Network, Callable[[str], None], Optional[list], float]
     args.phase = "static analysis"
     t0 = time.monotonic()
     gmaps = None if args.no_simulation else [
-        compute_gmap(comp, Mode(args.method), deadline=t0 + args.timeout)
+        compute_gmap(comp, deadline=t0 + args.timeout)
         for comp in net.components]
     return net, say, gmaps, t0
 
@@ -109,8 +110,7 @@ def cmd_analyze(args) -> int:
     seconds = time.monotonic() - t0
     if args.out_format == "json":
         say(json.dumps(
-            {"model": net.name, "method": args.method, "seconds": round(seconds, 4),
-             "components": reports},
+            {"model": net.name, "seconds": round(seconds, 4), "components": reports},
             indent=2))
     else:
         for doc in reports:
@@ -139,7 +139,7 @@ def cmd_reach(args) -> int:
     stats = reach(net, gmaps, args.target, timeout=remaining)
     total = time.monotonic() - t0
     if args.out_format == "json":
-        doc = {"model": net.name, "target": args.target, "method": args.method}
+        doc = {"model": net.name, "target": args.target}
         doc.update(stats.to_json(net))
         doc["total_seconds"] = round(total, 4)
         say(json.dumps(doc, indent=2))
@@ -249,8 +249,6 @@ def _add_common(p, with_target: bool) -> None:
     if with_target:
         p.add_argument("--target", required=True,
                        help="location name, bare or as process.location")
-    p.add_argument("--method", choices=[m.value for m in Mode],
-                   default="reduced")
     p.add_argument("--format", dest="out_format", choices=("text", "json"),
                    default="text")
     p.add_argument("--allow-shared-clocks", action="store_true",
@@ -326,7 +324,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         lines = list(exc.args)
     except TimeoutError:  # before OSError, its base class
         lines = [f"error: timeout after {args.timeout:.0f}s ({args.phase})"]
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, OverflowError) as exc:
         lines = [f"error: {exc}"]
     except MemoryError:
         lines = []  # reported below, once the failed phase's frames are freed

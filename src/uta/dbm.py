@@ -29,6 +29,10 @@ from .model import (
 )
 
 INF = np.int64(2**62)
+# an update's offsets may move finite entries only inside (-LIMIT, LIMIT), so
+# that a sum of three of them, as tightening forms, stays clear of +-INF and
+# of int64 wraparound
+LIMIT = INF >> 2
 LE_ZERO = np.int64(1)  # encoded (<=, 0)
 
 
@@ -166,7 +170,8 @@ class Step:
     x := y+d with d < 0 requires -d <= y).  For a non-identity update,
     ``src`` holds per entry of the updated matrix the flat index of the
     entry it is copied from and ``delta`` the encoded offset added to it;
-    both are None for the identity.
+    both are None for the identity, and ``delta`` is None when every offset
+    is zero (resets to 0 and plain copies).
     """
 
     cut: tuple[Triple, ...]
@@ -190,17 +195,23 @@ def compile_step(guard: Iterable[AtomicConstraint], up: Update,
     delta = 2 * (off[:, None] - off[None, :])
     flat.flags.writeable = False
     delta.flags.writeable = False
-    return Step(tuple(cut), flat, delta)
+    return Step(tuple(cut), flat, delta if delta.any() else None)
 
 
 def _image(d: Zone, step: Step) -> Zone:
     """Substitute sources and offsets entry-wise into a zone already cut to
     the update's domain; the result of substituting into a canonical matrix
-    is canonical."""
+    is canonical.  Raises OverflowError when an offset moves a finite entry
+    to -LIMIT, LIMIT or beyond: repeated shifts can grow a zone's bounds
+    without end, and past that range they would read as infinite or wrap."""
     if d is EMPTY or step.src is None:
         return d
     new = np.take(d.m, step.src)
-    new = np.where(new >= INF, INF, new + step.delta)
+    if step.delta is not None:
+        new = np.where(new >= INF, INF, new + step.delta)
+        if new.min() <= -LIMIT or ((new >= LIMIT) & (new != INF)).any():
+            raise OverflowError("a clock update moved a zone bound beyond "
+                                f"{int(LIMIT) >> 1}, out of zone arithmetic's range")
     np.fill_diagonal(new, LE_ZERO)
     return _freeze(new)
 

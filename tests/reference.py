@@ -9,11 +9,12 @@ delaying constraints and valuations, constraint satisfaction and updates
 of a single valuation, pointwise simulation, the zone simulation decided
 by region enumeration from the definition, the per-clock LU bounds of a
 constraint set, the syntactic boundedness test and the capping transform
-behind it, the preimage of a constraint under an update case by case, one
-synchronous propagation sweep of the constraint analysis, the analysis
-swept until a constant exceeds its bound, the constraint set of a product
-location as the union of its components' sets, and the runs of a bounded
-one-counter automaton.
+behind it, the preimage of a constraint under an update case by case, the
+base sets of the constraint analysis, one synchronous propagation sweep of
+it, the analysis swept until a constant exceeds its bound, the
+plain-preimage analysis that the guard-aware one replaces, the constraint
+set of a product location as the union of its components' sets, and the
+runs of a bounded one-counter automaton.
 """
 from collections import defaultdict, deque
 from dataclasses import dataclass, replace
@@ -22,19 +23,18 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from uta import simulation
+from uta import analysis, simulation
 from uta.analysis import (
     GMap,
     GSet,
-    Mode,
     PropagationSequence,
     Status,
-    _base_records,
     _chain,
     _find_cycle,
     analysis_bounds,
     edge_context,
-    propagation,
+    nonneg_source,
+    wp,
 )
 from uta.benchgen import CounterAutomaton
 from uta.dbm import (
@@ -578,17 +578,50 @@ def up_inverse(phi: AtomicConstraint, up: Update) -> AtomicConstraint:
     return make_lower_diag(ux.source, uy.source, s, c - ux.offset + uy.offset)
 
 
+def plain_preimage(
+    phi: AtomicConstraint,
+    guard_atoms: Sequence[AtomicConstraint],
+    up: Update,
+) -> AtomicConstraint:
+    """The plain backward propagation: the preimage that `wp` cuts, guard
+    context unused."""
+    return analysis.up_inverse(phi, up)
+
+
+def base_records(a: Automaton, prop=wp) -> list[tuple[int, AtomicConstraint]]:
+    """The analysis's base constraints with prop for `wp`, by location:
+    invariant atoms, then per outgoing edge its guard atoms and the images
+    of 0 <= x under prop; trivial ones and repeats dropped."""
+    records: dict[tuple[int, AtomicConstraint], None] = {}
+    for q, loc in enumerate(a.locations):
+        atoms = list(loc.invariant.clock_atoms)
+        for ei, e in enumerate(a.edges):
+            if e.src == q:
+                atoms += e.guard.clock_atoms
+                atoms += [prop(nonneg_source(x), edge_context(a, ei), e.update)
+                          for x in range(len(a.clock_names))]
+        records.update(((q, phi), None) for phi in atoms if not phi.is_trivial)
+    return list(records)
+
+
+def g0(a: Automaton, prop=wp) -> tuple[GSet, ...]:
+    """Base constraint sets: guard atoms, nonnegativity images, invariants."""
+    sets: list[list[AtomicConstraint]] = [[] for _ in a.locations]
+    for q, phi in base_records(a, prop):
+        sets[q].append(phi)
+    return tuple(GSet.of(s) for s in sets)
+
+
 def kleene_step(
     current: Sequence[Iterable[AtomicConstraint]],
     a: Automaton,
-    mode: Mode = Mode.REDUCED,
+    prop=wp,
 ) -> tuple[tuple[GSet, ...], list[tuple[int, AtomicConstraint, int, AtomicConstraint]]]:
     """One synchronous propagation sweep over all edges.
 
     Returns the pointwise-enlarged sets and the newly added records as
     (location, constraint, via-edge, parent-constraint) tuples.
     """
-    prop = propagation(mode)
     cur = [set(g) for g in current]
     new = [set(g) for g in cur]
     added: list[tuple[int, AtomicConstraint, int, AtomicConstraint]] = []
@@ -649,12 +682,14 @@ def bound_transform(a: Automaton, m_x: Mapping[int, int]) -> Automaton:
 
 def sweep_gmap(
     a: Automaton,
-    mode: Mode = Mode.REDUCED,
     budget_override: Optional[int] = None,
+    prop=wp,
 ) -> GMap:
-    """`compute_gmap` without cycle detection: reduced mode sweeps on until
-    some propagated constant exceeds N, and the witness is the recorded
-    chain to the first such constant of that sweep (by location)."""
+    """`compute_gmap` without cycle detection: it sweeps on until some
+    propagated constant exceeds N, and the witness is the recorded chain to
+    the first such constant of that sweep (by location).  N bounds only
+    `wp`'s constants; with another prop the sweep can only converge or
+    exhaust the budget."""
     bounds = analysis_bounds(a)
     budget = bounds.budget if budget_override is None else budget_override
     if budget == 0 and budget_override is None:
@@ -663,7 +698,7 @@ def sweep_gmap(
     sets: list[set[AtomicConstraint]] = [set() for _ in a.locations]
     parent: dict = {}
     frontier: list[tuple[int, AtomicConstraint]] = []
-    for q, phi in _base_records(a, mode):
+    for q, phi in base_records(a, prop):
         if phi not in sets[q]:
             sets[q].add(phi)
             parent[(q, phi)] = None
@@ -672,12 +707,11 @@ def sweep_gmap(
     for ei, e in enumerate(a.edges):
         edges_by_dst[e.dst].append(ei)
     contexts = [edge_context(a, ei) for ei in range(len(a.edges))]
-    prop = propagation(mode)
     steps = 0
 
     def result(status: Status, witness=None) -> GMap:
         return GMap(status, tuple(GSet.of(s) for s in sets), steps, bounds,
-                    mode, budget, witness)
+                    budget, witness)
 
     while frontier:
         new_frontier: list[tuple[int, AtomicConstraint]] = []
@@ -693,7 +727,7 @@ def sweep_gmap(
         if not new_frontier:
             return result(Status.CONVERGED)
         steps += 1
-        if mode is Mode.REDUCED:
+        if prop is wp:
             for q, phi in sorted(new_frontier, key=lambda r: r[0]):
                 if phi.constant > bounds.N:
                     chain = _chain(q, phi, parent)
@@ -705,10 +739,17 @@ def sweep_gmap(
     return result(Status.CONVERGED)
 
 
+def plain_gmap(a: Automaton, budget_override: Optional[int] = None) -> GMap:
+    """The plain-preimage analysis that the guard-aware one replaces: the
+    sweep with `plain_preimage` for `wp`, base sets included.  Nothing cuts
+    its constants, so it converges or exhausts the budget."""
+    return sweep_gmap(a, budget_override, plain_preimage)
+
+
 def product_gset(gmaps: Sequence[GMap], loc: ProductLoc) -> GSet:
     """Union of the per-component constraint sets at loc (integers ignored)."""
-    nond = frozenset().union(*(g.at(q).nond for g, q in zip(gmaps, loc.locs)))
-    diag = frozenset().union(*(g.at(q).diag for g, q in zip(gmaps, loc.locs)))
+    nond = frozenset().union(*(g.sets[q].nond for g, q in zip(gmaps, loc.locs)))
+    diag = frozenset().union(*(g.sets[q].diag for g, q in zip(gmaps, loc.locs)))
     return GSet(nond, diag)
 
 

@@ -18,9 +18,14 @@ import time
 import pytest
 
 from conftest import random_automaton, random_sim_query
-from reference import brute_force_sim, counter_reach_oracle, extract_lu, sim_zone
+from reference import (
+    brute_force_sim,
+    counter_reach_oracle,
+    extract_lu,
+    plain_gmap,
+    sim_zone,
+)
 from uta.analysis import (
-    Mode,
     Status,
     analysis_bounds,
     compute_gmap,
@@ -63,7 +68,7 @@ def loop_runs():
     unguarded = gen_fig1_unguarded().components[0]
     t0 = time.monotonic()
     reduced = compute_gmap(guarded)
-    plain = compute_gmap(guarded, Mode.NON_REDUCED)
+    plain = plain_gmap(guarded)
     guarded_seconds = time.monotonic() - t0
     t0 = time.monotonic()
     diverged = compute_gmap(unguarded)
@@ -135,7 +140,7 @@ def old_new_suite():
         attempts += 1
         assert attempts < 3000, "not enough plain-preimage convergent samples"
         a = random_automaton(rng, n_clocks=rng.randint(1, 3))
-        plain = compute_gmap(a, Mode.NON_REDUCED)
+        plain = plain_gmap(a)
         if plain.status is not Status.CONVERGED:
             continue
         out.append((a, compute_gmap(a), plain))
@@ -176,9 +181,9 @@ def test_a01_loop_fixed_point_exact(loop_runs):
         make_upper_diag(X, Y, STRICT, 2),
         make_upper_diag(X, Y, STRICT, 3),
     }
-    assert set(reduced.at(0)) == expected_q0
-    assert set(reduced.at(1)) == expected_q0 | {make_upper_diag(X, Y, STRICT, 1)}
-    assert set(reduced.at(2)) == set()
+    assert set(reduced.sets[0]) == expected_q0
+    assert set(reduced.sets[1]) == expected_q0 | {make_upper_diag(X, Y, STRICT, 1)}
+    assert set(reduced.sets[2]) == set()
     assert loop_runs["plain"].status is Status.BUDGET_EXHAUSTED
     assert loop_runs["guarded_seconds"] < 1.0
 
@@ -257,7 +262,7 @@ def test_a06_reduced_dominates_plain_preimage(old_new_suite):
         assert reduced.status is Status.CONVERGED
         n = len(a.clock_names)
         for q in range(len(a.locations)):
-            r_set, p_set = reduced.at(q), plain.at(q)
+            r_set, p_set = reduced.sets[q], plain.sets[q]
             assert extract_lu(r_set, n).dominated_by(extract_lu(p_set, n))
             assert set(r_set.diag) <= set(p_set.diag)
 
@@ -285,7 +290,6 @@ def test_a08_step_bound_and_no_budget_exhaustion(
     reduced_runs += [g for _, g, _ in old_new_suite]
     reduced_runs += [g for _, g in counter_suite[0]]
     for g in reduced_runs:
-        assert g.mode is Mode.REDUCED
         assert g.status is not Status.BUDGET_EXHAUSTED
         assert g.iterations <= g.budget
     for _, _, plain in old_new_suite:

@@ -17,23 +17,26 @@ from conftest import (
 )
 from reference import (
     apply_update_point,
+    base_records,
     bound_transform,
     check_syntactically_bounded,
     extract_lu,
+    g0,
     kleene_step,
+    plain_gmap,
+    plain_preimage,
     satisfies,
     sweep_gmap,
     up_inverse as case_up_inverse,
 )
 from uta.analysis import (
     GSet,
-    Mode,
     Status,
+    _base_records,
     analysis_bounds,
     check_closure,
     compute_gmap,
     edge_context,
-    g0,
     nonneg_source,
     report_json,
     up_inverse,
@@ -231,6 +234,12 @@ class TestBaseSets:
         )
         assert set(g0(a)[0]) == {make_upper(X, WEAK, 7)}
 
+    def test_reference_restates_the_analysis(self):
+        rng = random.Random(57)
+        for _ in range(60):
+            a = random_automaton(rng, n_clocks=rng.randint(1, 3))
+            assert base_records(a) == _base_records(a)
+
 
 class TestKleeneStep:
     def test_first_sweep_additions(self):
@@ -241,9 +250,9 @@ class TestKleeneStep:
 
     def test_non_reduced_grows(self):
         a = fig1_automaton()
-        sets = g0(a, Mode.NON_REDUCED)
+        sets = g0(a, plain_preimage)
         for _ in range(4):
-            sets, _ = kleene_step(sets, a, Mode.NON_REDUCED)
+            sets, _ = kleene_step(sets, a, plain_preimage)
         assert make_upper(X, WEAK, 4) in sets[0]
         assert make_lower(X, WEAK, 2) in sets[0]
         assert make_upper_diag(X, Y, STRICT, 3) in sets[0]
@@ -305,14 +314,15 @@ class TestComputeGmap:
 
     def test_guarded_loop_non_reduced_exhausts_budget(self):
         a = fig1_automaton()
-        gmap = compute_gmap(a, Mode.NON_REDUCED)
+        gmap = plain_gmap(a)
         assert gmap.status is Status.BUDGET_EXHAUSTED
         assert gmap.budget == 648
         assert gmap.iterations == gmap.budget + 1
 
     def test_budget_override(self):
-        a = fig1_automaton()
-        gmap = compute_gmap(a, Mode.NON_REDUCED, budget_override=10)
+        # the unguarded loop's growth cycle reaches N only after 49 steps
+        a = fig1_automaton(guard_on=False)
+        gmap = compute_gmap(a, budget_override=10)
         assert gmap.status is Status.BUDGET_EXHAUSTED
         assert gmap.iterations == 11
 
@@ -329,7 +339,7 @@ class TestComputeGmap:
         gmap = compute_gmap(a)
         assert gmap.status is Status.CONVERGED
         assert gmap.budget == 2 * 4 * 1 * 2 + 1
-        assert make_upper(X, WEAK, 0) in gmap.at(1).nond
+        assert make_upper(X, WEAK, 0) in gmap.sets[1].nond
 
     def test_matches_synchronous_iteration(self):
         rng = random.Random(808)
@@ -436,9 +446,8 @@ class TestCycleDetection:
             expect = Status.DIVERGED if budget >= 48 else Status.BUDGET_EXHAUSTED
             assert status is expect
         for guard_on in (True, False):
-            a = fig1_automaton(guard_on=guard_on)
-            for mode in Mode:
-                self.check_against_sweep(a, mode=mode, budget_override=20)
+            self.check_against_sweep(fig1_automaton(guard_on=guard_on),
+                                     budget_override=20)
 
 
 class TestBounds:
@@ -594,7 +603,7 @@ class TestConvergenceTheorems:
         compared = 0
         for _ in range(60):
             a = random_automaton(rng)
-            non = compute_gmap(a, Mode.NON_REDUCED, budget_override=200)
+            non = plain_gmap(a, budget_override=200)
             if non.status is not Status.CONVERGED:
                 continue
             red = compute_gmap(a)

@@ -5,8 +5,13 @@ from collections import deque
 
 import pytest
 
-from reference import check_syntactically_bounded, counter_reach_oracle, counter_run
-from uta.analysis import Mode, Status, compute_gmap
+from reference import (
+    check_syntactically_bounded,
+    counter_reach_oracle,
+    counter_run,
+    plain_gmap,
+)
+from uta.analysis import Status, compute_gmap
 from uta.benchgen import (
     FLOWER,
     FRAGMENTS,
@@ -288,7 +293,7 @@ class TestCounterReduction:
         assert g.status is Status.CONVERGED
         idx = {l.name: k for k, l in enumerate(comp.locations)}
         for state, want in (("a", {0, 2}), ("b", {1}), ("t", set())):
-            got = {phi.constant for phi in g.at(idx[state]).diag
+            got = {phi.constant for phi in g.sets[idx[state]].diag
                    if phi == make_upper_diag(0, 1, WEAK, phi.constant)}
             assert got == want, state
 
@@ -315,7 +320,7 @@ class TestCounterReduction:
             idx = {l.name: k for k, l in enumerate(comp.locations)}
             values = reachable_counter_values(b)
             for state in states:
-                got = {phi.constant for phi in g.at(idx[state]).diag
+                got = {phi.constant for phi in g.sets[idx[state]].diag
                        if phi == make_upper_diag(0, 1, WEAK, phi.constant)}
                 assert got == values.get(state, set()), state
         assert diverged >= 5 and converged >= 5
@@ -332,7 +337,7 @@ class TestLoopExample:
         assert g.status is Status.DIVERGED
 
     def test_plain_preimage_exhausts_budget(self):
-        g = compute_gmap(gen_fig1().components[0], Mode.NON_REDUCED)
+        g = plain_gmap(gen_fig1().components[0])
         assert g.status is Status.BUDGET_EXHAUSTED
 
     def test_round_trip(self):

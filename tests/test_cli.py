@@ -1,9 +1,12 @@
 """Exit codes, report shapes, and generation round-trips for the uta tool."""
+import argparse
 import json
+import re
 import resource
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -18,7 +21,7 @@ from uta.benchgen import (
     gen_fig1_unguarded,
     gen_mine_pump,
 )
-from uta import cli
+from uta import cli, dbm
 from uta.cli import main
 from uta.format import parse, parse_file, print_network
 
@@ -108,6 +111,17 @@ edge P q1 q2 provided: x-y<{bound}
 edge P q2 q2 do: y=1099511627776
 """
 
+# each lap moves x's lower bound up by 2^40, so the unpruned search never
+# meets a zone twice
+GROW = """\
+system grow
+clock x
+process p
+location p a initial
+location p b
+edge p a a do: x=x+1099511627776
+"""
+
 
 def limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
@@ -158,10 +172,13 @@ class TestAnalyze:
         assert "positive cycle: steps" in out
         assert "x-y<26" in out
 
-    def test_nonreduced_exhausts(self, capsys, loop_file):
-        code, out, _ = run(capsys, "analyze", loop_file, "--method", "nonreduced")
-        assert code == 2
-        assert "budget_exhausted" in out
+    def test_allowed_shared_clock_is_a_warning(self, capsys, tmp_path):
+        path = tmp_path / "shared.uta"
+        path.write_text(SHARED)
+        code, _, err = run(capsys, "analyze", str(path), "--allow-shared-clocks")
+        assert code == 0
+        assert "warning: clock x is shared between components A, B" in err
+        assert "error:" not in err
 
     def test_json_report(self, capsys, loop_file):
         code, out, _ = run(capsys, "analyze", loop_file, "--format", "json")
@@ -335,6 +352,19 @@ class TestReach:
                                *extra)
             assert code == 0 and "Unreachable" in out
 
+    def test_zone_bound_past_the_range_exit_two(self, capsys, tmp_path,
+                                                monkeypatch):
+        # a smaller range stands for the 2^19 laps the real one takes
+        monkeypatch.setattr(dbm, "LIMIT", dbm.INF >> 16)
+        path = tmp_path / "grow.uta"
+        path.write_text(GROW)
+        code, out, err = run(capsys, "reach", str(path), "--target", "b",
+                             "--no-simulation")
+        assert (code, out) == (2, "")
+        errors = [l for l in err.splitlines() if l.startswith("error:")]
+        assert len(errors) == 1 and "Traceback" not in err
+        assert errors[0].startswith("error: a clock update moved a zone bound")
+
     def test_guard_constant_past_the_zone_bound_rejected(self, capsys,
                                                          tmp_path):
         path = tmp_path / "guard.uta"
@@ -429,6 +459,21 @@ class TestExitPath:
         assert cli._timeout_default() == cli.DEFAULT_TIMEOUT
         assert capsys.readouterr().err == (
             f"warning: ignoring bad UTA_TIMEOUT_SECS={env!r}\n")
+
+
+class TestReadme:
+    def test_every_option_documented(self):
+        def options(parser):
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    for sub in action.choices.values():
+                        yield from options(sub)
+                yield from (o for o in action.option_strings if o.startswith("--"))
+
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        missing = sorted({o for o in options(cli.build_parser())
+                          if not re.search(re.escape(o) + r"(?![\w-])", readme)})
+        assert not missing, f"options missing from README.md: {missing}"
 
 
 class TestGen:

@@ -26,6 +26,7 @@ from reference import (
 from uta.dbm import (
     EMPTY,
     INF,
+    LIMIT,
     Dbm,
     add_bounds,
     compile_step,
@@ -232,6 +233,52 @@ class TestApplyUpdate:
             if out is EMPTY:
                 continue
             assert equals(canonicalize(out.m), out)
+
+
+class TestZoneRange:
+    """An update may not move a finite entry to -LIMIT, LIMIT or beyond,
+    where the sums that tightening forms would reach INF or wrap."""
+
+    SHIFT = Update.of({X: Shift(X, MAX_CONST)})
+    STEP = 2 * MAX_CONST  # what SHIFT adds to the encoded bound of x - y
+
+    @staticmethod
+    def zone(i, j, b):
+        """The 2-clock zone x_i - x_j <= b (encoded), built directly."""
+        m = np.array(universe(2).m)
+        m[i, j] = b
+        return canonicalize(m)
+
+    def test_upper_entry_near_the_limit(self):
+        weak = LIMIT - self.STEP - 1
+        out = apply_update(self.zone(X + 1, Y + 1, weak), self.SHIFT)
+        assert out.m[X + 1, Y + 1] == LIMIT - 1
+        with pytest.raises(OverflowError):
+            apply_update(self.zone(X + 1, Y + 1, weak + 2), self.SHIFT)
+
+    def test_lower_entry_near_the_limit(self):
+        # y - x <= b also bounds x from below: both entries move down
+        weak = -LIMIT + self.STEP + 1
+        out = apply_update(self.zone(Y + 1, X + 1, weak), self.SHIFT)
+        assert out.m[Y + 1, X + 1] == out.m[0, X + 1] == -LIMIT + 1
+        with pytest.raises(OverflowError):
+            apply_update(self.zone(Y + 1, X + 1, weak - 2), self.SHIFT)
+
+    def test_entries_that_would_pass_infinity(self):
+        # x - y <= 2^61 - 2^40 would move to 2^62 + 1 >= INF and read as
+        # unbounded; its mirror y - x <= 2^40 - 2^61 to -INF + 1, one lap
+        # short of passing -INF
+        b = 2 * (2**61 - MAX_CONST) + 1
+        for i, j, entry in ((X + 1, Y + 1, b), (Y + 1, X + 1, 2 - b)):
+            with pytest.raises(OverflowError):
+                apply_update(self.zone(i, j, entry), self.SHIFT)
+
+    def test_copies_are_not_checked(self):
+        # resets to 0 and plain copies carry no offset, so cannot grow
+        z = self.zone(X + 1, Y + 1, LIMIT - 1)
+        for up in ({Y: Const(0)}, {Y: Shift(X, 0)}):
+            assert compile_step((), Update.of(up), 2).delta is None
+            assert apply_update(z, Update.of(up)) is not EMPTY
 
 
 class TestElapse:

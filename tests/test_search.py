@@ -87,7 +87,7 @@ class TestProductGset:
         g = compute_gmap(fig1_automaton())
         assert g.status is Status.CONVERGED
         for q in range(3):
-            assert product_gset([g], ProductLoc((q,), ())) == g.at(q)
+            assert product_gset([g], ProductLoc((q,), ())) == g.sets[q]
 
     def test_two_components_union(self):
         g1 = compute_gmap(fig1_automaton())
@@ -100,8 +100,8 @@ class TestProductGset:
         g2 = compute_gmap(other)
         assert g2.status is Status.CONVERGED
         got = product_gset([g1, g2], ProductLoc((0, 0), ()))
-        assert got.nond == g1.at(0).nond | g2.at(0).nond
-        assert got.diag == g1.at(0).diag | g2.at(0).diag
+        assert got.nond == g1.sets[0].nond | g2.sets[0].nond
+        assert got.diag == g1.sets[0].diag | g2.sets[0].diag
         assert make_lower(Y, WEAK, 1) in got.nond
 
 
@@ -835,7 +835,7 @@ class TestProductSets:
                 diagonal += bool(sets.at(at).diags)
                 two_sided += bool(sets.at(at).pairs.any())
                 # diagonals from two components or more: a sorted union
-                merged += sum(bool(g.at(q).diag) for g, q in zip(gmaps, at)) > 1
+                merged += sum(bool(g.sets[q].diag) for g, q in zip(gmaps, at)) > 1
         assert total >= 200 and diagonal >= 100 and two_sided >= 100
         assert merged >= 50
 

@@ -26,7 +26,7 @@ from reference import (
     zone_of,
 )
 from uta import simulation
-from uta.analysis import EMPTY_GSET, GSet, Mode, compute_gmap
+from uta.analysis import EMPTY_GSET, GSet, compute_gmap
 from uta.dbm import (
     EMPTY,
     INF,
@@ -271,13 +271,13 @@ class TestSimZone:
 
     def test_fig1_query_agrees_with_oracle(self):
         a = fig1_automaton()
-        gmap = compute_gmap(a, Mode.REDUCED)
+        gmap = compute_gmap(a)
         z = initial_zone(2)
         e = a.edges[0]
         zp = successor(z, compile_step(e.guard.clock_atoms, e.update, 2))
-        full = sim_zone(SimQuery(z, zp, gmap.at(0)))
+        full = sim_zone(SimQuery(z, zp, gmap.sets[0]))
         capped = SimQuery(intersect_all(z, [make_upper(X, WEAK, 6)]), zp,
-                           gmap.at(0))
+                           gmap.sets[0])
         assert sim_zone(capped) == brute_force_sim(capped, 6)
         if full:
             # shrinking the simulated side can only make matching easier
