@@ -151,9 +151,6 @@ class GSet:
         return tuple(sorted(self.nond | self.diag, key=AtomicConstraint.sort_key))
 
 
-EMPTY_GSET = GSet(frozenset(), frozenset())
-
-
 @dataclass(frozen=True)
 class AnalysisBounds:
     """Constant/step bounds for divergence detection, computed per component.

@@ -72,7 +72,6 @@ class ReleasePattern:
 
 
 FLOWER = ReleasePattern("flower")
-WORST_CASE = ReleasePattern("worstcase")
 PERIODIC = ReleasePattern("periodic")
 
 

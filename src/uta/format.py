@@ -224,6 +224,10 @@ class _Parser:
         if lo > hi:
             self.err(self.span(lineno, tokens[2][1]), "empty int range")
             return
+        if not lo <= init <= hi:
+            self.err(self.span(lineno, tokens[4][1]),
+                     f"initial value {init} outside [{lo}, {hi}]")
+            return
         if self._declare(lineno, tokens[1], "int"):
             self.int_index[tokens[1][0]] = len(self.ints)
             self.ints.append(IntVar(tokens[1][0], lo, hi, init))
@@ -309,13 +313,9 @@ class _Parser:
             parsed = self._parse_conj(lineno, sections["invariant:"])
             if parsed is None:
                 return
-            clock_atoms, int_atoms = parsed
+            clock_atoms, int_atoms, int_at = parsed
             if int_atoms:
-                toks = sections["invariant:"]
-                self.err(
-                    self.span(lineno, toks[0][1]),
-                    "invariants must constrain clocks only",
-                )
+                self.err(int_at, "invariants must constrain clocks only")
                 return
             invariant = Guard(tuple(clock_atoms))
         flags = sections["flags"]
@@ -389,26 +389,40 @@ class _Parser:
 
     # -- constraint conjunctions -------------------------------------------
 
+    def _pieces(self, lineno, toks, sep):
+        """Split a section's tokens at sep: each piece with its whitespace
+        removed, and the span of its first character (of what follows it,
+        for an empty piece); no piece at all without tokens."""
+        joined = " ".join(t for t, _ in toks)
+        # the line column of each character of joined, and of its end
+        cols = [s + k for t, s in toks for k in range(len(t) + 1)]
+        start = 0
+        for piece in joined.split(sep) if toks else ():
+            lead = len(piece) - len(piece.lstrip())
+            yield re.sub(r"\s+", "", piece), self.span(lineno, cols[start + lead])
+            start += len(piece) + len(sep)
+
     def _parse_conj(self, lineno, toks):
+        """The clock and int atoms of a conjunction, and the span of its
+        first int atom; None after an error."""
         if not toks:
             self.err(self.span(lineno, 0), "empty constraint section")
             return None
-        sp = self.span(lineno, toks[0][1])
-        joined = " ".join(t for t, _ in toks)
         clock_atoms: list[AtomicConstraint] = []
         int_atoms: list[IntAtom] = []
+        int_at = None
         ok = True
-        for piece in joined.split("&&"):
-            atom = re.sub(r"\s+", "", piece)
+        for atom, sp in self._pieces(lineno, toks, "&&"):
             if not atom:
                 self.err(sp, "empty atom in conjunction")
                 ok = False
-                continue
-            if not self._parse_atom(atom, sp, clock_atoms, int_atoms):
+            elif not self._parse_atom(atom, sp, clock_atoms, int_atoms):
                 ok = False
+            elif int_at is None and int_atoms:
+                int_at = sp
         if not ok:
             return None
-        return clock_atoms, int_atoms
+        return clock_atoms, int_atoms, int_at
 
     def _clock_const(self, text: str, sp: SourceSpan) -> Optional[int]:
         val = int(text)
@@ -504,14 +518,11 @@ class _Parser:
     # -- updates -----------------------------------------------------------
 
     def _parse_updates(self, lineno, toks):
-        sp = self.span(lineno, toks[0][1]) if toks else self.span(lineno, 0)
-        joined = " ".join(t for t, _ in toks)
         clock_map: dict[int, object] = {}
         int_assigns: list[IntAssign] = []
         assigned_ints: set[int] = set()
         ok = True
-        for piece in joined.split(";"):
-            stmt = re.sub(r"\s+", "", piece)
+        for stmt, sp in self._pieces(lineno, toks, ";"):
             if not stmt:
                 continue
             if "=" not in stmt:

@@ -451,14 +451,6 @@ def validate_network(net: Network) -> list[Diagnostic]:
     warnings.
     """
     out = [Diagnostic("error", msg) for msg in net.shared_clocks()]
-    for var in net.int_vars:
-        if not var.lo <= var.init <= var.hi:
-            out.append(
-                Diagnostic(
-                    "warning",
-                    f"int {var.name}: initial value {var.init} outside [{var.lo}, {var.hi}]",
-                )
-            )
     used_channels = set()
     for comp in net.components:
         for e in comp.edges:

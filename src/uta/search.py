@@ -363,21 +363,17 @@ class ProductSets:
     so a constant outside the zone arithmetic's range raises OverflowError
     here, before the first node.  A product location combines its
     components' results with `prepare_union` on first use and keeps it.
-    All of them intern their diagonal stages in one dict, so product
-    locations with the same diagonals share one stage.
     """
 
     def __init__(self, gmaps: Sequence[GMap], n_clocks: int):
-        self._stages: dict = {}
-        self._parts = [[prepare(g, n_clocks, self._stages) for g in gmap.sets]
-                       for gmap in gmaps]
+        self._parts = [[prepare(g, n_clocks) for g in gmap.sets] for gmap in gmaps]
         self._at: dict[tuple[int, ...], SimPrepared] = {}
 
     def at(self, locs: tuple[int, ...]) -> SimPrepared:
         got = self._at.get(locs)
         if got is None:
             got = self._at[locs] = prepare_union(
-                [parts[q] for parts, q in zip(self._parts, locs)], self._stages)
+                [parts[q] for parts, q in zip(self._parts, locs)])
         return got
 
 
@@ -387,8 +383,9 @@ class Passed:
     zones holds the frozen `Dbm` objects themselves, no copies, and exact
     the same objects for the exact-duplicate test.  With bound rows on (the
     search with simulation pruning), rows[k] is `bound_row(zones[k])`, in
-    one contiguous (capacity, 2n) array grown amortized, so the subsumption
-    scan hands the kernel a slice without restacking.
+    one contiguous (capacity, 2n) array grown amortized from one row (many
+    states keep one zone), so the subsumption scan hands the kernel a slice
+    without restacking.
     """
 
     __slots__ = ("zones", "exact", "rows")
@@ -396,7 +393,7 @@ class Passed:
     def __init__(self, n_clocks: int, with_rows: bool):
         self.zones: list[Dbm] = []
         self.exact: set[Dbm] = set()
-        self.rows = (np.empty((8, 2 * n_clocks), dtype=np.int64)
+        self.rows = (np.empty((1, 2 * n_clocks), dtype=np.int64)
                      if with_rows else None)
 
     def add(self, zone: Dbm) -> None:

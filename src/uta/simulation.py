@@ -21,7 +21,8 @@ search keeps in one contiguous array) are compared first; only the few
 candidates left standing have their interiors read.
 """
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from functools import cache
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -44,29 +45,18 @@ from .dbm import (
 NEVER = -INF
 
 
-@dataclass(frozen=True, eq=False)
-class DiagStage:
-    """The diagonals of a constraint set as thresholds on interior entries.
+@cache
+def _diag_thresholds(diags: tuple[Triple, ...]):
+    """The interior cells and thresholds of a sorted diagonal set.
 
-    diags holds the diagonal atoms as matrix entries (i, j, b), sorted and
-    deduplicated, so atoms with the same entry are one diagonal.  cell
-    indexes each diagonal's complement entry (j, i) in the interior (row
-    j - 1, column i - 1) and thr is its threshold 2 - b.  Constraint sets
-    with the same diagonals share one stage (see `prepare`).
+    Built once per diagonal set and kept, read-only, so every prepared set
+    with the same diagonals shares one pair of arrays.
     """
-
-    diags: tuple[Triple, ...]
-    cell: tuple[np.ndarray, np.ndarray]
-    thr: np.ndarray
-
-
-def _diag_stage(diags: set[Triple], stages: dict) -> DiagStage:
-    key = tuple(sorted(diags))
-    got = stages.get(key)
-    if got is None:
-        i, j, b = np.array(key, dtype=np.int64).reshape(-1, 3).T
-        got = stages[key] = DiagStage(key, (j - 1, i - 1), 2 - b)
-    return got
+    i, j, b = np.array(diags, dtype=np.int64).reshape(-1, 3).T
+    cell, thr = (j - 1, i - 1), 2 - b
+    for a in (*cell, thr):
+        a.flags.writeable = False
+    return cell, thr
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,33 +66,33 @@ class SimPrepared:
     u_thr and l_thr are the per-clock thresholds the kernel compares
     against, l_edge the strongest lower's ray edge behind l_thr, and pairs
     marks the (lower clock y, upper clock x) pairs, x != y, of its
-    two-sided condition.  diag is the diagonal stage.
+    two-sided condition.  diags holds the diagonal atoms as matrix entries
+    (i, j, b), sorted and deduplicated, so atoms with the same entry are one
+    diagonal; cell indexes each diagonal's complement entry (j, i) in the
+    interior (row j - 1, column i - 1) and thr is its threshold 2 - b.
     """
 
-    diag: DiagStage
+    diags: tuple[Triple, ...]
+    cell: tuple[np.ndarray, np.ndarray]
+    thr: np.ndarray
     l_edge: np.ndarray  # 2 - l_thr where the clock has a lower, else 0
     u_thr: np.ndarray  # 1 - the weakest upper's entry, INF without one
     l_thr: np.ndarray  # 2 - the strongest lower's entry, NEVER without one
     pairs: np.ndarray  # (n, n): a lower on y, an upper on x and y != x
-    interior: bool  # pairs.any() or diagonals: the interior stage has thresholds
-
-    @property
-    def diags(self) -> tuple[Triple, ...]:
-        return self.diag.diags
 
 
 def _prepared(u_thr: np.ndarray, l_thr: np.ndarray,
-              diag: DiagStage) -> SimPrepared:
+              diags: Iterable[Triple]) -> SimPrepared:
     has_u = u_thr < INF
     has_l = l_thr > NEVER
     pairs = has_l[:, None] & has_u[None, :]
     np.fill_diagonal(pairs, False)
-    return SimPrepared(diag, np.where(has_l, 2 - l_thr, 0), u_thr, l_thr,
-                       pairs, bool(pairs.any()) or bool(diag.diags))
+    key = tuple(sorted(set(diags)))
+    return SimPrepared(key, *_diag_thresholds(key),
+                       np.where(has_l, 2 - l_thr, 0), u_thr, l_thr, pairs)
 
 
-def prepare(g: GSet, n_clocks: int,
-            stages: Optional[dict] = None) -> SimPrepared:
+def prepare(g: GSet, n_clocks: int) -> SimPrepared:
     """Encode g into the matrix bounds the kernel and the recursion read.
 
     This is the one place where a constraint set becomes matrix entries:
@@ -110,9 +100,7 @@ def prepare(g: GSet, n_clocks: int,
     zone arithmetic's range raises OverflowError here, before any zone is
     compared.  An upper (i, 0, b) binds through its weakest entry and a
     lower (0, j, b) through its strongest, so the thresholds fold as
-    u_thr = min(1 - b) and l_thr = max(2 - b).  stages interns the
-    diagonal stages by diagonal set: every set prepared with one dict
-    shares the stage of its diagonals.
+    u_thr = min(1 - b) and l_thr = max(2 - b).
     """
     u_thr = np.full(n_clocks, INF)
     l_thr = np.full(n_clocks, NEVER)
@@ -121,26 +109,21 @@ def prepare(g: GSet, n_clocks: int,
             u_thr[i - 1] = min(u_thr[i - 1], 1 - b)
         else:
             l_thr[j - 1] = max(l_thr[j - 1], 2 - b)
-    diag = _diag_stage(set(map(_atom_entry, g.diag)),
-                       {} if stages is None else stages)
-    return _prepared(u_thr, l_thr, diag)
+    return _prepared(u_thr, l_thr, map(_atom_entry, g.diag))
 
 
-def prepare_union(parts: Sequence[SimPrepared], stages: dict) -> SimPrepared:
+def prepare_union(parts: Sequence[SimPrepared]) -> SimPrepared:
     """`prepare` of the union of the parts' constraint sets, from the parts.
 
     The weakest upper of a union is the weakest of the parts' and the
     strongest lower the strongest of theirs, so the thresholds combine
     elementwise: min for u_thr, max for l_thr; the diagonals are the union
-    of the parts', interned in stages as by `prepare`.  The search folds
-    each (component, location) once and combines the folds per product
-    location.
+    of the parts'.  The search folds each (component, location) once and
+    combines the folds per product location.
     """
-    if len(parts) == 1:
-        return parts[0]
-    diag = _diag_stage(set().union(*(p.diags for p in parts)), stages)
     return _prepared(np.minimum.reduce([p.u_thr for p in parts]),
-                     np.maximum.reduce([p.l_thr for p in parts]), diag)
+                     np.maximum.reduce([p.l_thr for p in parts]),
+                     (d for p in parts for d in p.diags))
 
 
 def bound_row(zp: Dbm) -> np.ndarray:
@@ -209,15 +192,15 @@ def not_simulated_batch(z: Dbm, rows: np.ndarray, zps: Sequence[Dbm],
     thr = np.concatenate((np.where(reach, z0, NEVER),
                           np.minimum(zm[1:, 0], prep.l_thr)))
     out = (rows < thr).any(axis=1)
-    if not prep.interior or out.all():
+    if out.all():
         return out
     zd = zm[1:, 1:]
     inner = np.where(prep.pairs & reach[None, :],
                      np.minimum(2 - _add_mat(prep.l_edge[:, None], 2 - z0[None, :]),
                                 zd),
                      NEVER)
-    d = prep.diag
-    np.maximum.at(inner, d.cell, np.where(zd[d.cell] >= d.thr, d.thr, NEVER))
+    np.maximum.at(inner, prep.cell,
+                  np.where(zd[prep.cell] >= prep.thr, prep.thr, NEVER))
     todo = np.flatnonzero(~out)
     pd = np.stack([zps[k].m[1:, 1:] for k in todo.tolist()])
     out[todo] = (pd < inner).any(axis=(1, 2))

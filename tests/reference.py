@@ -6,15 +6,16 @@ conjunctions, the zone image of an update directly and through its
 defining relation, closure of an arbitrary bound matrix, exact point
 membership, plain zone equality and printing, building, complementing and
 delaying constraints and valuations, constraint satisfaction and updates
-of a single valuation, pointwise simulation, the zone simulation decided
-by region enumeration from the definition, the per-clock LU bounds of a
-constraint set, the syntactic boundedness test and the capping transform
-behind it, the preimage of a constraint under an update case by case, the
-base sets of the constraint analysis, one synchronous propagation sweep of
-it, the analysis swept until a constant exceeds its bound, the
-plain-preimage analysis that the guard-aware one replaces, the constraint
-set of a product location as the union of its components' sets, and the
-runs of a bounded one-counter automaton.
+of a single valuation, the empty constraint set, the worst-case release
+pattern, pointwise simulation, the zone simulation decided by region
+enumeration from the definition, the per-clock LU bounds of a constraint
+set, the syntactic boundedness test and the capping transform behind it,
+the preimage of a constraint under an update case by case, the base sets
+of the constraint analysis, one synchronous propagation sweep of it, the
+analysis swept until a constant exceeds its bound, the plain-preimage
+analysis that the guard-aware one replaces, the constraint set of a
+product location as the union of its components' sets, and the runs of a
+bounded one-counter automaton.
 """
 from collections import defaultdict, deque
 from dataclasses import dataclass, replace
@@ -36,7 +37,7 @@ from uta.analysis import (
     nonneg_source,
     wp,
 )
-from uta.benchgen import CounterAutomaton
+from uta.benchgen import CounterAutomaton, ReleasePattern
 from uta.dbm import (
     EMPTY,
     INF,
@@ -276,6 +277,10 @@ def negate_atomic(phi: AtomicConstraint) -> AtomicConstraint:
     if phi.kind is Kind.UPPER_DIAG:
         return make_lower_diag(phi.x, phi.y, flipped, phi.constant)
     return make_upper_diag(phi.x, phi.y, flipped, phi.constant)
+
+
+EMPTY_GSET = GSet(frozenset(), frozenset())
+WORST_CASE = ReleasePattern("worstcase")
 
 
 def sim_point(v: Valuation, vp: Valuation, g: GSet) -> bool:

@@ -19,6 +19,7 @@ import pytest
 
 from conftest import random_automaton, random_sim_query
 from reference import (
+    WORST_CASE,
     brute_force_sim,
     counter_reach_oracle,
     extract_lu,
@@ -33,7 +34,6 @@ from uta.analysis import (
 )
 from uta.benchgen import (
     FLOWER,
-    WORST_CASE,
     CounterAutomaton,
     TaskSpec,
     gen_counter_reduction,

@@ -6,6 +6,7 @@ from collections import deque
 import pytest
 
 from reference import (
+    WORST_CASE,
     check_syntactically_bounded,
     counter_reach_oracle,
     counter_run,
@@ -18,7 +19,6 @@ from uta.benchgen import (
     MINE_PUMP_TASKS,
     PERIODIC,
     SPORADIC_PERIODIC_TASKS,
-    WORST_CASE,
     CounterAutomaton,
     RandomProfile,
     ReleasePattern,

@@ -121,6 +121,63 @@ def test_int_atom_in_invariant_rejected():
     assert any("clocks only" in e.message for e in exc.value.errors)
 
 
+SECTION_HEAD = "system s\nclock x\nclock y\nint n 0 3 0\nprocess p\n" \
+               "location p a initial\nlocation p b\n"
+
+
+def only_error(line: str):
+    """The one error of SECTION_HEAD followed by line, as (col, message)."""
+    with pytest.raises(ParseErrors) as exc:
+        parse(SECTION_HEAD + line + "\n")
+    (e,) = exc.value.errors
+    assert e.span.line == SECTION_HEAD.count("\n") + 1
+    return e.span.col_start, e.message
+
+
+@pytest.mark.parametrize("line, at, message", [
+    ("edge p a b provided: x<=1 && zz<3", "zz<3",
+     "unknown identifier 'zz' in constraint"),
+    ("edge p a b provided: x <= 1 && n < 99999999999999999999", "n <",
+     "constant 99999999999999999999 does not fit in 64-bit signed range"),
+    ("edge p a b provided: x<=1&&y-zz<2", "y-zz",
+     "unknown clock 'zz' in difference constraint"),
+    ("edge p a b provided: x<=1 && y!=2", "y!=",
+     "'!=' is not expressible as a conjunction of clock atoms"),
+    ("edge p a b provided: x<=1 && && y<2", "&& y",
+     "empty atom in conjunction"),
+    ("location p c invariant: x<=3 && y<=2000000000000", "y<=",
+     "clock constant 2000000000000 exceeds 1099511627776 (2^40), "
+     "the bound of 64-bit zone arithmetic"),
+    ("location p c invariant: x<=3 && n<3", "n<3",
+     "invariants must constrain clocks only"),
+    ("edge p a b do: x=0; y=zz", "y=zz",
+     "clock update source 'zz' is not a clock"),
+    ("edge p a b do: x=0 ; n = n + q", "n =",
+     "unknown int variable 'q' in expression"),
+    ("edge p a b do: x=1;x=2", "x=2", "clock 'x' assigned twice in one update"),
+    ("edge p a b do: x=1; y", "y", "cannot parse update 'y' (expected <id>=<expr>)"),
+])
+def test_section_errors_point_at_the_failing_piece(line, at, message):
+    assert only_error(line) == (line.rindex(at) + 1, message)
+
+
+def test_section_error_column_of_the_second_atom():
+    assert only_error("edge p a b provided: x<=1 && zz<3")[0] == 30
+
+
+def test_initial_int_value_out_of_range_rejected():
+    for decl, at in (("int n 0 3 7", "7"), ("int n -2 -1 0", "0"),
+                     ("int n 1 1 -5", "-5")):
+        with pytest.raises(ParseErrors) as exc:
+            parse(f"system s\n{decl}\nprocess p\nlocation p a initial\n")
+        (e,) = exc.value.errors
+        lo, hi, init = decl.split()[2:]
+        assert (e.span.line, e.span.col_start) == (2, decl.rindex(at) + 1)
+        assert e.message == f"initial value {init} outside [{lo}, {hi}]"
+    net = parse("system s\nint n 1 1 1\nprocess p\nlocation p a initial\n")
+    assert net.int_initials() == (1,)
+
+
 def test_equality_sugar_expands_to_two_atoms():
     text = "system s\nclock x\nprocess P\nlocation P a initial\nlocation P b\n" \
            "edge P a b provided: x==3\n"

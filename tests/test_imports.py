@@ -1,8 +1,9 @@
 """No module-level import binds a name its module never uses, no top-level
-definition, public method or dataclass field of the package goes unread by
-the program and its benchmark, and no shared test code goes unread by the
-tests."""
+definition, module-level constant, public method or dataclass field of the
+package goes unread by the program and its benchmark, and no shared test
+code goes unread by the tests."""
 import ast
+from collections import Counter
 from pathlib import Path
 from typing import Optional
 
@@ -55,7 +56,8 @@ def test_sources_and_tests_have_no_unused_imports():
 
 
 def _referenced(tree: ast.AST, skip: Optional[ast.AST] = None) -> set[str]:
-    """Names, attribute names and identifier strings in tree, outside skip.
+    """Names, attribute names, Name.attribute pairs and identifier strings
+    in tree, outside skip.
 
     Strings count because code may look a function up by its name (the
     benchmark's tracer rebinds module attributes from a table of names).
@@ -70,6 +72,8 @@ def _referenced(tree: ast.AST, skip: Optional[ast.AST] = None) -> set[str]:
             out.add(node.id)
         elif isinstance(node, ast.Attribute):
             out.add(node.attr)
+            if isinstance(node.value, ast.Name):
+                out.add(f"{node.value.id}.{node.attr}")
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             if node.value.isidentifier():
                 out.add(node.value)
@@ -78,9 +82,9 @@ def _referenced(tree: ast.AST, skip: Optional[ast.AST] = None) -> set[str]:
 
 
 def _unread(modules: dict[str, str], readers: dict[str, str], pick) -> list[str]:
-    """module:label of each definition pick(tree) yields as (label, node)
-    that no module of readers (modules included) references outside
-    node."""
+    """module:label of each definition pick(tree) yields as (label, key,
+    node) that no module of readers (modules included) references as key
+    outside node."""
     trees = {path: ast.parse(src) for path, src in {**readers, **modules}.items()}
     everywhere: dict[str, set[str]] = {}
     for path, tree in trees.items():
@@ -89,11 +93,11 @@ def _unread(modules: dict[str, str], readers: dict[str, str], pick) -> list[str]
     found = []
     for path in modules:
         tree = trees[path]
-        for label, node in pick(tree):
-            where = everywhere.get(node.name, set())
+        for label, key, node in pick(tree):
+            where = everywhere.get(key, set())
             if where - {path}:
                 continue
-            if path in where and node.name in _referenced(tree, skip=node):
+            if path in where and key in _referenced(tree, skip=node):
                 continue
             found.append(f"{path}:{label}")
     return found
@@ -105,19 +109,44 @@ def unread_definitions(modules: dict[str, str],
     module of readers (modules included) references outside its own
     definition."""
     return _unread(modules, readers, lambda tree: [
-        (node.name, node) for node in tree.body
+        (node.name, node.name, node) for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))])
+
+
+def unread_constants(modules: dict[str, str],
+                     readers: dict[str, str]) -> list[str]:
+    """module:NAME of each module-level assigned name of modules that no
+    module of readers (modules included) references outside its own
+    assignment."""
+    return _unread(modules, readers, lambda tree: [
+        (target.id, target.id, node) for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name)])
+
+
+def _public_methods(tree: ast.AST):
+    return [(cls, node) for cls in tree.body if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
 
 
 def unread_methods(modules: dict[str, str], readers: dict[str, str]) -> list[str]:
     """module:Class.method of each public method of a top-level class of
     modules that no module of readers (modules included) references outside
-    its own definition."""
-    return _unread(modules, readers, lambda tree: [
-        (f"{cls.name}.{node.name}", node) for cls in tree.body
-        if isinstance(cls, ast.ClassDef)
-        for node in cls.body
-        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")])
+    its own definition.  A name that two classes of modules define counts
+    as read only through Class.method, so a read of one of them does not
+    hide the other."""
+    names = Counter(node.name for src in modules.values()
+                    for _, node in _public_methods(ast.parse(src)))
+
+    def pick(tree):
+        for cls, node in _public_methods(tree):
+            label = f"{cls.name}.{node.name}"
+            key = label if names[node.name] > 1 else node.name
+            yield label, key, node
+
+    return _unread(modules, readers, pick)
 
 
 def test_checker_finds_unread_definitions():
@@ -153,6 +182,35 @@ def test_checker_finds_unread_methods():
         "lib.py:Box.grow", "lib.py:Box.unread", "lib.py:Box.height"]
 
 
+def test_checker_qualifies_method_names_two_classes_define():
+    # a bare read of at does not say whose at it is; only B.at is read
+    lib = (
+        "class A:\n"
+        "    def at(self): pass\n"
+        "    def of(): return A()\n"
+        "    def size(self): pass\n"
+        "class B:\n"
+        "    def at(self): return B.of()\n"
+        "    def of(): return B()\n"
+    )
+    user = "from lib import A, B\nB.at(A.of())\nA.of().at()\nprint(A().size())\n"
+    assert unread_methods({"lib.py": lib}, {"user.py": user}) == ["lib.py:A.at"]
+
+
+def test_checker_finds_unread_constants():
+    lib = (
+        "USED = 4\n"
+        "UNREAD = 5\n"
+        "TYPED: int = 6\n"
+        "LOCAL = 7\n"
+        "DERIVED = LOCAL + 1\n"
+        "A = B = 8\n"
+    )
+    user = "import lib\nprint(lib.USED, lib.B)\n"
+    assert unread_constants({"lib.py": lib}, {"user.py": user}) == [
+        "lib.py:UNREAD", "lib.py:TYPED", "lib.py:DERIVED", "lib.py:A"]
+
+
 def _sources(*parts) -> dict[str, str]:
     return {str(f.relative_to(ROOT)): f.read_text()
             for f in sorted(ROOT.joinpath(*parts).glob("*.py"))}
@@ -167,6 +225,16 @@ def test_package_has_no_unread_definitions():
     assert len(modules) >= 8 and len(readers) >= 4
     found = unread_definitions(modules, readers)
     assert not found, "definitions nothing reads:\n" + "\n".join(found)
+
+
+def test_package_has_no_unread_constants():
+    # a constant only tests read is reference data, as for definitions
+    modules = _sources("src", "uta")
+    del modules[str(Path("src", "uta", "__init__.py"))]
+    readers = _sources("perfbench")
+    assert len(modules) >= 8 and len(readers) >= 4
+    found = unread_constants(modules, readers)
+    assert not found, "module-level constants nothing reads:\n" + "\n".join(found)
 
 
 def test_package_has_no_unread_methods():

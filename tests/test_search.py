@@ -764,9 +764,9 @@ class TestSubsumptionKernel:
 
 def same_prepared(a, b) -> bool:
     arrays = [(getattr(a, f), getattr(b, f))
-              for f in ("l_edge", "u_thr", "l_thr", "pairs")]
-    arrays += list(zip(a.diag.cell + (a.diag.thr,), b.diag.cell + (b.diag.thr,)))
-    return a.diags == b.diags and a.interior == b.interior and all(
+              for f in ("l_edge", "u_thr", "l_thr", "pairs", "thr")]
+    arrays += list(zip(a.cell, b.cell))
+    return a.diags == b.diags and all(
         np.array_equal(x, y) and x.dtype == y.dtype for x, y in arrays)
 
 
@@ -794,17 +794,17 @@ class TestProductSets:
     @staticmethod
     def agree(net, gmaps, locs) -> int:
         """Check every product location; the number that reuse the diagonal
-        stage of an earlier one."""
+        thresholds of an earlier one."""
         n = len(net.clocks)
         sets = search.ProductSets(gmaps, n)
-        stages = {}
+        shared = {}
         for at in sorted(locs):
             got = sets.at(at)
             want = simulation.prepare(product_gset(gmaps, ProductLoc(at, ())), n)
             assert same_prepared(got, want), at
-            # equal diagonal sets share one stage object
-            assert stages.setdefault(got.diags, got.diag) is got.diag, at
-        return len(locs) - len(stages)
+            # equal diagonal sets share one threshold array
+            assert shared.setdefault(got.diags, got.thr) is got.thr, at
+        return len(locs) - len(shared)
 
     def test_desk_rows(self, monkeypatch):
         total = shared = 0

@@ -15,6 +15,7 @@ from conftest import (
     sim_atom_ref,
 )
 from reference import (
+    EMPTY_GSET,
     SimQuery,
     _zone_max_const,
     brute_force_sim,
@@ -26,7 +27,7 @@ from reference import (
     zone_of,
 )
 from uta import simulation
-from uta.analysis import EMPTY_GSET, GSet, compute_gmap
+from uta.analysis import GSet, compute_gmap
 from uta.dbm import (
     EMPTY,
     INF,
@@ -234,7 +235,7 @@ class TestBruteForce:
             p = right(g, n_clocks)
             return _prepared(np.where(p.u_thr < INF, p.u_thr + du, INF),
                              np.where(p.l_thr > NEVER, p.l_thr + dl, NEVER),
-                             p.diag)
+                             p.diags)
 
         monkeypatch.setattr(simulation, "prepare", shifted)
         rng = random.Random(7)
@@ -418,7 +419,8 @@ class TestDiagonalStage:
         by_diagonals = refuted = 0
         for z, zps, _, g in diagonal_queries(rng, 400):
             prep = prepare(g, z.n)
-            without = replace(prep, diag=prepare(EMPTY_GSET, z.n).diag)
+            bare = prepare(EMPTY_GSET, z.n)
+            without = replace(prep, diags=bare.diags, cell=bare.cell, thr=bare.thr)
             mask = kernel_mask(z, zps, prep)
             alone = mask & ~kernel_mask(z, zps, without)
             for k in np.flatnonzero(mask).tolist():
@@ -527,10 +529,11 @@ class TestKernel:
         same_clock = GSet.of([make_upper(X, WEAK, 3), make_lower(X, STRICT, 1)])
         crossed = GSet.of([make_upper(X, WEAK, 3), make_lower(Y, STRICT, 1)])
         diagonal = GSet.of([make_upper(X, WEAK, 3), make_upper_diag(X, Y, STRICT, 1)])
-        for g, interior in ((uppers, False), (lowers, False),
-                            (same_clock, False), (crossed, True),
-                            (diagonal, True)):
-            assert prepare(g, 2).interior is interior
+        for g, pairs in ((uppers, False), (lowers, False),
+                         (same_clock, False), (crossed, True),
+                         (diagonal, False)):
+            assert prepare(g, 2).pairs.any() == pairs
+        assert prepare(diagonal, 2).diags
         rng = random.Random(59)
         zones = [random_zone_chain(rng, 2) for _ in range(40)]
         for g in (uppers, lowers, same_clock, crossed, diagonal):
@@ -565,13 +568,13 @@ class TestKernel:
             rows = np.array([bound_row(zp) for zp in zones])
             for _ in range(20):
                 prep = prepare(EMPTY_GSET, n)
-                while not prep.interior:
+                while not prep.pairs.any():
                     prep = prepare(GSet.of([
                         rng.choice((make_upper, make_lower))(
                             rng.randrange(n), rng.choice((WEAK, STRICT)),
                             rng.randint(1, 3))
                         for _ in range(rng.randint(2, 4))]), n)
-                single_sided = replace(prep, interior=False)
+                single_sided = replace(prep, pairs=np.zeros_like(prep.pairs))
                 for z in zones:
                     mask = batch_matches_reference(z, zones, prep)
                     standing = ~not_simulated_batch(z, rows, zones, single_sided)
@@ -605,13 +608,15 @@ class TestKernel:
             pairs = [[bool(has_l[y] and has_u[x]) and x != y
                       for x in range(n)] for y in range(n)]
             assert prep.pairs.tolist() == pairs
-            assert prep.interior == (any(map(any, pairs)) or bool(g.diag))
             entries = set(map(_atom_entry, g.diag))
             assert set(prep.diags) == entries
-            rows, cols = prep.diag.cell
+            rows, cols = prep.cell
             assert sorted(zip(rows.tolist(), cols.tolist(),
-                              prep.diag.thr.tolist())) == sorted(
+                              prep.thr.tolist())) == sorted(
                 (j - 1, i - 1, 2 - b) for i, j, b in entries)
+            # shared between equal diagonal sets, so nobody may write them
+            assert prepare(GSet.of(g.diag), n).thr is prep.thr
+            assert not any(a.flags.writeable for a in (*prep.cell, prep.thr))
 
     def test_prepare_refuses_constants_out_of_range(self):
         # every atom is encoded by dbm's one range rule, diagonals included
