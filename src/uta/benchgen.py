@@ -99,8 +99,9 @@ def _set_int(var: int, value: int) -> IntAssign:
     return IntAssign(var, ((1, -1, value),))
 
 
-def _scheduler(tasks: Sequence[TaskSpec], clocks, ds, r_var: int, wc: bool) -> Automaton:
+def _scheduler(tasks: Sequence[TaskSpec], ix: dict[str, int], wc: bool) -> Automaton:
     n = len(tasks)
+    r_var = n  # the int variables are q1..qn, r
     locs: list[Location] = []
     index: dict[str, int] = {}
 
@@ -130,7 +131,7 @@ def _scheduler(tasks: Sequence[TaskSpec], clocks, ds, r_var: int, wc: bool) -> A
 
     edges: list[Edge] = []
     for i in range(1, n + 1):
-        reset = Update.of({ds[i]: Const(0)})
+        reset = Update.of({ix[f"ds{i}"]: Const(0)})
         edges.append(Edge(qempty, entry, update=reset, sync=(f"notify{i}", "?")))
         edges.append(Edge(running, pre, update=reset, sync=(f"notify{i}", "?")))
     for j in range(1, n + 1):
@@ -146,8 +147,9 @@ def _scheduler(tasks: Sequence[TaskSpec], clocks, ds, r_var: int, wc: bool) -> A
         edges.append(Edge(t(i, 0), t(nxt, 0), Guard((), (queued(nxt, 0),))))
         for j in range(1, i + 1):
             # candidate strictly closer: D_nxt - ds_nxt < D_j - ds_j
-            closer = make_upper_diag(ds[j], ds[nxt], STRICT, tasks[j - 1].d - tasks[nxt - 1].d)
-            keep = make_upper_diag(ds[nxt], ds[j], WEAK, tasks[nxt - 1].d - tasks[j - 1].d)
+            dj, dn = ix[f"ds{j}"], ix[f"ds{nxt}"]
+            closer = make_upper_diag(dj, dn, STRICT, tasks[j - 1].d - tasks[nxt - 1].d)
+            keep = make_upper_diag(dn, dj, WEAK, tasks[nxt - 1].d - tasks[j - 1].d)
             edges.append(Edge(t(i, j), t(nxt, nxt), Guard((closer,), (queued(nxt, 1),))))
             edges.append(Edge(t(i, j), t(nxt, j), Guard((), (queued(nxt, 0),))))
             edges.append(Edge(t(i, j), t(nxt, j), Guard((keep,), (queued(nxt, 1),))))
@@ -172,11 +174,12 @@ def _scheduler(tasks: Sequence[TaskSpec], clocks, ds, r_var: int, wc: bool) -> A
         for k, i in enumerate(others):
             dst = chain[k + 1] if k + 1 < len(others) else entry
             edges.append(Edge(chain[k], dst, sync=(f"sub{j}_{i}", "!")))
-    return Automaton("sched", tuple(locs), tuple(edges), clocks)
+    return Automaton("sched", tuple(locs), tuple(edges), tuple(ix))
 
 
-def _handler(i: int, tasks: Sequence[TaskSpec], clocks, ci: int, di: int) -> Automaton:
+def _handler(i: int, tasks: Sequence[TaskSpec], ix: dict[str, int]) -> Automaton:
     n = len(tasks)
+    ci, di = ix[f"c{i}"], ix[f"d{i}"]
     spec = tasks[i - 1]
     inv_run = Guard((make_upper(ci, WEAK, spec.c), make_upper(di, WEAK, spec.d)))
     inv_pre = Guard((make_upper(di, WEAK, spec.d),))
@@ -212,7 +215,7 @@ def _handler(i: int, tasks: Sequence[TaskSpec], clocks, ci: int, di: int) -> Aut
             Edge(pre, pre, Guard((make_upper(ci, WEAK, spec.d),)),
                  update=Update.of({ci: Shift(ci, -tasks[j - 1].c)}), sync=sub)
         )
-    return Automaton(f"task{i}", tuple(locs), tuple(edges), clocks)
+    return Automaton(f"task{i}", tuple(locs), tuple(edges), tuple(ix))
 
 
 def _flower(tasks: Sequence[TaskSpec], clocks) -> Automaton:
@@ -224,8 +227,9 @@ def _flower(tasks: Sequence[TaskSpec], clocks) -> Automaton:
     return Automaton("flower", (Location("f0", initial=True),), edges, clocks)
 
 
-def _worstcase(tasks: Sequence[TaskSpec], clocks, wx: int) -> Automaton:
+def _worstcase(tasks: Sequence[TaskSpec], ix: dict[str, int]) -> Automaton:
     n = len(tasks)
+    wx = ix["wx"]
     locs = [Location(f"w{k}", initial=(k == 0)) for k in range(n + 1)]
     locs += [Location(f"t{i}") for i in range(1, n + 1)]
     at_zero = Guard((make_upper(wx, WEAK, 0),))
@@ -237,11 +241,13 @@ def _worstcase(tasks: Sequence[TaskSpec], clocks, wx: int) -> Automaton:
         edges.append(Edge(n, ti, update=Update.of({wx: Const(0)}),
                           sync=(f"wcdone{i}", "?")))
         edges.append(Edge(ti, n, at_zero, sync=(f"release{i}", "!")))
-    return Automaton("wc", tuple(locs), tuple(edges), clocks)
+    return Automaton("wc", tuple(locs), tuple(edges), tuple(ix))
 
 
-def _periodic(tasks: Sequence[TaskSpec], clocks, pd, ixs: Sequence[int]) -> Automaton:
+def _periodic(tasks: Sequence[TaskSpec], ix: dict[str, int],
+              ixs: Sequence[int]) -> Automaton:
     m = len(ixs)
+    pd = {i: ix[f"p{i}"] for i in ixs}
     inv = Guard(tuple(make_upper(pd[i], WEAK, tasks[i - 1].p) for i in ixs))
     locs = [Location(f"r{k}", initial=(k == 0), committed=True) for k in range(m)]
     locs.append(Location(f"r{m}", initial=(m == 0), invariant=inv))
@@ -254,14 +260,15 @@ def _periodic(tasks: Sequence[TaskSpec], clocks, pd, ixs: Sequence[int]) -> Auto
             Edge(m, m, Guard((make_lower(pd[i], WEAK, tasks[i - 1].p),)),
                  update=Update.of({pd[i]: Const(0)}), sync=(f"release{i}", "!"))
         )
-    return Automaton("periodic", tuple(locs), tuple(edges), clocks)
+    return Automaton("periodic", tuple(locs), tuple(edges), tuple(ix))
 
 
 _OFFSET = 60  # quiet window between sporadic bursts
 
 
-def _sporadic(tasks: Sequence[TaskSpec], clocks, sx: int, sy: int, n_var: int,
-              burst: int) -> Automaton:
+def _sporadic(tasks: Sequence[TaskSpec], ix: dict[str, int], burst: int) -> Automaton:
+    sx, sy = ix["sx"], ix["sy"]
+    n_var = len(tasks) + 1  # the int variables are q1..qn, r, n
     gap = tasks[0].d
     rested = Guard((make_upper(sy, WEAK, _OFFSET),))
     locs = (
@@ -284,7 +291,7 @@ def _sporadic(tasks: Sequence[TaskSpec], clocks, sx: int, sy: int, n_var: int,
         Edge(2, 1, wake, update=start, int_assigns=(_set_int(n_var, 0),),
              sync=("release1", "!")),
     )
-    return Automaton("sporadic", locs, edges, clocks)
+    return Automaton("sporadic", locs, edges, tuple(ix))
 
 
 def gen_edf(tasks: Sequence[TaskSpec], pattern: ReleasePattern) -> Network:
@@ -306,44 +313,17 @@ def gen_edf(tasks: Sequence[TaskSpec], pattern: ReleasePattern) -> Network:
         if n < 2 or any(t.p is None for t in tasks[1:]):
             raise ValueError("tasks after the sporadic one must be periodic")
 
-    names: list[str] = []
-    c: dict[int, int] = {}
-    d: dict[int, int] = {}
-    ds: dict[int, int] = {}
-    for i in range(1, n + 1):
-        c[i] = len(names)
-        names.append(f"c{i}")
-        d[i] = len(names)
-        names.append(f"d{i}")
-        ds[i] = len(names)
-        names.append(f"ds{i}")
-    wx = sx = sy = None
-    if kind == "worstcase":
-        wx = len(names)
-        names.append("wx")
-    if kind == "sporadicperiodic":
-        sx = len(names)
-        names.append("sx")
-        sy = len(names)
-        names.append("sy")
-    if kind == "periodic":
-        periodic_ixs: list[int] = list(range(1, n + 1))
-    elif kind == "sporadicperiodic":
-        periodic_ixs = list(range(2, n + 1))
-    else:
-        periodic_ixs = []
-    pd: dict[int, int] = {}
-    for i in periodic_ixs:
-        pd[i] = len(names)
-        names.append(f"p{i}")
-    clocks = tuple(names)
+    periodic_ixs = {"periodic": range(1, n + 1),
+                    "sporadicperiodic": range(2, n + 1)}.get(kind, ())
+    clocks = tuple([f"{x}{i}" for i in range(1, n + 1) for x in ("c", "d", "ds")]
+                   + {"worstcase": ["wx"], "sporadicperiodic": ["sx", "sy"]}.get(kind, [])
+                   + [f"p{i}" for i in periodic_ixs])
+    ix = {name: k for k, name in enumerate(clocks)}
 
+    # q1..qn, then r, then n for the sporadic burst count
     ivs = [IntVar(f"q{i}", 0, 1, 0) for i in range(1, n + 1)]
-    r_var = len(ivs)
     ivs.append(IntVar("r", 0, n, 0))
-    n_var = None
     if kind == "sporadicperiodic":
-        n_var = len(ivs)
         ivs.append(IntVar("n", 0, max(pattern.burst - 1, 0), 0))
 
     chans: list[str] = []
@@ -354,18 +334,16 @@ def gen_edf(tasks: Sequence[TaskSpec], pattern: ReleasePattern) -> Network:
     for j in range(1, n + 1):
         chans += [f"sub{j}_{i}" for i in range(1, n + 1) if i != j]
 
-    comps = [_scheduler(tasks, clocks, ds, r_var, kind == "worstcase")]
-    for i in range(1, n + 1):
-        comps.append(_handler(i, tasks, clocks, c[i], d[i]))
+    comps = [_scheduler(tasks, ix, kind == "worstcase")]
+    comps += [_handler(i, tasks, ix) for i in range(1, n + 1)]
     if kind == "flower":
         comps.append(_flower(tasks, clocks))
     elif kind == "worstcase":
-        comps.append(_worstcase(tasks, clocks, wx))
-    elif kind == "periodic":
-        comps.append(_periodic(tasks, clocks, pd, periodic_ixs))
+        comps.append(_worstcase(tasks, ix))
     else:
-        comps.append(_sporadic(tasks, clocks, sx, sy, n_var, pattern.burst))
-        comps.append(_periodic(tasks, clocks, pd, periodic_ixs))
+        if kind == "sporadicperiodic":
+            comps.append(_sporadic(tasks, ix, pattern.burst))
+        comps.append(_periodic(tasks, ix, periodic_ixs))
     name = f"edf_{kind}_{n}"
     return Network(name, clocks, tuple(ivs), tuple(chans), tuple(comps))
 

@@ -62,25 +62,17 @@ def _timeout_default() -> float:
     return DEFAULT_TIMEOUT
 
 
-class _Invalid(Exception):
-    """The model failed validation; args are its diagnostic lines."""
-
-
 def _front(args) -> tuple[Network, Callable[[str], None], Optional[list], float]:
-    """Parse and validate args.input, echo it under --dump-model, and
-    analyse each component within args.timeout (resolved here) unless
-    --no-simulation.  Returns the network, the print for the result (under
-    --dump-model it comments out every line, so the output parses back), the
-    constraint maps and the time the analysis started."""
+    """Parse args.input, warn about what validation finds, echo the model
+    under --dump-model, and analyse each component within args.timeout
+    (resolved here) unless --no-simulation.  Returns the network, the print
+    for the result (under --dump-model it comments out every line, so the
+    output parses back), the constraint maps and the time the analysis
+    started."""
     args.phase = "parse"
     net = parse_file(args.input)
-    # every validation error is a shared clock, which the flag lets through
-    lines = [f"{'warning' if args.allow_shared_clocks else d.level}: {d.message}"
-             for d in validate_network(net)]
-    if any(line.startswith("error:") for line in lines):
-        raise _Invalid(*lines)
-    for line in lines:
-        print(line, file=sys.stderr)
+    for message in validate_network(net):
+        print(f"warning: {message}", file=sys.stderr)
     say = print
     if args.dump_model:
         sys.stdout.write(print_network(net))
@@ -251,9 +243,6 @@ def _add_common(p, with_target: bool) -> None:
                        help="location name, bare or as process.location")
     p.add_argument("--format", dest="out_format", choices=("text", "json"),
                    default="text")
-    p.add_argument("--allow-shared-clocks", action="store_true",
-                   help="keep going when components share a clock "
-                        "(reach then needs --no-simulation)")
     p.add_argument("--dump-model", action="store_true",
                    help="echo the parsed model before the result, which then "
                         "follows as # comment lines, so the output parses back")
@@ -320,8 +309,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return handler[args.cmd](args)
     except ParseErrors as exc:
         lines = [f"error: {e}" for e in exc.errors]
-    except _Invalid as exc:
-        lines = list(exc.args)
     except TimeoutError:  # before OSError, its base class
         lines = [f"error: timeout after {args.timeout:.0f}s ({args.phase})"]
     except (OSError, ValueError, OverflowError) as exc:

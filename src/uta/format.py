@@ -114,6 +114,7 @@ class _Parser:
         self.int_index: dict[str, int] = {}
         self.procs: list[_ProcBuilder] = []
         self.proc_index: dict[str, int] = {}
+        self.line = ""  # the line being parsed, its comment stripped
 
     # -- error helpers -----------------------------------------------------
 
@@ -127,8 +128,8 @@ class _Parser:
 
     def run(self) -> Optional[Network]:
         for lineno, raw in enumerate(self.text.splitlines(), start=1):
-            line = raw.split("#", 1)[0]
-            tokens = [(m.group(0), m.start()) for m in _TOKEN.finditer(line)]
+            self.line = raw.split("#", 1)[0]
+            tokens = [(m.group(0), m.start()) for m in _TOKEN.finditer(self.line)]
             if not tokens:
                 continue
             head, hs = tokens[0]
@@ -266,21 +267,22 @@ class _Parser:
         return self.procs[self.proc_index[name]]
 
     def _split_sections(self, lineno, tokens, keywords) -> Optional[dict]:
-        """Group trailing tokens into flag set / keyword-delimited sections."""
+        """Group trailing tokens into the flags and the keyword-delimited
+        sections, each section as its keyword's column and its tokens."""
         out: dict[str, object] = {"flags": []}
-        current: Optional[str] = None
+        current: Optional[list] = None
         for tok, s in tokens:
             if tok in keywords:
                 if tok in out:
                     self.err(self.span(lineno, s), f"duplicate section {tok!r}")
                     return None
-                current = tok
-                out[tok] = []
+                current = []
+                out[tok] = (s, current)
             elif tok in _LOC_FLAGS and keywords is _LOC_SECTIONS:
                 out["flags"].append(tok)
                 current = None
             elif current is not None:
-                out[current].append((tok, s))
+                current.append((tok, s))
             else:
                 self.err(self.span(lineno, s), f"unexpected token {tok!r}")
                 return None
@@ -358,7 +360,7 @@ class _Parser:
             guard = Guard(tuple(parsed[0]), tuple(parsed[1]))
         update, int_assigns = Update(), ()
         if "do:" in sections:
-            parsed = self._parse_updates(lineno, sections["do:"])
+            parsed = self._parse_updates(lineno, sections["do:"][1])
             if parsed is None:
                 return
             update, int_assigns = parsed
@@ -371,9 +373,10 @@ class _Parser:
             Edge(endpoints[0], endpoints[1], guard, update, int_assigns, sync)
         )
 
-    def _parse_sync(self, lineno, toks) -> Optional[tuple[str, str]]:
+    def _parse_sync(self, lineno, section) -> Optional[tuple[str, str]]:
+        at, toks = section
         if len(toks) != 1:
-            s = toks[0][1] if toks else 0
+            s = toks[0][1] if toks else at
             self.err(self.span(lineno, s), "usage: sync: <event>! or sync: <event>?")
             return None
         tok, s = toks[0]
@@ -393,20 +396,20 @@ class _Parser:
         """Split a section's tokens at sep: each piece with its whitespace
         removed, and the span of its first character (of what follows it,
         for an empty piece); no piece at all without tokens."""
-        joined = " ".join(t for t, _ in toks)
-        # the line column of each character of joined, and of its end
-        cols = [s + k for t, s in toks for k in range(len(t) + 1)]
-        start = 0
-        for piece in joined.split(sep) if toks else ():
+        if not toks:
+            return
+        start = toks[0][1]
+        for piece in self.line[start:toks[-1][1] + len(toks[-1][0])].split(sep):
             lead = len(piece) - len(piece.lstrip())
-            yield re.sub(r"\s+", "", piece), self.span(lineno, cols[start + lead])
+            yield "".join(piece.split()), self.span(lineno, start + lead)
             start += len(piece) + len(sep)
 
-    def _parse_conj(self, lineno, toks):
-        """The clock and int atoms of a conjunction, and the span of its
-        first int atom; None after an error."""
+    def _parse_conj(self, lineno, section):
+        """The clock and int atoms of a conjunction section, and the span of
+        its first int atom; None after an error."""
+        at, toks = section
         if not toks:
-            self.err(self.span(lineno, 0), "empty constraint section")
+            self.err(self.span(lineno, at), "empty constraint section")
             return None
         clock_atoms: list[AtomicConstraint] = []
         int_atoms: list[IntAtom] = []

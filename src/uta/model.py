@@ -252,9 +252,6 @@ class Update:
     def written(self) -> tuple[int, ...]:
         return tuple(x for x, _ in self.entries)
 
-    def sources(self) -> tuple[int, ...]:
-        return tuple(u.source for _, u in self.entries if isinstance(u, Shift))
-
     def max_offset(self) -> int:
         """Largest absolute constant among assignments (0 if identity)."""
         return max((abs(off) for _, off in self._sources.values()), default=0)
@@ -383,25 +380,20 @@ class Automaton:
     def initial(self) -> int:
         return next(i for i, loc in enumerate(self.locations) if loc.initial)
 
-    def clocks_written(self) -> frozenset[int]:
-        out = set()
-        for e in self.edges:
-            out.update(e.update.written())
-        return frozenset(out)
-
-    def clocks_read(self) -> frozenset[int]:
+    def occurring_clocks(self) -> frozenset[int]:
+        """The clocks some guard, invariant or update reads or writes."""
         out = set()
         for e in self.edges:
             for phi in e.guard.clock_atoms:
                 out.update(phi.clocks())
-            out.update(e.update.sources())
+            for x, u in e.update.entries:
+                out.add(x)
+                if isinstance(u, Shift):
+                    out.add(u.source)
         for loc in self.locations:
             for phi in loc.invariant.clock_atoms:
                 out.update(phi.clocks())
         return frozenset(out)
-
-    def occurring_clocks(self) -> frozenset[int]:
-        return self.clocks_read() | self.clocks_written()
 
 
 @dataclass(frozen=True)
@@ -437,28 +429,15 @@ class Network:
         return out
 
 
-@dataclass(frozen=True, slots=True)
-class Diagnostic:
-    level: str  # "error" | "warning"
-    message: str
-
-
-def validate_network(net: Network) -> list[Diagnostic]:
-    """Static well-formedness checks.
-
-    Shared clocks across components are errors (sound analysis and sync
-    composition both assume per-component clock ownership); the rest are
-    warnings.
-    """
-    out = [Diagnostic("error", msg) for msg in net.shared_clocks()]
-    used_channels = set()
-    for comp in net.components:
-        for e in comp.edges:
-            if e.sync is not None:
-                used_channels.add(e.sync[0])
-    for ch in net.channels:
-        if ch not in used_channels:
-            out.append(Diagnostic("warning", f"event {ch} is declared but never used"))
+def validate_network(net: Network) -> list[str]:
+    """Static well-formedness warnings: clocks shared between components
+    (which `search.reach` refuses to prune on), events never used and
+    locations unreachable in their component's location graph."""
+    out = net.shared_clocks()
+    used_channels = {e.sync[0] for comp in net.components for e in comp.edges
+                     if e.sync is not None}
+    out += [f"event {ch} is declared but never used"
+            for ch in net.channels if ch not in used_channels]
     for comp in net.components:
         reachable = {comp.initial}
         frontier = [comp.initial]
@@ -471,14 +450,8 @@ def validate_network(net: Network) -> list[Diagnostic]:
                 if q2 not in reachable:
                     reachable.add(q2)
                     frontier.append(q2)
-        for i, loc in enumerate(comp.locations):
-            if i not in reachable:
-                out.append(
-                    Diagnostic(
-                        "warning",
-                        f"{comp.name}.{loc.name} is unreachable in the location graph",
-                    )
-                )
+        out += [f"{comp.name}.{loc.name} is unreachable in the location graph"
+                for i, loc in enumerate(comp.locations) if i not in reachable]
     return out
 
 

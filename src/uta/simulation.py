@@ -208,8 +208,6 @@ def not_simulated_batch(z: Dbm, rows: np.ndarray, zps: Sequence[Dbm],
 
 
 def _sim(z: Zone, zp: Zone, diags: tuple[Triple, ...], prep: SimPrepared) -> bool:
-    if z is EMPTY:
-        return True
     if zp is EMPTY:
         return False
     for k, (i, j, bound) in enumerate(diags):
@@ -228,8 +226,8 @@ def _sim(z: Zone, zp: Zone, diags: tuple[Triple, ...], prep: SimPrepared) -> boo
 
 
 def sim_zone_prepared(z: Zone, zp: Zone, prep: SimPrepared) -> bool:
-    """Decide whether every point of z has a simulator in zp, against a
-    reusable `prepare` result of the constraint set.
+    """Decide whether every point of z, a non-empty zone, has a simulator
+    in zp, against a reusable `prepare` result of the constraint set.
 
     The search calls it only on candidates the batched kernel left
     standing, diagonal stage included, so it goes straight to the diagonal

@@ -1,0 +1,33 @@
+"""The summary of the paired benchmark script, on synthetic numbers."""
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+
+def test_summarize_quartiles_and_pairs_won():
+    parent = [10.0, 12.0, 14.0, 16.0, 18.0]
+    change = [9.0, 13.0, 13.0, 15.0, 18.0]
+    runs = [{"parent": {"t": p, "hits": p}, "change": {"t": c, "hits": c}}
+            for p, c in zip(parent, change)]
+    out = bench_pairs.summarize(runs, {"t": "lower", "hits": "higher"})
+    t = out["t"]
+    assert t["parent"] == {"median": 14.0, "q1": 12.0, "q3": 16.0}
+    assert t["change"] == {"median": 13.0, "q1": 13.0, "q3": 15.0}
+    # lower wins in pairs 1, 3 and 4; the tie in pair 5 wins for neither side
+    assert t["change_better_pairs"] == 3
+    assert t["median_change_ratio"] == pytest.approx(13 / 14 - 1)
+    assert out["hits"]["change_better_pairs"] == 1
+
+
+def test_summarize_one_pair():
+    out = bench_pairs.summarize([{"parent": {"t": 2.0}, "change": {"t": 1.0}}],
+                                {"t": "lower"})
+    assert out["t"]["parent"] == {"median": 2.0, "q1": 2.0, "q3": 2.0}
+    assert out["t"]["change_better_pairs"] == 1
+    assert out["t"]["median_change_ratio"] == -0.5

@@ -175,7 +175,7 @@ class TestAnalyze:
     def test_allowed_shared_clock_is_a_warning(self, capsys, tmp_path):
         path = tmp_path / "shared.uta"
         path.write_text(SHARED)
-        code, _, err = run(capsys, "analyze", str(path), "--allow-shared-clocks")
+        code, _, err = run(capsys, "analyze", str(path))
         assert code == 0
         assert "warning: clock x is shared between components A, B" in err
         assert "error:" not in err
@@ -309,12 +309,9 @@ class TestReach:
         code, _, err = run(capsys, "reach", str(path), "--target", "goal")
         assert code == 2
         assert "clock x is shared between components A, B" in err
-        code, _, err = run(capsys, "reach", str(path), "--target", "goal",
-                           "--allow-shared-clocks")
-        assert code == 2
         assert "--no-simulation" in err
         code, out, _ = run(capsys, "reach", str(path), "--target", "goal",
-                           "--allow-shared-clocks", "--no-simulation")
+                           "--no-simulation")
         assert code == 1
         assert "Reachable" in out
 

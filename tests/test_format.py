@@ -156,6 +156,14 @@ def only_error(line: str):
      "unknown int variable 'q' in expression"),
     ("edge p a b do: x=1;x=2", "x=2", "clock 'x' assigned twice in one update"),
     ("edge p a b do: x=1; y", "y", "cannot parse update 'y' (expected <id>=<expr>)"),
+    ("edge p a b provided:  x<=1 &&\t\tzz<3", "zz<3",
+     "unknown identifier 'zz' in constraint"),
+    ("edge p a b provided: x<=1 &&", "", "empty atom in conjunction"),
+    # an empty section points at its keyword
+    ("edge p a b provided:", "provided:", "empty constraint section"),
+    ("edge p a b provided: do: x=0", "provided:", "empty constraint section"),
+    ("location p c invariant:", "invariant:", "empty constraint section"),
+    ("edge p a b sync:", "sync:", "usage: sync: <event>! or sync: <event>?"),
 ])
 def test_section_errors_point_at_the_failing_piece(line, at, message):
     assert only_error(line) == (line.rindex(at) + 1, message)

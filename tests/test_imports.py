@@ -55,21 +55,50 @@ def test_sources_and_tests_have_no_unused_imports():
     assert not found, "unused imports:\n" + "\n".join(found)
 
 
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _bound_locally(fn: ast.AST) -> set[str]:
+    """Names a function or lambda binds in its own scope: its parameters
+    and the names it assigns, less those it declares global or nonlocal."""
+    a = fn.args
+    bound = {p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                             a.vararg, a.kwarg) if p is not None}
+    declared: set[str] = set()
+    todo = list(fn.body) if isinstance(fn.body, list) else [fn.body]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.Global, ast.Nonlocal)):
+            declared.update(node.names)
+        elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            bound.add(node.id)
+        elif isinstance(node, (*_SCOPES, ast.ClassDef)):
+            if not isinstance(node, ast.Lambda):
+                bound.add(node.name)
+            continue  # its own scope
+        todo.extend(ast.iter_child_nodes(node))
+    return bound - declared
+
+
 def _referenced(tree: ast.AST, skip: Optional[ast.AST] = None) -> set[str]:
     """Names, attribute names, Name.attribute pairs and identifier strings
-    in tree, outside skip.
+    in tree, outside skip.  A name a function binds locally is not a
+    reference inside that function.
 
     Strings count because code may look a function up by its name (the
     benchmark's tracer rebinds module attributes from a table of names).
     """
     out: set[str] = set()
-    todo = [tree]
+    todo: list[tuple[ast.AST, frozenset]] = [(tree, frozenset())]
     while todo:
-        node = todo.pop()
+        node, local = todo.pop()
         if node is skip:
             continue
+        if isinstance(node, _SCOPES):
+            local = local | _bound_locally(node)
         if isinstance(node, ast.Name):
-            out.add(node.id)
+            if node.id not in local:
+                out.add(node.id)
         elif isinstance(node, ast.Attribute):
             out.add(node.attr)
             if isinstance(node.value, ast.Name):
@@ -77,7 +106,7 @@ def _referenced(tree: ast.AST, skip: Optional[ast.AST] = None) -> set[str]:
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             if node.value.isidentifier():
                 out.add(node.value)
-        todo.extend(ast.iter_child_nodes(node))
+        todo.extend((child, local) for child in ast.iter_child_nodes(node))
     return out
 
 
@@ -205,6 +234,7 @@ def test_checker_finds_unread_constants():
         "LOCAL = 7\n"
         "DERIVED = LOCAL + 1\n"
         "A = B = 8\n"
+        "def f(): UNREAD = 1; return UNREAD\n"
     )
     user = "import lib\nprint(lib.USED, lib.B)\n"
     assert unread_constants({"lib.py": lib}, {"user.py": user}) == [
