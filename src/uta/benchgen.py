@@ -99,9 +99,10 @@ def _set_int(var: int, value: int) -> IntAssign:
     return IntAssign(var, ((1, -1, value),))
 
 
-def _scheduler(tasks: Sequence[TaskSpec], ix: dict[str, int], wc: bool) -> Automaton:
+def _scheduler(tasks: Sequence[TaskSpec], ix: dict[str, int], iv: dict[str, int],
+               wc: bool) -> Automaton:
     n = len(tasks)
-    r_var = n  # the int variables are q1..qn, r
+    r_var = iv["r"]
     locs: list[Location] = []
     index: dict[str, int] = {}
 
@@ -127,7 +128,7 @@ def _scheduler(tasks: Sequence[TaskSpec], ix: dict[str, int], wc: bool) -> Autom
         return index[f"temp{i}_{j}"]
 
     def queued(i: int, v: int) -> IntAtom:
-        return IntAtom(i - 1, "==", rhs_lit=v)
+        return IntAtom(iv[f"q{i}"], "==", rhs_lit=v)
 
     edges: list[Edge] = []
     for i in range(1, n + 1):
@@ -177,9 +178,10 @@ def _scheduler(tasks: Sequence[TaskSpec], ix: dict[str, int], wc: bool) -> Autom
     return Automaton("sched", tuple(locs), tuple(edges), tuple(ix))
 
 
-def _handler(i: int, tasks: Sequence[TaskSpec], ix: dict[str, int]) -> Automaton:
+def _handler(i: int, tasks: Sequence[TaskSpec], ix: dict[str, int],
+             iv: dict[str, int]) -> Automaton:
     n = len(tasks)
-    ci, di = ix[f"c{i}"], ix[f"d{i}"]
+    ci, di, qi = ix[f"c{i}"], ix[f"d{i}"], iv[f"q{i}"]
     spec = tasks[i - 1]
     inv_run = Guard((make_upper(ci, WEAK, spec.c), make_upper(di, WEAK, spec.d)))
     inv_pre = Guard((make_upper(di, WEAK, spec.d),))
@@ -194,11 +196,11 @@ def _handler(i: int, tasks: Sequence[TaskSpec], ix: dict[str, int]) -> Automaton
     free, rel, que, run, pre, err = range(6)
     edges = [
         Edge(free, rel, update=Update.of({di: Const(0)}), sync=(f"release{i}", "?")),
-        Edge(rel, que, int_assigns=(_set_int(i - 1, 1),), sync=(f"notify{i}", "!")),
+        Edge(rel, que, int_assigns=(_set_int(qi, 1),), sync=(f"notify{i}", "!")),
         Edge(que, run, update=Update.of({ci: Const(0)}), sync=(f"run{i}", "?")),
         Edge(run, free,
              Guard((make_lower(ci, WEAK, spec.c), make_upper(di, WEAK, spec.d))),
-             int_assigns=(_set_int(i - 1, 0),), sync=(f"done{i}", "!")),
+             int_assigns=(_set_int(qi, 0),), sync=(f"done{i}", "!")),
         Edge(run, pre, sync=(f"preempt{i}", "?")),
         Edge(pre, run, sync=(f"run{i}", "?")),
         Edge(run, err,
@@ -218,13 +220,14 @@ def _handler(i: int, tasks: Sequence[TaskSpec], ix: dict[str, int]) -> Automaton
     return Automaton(f"task{i}", tuple(locs), tuple(edges), tuple(ix))
 
 
-def _flower(tasks: Sequence[TaskSpec], clocks) -> Automaton:
+def _flower(tasks: Sequence[TaskSpec], ix: dict[str, int],
+            iv: dict[str, int]) -> Automaton:
     edges = tuple(
-        Edge(0, 0, Guard((), (IntAtom(i - 1, "==", rhs_lit=0),)),
+        Edge(0, 0, Guard((), (IntAtom(iv[f"q{i}"], "==", rhs_lit=0),)),
              sync=(f"release{i}", "!"))
         for i in range(1, len(tasks) + 1)
     )
-    return Automaton("flower", (Location("f0", initial=True),), edges, clocks)
+    return Automaton("flower", (Location("f0", initial=True),), edges, tuple(ix))
 
 
 def _worstcase(tasks: Sequence[TaskSpec], ix: dict[str, int]) -> Automaton:
@@ -266,9 +269,9 @@ def _periodic(tasks: Sequence[TaskSpec], ix: dict[str, int],
 _OFFSET = 60  # quiet window between sporadic bursts
 
 
-def _sporadic(tasks: Sequence[TaskSpec], ix: dict[str, int], burst: int) -> Automaton:
-    sx, sy = ix["sx"], ix["sy"]
-    n_var = len(tasks) + 1  # the int variables are q1..qn, r, n
+def _sporadic(tasks: Sequence[TaskSpec], ix: dict[str, int], iv: dict[str, int],
+              burst: int) -> Automaton:
+    sx, sy, n_var = ix["sx"], ix["sy"], iv["n"]
     gap = tasks[0].d
     rested = Guard((make_upper(sy, WEAK, _OFFSET),))
     locs = (
@@ -313,18 +316,21 @@ def gen_edf(tasks: Sequence[TaskSpec], pattern: ReleasePattern) -> Network:
         if n < 2 or any(t.p is None for t in tasks[1:]):
             raise ValueError("tasks after the sporadic one must be periodic")
 
-    periodic_ixs = {"periodic": range(1, n + 1),
-                    "sporadicperiodic": range(2, n + 1)}.get(kind, ())
-    clocks = tuple([f"{x}{i}" for i in range(1, n + 1) for x in ("c", "d", "ds")]
-                   + {"worstcase": ["wx"], "sporadicperiodic": ["sx", "sy"]}.get(kind, [])
-                   + [f"p{i}" for i in periodic_ixs])
-    ix = {name: k for k, name in enumerate(clocks)}
-
-    # q1..qn, then r, then n for the sporadic burst count
+    # the components look clocks and int variables up by name, in ix and iv
+    names = [f"{x}{i}" for i in range(1, n + 1) for x in ("c", "d", "ds")]
     ivs = [IntVar(f"q{i}", 0, 1, 0) for i in range(1, n + 1)]
     ivs.append(IntVar("r", 0, n, 0))
+    periodic_ixs: Sequence[int] = range(1, n + 1) if kind == "periodic" else ()
+    if kind == "worstcase":
+        names.append("wx")
     if kind == "sporadicperiodic":
+        names += ["sx", "sy"]
         ivs.append(IntVar("n", 0, max(pattern.burst - 1, 0), 0))
+        periodic_ixs = range(2, n + 1)
+    names += [f"p{i}" for i in periodic_ixs]
+    clocks = tuple(names)
+    ix = {name: k for k, name in enumerate(clocks)}
+    iv = {v.name: k for k, v in enumerate(ivs)}
 
     chans: list[str] = []
     for i in range(1, n + 1):
@@ -334,15 +340,15 @@ def gen_edf(tasks: Sequence[TaskSpec], pattern: ReleasePattern) -> Network:
     for j in range(1, n + 1):
         chans += [f"sub{j}_{i}" for i in range(1, n + 1) if i != j]
 
-    comps = [_scheduler(tasks, ix, kind == "worstcase")]
-    comps += [_handler(i, tasks, ix) for i in range(1, n + 1)]
+    comps = [_scheduler(tasks, ix, iv, kind == "worstcase")]
+    comps += [_handler(i, tasks, ix, iv) for i in range(1, n + 1)]
     if kind == "flower":
-        comps.append(_flower(tasks, clocks))
+        comps.append(_flower(tasks, ix, iv))
     elif kind == "worstcase":
         comps.append(_worstcase(tasks, ix))
     else:
         if kind == "sporadicperiodic":
-            comps.append(_sporadic(tasks, ix, pattern.burst))
+            comps.append(_sporadic(tasks, ix, iv, pattern.burst))
         comps.append(_periodic(tasks, ix, periodic_ixs))
     name = f"edf_{kind}_{n}"
     return Network(name, clocks, tuple(ivs), tuple(chans), tuple(comps))

@@ -33,7 +33,7 @@ from .benchgen import (
 )
 from .format import ParseErrors, parse_file, print_network
 from .model import Network, validate_network
-from .search import REACHABLE, UNREACHABLE, reach
+from .search import REACHABLE, UNREACHABLE, reach, refuse_pruning
 
 EXIT_NEGATIVE = 0
 EXIT_POSITIVE = 1
@@ -62,13 +62,12 @@ def _timeout_default() -> float:
     return DEFAULT_TIMEOUT
 
 
-def _front(args) -> tuple[Network, Callable[[str], None], Optional[list], float]:
+def _front(args) -> tuple[Network, Callable[[str], None], float]:
     """Parse args.input, warn about what validation finds, echo the model
-    under --dump-model, and analyse each component within args.timeout
-    (resolved here) unless --no-simulation.  Returns the network, the print
-    for the result (under --dump-model it comments out every line, so the
-    output parses back), the constraint maps and the time the analysis
-    started."""
+    under --dump-model and resolve args.timeout.  Returns the network, the
+    print for the result (under --dump-model it comments out every line, so
+    the output parses back) and the time args.timeout counts from, which
+    starts the static analysis."""
     args.phase = "parse"
     net = parse_file(args.input)
     for message in validate_network(net):
@@ -79,11 +78,7 @@ def _front(args) -> tuple[Network, Callable[[str], None], Optional[list], float]
         say = lambda text: print("# " + text.replace("\n", "\n# "))
     args.timeout = args.timeout or _timeout_default()
     args.phase = "static analysis"
-    t0 = time.monotonic()
-    gmaps = None if args.no_simulation else [
-        compute_gmap(comp, deadline=t0 + args.timeout)
-        for comp in net.components]
-    return net, say, gmaps, t0
+    return net, say, time.monotonic()
 
 
 def _print_witness(doc: dict, indent: str, say: Callable[[str], None]) -> None:
@@ -96,7 +91,8 @@ def _print_witness(doc: dict, indent: str, say: Callable[[str], None]) -> None:
 
 
 def cmd_analyze(args) -> int:
-    net, say, gmaps, t0 = _front(args)
+    net, say, t0 = _front(args)
+    gmaps = [compute_gmap(comp, deadline=t0 + args.timeout) for comp in net.components]
     reports = [report_json(comp, g) for comp, g in zip(net.components, gmaps)]
     all_converged = all(g.status is Status.CONVERGED for g in gmaps)
     seconds = time.monotonic() - t0
@@ -123,7 +119,12 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_reach(args) -> int:
-    net, say, gmaps, t0 = _front(args)
+    net, say, t0 = _front(args)
+    gmaps = None
+    if not args.no_simulation:
+        refuse_pruning(net)  # needs the model alone, so before the analysis
+        gmaps = [compute_gmap(comp, deadline=t0 + args.timeout)
+                 for comp in net.components]
     remaining = args.timeout - (time.monotonic() - t0)
     if remaining <= 0:
         raise TimeoutError
@@ -259,8 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(pa, with_target=False)
     pa.add_argument("--explain-divergence", action="store_true",
                     help="print the propagation witness for diverged components")
-    # bounded by the default time bound only, and always analysing
-    pa.set_defaults(timeout=None, no_simulation=False)
+    pa.set_defaults(timeout=None)  # bounded by the default time bound only
 
     pr = sub.add_parser("reach", help="zone-graph reachability")
     _add_common(pr, with_target=True)

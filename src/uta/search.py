@@ -408,6 +408,16 @@ class Passed:
         self.zones.append(zone)
 
 
+def refuse_pruning(net: Network) -> None:
+    """Refuse pruning, with a ValueError, on clocks shared between
+    components: sets computed per component miss the others' updates."""
+    if shared := net.shared_clocks():
+        raise ValueError(
+            "; ".join(shared) + "; simulation pruning is unsound on "
+            "shared clocks, rerun with pruning disabled (--no-simulation)"
+        )
+
+
 def reach(
     net: Network,
     gmaps: Optional[Sequence[GMap]],
@@ -418,9 +428,9 @@ def reach(
 
     Prunes by simulation exactly when gmaps (one constraint map per
     component) is given; with None only exact duplicates are dropped.
-    This is the one place that refuses pruning, with a ValueError before
-    the first node: on clocks shared between components, on a map that did
-    not converge, and on a constant `ProductSets` cannot encode.
+    Refuses pruning with a ValueError before the first node: on clocks
+    shared between components (`refuse_pruning`), on a map that did not
+    converge, and on a constant `ProductSets` cannot encode.
     """
     pairs = _resolve_target(net, target)
     compiled = CompiledNet(net)
@@ -428,13 +438,7 @@ def reach(
     n_clocks = compiled.n_clocks
     sets = None
     if gmaps is not None:
-        if shared := net.shared_clocks():
-            # the constraint sets are computed per component, so they miss
-            # what one component's updates do to another's constraints
-            raise ValueError(
-                "; ".join(shared) + "; simulation pruning is unsound on "
-                "shared clocks, rerun with pruning disabled (--no-simulation)"
-            )
+        refuse_pruning(net)
         for comp, g in zip(net.components, gmaps):
             if g.status is not Status.CONVERGED:
                 raise ValueError(

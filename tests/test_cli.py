@@ -308,12 +308,29 @@ class TestReach:
         path.write_text(SHARED)
         code, _, err = run(capsys, "reach", str(path), "--target", "goal")
         assert code == 2
-        assert "clock x is shared between components A, B" in err
-        assert "--no-simulation" in err
+        errors = [l for l in err.splitlines() if l.startswith("error:")]
+        assert len(errors) == 1
+        assert "clock x is shared between components A, B" in errors[0]
+        assert "--no-simulation" in errors[0]
         code, out, _ = run(capsys, "reach", str(path), "--target", "goal",
                            "--no-simulation")
         assert code == 1
         assert "Reachable" in out
+
+    def test_shared_clock_refused_before_the_analysis(self, capsys, tmp_path):
+        # P's analysis alone runs past the time bound
+        path = tmp_path / "shared_pump.uta"
+        path.write_text(PUMP.format(bound="1099511627776")
+                        + "process B\nlocation B b0 initial\nlocation B b1\n"
+                          "edge B b0 b1 provided: x<=3\n")
+        code, out, err = run(capsys, "reach", str(path), "--target", "b1",
+                             "--timeout", "0.5")
+        assert (code, out) == (2, "")
+        errors = [l for l in err.splitlines() if l.startswith("error:")]
+        assert errors == [
+            "error: clock x is shared between components P, B; simulation "
+            "pruning is unsound on shared clocks, rerun with pruning disabled "
+            "(--no-simulation)"]
 
     def test_unencodable_constraint_set_refuses_pruning(self, capsys, tmp_path):
         path = tmp_path / "big.uta"

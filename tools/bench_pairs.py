@@ -1,8 +1,8 @@
 """Paired benchmark runs of the working tree against a parent commit.
 
-    python3 tools/bench_pairs.py --label N [--pairs 10] [--base HEAD] [--scratch DIR]
+    python3 tools/bench_pairs.py --label N [--pairs 10] [--scratch DIR]
 
-Copies the parent commit (``git archive``) and the working tree (its
+Copies the parent commit, HEAD (``git archive``), and the working tree (its
 tracked and untracked files, ignored ones left out) into fresh
 directories under --scratch, so that both sides start without caches or
 old results.  Each pair runs ``perfbench/run.py --trace 0`` once per
@@ -149,7 +149,6 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--label", required=True, help="names the output, BENCH_<label>.json")
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--base", default="HEAD", help="parent revision (default HEAD)")
     ap.add_argument("--scratch", default=None,
                     help="directory for the two copies (default: a temporary one)")
     args = ap.parse_args(argv)
@@ -159,7 +158,7 @@ def main(argv=None) -> int:
     seconds = bench["run_seconds"]
     work = Path(tempfile.mkdtemp(prefix="bench-pairs-", dir=args.scratch))
     trees = {side: work / side for side in SIDES}
-    parent = _git("rev-parse", args.base).strip()
+    parent = _git("rev-parse", "HEAD").strip()
     _copy_parent(parent, trees["parent"])
     _copy_change(trees["change"])
     counts = {side: _search_counts(trees[side], work) for side in SIDES}
