@@ -310,7 +310,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ParseErrors as exc:
         lines = [f"error: {e}" for e in exc.errors]
     except TimeoutError:  # before OSError, its base class
-        lines = [f"error: timeout after {args.timeout:.0f}s ({args.phase})"]
+        lines = [f"error: timeout after {args.timeout:g}s ({args.phase})"]
     except (OSError, ValueError, OverflowError) as exc:
         lines = [f"error: {exc}"]
     except MemoryError:

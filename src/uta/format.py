@@ -360,7 +360,7 @@ class _Parser:
             guard = Guard(tuple(parsed[0]), tuple(parsed[1]))
         update, int_assigns = Update(), ()
         if "do:" in sections:
-            parsed = self._parse_updates(lineno, sections["do:"][1])
+            parsed = self._parse_updates(lineno, sections["do:"])
             if parsed is None:
                 return
             update, int_assigns = parsed
@@ -520,7 +520,11 @@ class _Parser:
 
     # -- updates -----------------------------------------------------------
 
-    def _parse_updates(self, lineno, toks):
+    def _parse_updates(self, lineno, section):
+        at, toks = section
+        if not toks:
+            self.err(self.span(lineno, at), "empty update section")
+            return None
         clock_map: dict[int, object] = {}
         int_assigns: list[IntAssign] = []
         assigned_ints: set[int] = set()

@@ -15,16 +15,19 @@ set does too.
 
 The passed list (`Passed`, one per discrete state) keeps each explored zone
 once: the frozen `Dbm` the successor computation returned, which unchanged
-successors share, in a list and in a set for the duplicate test.  Beside
-them it keeps one contiguous array of bound rows, row 0 and column 0 of
-each zone, which is all the subsumption kernel's first stage reads; only
+successors share, in a list and in a set for the duplicate test, with its
+node id.  Beside them it keeps one array of bound keys (`bound_key`), which
+is all the subsumption kernel's first stage reads, in both directions; only
 the candidates that stage leaves standing have their full matrices read.
-A frontier zone lives only in the queue until it is dequeued, and what
-stays per generated node for path reconstruction is its parent, the move
-that produced it and its discrete state.
+A stored zone that a later zone of its state simulates is removed with the
+subtree below it (subtree covering, see `reach`).  A frontier zone lives
+only in the queue until it is dequeued, and what stays per generated node
+is its parent, the move that produced it, its discrete state and one byte
+that says whether it is stored or covered.
 """
 import time
 from array import array
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -45,7 +48,7 @@ from .dbm import (
 from .model import IntAssign, IntAtom, Network, Update
 from .simulation import (
     SimPrepared,
-    bound_row,
+    bound_key,
     not_simulated_batch,
     prepare,
     prepare_union,
@@ -99,15 +102,19 @@ class SearchStats:
 
     nodes counts dequeued nodes; pruned_exact those dropped because an equal
     zone of the same discrete state was already explored, pruned_sim those
-    dropped because an explored zone simulates them.  kernel_candidates sums
-    the explored zones the subsumption scans handed the batched kernel, and
-    diag_calls counts the survivors sent into the diagonal recursion.
+    dropped because an explored zone simulates them, and pruned_subtree
+    those dropped because they lie below a zone that subtree covering
+    removed.  kernel_candidates sums the explored zones that the compare of
+    keys left standing and the scans handed the batched kernel, in both
+    directions, and diag_calls counts the kernel's survivors sent into the
+    diagonal recursion.
     """
 
     verdict: str
     nodes: int = 0
     pruned_exact: int = 0
     pruned_sim: int = 0
+    pruned_subtree: int = 0
     max_frontier: int = 0
     kernel_candidates: int = 0
     diag_calls: int = 0
@@ -117,7 +124,7 @@ class SearchStats:
 
     @property
     def pruned(self) -> int:
-        return self.pruned_exact + self.pruned_sim
+        return self.pruned_exact + self.pruned_sim + self.pruned_subtree
 
     def to_json(self, net: Optional[Network] = None) -> dict:
         out = {
@@ -126,6 +133,7 @@ class SearchStats:
             "pruned": self.pruned,
             "pruned_exact": self.pruned_exact,
             "pruned_sim": self.pruned_sim,
+            "pruned_subtree": self.pruned_subtree,
             "max_frontier": self.max_frontier,
             "kernel_candidates": self.kernel_candidates,
             "diag_calls": self.diag_calls,
@@ -380,32 +388,49 @@ class ProductSets:
 class Passed:
     """The explored zones of one discrete state, each kept once.
 
-    zones holds the frozen `Dbm` objects themselves, no copies, and exact
-    the same objects for the exact-duplicate test.  With bound rows on (the
-    search with simulation pruning), rows[k] is `bound_row(zones[k])`, in
-    one contiguous (capacity, 2n) array grown amortized from one row (many
-    states keep one zone), so the subsumption scan hands the kernel a slice
-    without restacking.
+    zones holds the frozen `Dbm` objects themselves, no copies, exact the
+    same objects for the exact-duplicate test, and ids their node ids.
+    With simulation pruning, prep is the state's prepared constraint set
+    and keys[:, k] is `bound_key(zones[k], prep)`, in one (w, capacity)
+    array of prep's key_dtype grown amortized from one column (many states
+    keep one zone), so the subsumption scan compares a slice against a
+    dequeued zone's key.
     """
 
-    __slots__ = ("zones", "exact", "rows")
+    __slots__ = ("prep", "zones", "exact", "ids", "keys")
 
-    def __init__(self, n_clocks: int, with_rows: bool):
+    def __init__(self, prep: Optional[SimPrepared]):
+        self.prep = prep
         self.zones: list[Dbm] = []
         self.exact: set[Dbm] = set()
-        self.rows = (np.empty((1, 2 * n_clocks), dtype=np.int64)
-                     if with_rows else None)
+        self.ids = array("q")
+        self.keys = (None if prep is None
+                     else np.empty((len(prep.key_idx), 1), dtype=prep.key_dtype))
 
-    def add(self, zone: Dbm) -> None:
+    def add(self, zone: Dbm, nid: int, key: Optional[np.ndarray]) -> None:
         self.exact.add(zone)
-        if self.rows is not None:
+        if self.keys is not None:
             k = len(self.zones)
-            if k == self.rows.shape[0]:
-                grown = np.empty((2 * k, self.rows.shape[1]), dtype=np.int64)
-                grown[:k] = self.rows
-                self.rows = grown
-            self.rows[k] = bound_row(zone)
+            if k == self.keys.shape[1]:
+                grown = np.empty((self.keys.shape[0], 2 * k), dtype=self.keys.dtype)
+                grown[:, :k] = self.keys
+                self.keys = grown
+            self.keys[:, k] = key
         self.zones.append(zone)
+        self.ids.append(nid)
+
+    def drop(self, dead: set[int]) -> None:
+        """Remove the zones whose node ids are in dead."""
+        keep = []
+        for k, nid in enumerate(self.ids):
+            if nid in dead:
+                self.exact.discard(self.zones[k])
+            else:
+                keep.append(k)
+        if self.keys is not None:
+            self.keys[:, :len(keep)] = self.keys[:, keep]
+        self.zones = [self.zones[k] for k in keep]
+        self.ids = array("q", (self.ids[k] for k in keep))
 
 
 def refuse_pruning(net: Network) -> None:
@@ -416,6 +441,12 @@ def refuse_pruning(net: Network) -> None:
             "; ".join(shared) + "; simulation pruning is unsound on "
             "shared clocks, rerun with pruning disabled (--no-simulation)"
         )
+
+
+# the mark of a generated node that is stored in its state's Passed, or
+# that lies below a covered zone; 0 marks every other node (queued, or
+# dropped when dequeued)
+_STORED, _COVERED = 1, 2
 
 
 def reach(
@@ -431,6 +462,21 @@ def reach(
     Refuses pruning with a ValueError before the first node: on clocks
     shared between components (`refuse_pruning`), on a map that did not
     converge, and on a constant `ProductSets` cannot encode.
+
+    With pruning, a zone is stored only when no stored zone of its state
+    simulates it, and storing it covers subtrees (Herbreteau & Tran,
+    FORMATS 2015): each stored zone k of the state that the new zone
+    simulates, unless k's node is an ancestor of the new one, is removed
+    from its `Passed` together with every stored zone below it, and the
+    queued nodes below it are dropped when dequeued (pruned_subtree),
+    unless they reach the target.  The verdict stays exact.  Zones are exact sets of reachable valuations, so
+    a Reachable verdict stands.  G-simulation is a preorder that successor
+    steps preserve, so whatever k's subtree reaches, or what a node pruned
+    by a zone of that subtree reaches, is simulated by what the new zone's
+    subtree reaches, and that subtree is explored or covered in turn by a
+    zone that is.  This needs the removed zones gone from `Passed`: a dead
+    zone D left there could prune its own match D' from the new zone's
+    subtree, and neither D's subtree nor D''s would then be explored.
     """
     pairs = _resolve_target(net, target)
     compiled = CompiledNet(net)
@@ -459,11 +505,13 @@ def reach(
     if init is None:
         stats.seconds = time.monotonic() - start
         return stats
-    # per generated node, for path reconstruction only: parent id (-1 at
-    # the root), the move that produced it and its discrete state
+    # per generated node: parent id (-1 at the root; non-decreasing, as
+    # FIFO expands nodes in id order), the move that produced it, its
+    # discrete state and its mark
     parents = array("q", [-1])
     labels: list[Optional[TransLabel]] = [None]
     states: list[ProductLoc] = [init.loc]
+    marks = bytearray(1)
     queue: deque[tuple[int, SearchNode]] = deque([(0, init)])
     passed: dict[ProductLoc, Passed] = {}
 
@@ -479,6 +527,26 @@ def reach(
             stats.path = tuple(reversed(steps))
         return stats
 
+    def cover(k: int, nid: int) -> None:
+        """Remove k's subtree, unless k is an ancestor of nid."""
+        at = nid
+        while at > k:
+            at = parents[at]
+        if at == k:
+            return
+        dead: dict[ProductLoc, set[int]] = {}
+        todo = [k]
+        while todo:
+            c = todo.pop()
+            if marks[c] == _STORED:
+                dead.setdefault(states[c], set()).add(c)
+            marks[c] = _COVERED
+            lo = bisect_left(parents, c, c + 1)
+            todo.extend(x for x in range(lo, bisect_right(parents, c, lo))
+                        if marks[x] != _COVERED)
+        for loc, ids in dead.items():
+            passed[loc].drop(ids)
+
     while queue:
         stats.max_frontier = max(stats.max_frontier, len(queue))
         nid, node = queue.popleft()
@@ -489,16 +557,28 @@ def reach(
                 return finish(TIMEOUT, None)
         if any(loc.locs[c] == l for c, l in pairs):
             return finish(REACHABLE, nid)
+        if marks[nid] == _COVERED:
+            stats.pruned_subtree += 1
+            continue
         here = passed.get(loc)
         if here is None:
-            here = passed[loc] = Passed(n_clocks, sets is not None)
+            here = passed[loc] = Passed(None if sets is None else sets.at(loc.locs))
         elif zone in here.exact:
             stats.pruned_exact += 1
             continue
-        elif sets is not None and _covered(zone, here, sets.at(loc.locs), stats):
-            stats.pruned_sim += 1
-            continue
-        here.add(zone)
+        key = simulated = None
+        if sets is not None:
+            key = bound_key(zone, here.prep)
+            if here.zones:
+                simulated = _scan(zone, key, here, stats)
+                if simulated is None:
+                    stats.pruned_sim += 1
+                    continue
+        here.add(zone, nid, key)
+        marks[nid] = _STORED
+        for k in simulated or ():
+            if marks[k] == _STORED:
+                cover(k, nid)
         children, disabled = successors(node, compiled)
         stats.disabled_assigns += disabled
         for child in children:
@@ -506,25 +586,45 @@ def reach(
             parents.append(nid)
             labels.append(child.label)
             states.append(child.loc)
+        marks.extend(bytes(len(children)))
     return finish(UNREACHABLE, None)
 
 
-def _covered(zone: Dbm, here: Passed, prep: SimPrepared,
-             stats: SearchStats) -> bool:
-    """Whether an explored zone of here simulates zone.
+def _scan(zone: Dbm, key: np.ndarray, here: Passed,
+          stats: SearchStats) -> Optional[list[int]]:
+    """None when a stored zone of here simulates zone, else the node ids of
+    the stored zones that zone simulates.
 
-    One batched kernel call refutes almost every candidate, diagonal
-    misses included; only the survivors pay for the full diagonal
-    recursion.
+    One subtraction of keys, d = key(zp) - key(zone) per stored zp, decides
+    the kernel's first stage both ways: zp may simulate zone only where d
+    is nowhere negative, and zone may simulate zp only where d is nowhere
+    positive.  Without keys (w = 0) every zone stands both ways.  The
+    survivors meet the rest of the kernel, its two-sided stage, and its
+    survivors the full diagonal recursion.
     """
-    zones = here.zones
-    stats.kernel_candidates += len(zones)
-    refuted = not_simulated_batch(zone, here.rows[: len(zones)], zones, prep)
-    for k in np.flatnonzero(~refuted).tolist():
-        stats.diag_calls += 1
-        if sim_zone_prepared(zone, zones[k], prep):
-            return True
-    return False
+    zones, prep = here.zones, here.prep
+    d = here.keys[:, :len(zones)] - key[:, None] if len(key) else None
+    forward = ((d.min(axis=0) >= 0).nonzero()[0].tolist() if d is not None
+               else range(len(zones)))
+    if forward:
+        stats.kernel_candidates += len(forward)
+        refuted = not_simulated_batch(zone, here.keys[:, forward].T,
+                                      [zones[k] for k in forward], prep)
+        for k, out in zip(forward, refuted.tolist()):
+            if not out:
+                stats.diag_calls += 1
+                if sim_zone_prepared(zone, zones[k], prep):
+                    return None
+    reverse = ((d.max(axis=0) <= 0).nonzero()[0].tolist() if d is not None
+               else range(len(zones)))
+    simulated = []
+    for k in reverse:
+        stats.kernel_candidates += 1
+        if not not_simulated_batch(zones[k], key[None], (zone,), prep)[0]:
+            stats.diag_calls += 1
+            if sim_zone_prepared(zones[k], zone, prep):
+                simulated.append(here.ids[k])
+    return simulated
 
 
 def replay(path: Sequence[PathStep], net: Network, target: Optional[str] = None) -> bool:

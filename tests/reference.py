@@ -323,6 +323,26 @@ def sim_zone(q: SimQuery) -> bool:
     return simulation.sim_zone_prepared(q.z, q.zp, simulation.prepare(q.g, q.z.n))
 
 
+def threshold_refutes(z: Dbm, zp: Dbm, prep: simulation.SimPrepared) -> bool:
+    """The kernel's single-sided and diagonal stages written as thresholds,
+    as the kernel computed them before they became one compare of clipped
+    keys (`simulation.bound_key`): does something refute "z simulated by
+    zp"?
+
+    Row 0 of zp against z[0, x] where z reaches x's upper (z[0, x] above
+    u_thr[x]), else NEVER; column 0 against min(z[y, 0], l_thr[y]); and a
+    diagonal (i, j, b) where z meets it (z[j, i] >= 2 - b) and zp misses it
+    (zp[j, i] < 2 - b).
+    """
+    never = -INF
+    z0 = z.m[0, 1:]
+    thr = np.concatenate((np.where(z0 > prep.u_thr, z0, never),
+                          np.minimum(z.m[1:, 0], prep.l_thr)))
+    row = np.concatenate((zp.m[0, 1:], zp.m[1:, 0]))
+    return bool((row < thr).any()) or any(
+        z.m[j, i] >= 2 - b > zp.m[j, i] for i, j, b in prep.diags)
+
+
 _INF_PY = 1 << 60
 
 

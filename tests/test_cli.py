@@ -303,6 +303,14 @@ class TestReach:
         assert code == 2
         assert "timeout" in err
 
+    def test_sub_second_timeout_is_printed_as_given(self, capsys, tmp_path):
+        path = tmp_path / "spin.uta"
+        path.write_text(SPIN)
+        code, _, err = run(capsys, "reach", str(path), "--target", "b",
+                           "--no-simulation", "--timeout", "0.5")
+        assert code == 2
+        assert err.startswith("error: timeout after 0.5s (")
+
     def test_shared_clock_refuses_pruning(self, capsys, tmp_path):
         path = tmp_path / "shared.uta"
         path.write_text(SHARED)

@@ -163,6 +163,8 @@ def only_error(line: str):
     ("edge p a b provided:", "provided:", "empty constraint section"),
     ("edge p a b provided: do: x=0", "provided:", "empty constraint section"),
     ("location p c invariant:", "invariant:", "empty constraint section"),
+    ("edge p a b do:", "do:", "empty update section"),
+    ("edge p a b do: sync: e!", "do:", "empty update section"),
     ("edge p a b sync:", "sync:", "usage: sync: <event>! or sync: <event>?"),
 ])
 def test_section_errors_point_at_the_failing_piece(line, at, message):

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from uta import search, simulation
-from uta.analysis import Status, compute_gmap
+from uta.analysis import GSet, Status, compute_gmap
+from uta.benchgen import FLOWER, TaskSpec, gen_edf
 from uta.dbm import (
     EMPTY,
     INF,
@@ -46,8 +47,21 @@ from uta.search import (
     successors,
 )
 
-from conftest import fig1_automaton, random_automaton, random_sync_network
-from reference import apply_update_relational, intersect_all, product_gset
+from conftest import (
+    fig1_automaton,
+    random_atom,
+    random_automaton,
+    random_sync_network,
+    random_zone_chain,
+)
+from reference import (
+    SimQuery,
+    _zone_max_const,
+    apply_update_relational,
+    brute_force_sim,
+    intersect_all,
+    product_gset,
+)
 from test_acceptance import DESK_ROWS
 from test_cli import BIG_DIAGONAL
 from test_simulation import reference_not_simulated
@@ -551,16 +565,17 @@ class TestStatsOutput:
         )
 
     def test_kernel_counters_match_wrapped_calls(self, monkeypatch):
-        # the counters read what a profiler wrapping the scan's two calls reads
-        label, build, verdict = DESK_ROWS[2]
-        net = build()
+        # the counters read what a profiler wrapping the scan's two calls
+        # reads, on a flower row where a hundred candidates get past the keys
+        label, verdict = "flower (1,10)^2+(1,4)", UNREACHABLE
+        net = gen_edf((TaskSpec(1, 10), TaskSpec(1, 10), TaskSpec(1, 4)), FLOWER)
         gmaps = [compute_gmap(c) for c in net.components]
         batched, recursion = search.not_simulated_batch, search.sim_zone_prepared
         seen = {"candidates": 0, "diag": 0}
 
-        def scan(z, rows, zps, prep):
-            seen["candidates"] += len(rows)
-            return batched(z, rows, zps, prep)
+        def scan(z, keys, zps, prep):
+            seen["candidates"] += len(keys)
+            return batched(z, keys, zps, prep)
 
         def diag(z, zp, prep):
             seen["diag"] += 1
@@ -737,23 +752,33 @@ class TestSubsumptionKernel:
 
     def test_desk_rows(self, monkeypatch):
         batched = simulation.not_simulated_batch
+        scan = search._scan
         candidates = []
 
-        def checked(z, rows, zps, prep):
-            got = batched(z, rows, zps, prep)
+        def checked(z, keys, zps, prep):
+            got = batched(z, keys, zps, prep)
             want = [reference_not_simulated(z, zp, prep) for zp in zps]
             assert got.tolist() == want
             candidates.append(len(want))
             return np.array(want, dtype=bool)
+
+        def every_stored_zone(zone, key, here, stats):
+            # the kernel, key compare included, on every stored zone of the
+            # state in the forward direction, and on zone against each in
+            # the reverse one, before the scan's own calls
+            zones = here.zones
+            checked(zone, here.keys[:, :len(zones)].T, zones, here.prep)
+            for zp in zones:
+                checked(zp, key[None], (zone,), here.prep)
+            return scan(zone, key, here, stats)
 
         for label, build, verdict in DESK_ROWS:
             net = build()
             gmaps = [compute_gmap(c) for c in net.components]
             fast = reach(net, gmaps, "error")
             with monkeypatch.context() as m:
-                # the search's scan and the diagonal recursion both
                 m.setattr(search, "not_simulated_batch", checked)
-                m.setattr(simulation, "not_simulated_batch", checked)
+                m.setattr(search, "_scan", every_stored_zone)
                 ref = reach(net, gmaps, "error")
             assert fast.verdict == ref.verdict == verdict, label
             assert (fast.nodes, fast.pruned, fast.max_frontier) == (
@@ -764,9 +789,8 @@ class TestSubsumptionKernel:
 
 def same_prepared(a, b) -> bool:
     arrays = [(getattr(a, f), getattr(b, f))
-              for f in ("l_edge", "u_thr", "l_thr", "pairs", "thr")]
-    arrays += list(zip(a.cell, b.cell))
-    return a.diags == b.diags and all(
+              for f in ("l_edge", "u_thr", "l_thr", "pairs", "key_idx", "lo", "hi")]
+    return a.diags == b.diags and a.key_dtype is b.key_dtype and all(
         np.array_equal(x, y) and x.dtype == y.dtype for x, y in arrays)
 
 
@@ -793,17 +817,16 @@ class TestProductSets:
 
     @staticmethod
     def agree(net, gmaps, locs) -> int:
-        """Check every product location; the number that reuse the diagonal
-        thresholds of an earlier one."""
+        """Check every product location; the number whose diagonal set is
+        that of an earlier one."""
         n = len(net.clocks)
         sets = search.ProductSets(gmaps, n)
-        shared = {}
+        shared = set()
         for at in sorted(locs):
             got = sets.at(at)
             want = simulation.prepare(product_gset(gmaps, ProductLoc(at, ())), n)
             assert same_prepared(got, want), at
-            # equal diagonal sets share one threshold array
-            assert shared.setdefault(got.diags, got.thr) is got.thr, at
+            shared.add(got.diags)
         return len(locs) - len(shared)
 
     def test_desk_rows(self, monkeypatch):
@@ -868,12 +891,13 @@ class TestPassedList:
                 assert stats.verdict == UNREACHABLE
                 assert (stats.nodes, stats.pruned_exact, stats.pruned_sim) == (
                     3, 1, 0), committed
-        for with_rows in (True, False):
-            passed = search.Passed(1, with_rows)
-            passed.add(a.zone)
+        for prep in (simulation.prepare(g.sets[1], 1), None):
+            passed = search.Passed(prep)
+            passed.add(a.zone, 1, None if prep is None
+                       else simulation.bound_key(a.zone, prep))
             assert a.zone in passed.exact and Dbm(a.zone.m.copy()) in passed.exact
 
-    def test_bound_rows_follow_the_zones_after_growth(self, monkeypatch):
+    def test_bound_keys_follow_the_zones_after_growth(self, monkeypatch):
         made = []
 
         class Recording(search.Passed):
@@ -892,7 +916,130 @@ class TestPassedList:
         assert len(grown) >= 5, label
         for passed in grown:
             k = len(passed.zones)
-            assert passed.rows.shape[0] >= k
-            want = [np.concatenate((z.m[0, 1:], z.m[1:, 0])) for z in passed.zones]
-            assert np.array_equal(passed.rows[:k], np.array(want))
+            assert passed.keys.shape[1] >= k and len(passed.ids) == k
+            want = [simulation.bound_key(z, passed.prep) for z in passed.zones]
+            assert np.array_equal(passed.keys[:, :k].T, np.array(want))
             assert passed.exact == set(passed.zones) and len(passed.exact) == k
+
+
+class TestSubtreeCovering:
+    """The scan's two directions against the region oracle, and covering
+    against the unpruned search."""
+
+    @staticmethod
+    def boxed_zone(rng, n):
+        # box-bounded and within the oracle's constant 6, so that the
+        # oracle concludes with the zone on either side of a query
+        z = intersect_all(random_zone_chain(rng, n),
+                          [make_upper(x, WEAK, rng.randint(3, 6)) for x in range(n)])
+        return None if z is EMPTY or _zone_max_const(z) > 6 else z
+
+    def test_scan_agrees_with_brute_force(self):
+        rng = random.Random(1802)
+        covered = simulating = keyless = 0
+        for _ in range(300):
+            n = rng.choice((1, 2, 2, 3))
+            g = GSet.of([random_atom(rng, n, 5) for _ in range(rng.randint(0, 4))])
+            if rng.random() < 0.25:
+                g = GSet.of(g.diag)  # no bound entries: no keys to compare
+            prep = simulation.prepare(g, n)
+            zones = []
+            for _ in range(rng.randint(1, 5)):
+                z = self.boxed_zone(rng, n)
+                if z is not None and z not in zones:
+                    zones.append(z)
+            zone = self.boxed_zone(rng, n)
+            if zone is None or zone in zones or not zones:
+                continue
+            here = search.Passed(prep)
+            for k, z in enumerate(zones):
+                here.add(z, 10 + k, simulation.bound_key(z, prep))
+            got = search._scan(zone, simulation.bound_key(zone, prep), here,
+                               search.SearchStats(UNREACHABLE))
+            keyless += len(prep.key_idx) == 0
+            forward = [brute_force_sim(SimQuery(zone, zp, g), 6) for zp in zones]
+            if got is None:
+                assert any(forward), (zone.m, g.atoms())
+                covered += 1
+                continue
+            assert not any(forward), (zone.m, g.atoms())
+            want = [10 + k for k, zp in enumerate(zones)
+                    if brute_force_sim(SimQuery(zp, zone, g), 6)]
+            assert got == want, (zone.m, [zp.m for zp in zones], g.atoms())
+            simulating += bool(want)
+        assert covered >= 20 and simulating >= 20 and keyless >= 20, (
+            covered, simulating, keyless)
+
+    def test_removed_zones_leave_every_store(self, monkeypatch):
+        # on (1,10)^2+(1,4) some stored zones simulate their own ancestor,
+        # which covering must keep: it never removes the zone that covers
+        made, added, dropped = [], [], set()
+
+        class Recording(search.Passed):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+            def add(self, zone, nid, key):
+                added.append(nid)
+                super().add(zone, nid, key)
+
+            def drop(self, dead):
+                assert dead <= set(self.ids) and added[-1] not in dead
+                dropped.update(dead)
+                super().drop(dead)
+
+        monkeypatch.setattr(search, "Passed", Recording)
+        for tasks, verdict in (((TaskSpec(1, 3),) * 4, REACHABLE),
+                               ((TaskSpec(1, 10),) * 2 + (TaskSpec(1, 4),),
+                                UNREACHABLE)):
+            made.clear()
+            dropped.clear()
+            net = gen_edf(tasks, FLOWER)
+            gmaps = [compute_gmap(c) for c in net.components]
+            stats = reach(net, gmaps, "error")
+            assert stats.verdict == verdict
+            assert stats.path is None or replay(stats.path, net, "error")
+            assert stats.pruned_subtree >= 50 and len(dropped) >= 50
+            for passed in made:
+                k = len(passed.zones)
+                assert not dropped & set(passed.ids) and len(passed.ids) == k
+                want = [simulation.bound_key(z, passed.prep) for z in passed.zones]
+                assert np.array_equal(passed.keys[:, :k].T, np.array(
+                    want, dtype=np.int64).reshape(k, len(passed.prep.key_idx)))
+                assert passed.exact == set(passed.zones) and len(passed.exact) == k
+
+    def test_pruned_against_unpruned_on_random_networks(self):
+        # random EDF task sets under flower releases, where covering is
+        # frequent, and random synchronising networks; no clock is shared
+        rng = random.Random(1803)
+        nets = []
+        for _ in range(12):
+            tasks = [TaskSpec(c, rng.randint(c, 5))
+                     for c in (rng.randint(1, 2) for _ in range(rng.randint(2, 3)))]
+            nets.append((gen_edf(tasks, FLOWER), "error"))
+        for _ in range(40):
+            net = random_sync_network(rng, n_comps=3, clocks_per_comp=1,
+                                      max_locs=4, max_edges=6, max_const=4)
+            last = net.components[-1]
+            nets.append((net, f"{last.name}.{last.locations[-1].name}"))
+        compared = {REACHABLE: 0, UNREACHABLE: 0}
+        subtrees = 0
+        for net, target in nets:
+            assert not net.shared_clocks()
+            gmaps = [compute_gmap(c) for c in net.components]
+            if any(g.status is not Status.CONVERGED for g in gmaps):
+                continue
+            free = reach(net, None, target, timeout=2.0)
+            if free.verdict == TIMEOUT:
+                continue
+            pruned = reach(net, gmaps, target, timeout=30.0)
+            assert pruned.verdict == free.verdict, target
+            assert pruned.nodes <= free.nodes, target
+            if pruned.verdict == REACHABLE:
+                assert replay(pruned.path, net, target)
+            compared[pruned.verdict] += 1
+            subtrees += pruned.pruned_subtree > 0
+        assert min(compared.values()) >= 5 and subtrees >= 5, (compared, subtrees)

@@ -23,6 +23,7 @@ from reference import (
     intersect_all,
     sim_point,
     sim_zone,
+    threshold_refutes,
     universe,
     zone_of,
 )
@@ -52,7 +53,7 @@ from uta.model import (
 from uta.simulation import (
     NEVER,
     _prepared,
-    bound_row,
+    bound_key,
     not_simulated_batch,
     prepare,
     sim_zone_prepared,
@@ -137,12 +138,16 @@ def reference_not_simulated(z, zp, prep) -> bool:
     return bool(c.any())
 
 
+def keys_of(zps, prep) -> np.ndarray:
+    """The candidates' bound keys, shape (K, w), as the kernel reads them."""
+    return np.array([bound_key(zp, prep) for zp in zps],
+                    dtype=np.int64).reshape(len(zps), len(prep.key_idx))
+
+
 def batch_matches_reference(z, zps, prep) -> np.ndarray:
     """The batched mask over zps, asserted equal to the reference per
     candidate."""
-    rows = np.array([np.concatenate((zp.m[0, 1:], zp.m[1:, 0])) for zp in zps],
-                    dtype=np.int64).reshape(len(zps), 2 * z.n)
-    mask = not_simulated_batch(z, rows, zps, prep)
+    mask = not_simulated_batch(z, keys_of(zps, prep), zps, prep)
     assert mask.shape == (len(zps),) and mask.dtype == bool
     want = [reference_not_simulated(z, zp, prep) for zp in zps]
     assert mask.tolist() == want, (z.m, [zp.m for zp in zps], prep)
@@ -382,8 +387,7 @@ def diagonal_queries(rng, count):
 
 
 def kernel_mask(z, zps, prep) -> np.ndarray:
-    return not_simulated_batch(z, np.array([bound_row(zp) for zp in zps]),
-                               zps, prep)
+    return not_simulated_batch(z, keys_of(zps, prep), zps, prep)
 
 
 class TestDiagonalStage:
@@ -419,8 +423,7 @@ class TestDiagonalStage:
         by_diagonals = refuted = 0
         for z, zps, _, g in diagonal_queries(rng, 400):
             prep = prepare(g, z.n)
-            bare = prepare(EMPTY_GSET, z.n)
-            without = replace(prep, diags=bare.diags, cell=bare.cell, thr=bare.thr)
+            without = prepare(GSet.of(g.nond), z.n)
             mask = kernel_mask(z, zps, prep)
             alone = mask & ~kernel_mask(z, zps, without)
             for k in np.flatnonzero(mask).tolist():
@@ -565,7 +568,6 @@ class TestKernel:
                                          for _ in range(rng.randint(1, 3))])
                 if z is not EMPTY and z not in zones:
                     zones.append(z)
-            rows = np.array([bound_row(zp) for zp in zones])
             for _ in range(20):
                 prep = prepare(EMPTY_GSET, n)
                 while not prep.pairs.any():
@@ -577,7 +579,8 @@ class TestKernel:
                 single_sided = replace(prep, pairs=np.zeros_like(prep.pairs))
                 for z in zones:
                     mask = batch_matches_reference(z, zones, prep)
-                    standing = ~not_simulated_batch(z, rows, zones, single_sided)
+                    standing = ~not_simulated_batch(z, keys_of(zones, prep),
+                                                    zones, single_sided)
                     decided += int((mask & standing).sum())
         assert decided >= 500
 
@@ -610,13 +613,14 @@ class TestKernel:
             assert prep.pairs.tolist() == pairs
             entries = set(map(_atom_entry, g.diag))
             assert set(prep.diags) == entries
-            rows, cols = prep.cell
-            assert sorted(zip(rows.tolist(), cols.tolist(),
-                              prep.thr.tolist())) == sorted(
-                (j - 1, i - 1, 2 - b) for i, j, b in entries)
-            # shared between equal diagonal sets, so nobody may write them
-            assert prepare(GSet.of(g.diag), n).thr is prep.thr
-            assert not any(a.flags.writeable for a in (*prep.cell, prep.thr))
+            # the keys: row 0 of each upper, column 0 of each lower, then
+            # the complement entry (j, i) of each diagonal
+            rows, cols = np.divmod(prep.key_idx, n + 1)
+            want = ([(0, x + 1, prep.u_thr[x], INF) for x in range(n) if has_u[x]]
+                    + [(y + 1, 0, NEVER, prep.l_thr[y]) for y in range(n) if has_l[y]]
+                    + [(j, i, 1 - b, 2 - b) for i, j, b in sorted(entries)])
+            assert list(zip(rows.tolist(), cols.tolist(), prep.lo.tolist(),
+                            prep.hi.tolist())) == want
 
     def test_prepare_refuses_constants_out_of_range(self):
         # every atom is encoded by dbm's one range rule, diagonals included
@@ -704,3 +708,56 @@ class TestPreorder:
             applicable += 1
         assert applicable >= 40
 
+
+
+class TestBoundKeys:
+    """The keys' compare is the kernel's single-sided and diagonal stages,
+    in both directions."""
+
+    @staticmethod
+    def zone(rng, n, big):
+        if rng.random() < 0.5:
+            return random_zone_chain(rng, n)
+        atoms = [random_atom(rng, n, 6) for _ in range(rng.randint(0, 3))]
+        if big:
+            atoms = [replace(phi, constant=phi.constant << 33) for phi in atoms]
+        return intersect_all(universe(n), atoms)
+
+    def test_key_compare_is_the_threshold_formula(self):
+        rng = random.Random(1801)
+        seen = {"forward": 0, "reverse": 0, "both": 0, "neither": 0}
+        wide = 0
+        for _ in range(3000):
+            n = rng.randint(1, 4)
+            big = rng.random() < 0.2
+            atoms = [random_atom(rng, n, 6) for _ in range(rng.randint(0, 5))]
+            if big:
+                atoms = [replace(phi, constant=phi.constant << 33) for phi in atoms]
+            prep = prepare(GSet.of(atoms), n)
+            z, zp = self.zone(rng, n, big), self.zone(rng, n, big)
+            if z is EMPTY or zp is EMPTY:
+                continue
+            kz, kp = bound_key(z, prep), bound_key(zp, prep)
+            for zone, k in ((z, kz), (zp, kp)):
+                # computed in int64, the key is the same
+                wide_key = np.clip(zone.m.take(prep.key_idx), prep.lo, prep.hi)
+                assert k.dtype == prep.key_dtype and np.array_equal(k, wide_key)
+                assert (np.abs(wide_key) < 2**61).all()
+            wide += prep.key_dtype is np.int64
+            d = kp - kz
+            forward, reverse = bool((d < 0).any()), bool((d > 0).any())
+            assert forward == threshold_refutes(z, zp, prep), (z.m, zp.m, atoms)
+            assert reverse == threshold_refutes(zp, z, prep), (z.m, zp.m, atoms)
+            seen[{(True, False): "forward", (False, True): "reverse",
+                  (True, True): "both", (False, False): "neither"}[
+                      forward, reverse]] += 1
+        assert min(seen.values()) >= 100 and wide >= 100, (seen, wide)
+
+    def test_no_keys_without_bounds_or_diagonals(self):
+        for n in (0, 1, 3):
+            prep = prepare(EMPTY_GSET, n)
+            assert prep.key_idx.shape == (0,)
+            z = initial_zone(n)
+            assert bound_key(z, prep).shape == (0,)
+            assert not_simulated_batch(z, np.empty((2, 0), np.int64), [z, z],
+                                       prep).tolist() == [False, False]

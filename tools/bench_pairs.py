@@ -8,8 +8,9 @@ directories under --scratch, so that both sides start without caches or
 old results.  Each pair runs ``perfbench/run.py --trace 0`` once per
 workload of BENCHMARK.json on each side, for its run length, workloads
 interleaved within the pair and the side that runs first alternating.
-Before the pairs it takes the dequeued and pruned counts of the EDF rows
-from ``uta reach --format json`` on each side.
+Before the pairs it takes the dequeued and pruned counts of the EDF rows,
+the slow flower row included, and the search's seconds, from
+``uta reach --format json`` on each side.
 
 Writes BENCH_<label>.json at the repository root, after every pair, so that
 an interrupted run keeps what it measured: per workload and end-to-end
@@ -40,8 +41,12 @@ EDF_ROWS = (
     ("mine-pump", ["--preset", "mine-pump"]),
     ("flower (1,10)^2+(1,4)", ["--tasks", "1:10,1:10,1:4", "--release", "flower"]),
     ("flower (1,3)^4", ["--tasks", "1:3,1:3,1:3,1:3", "--release", "flower"]),
+    # the slow row, a minute a side
+    ("flower (1,10)^3+(1,4)",
+     ["--tasks", "1:10,1:10,1:10,1:4", "--release", "flower"]),
 )
-COUNTS = ("verdict", "nodes", "pruned_exact", "pruned_sim", "max_frontier")
+COUNTS = ("verdict", "nodes", "pruned_exact", "pruned_sim", "pruned_subtree",
+          "max_frontier")
 
 
 def _quartiles(values: list) -> dict:
@@ -111,7 +116,7 @@ def _run_bench(tree: Path, workload: str, seed: int, seconds: int) -> tuple[dict
 
 def _search_counts(tree: Path, work: Path) -> dict:
     """Verdict, counts and path of each EDF row on one side, through the
-    command line."""
+    command line, with the search's own seconds beside them."""
     out = {}
     for row, gen_args in EDF_ROWS:
         model = work / f"{tree.name}-{len(out)}.uta"
@@ -124,11 +129,13 @@ def _search_counts(tree: Path, work: Path) -> dict:
         if proc.returncode not in (0, 1):
             raise RuntimeError(f"{tree.name} {row}: {proc.stderr[-2000:]}")
         doc = json.loads(proc.stdout)
-        out[row] = {**{k: doc[k] for k in COUNTS},
+        # doc.get: a parent without a counter reports None for it
+        out[row] = {**{k: doc.get(k) for k in COUNTS},
                     "path_steps": len(doc["path"]) if "path" in doc else None,
                     "path_sha256": hashlib.sha256(
                         json.dumps(doc.get("path")).encode()).hexdigest(),
-                    "model_sha256": hashlib.sha256(model.read_bytes()).hexdigest()}
+                    "model_sha256": hashlib.sha256(model.read_bytes()).hexdigest(),
+                    "search_seconds": doc["seconds"]}
     return out
 
 
@@ -162,6 +169,8 @@ def main(argv=None) -> int:
     _copy_parent(parent, trees["parent"])
     _copy_change(trees["change"])
     counts = {side: _search_counts(trees[side], work) for side in SIDES}
+    untimed = [{row: {k: v for k, v in c.items() if k != "search_seconds"}
+                for row, c in counts[side].items()} for side in SIDES]
 
     doc = {
         "parent_commit": parent,
@@ -174,7 +183,7 @@ def main(argv=None) -> int:
                   "quantiles, n=4, inclusive); change_better_pairs counts the "
                   "pairs where the change is strictly better",
         "search_counts": {
-            "same_on_both_sides": counts["parent"] == counts["change"],
+            "same_on_both_sides": untimed[0] == untimed[1],
             **{row: {side: counts[side][row] for side in SIDES} for row, _ in EDF_ROWS},
         },
         "workloads": {},
