@@ -9,7 +9,9 @@ reference, so entry (i, j) bounds ``x_i - x_j`` with clock k at index
 k + 1.  The model states constraints and updates in these indices
 (`AtomicConstraint.entry`, `Update.source`); this module only encodes
 them.  All public operations return matrices in canonical (all-pairs
-tightest) form, or the EMPTY sentinel.
+tightest) form, or the EMPTY sentinel.  A zone also has a packed form,
+its matrix in the narrowest integer width that holds it (`Dbm.packed`,
+`unpack`), which is what the search stores.
 """
 from __future__ import annotations
 
@@ -59,27 +61,73 @@ EMPTY = EmptyZone()
 Zone = Union["Dbm", EmptyZone]
 
 
+# byte width -> (dtype, max) of the narrow widths a zone packs into,
+# narrowest first
+_NARROW = {np.dtype(t).itemsize: (np.dtype(t), np.iinfo(t).max)
+           for t in (np.int16, np.int32)}
+
+
+def _pack(m: np.ndarray) -> bytes:
+    inf = m >= INF
+    finite = np.where(inf, 0, m)
+    lo, hi = finite.min(), finite.max()
+    for dtype, top in _NARROW.values():
+        if -top < lo and hi < top:
+            out = finite.astype(dtype)
+            out[inf] = top
+            return out.tobytes()
+    return m.tobytes()
+
+
+def unpack(p: bytes, n1: int) -> np.ndarray:
+    """The frozen (n1, n1) int64 matrix of a packed zone (`Dbm.packed`);
+    the byte length tells the width."""
+    width = len(p) // (n1 * n1)
+    if width == 8:
+        return np.frombuffer(p, dtype=np.int64).reshape(n1, n1)
+    dtype, top = _NARROW[width]
+    m = np.frombuffer(p, dtype=dtype).astype(np.int64).reshape(n1, n1)
+    m[m == top] = INF
+    m.flags.writeable = False
+    return m
+
+
 @dataclass(frozen=True, slots=True)
 class Dbm:
+    """A canonical zone: its int64 matrix, and the same matrix packed.
+
+    packed, computed on first use and kept, is the matrix as bytes in the
+    narrowest of int16 and int32 that holds every finite entry strictly
+    inside (-max, max) of the type, with INF written as the type's max, and
+    otherwise its int64 bytes.  Equal matrices pack to equal bytes, so
+    zones hash and compare through packed; the passed list keeps packed
+    zones alone, and `unpack` gives the matrix back.
+    """
+
     m: np.ndarray  # (n+1) x (n+1) int64, canonical, frozen
-    # hash of m, computed on first use: the passed list hashes each zone
-    # on lookup and again on insertion
-    _hash: Optional[int] = field(default=None, init=False, repr=False,
-                                 compare=False)
+    _packed: Optional[bytes] = field(default=None, init=False, repr=False,
+                                     compare=False)
 
     @property
     def n(self) -> int:
         return self.m.shape[0] - 1
 
+    @property
+    def packed(self) -> bytes:
+        p = self._packed
+        if p is None:
+            p = _pack(self.m)
+            object.__setattr__(self, "_packed", p)
+        return p
+
     def __eq__(self, other) -> bool:
-        return isinstance(other, Dbm) and np.array_equal(self.m, other.m)
+        # one byte length is two shapes at two widths (4 x 4 int16 and
+        # 2 x 2 int64), so the shapes are compared too
+        return (isinstance(other, Dbm) and self.m.shape == other.m.shape
+                and self.packed == other.packed)
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash(self.m.tobytes())
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash(self.packed)
 
 
 def _freeze(m: np.ndarray) -> Dbm:

@@ -14,17 +14,21 @@ constraint maps a zone-simulation check against the per-state constraint
 set does too.
 
 The passed list (`Passed`, one per discrete state) keeps each explored zone
-once: the frozen `Dbm` the successor computation returned, which unchanged
-successors share, in a list and in a set for the duplicate test, with its
-node id.  Beside them it keeps one array of bound keys (`bound_key`), which
-is all the subsumption kernel's first stage reads, in both directions; only
-the candidates that stage leaves standing have their full matrices read.
-A stored zone that a later zone of its state simulates is removed with the
-subtree below it (subtree covering, see `reach`).  A frontier zone lives
-only in the queue until it is dequeued, and what stays per generated node
-is its parent, the move that produced it, its discrete state and one byte
-that says whether it is stored or covered.
+once, packed (`Dbm.packed`: int16, int32 or int64 bytes, the narrowest that
+holds the matrix), in a list and in a set for the duplicate test, with its
+node id.  Zones that unchanged successors share pack once, and a stored
+zone's int64 matrix is freed once no queued node shares it.  Beside them it
+keeps one array of bound keys (`bound_key`), which is all the subsumption
+kernel's first stage reads, in both directions; only the candidates that
+stage leaves standing are unpacked and read in full.  Product locations
+whose components' constraint sets are equal share one prepared set
+(`ProductSets`).  A stored zone that a later zone of its state simulates is
+removed with the subtree below it (subtree covering, see `reach`).  A
+frontier zone lives only in the queue until it is dequeued, and what stays
+per generated node is its parent, the move that produced it, its discrete
+state and one byte that says whether it is stored or covered.
 """
+import resource
 import time
 from array import array
 from bisect import bisect_left, bisect_right
@@ -43,6 +47,7 @@ from .dbm import (
     compile_step,
     encode_atoms,
     successor,
+    unpack,
     zero_zone,
 )
 from .model import IntAssign, IntAtom, Network, Update
@@ -107,7 +112,9 @@ class SearchStats:
     removed.  kernel_candidates sums the explored zones that the compare of
     keys left standing and the scans handed the batched kernel, in both
     directions, and diag_calls counts the kernel's survivors sent into the
-    diagonal recursion.
+    diagonal recursion.  stored counts the zones held in the passed lists
+    at the verdict, and peak_rss_mb is the process's peak resident set
+    (`ru_maxrss`) read then; both are read once, at the verdict.
     """
 
     verdict: str
@@ -118,6 +125,8 @@ class SearchStats:
     max_frontier: int = 0
     kernel_candidates: int = 0
     diag_calls: int = 0
+    stored: int = 0
+    peak_rss_mb: float = 0.0
     seconds: float = 0.0
     disabled_assigns: int = 0
     path: Optional[tuple[PathStep, ...]] = None
@@ -137,7 +146,9 @@ class SearchStats:
             "max_frontier": self.max_frontier,
             "kernel_candidates": self.kernel_candidates,
             "diag_calls": self.diag_calls,
+            "stored": self.stored,
             "disabled_assigns": self.disabled_assigns,
+            "peak_rss_mb": round(self.peak_rss_mb, 1),
             "seconds": round(self.seconds, 4),
         }
         if self.path is not None and net is not None:
@@ -369,46 +380,68 @@ class ProductSets:
 
     Every (component, location) set is prepared when the search starts,
     so a constant outside the zone arithmetic's range raises OverflowError
-    here, before the first node.  A product location combines its
-    components' results with `prepare_union` on first use and keeps it.
+    here, before the first node, and equal prepared sets (same u_thr, l_thr
+    and diags) are interned into one object.  A product location combines
+    its components' sets with `prepare_union` on first use; the union is
+    kept per set of distinct parts, so product locations whose components
+    sit in locations with equal sets share one prepared object.
     """
 
     def __init__(self, gmaps: Sequence[GMap], n_clocks: int):
-        self._parts = [[prepare(g, n_clocks) for g in gmap.sets] for gmap in gmaps]
+        interned: dict[tuple, SimPrepared] = {}
+
+        def intern(prep: SimPrepared) -> SimPrepared:
+            key = (prep.u_thr.tobytes(), prep.l_thr.tobytes(), prep.diags)
+            return interned.setdefault(key, prep)
+
+        self._parts = [[intern(prepare(g, n_clocks)) for g in gmap.sets]
+                       for gmap in gmaps]
         self._at: dict[tuple[int, ...], SimPrepared] = {}
+        # SimPrepared hashes by identity, which interning makes equality
+        self._union: dict[frozenset, SimPrepared] = {}
 
     def at(self, locs: tuple[int, ...]) -> SimPrepared:
         got = self._at.get(locs)
         if got is None:
-            got = self._at[locs] = prepare_union(
-                [parts[q] for parts, q in zip(self._parts, locs)])
+            parts = frozenset(parts[q] for parts, q in zip(self._parts, locs))
+            got = self._union.get(parts)
+            if got is None:
+                got = self._union[parts] = prepare_union(list(parts))
+            self._at[locs] = got
         return got
 
 
 class Passed:
     """The explored zones of one discrete state, each kept once.
 
-    zones holds the frozen `Dbm` objects themselves, no copies, exact the
-    same objects for the exact-duplicate test, and ids their node ids.
-    With simulation pruning, prep is the state's prepared constraint set
-    and keys[:, k] is `bound_key(zones[k], prep)`, in one (w, capacity)
-    array of prep's key_dtype grown amortized from one column (many states
-    keep one zone), so the subsumption scan compares a slice against a
-    dequeued zone's key.
+    zones holds each stored zone packed (`Dbm.packed`), exact the same
+    bytes for the exact-duplicate test, and ids their node ids; a stored
+    zone's int64 matrix is freed once no queued node shares it, and
+    `zone(k)` unpacks zone k for the few candidates that the subsumption
+    scan reads in full.  With simulation pruning,
+    prep is the state's prepared constraint set and keys[:, k] is
+    `bound_key` of zone k, in one (w, capacity) array of prep's key_dtype
+    grown amortized from one column (many states keep one zone), so the
+    scan compares a slice against a dequeued zone's key.
     """
 
-    __slots__ = ("prep", "zones", "exact", "ids", "keys")
+    __slots__ = ("prep", "n1", "zones", "exact", "ids", "keys")
 
-    def __init__(self, prep: Optional[SimPrepared]):
+    def __init__(self, prep: Optional[SimPrepared], n1: int):
         self.prep = prep
-        self.zones: list[Dbm] = []
-        self.exact: set[Dbm] = set()
+        self.n1 = n1
+        self.zones: list[bytes] = []
+        self.exact: set[bytes] = set()
         self.ids = array("q")
         self.keys = (None if prep is None
                      else np.empty((len(prep.key_idx), 1), dtype=prep.key_dtype))
 
+    def zone(self, k: int) -> Dbm:
+        return Dbm(unpack(self.zones[k], self.n1))
+
     def add(self, zone: Dbm, nid: int, key: Optional[np.ndarray]) -> None:
-        self.exact.add(zone)
+        packed = zone.packed
+        self.exact.add(packed)
         if self.keys is not None:
             k = len(self.zones)
             if k == self.keys.shape[1]:
@@ -416,7 +449,7 @@ class Passed:
                 grown[:, :k] = self.keys
                 self.keys = grown
             self.keys[:, k] = key
-        self.zones.append(zone)
+        self.zones.append(packed)
         self.ids.append(nid)
 
     def drop(self, dead: set[int]) -> None:
@@ -501,23 +534,13 @@ def reach(
             ) from None
     deadline = None if timeout is None else start + timeout
     stats = SearchStats(UNREACHABLE)
-    init = _initial_node(net, compiled)
-    if init is None:
-        stats.seconds = time.monotonic() - start
-        return stats
-    # per generated node: parent id (-1 at the root; non-decreasing, as
-    # FIFO expands nodes in id order), the move that produced it, its
-    # discrete state and its mark
-    parents = array("q", [-1])
-    labels: list[Optional[TransLabel]] = [None]
-    states: list[ProductLoc] = [init.loc]
-    marks = bytearray(1)
-    queue: deque[tuple[int, SearchNode]] = deque([(0, init)])
     passed: dict[ProductLoc, Passed] = {}
 
     def finish(verdict: str, path_end: Optional[int]) -> SearchStats:
         stats.verdict = verdict
         stats.seconds = time.monotonic() - start
+        stats.stored = sum(len(here.zones) for here in passed.values())
+        stats.peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         if path_end is not None:
             steps = []
             at = path_end
@@ -526,6 +549,18 @@ def reach(
                 at = parents[at]
             stats.path = tuple(reversed(steps))
         return stats
+
+    init = _initial_node(net, compiled)
+    if init is None:
+        return finish(UNREACHABLE, None)
+    # per generated node: parent id (-1 at the root; non-decreasing, as
+    # FIFO expands nodes in id order), the move that produced it, its
+    # discrete state and its mark
+    parents = array("q", [-1])
+    labels: list[Optional[TransLabel]] = [None]
+    states: list[ProductLoc] = [init.loc]
+    marks = bytearray(1)
+    queue: deque[tuple[int, SearchNode]] = deque([(0, init)])
 
     def cover(k: int, nid: int) -> None:
         """Remove k's subtree, unless k is an ancestor of nid."""
@@ -562,8 +597,9 @@ def reach(
             continue
         here = passed.get(loc)
         if here is None:
-            here = passed[loc] = Passed(None if sets is None else sets.at(loc.locs))
-        elif zone in here.exact:
+            here = passed[loc] = Passed(None if sets is None else sets.at(loc.locs),
+                                        n_clocks + 1)
+        elif zone.packed in here.exact:
             stats.pruned_exact += 1
             continue
         key = simulated = None
@@ -608,21 +644,22 @@ def _scan(zone: Dbm, key: np.ndarray, here: Passed,
                else range(len(zones)))
     if forward:
         stats.kernel_candidates += len(forward)
-        refuted = not_simulated_batch(zone, here.keys[:, forward].T,
-                                      [zones[k] for k in forward], prep)
-        for k, out in zip(forward, refuted.tolist()):
+        stood = [here.zone(k) for k in forward]
+        refuted = not_simulated_batch(zone, here.keys[:, forward].T, stood, prep)
+        for zp, out in zip(stood, refuted.tolist()):
             if not out:
                 stats.diag_calls += 1
-                if sim_zone_prepared(zone, zones[k], prep):
+                if sim_zone_prepared(zone, zp, prep):
                     return None
     reverse = ((d.max(axis=0) <= 0).nonzero()[0].tolist() if d is not None
                else range(len(zones)))
     simulated = []
     for k in reverse:
         stats.kernel_candidates += 1
-        if not not_simulated_batch(zones[k], key[None], (zone,), prep)[0]:
+        zp = here.zone(k)
+        if not not_simulated_batch(zp, key[None], (zone,), prep)[0]:
             stats.diag_calls += 1
-            if sim_zone_prepared(zones[k], zone, prep):
+            if sim_zone_prepared(zp, zone, prep):
                 simulated.append(here.ids[k])
     return simulated
 

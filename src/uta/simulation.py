@@ -62,8 +62,9 @@ class SimPrepared:
     `bound_key` reads and clips to [lo, hi]: row 0 of each clock with an
     upper (lo u_thr, hi INF), column 0 of each clock with a lower (lo NEVER,
     hi l_thr), then the complement entry (j, i) of each diagonal (lo 1 - b,
-    hi 2 - b).  key_dtype is int32 when every finite clip bound is within
-    +-2^29, else int64 (see `bound_key`).
+    hi 2 - b).  key_dtype is int16 when every finite clip bound is within
+    +-2^13, int32 when they are within +-2^29, else int64 (see
+    `bound_key`).
     """
 
     diags: tuple[Triple, ...]
@@ -101,13 +102,13 @@ def _prepared(u_thr: np.ndarray, l_thr: np.ndarray,
     d_idx, d_lo, d_hi = _diag_keys(key, n1)
     ux, ly = has_u.nonzero()[0], has_l.nonzero()[0]
     u, l = u_thr[ux], l_thr[ly]
-    finite = np.concatenate((u, l, d_hi))
+    top = np.abs(np.concatenate((u, l, d_hi))).max(initial=0)
     return SimPrepared(
         key, np.where(has_l, 2 - l_thr, 0), u_thr, l_thr, pairs,
         np.concatenate((ux + 1, (ly + 1) * n1, d_idx)),
         np.concatenate((u, np.full(len(ly), NEVER), d_lo)),
         np.concatenate((np.full(len(ux), INF), l, d_hi)),
-        np.int32 if np.abs(finite).max(initial=0) < 2**29 else np.int64)
+        np.int16 if top < 2**13 else np.int32 if top < 2**29 else np.int64)
 
 
 def prepare(g: GSet, n_clocks: int) -> SimPrepared:
@@ -150,8 +151,9 @@ def bound_key(z: Dbm, prep: SimPrepared) -> np.ndarray:
 
     Clipped keys are finite.  Clocks are never negative, so z[0, x] <=
     LE_ZERO <= z[y, 0], and every key lies between LE_ZERO and the finite
-    clip bounds.  Within +-2^29 they are int32 (prep.key_dtype), so two
-    keys subtract without wrapping and the search stores half the bytes.
+    clip bounds.  Within +-2^13 they are int16 and within +-2^29 int32
+    (prep.key_dtype): two keys still subtract without wrapping, and the
+    search stores a quarter or half of the bytes.
     """
     key = z.m.take(prep.key_idx)
     np.maximum(key, prep.lo, out=key)

@@ -31,3 +31,13 @@ def test_summarize_one_pair():
     assert out["t"]["parent"] == {"median": 2.0, "q1": 2.0, "q3": 2.0}
     assert out["t"]["change_better_pairs"] == 1
     assert out["t"]["median_change_ratio"] == -0.5
+
+
+def test_counts_compare_what_both_sides_report():
+    parent = {"row": {"nodes": 5, "stored": None, "search_seconds": 1.0,
+                      "peak_rss_mb": None}}
+    change = {"row": {"nodes": 5, "stored": 3, "search_seconds": 0.5,
+                      "peak_rss_mb": 70.0}}
+    assert bench_pairs.same_counts(parent, change)
+    assert not bench_pairs.same_counts(parent, {"row": {**change["row"], "nodes": 6}})
+    assert not bench_pairs.same_counts(parent, {})

@@ -24,6 +24,7 @@ from uta.benchgen import (
 from uta import cli, dbm
 from uta.cli import main
 from uta.format import parse, parse_file, print_network
+from uta.search import REACHABLE, SearchStats
 
 
 SPIN = """\
@@ -421,6 +422,7 @@ class TestReach:
         assert doc["pruned_exact"] == 0 and doc["pruned_sim"] == 1
         assert doc["max_frontier"] == 2 and doc["disabled_assigns"] == 0
         assert doc["kernel_candidates"] == 1 and doc["diag_calls"] == 1
+        assert doc["stored"] == 2 and doc["peak_rss_mb"] > 0
         assert [step["state"] for step in doc["path"]] == ["q1", "q2"]
         assert doc["total_seconds"] >= doc["seconds"]
 
@@ -436,7 +438,8 @@ class TestExitPath:
         comments = [l[2:] for l in out.splitlines() if l.startswith("# ")]
         dumped = json.loads("\n".join(comments))
         _, plain, _ = run(capsys, *argv)
-        untimed = lambda doc: {k: v for k, v in doc.items() if "seconds" not in k}
+        untimed = lambda doc: {k: v for k, v in doc.items()
+                               if "seconds" not in k and k != "peak_rss_mb"}
         assert untimed(dumped) == untimed(json.loads(plain))
 
     @pytest.mark.parametrize("argv, name, phase", [
@@ -496,6 +499,16 @@ class TestReadme:
         missing = sorted({o for o in options(cli.build_parser())
                           if not re.search(re.escape(o) + r"(?![\w-])", readme)})
         assert not missing, f"options missing from README.md: {missing}"
+
+    def test_every_reach_json_key_documented(self, capsys, loop_file):
+        code, out, _ = run(capsys, "reach", loop_file, "--target", "q2",
+                           "--format", "json")
+        doc = json.loads(out)
+        stats = SearchStats(REACHABLE, path=()).to_json(parse_file(loop_file))
+        assert code == 1 and set(stats) | {"total_seconds"} <= set(doc)
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        missing = sorted(k for k in doc if f"`{k}`" not in readme)
+        assert not missing, f"reach JSON keys missing from README.md: {missing}"
 
 
 class TestGen:

@@ -1,9 +1,12 @@
 """Zone matrix algebra: bounds, canonical form, successors."""
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import fig1_automaton, random_atom, random_update, random_valuation
 from reference import (
@@ -34,6 +37,7 @@ from uta.dbm import (
     encode_atoms,
     encode_bound,
     successor,
+    unpack,
 )
 from uta.model import (
     MAX_CONST,
@@ -397,6 +401,66 @@ class TestEquality:
             assert len({a, b, c}) == 1
         other = zone_of(2, [make_upper(X, WEAK, 2)])
         assert other != z1 and len({z1, other}) == 2
+
+
+class TestPacked:
+    """A zone packs into the narrowest width that holds it, and unpacks to
+    its exact int64 matrix."""
+
+    @staticmethod
+    def matrix(v: int) -> np.ndarray:
+        m = np.full((3, 3), 1, dtype=np.int64)
+        m[1, 0] = m[2, 1] = INF
+        m[0, 1], m[2, 0], m[1, 2] = v, -v, v // 3
+        return m
+
+    @pytest.mark.parametrize("v, width", [
+        (2**15 - 2, 2), (-(2**15 - 2), 2),
+        (2**15 - 1, 4), (-(2**15 - 1), 4),
+        (2**31 - 2, 4), (-(2**31 - 2), 4),
+        (2**31 - 1, 8), (-(2**31 - 1), 8), (2**40, 8), (-(2**59), 8),
+    ])
+    def test_width_boundaries(self, v, width):
+        m = self.matrix(v)
+        z = Dbm(m)
+        assert len(z.packed) == 9 * width
+        got = unpack(z.packed, 3)
+        assert got.dtype == np.int64 and not got.flags.writeable
+        assert np.array_equal(got, m) and (got == INF).sum() == 2
+
+    def test_one_byte_length_two_shapes(self):
+        # 2 x 2 in int64 and 4 x 4 in int16 are both 32 bytes
+        small = np.array([[1, 2**40], [2**40, 1]], dtype=np.int64)
+        big = np.frombuffer(small.tobytes(), dtype=np.int16).astype(np.int64)
+        a, b = Dbm(small), Dbm(big.reshape(4, 4))
+        assert a.packed == b.packed and a != b
+        assert np.array_equal(unpack(b.packed, 4), b.m)
+        assert np.array_equal(unpack(a.packed, 2), a.m)
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3),
+           shift=st.sampled_from((0, 12, 13, 14, 29, 30, 37)))
+    def test_equality_and_hash_follow_the_matrix(self, seed, n, shift):
+        rng = random.Random(seed)
+
+        def atoms():
+            return [replace(phi, constant=phi.constant << shift)
+                    for phi in (random_atom(rng, n, 6)
+                                for _ in range(rng.randint(0, 4)))]
+
+        first, second = atoms(), atoms()
+        a, b = zone_of(n, first), zone_of(n, second)
+        if a is EMPTY or b is EMPTY:
+            return
+        c = zone_of(n, list(reversed(first)))
+        assert a == c and hash(a) == hash(c)
+        assert (a == b) == np.array_equal(a.m, b.m)
+        assert (a == b) == (a.packed == b.packed)
+        if a == b:
+            assert hash(a) == hash(b)
+        for z in (a, b):
+            assert np.array_equal(unpack(z.packed, n + 1), z.m)
+            assert Dbm(unpack(z.packed, n + 1)) == z
 
 
 def test_zone_of_matches_atom_semantics():

@@ -745,6 +745,11 @@ class TestMoveTable:
         assert disabled >= 10 and pairs >= 10
 
 
+def stored_zones(passed) -> list:
+    """The zones of a passed list, unpacked."""
+    return [passed.zone(k) for k in range(len(passed.zones))]
+
+
 class TestSubsumptionKernel:
     """Search driven by the reference kernel explores exactly as with the
     batched one, and every kernel call agrees with it candidate by
@@ -766,7 +771,7 @@ class TestSubsumptionKernel:
             # the kernel, key compare included, on every stored zone of the
             # state in the forward direction, and on zone against each in
             # the reverse one, before the scan's own calls
-            zones = here.zones
+            zones = stored_zones(here)
             checked(zone, here.keys[:, :len(zones)].T, zones, here.prep)
             for zp in zones:
                 checked(zp, key[None], (zone,), here.prep)
@@ -862,6 +867,40 @@ class TestProductSets:
         assert total >= 200 and diagonal >= 100 and two_sided >= 100
         assert merged >= 50
 
+    def test_equal_parts_are_one_object_and_unions_are_shared(self, monkeypatch):
+        calls = []
+        plain = search.prepare_union
+
+        def counting(parts):
+            calls.append(frozenset(parts))
+            return plain(parts)
+
+        monkeypatch.setattr(search, "prepare_union", counting)
+        interned = unions = visited = 0
+        for label, build, _ in DESK_ROWS:
+            net = build()
+            gmaps = [compute_gmap(c) for c in net.components]
+            locs = self.visited(monkeypatch, net, gmaps, "error")
+            sets = search.ProductSets(gmaps, len(net.clocks))
+            parts = [p for row in sets._parts for p in row]
+            by_value = {}
+            for p in parts:
+                key = (p.u_thr.tobytes(), p.l_thr.tobytes(), p.diags)
+                assert by_value.setdefault(key, p) is p, label
+            interned += len(parts) - len({id(p) for p in parts})
+            calls.clear()
+            by_parts = {}
+            for at in sorted(locs):
+                got = sets.at(at)
+                assert sets.at(at) is got
+                key = frozenset(row[q] for row, q in zip(sets._parts, at))
+                assert by_parts.setdefault(key, got) is got, label
+            # one union per distinct set of parts, each built once
+            assert set(calls) == set(by_parts) and len(calls) == len(by_parts), label
+            unions += len(calls)
+            visited += len(locs)
+        assert interned >= 100 and 2 * unions < visited, (interned, unions, visited)
+
 
 class TestPassedList:
     """Each explored zone is kept once per discrete state."""
@@ -892,10 +931,12 @@ class TestPassedList:
                 assert (stats.nodes, stats.pruned_exact, stats.pruned_sim) == (
                     3, 1, 0), committed
         for prep in (simulation.prepare(g.sets[1], 1), None):
-            passed = search.Passed(prep)
+            passed = search.Passed(prep, 2)
             passed.add(a.zone, 1, None if prep is None
                        else simulation.bound_key(a.zone, prep))
-            assert a.zone in passed.exact and Dbm(a.zone.m.copy()) in passed.exact
+            assert (a.zone.packed in passed.exact
+                    and Dbm(a.zone.m.copy()).packed in passed.exact)
+            assert stored_zones(passed) == [a.zone]
 
     def test_bound_keys_follow_the_zones_after_growth(self, monkeypatch):
         made = []
@@ -917,9 +958,43 @@ class TestPassedList:
         for passed in grown:
             k = len(passed.zones)
             assert passed.keys.shape[1] >= k and len(passed.ids) == k
-            want = [simulation.bound_key(z, passed.prep) for z in passed.zones]
+            want = [simulation.bound_key(z, passed.prep) for z in stored_zones(passed)]
             assert np.array_equal(passed.keys[:, :k].T, np.array(want))
             assert passed.exact == set(passed.zones) and len(passed.exact) == k
+
+    def test_wider_zones_prune_alike(self, monkeypatch):
+        # scaling every constant of a network scales its zones and leaves
+        # the search's graph as it is, so the packed widths and key dtypes
+        # change and nothing else may
+        made = []
+
+        class Recording(search.Passed):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        monkeypatch.setattr(search, "Passed", Recording)
+        for tasks, verdict in ((((1, 3),) * 4, REACHABLE),
+                               (((1, 4), (1, 4), (1, 5)), UNREACHABLE)):
+            seen = []
+            for scale, width in ((1, 2), (2**14, 4), (2**30, 8)):
+                made.clear()
+                net = gen_edf(tuple(TaskSpec(c * scale, d * scale)
+                                    for c, d in tasks), FLOWER)
+                stats = reach(net, [compute_gmap(c) for c in net.components],
+                              "error")
+                assert stats.verdict == verdict
+                n1 = len(net.clocks) + 1
+                widths = {len(z) // n1**2 for p in made for z in p.zones}
+                # zones and keys are int16, int32 and int64 in turn
+                keys = {np.dtype(p.prep.key_dtype).itemsize for p in made}
+                assert max(widths) == max(keys) == width, (scale, widths, keys)
+                seen.append((stats.nodes, stats.pruned_exact, stats.pruned_sim,
+                             stats.pruned_subtree, stats.stored,
+                             stats.path and [s.label for s in stats.path]))
+            assert seen[0] == seen[1] == seen[2], tasks
 
 
 class TestSubtreeCovering:
@@ -951,7 +1026,7 @@ class TestSubtreeCovering:
             zone = self.boxed_zone(rng, n)
             if zone is None or zone in zones or not zones:
                 continue
-            here = search.Passed(prep)
+            here = search.Passed(prep, n + 1)
             for k, z in enumerate(zones):
                 here.add(z, 10 + k, simulation.bound_key(z, prep))
             got = search._scan(zone, simulation.bound_key(zone, prep), here,
@@ -1006,7 +1081,8 @@ class TestSubtreeCovering:
             for passed in made:
                 k = len(passed.zones)
                 assert not dropped & set(passed.ids) and len(passed.ids) == k
-                want = [simulation.bound_key(z, passed.prep) for z in passed.zones]
+                want = [simulation.bound_key(z, passed.prep)
+                        for z in stored_zones(passed)]
                 assert np.array_equal(passed.keys[:, :k].T, np.array(
                     want, dtype=np.int64).reshape(k, len(passed.prep.key_idx)))
                 assert passed.exact == set(passed.zones) and len(passed.exact) == k

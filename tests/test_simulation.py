@@ -753,6 +753,33 @@ class TestBoundKeys:
                       forward, reverse]] += 1
         assert min(seen.values()) >= 100 and wide >= 100, (seen, wide)
 
+    @pytest.mark.parametrize("make, narrow, wide", [
+        # the finite clip bound is 2c for x <= c, 2c + 1 for x >= c and
+        # 1 - (2c + 1) for x - y <= c
+        (lambda c: make_upper(0, WEAK, c), 4095, 4096),
+        (lambda c: make_lower(0, WEAK, c), 4095, 4096),
+        (lambda c: make_upper_diag(0, 1, WEAK, c), 4096, 4097),
+    ])
+    def test_int16_keys_within_2_13(self, make, narrow, wide):
+        for c, dtype in ((narrow, np.int16), (wide, np.int32)):
+            prep = prepare(GSet.of([make(c)]), 2)
+            assert prep.key_dtype is dtype, c
+            zones = [universe(2), initial_zone(2),
+                     zone_of(2, [make_lower(0, WEAK, 2**20)]),
+                     zone_of(2, [make_lower(1, WEAK, 2**20)]),
+                     zone_of(2, [make_lower_diag(0, 1, WEAK, 2**20)]),
+                     zone_of(2, [make_upper_diag(0, 1, WEAK, c - 1)])]
+            keys = [bound_key(z, prep) for z in zones]
+            wide_keys = [np.clip(z.m.take(prep.key_idx), prep.lo, prep.hi)
+                         for z in zones]
+            for k, w in zip(keys, wide_keys):
+                assert k.dtype == dtype and np.array_equal(k, w)
+            # two keys subtract as in int64, without wrapping
+            for k1, w1 in zip(keys, wide_keys):
+                for k2, w2 in zip(keys, wide_keys):
+                    assert np.array_equal(k1 - k2, w1 - w2)
+            assert max(int(np.abs(w).max()) for w in wide_keys) >= 2 * narrow - 1
+
     def test_no_keys_without_bounds_or_diagonals(self):
         for n in (0, 1, 3):
             prep = prepare(EMPTY_GSET, n)

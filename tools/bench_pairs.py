@@ -8,9 +8,9 @@ directories under --scratch, so that both sides start without caches or
 old results.  Each pair runs ``perfbench/run.py --trace 0`` once per
 workload of BENCHMARK.json on each side, for its run length, workloads
 interleaved within the pair and the side that runs first alternating.
-Before the pairs it takes the dequeued and pruned counts of the EDF rows,
-the slow flower row included, and the search's seconds, from
-``uta reach --format json`` on each side.
+Before the pairs it takes the dequeued, pruned and stored counts of the
+EDF rows, the slow flower row included, the search's seconds and the
+process's peak RSS, from ``uta reach --format json`` on each side.
 
 Writes BENCH_<label>.json at the repository root, after every pair, so that
 an interrupted run keeps what it measured: per workload and end-to-end
@@ -46,7 +46,9 @@ EDF_ROWS = (
      ["--tasks", "1:10,1:10,1:10,1:4", "--release", "flower"]),
 )
 COUNTS = ("verdict", "nodes", "pruned_exact", "pruned_sim", "pruned_subtree",
-          "max_frontier")
+          "max_frontier", "stored")
+# measured per row beside the counts, and left out of their comparison
+MEASURED = ("search_seconds", "peak_rss_mb")
 
 
 def _quartiles(values: list) -> dict:
@@ -73,6 +75,21 @@ def summarize(runs: list, better: dict) -> dict:
             "median_change_ratio": stats["change"]["median"] / stats["parent"]["median"] - 1,
         }
     return out
+
+
+def same_counts(parent: dict, change: dict) -> bool:
+    """Whether both sides' rows agree on every count that both report:
+    a counter that one side does not have (None) is not compared."""
+    if parent.keys() != change.keys():
+        return False
+    for row, p in parent.items():
+        c = change[row]
+        for k in p.keys() | c.keys():
+            if k in MEASURED or p.get(k) is None or c.get(k) is None:
+                continue
+            if p[k] != c[k]:
+                return False
+    return True
 
 
 def _git(*args: str) -> str:
@@ -116,7 +133,8 @@ def _run_bench(tree: Path, workload: str, seed: int, seconds: int) -> tuple[dict
 
 def _search_counts(tree: Path, work: Path) -> dict:
     """Verdict, counts and path of each EDF row on one side, through the
-    command line, with the search's own seconds beside them."""
+    command line, with the search's own seconds and the peak RSS beside
+    them."""
     out = {}
     for row, gen_args in EDF_ROWS:
         model = work / f"{tree.name}-{len(out)}.uta"
@@ -135,7 +153,8 @@ def _search_counts(tree: Path, work: Path) -> dict:
                     "path_sha256": hashlib.sha256(
                         json.dumps(doc.get("path")).encode()).hexdigest(),
                     "model_sha256": hashlib.sha256(model.read_bytes()).hexdigest(),
-                    "search_seconds": doc["seconds"]}
+                    "search_seconds": doc["seconds"],
+                    "peak_rss_mb": doc.get("peak_rss_mb")}
     return out
 
 
@@ -169,8 +188,6 @@ def main(argv=None) -> int:
     _copy_parent(parent, trees["parent"])
     _copy_change(trees["change"])
     counts = {side: _search_counts(trees[side], work) for side in SIDES}
-    untimed = [{row: {k: v for k, v in c.items() if k != "search_seconds"}
-                for row, c in counts[side].items()} for side in SIDES]
 
     doc = {
         "parent_commit": parent,
@@ -183,7 +200,7 @@ def main(argv=None) -> int:
                   "quantiles, n=4, inclusive); change_better_pairs counts the "
                   "pairs where the change is strictly better",
         "search_counts": {
-            "same_on_both_sides": untimed[0] == untimed[1],
+            "same_on_both_sides": same_counts(*(counts[side] for side in SIDES)),
             **{row: {side: counts[side][row] for side in SIDES} for row, _ in EDF_ROWS},
         },
         "workloads": {},
