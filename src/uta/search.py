@@ -109,10 +109,11 @@ class SearchStats:
     zone of the same discrete state was already explored, pruned_sim those
     dropped because an explored zone simulates them, and pruned_subtree
     those dropped because they lie below a zone that subtree covering
-    removed.  kernel_candidates sums the explored zones that the compare of
-    keys left standing and the scans handed the batched kernel, in both
-    directions, and diag_calls counts the kernel's survivors sent into the
-    diagonal recursion.  stored counts the zones held in the passed lists
+    removed.  kernel_candidates counts the explored zones that the compare
+    of keys left standing and the scans handed the kernel, in both
+    directions; forward, the count stops at the first simulator.
+    diag_calls counts the kernel's survivors sent into the diagonal
+    recursion.  stored counts the zones held in the passed lists
     at the verdict, and peak_rss_mb is the process's peak resident set
     (`ru_maxrss`) read then; both are read once, at the verdict.
     """
@@ -396,18 +397,14 @@ class ProductSets:
 
         self._parts = [[intern(prepare(g, n_clocks)) for g in gmap.sets]
                        for gmap in gmaps]
-        self._at: dict[tuple[int, ...], SimPrepared] = {}
         # SimPrepared hashes by identity, which interning makes equality
         self._union: dict[frozenset, SimPrepared] = {}
 
     def at(self, locs: tuple[int, ...]) -> SimPrepared:
-        got = self._at.get(locs)
+        parts = frozenset(parts[q] for parts, q in zip(self._parts, locs))
+        got = self._union.get(parts)
         if got is None:
-            parts = frozenset(parts[q] for parts, q in zip(self._parts, locs))
-            got = self._union.get(parts)
-            if got is None:
-                got = self._union[parts] = prepare_union(list(parts))
-            self._at[locs] = got
+            got = self._union[parts] = prepare_union(list(parts))
         return got
 
 
@@ -632,36 +629,30 @@ def _scan(zone: Dbm, key: np.ndarray, here: Passed,
     the stored zones that zone simulates.
 
     One subtraction of keys, d = key(zp) - key(zone) per stored zp, decides
-    the kernel's first stage both ways: zp may simulate zone only where d
+    the kernel's key compare both ways: zp may simulate zone only where d
     is nowhere negative, and zone may simulate zp only where d is nowhere
-    positive.  Without keys (w = 0) every zone stands both ways.  The
-    survivors meet the rest of the kernel, its two-sided stage, and its
-    survivors the full diagonal recursion.
+    positive (without keys, w = 0, every zone stands both ways).  Each zone
+    left standing goes to `_simulates`, forward until the first simulator.
     """
-    zones, prep = here.zones, here.prep
-    d = here.keys[:, :len(zones)] - key[:, None] if len(key) else None
-    forward = ((d.min(axis=0) >= 0).nonzero()[0].tolist() if d is not None
-               else range(len(zones)))
-    if forward:
-        stats.kernel_candidates += len(forward)
-        stood = [here.zone(k) for k in forward]
-        refuted = not_simulated_batch(zone, here.keys[:, forward].T, stood, prep)
-        for zp, out in zip(stood, refuted.tolist()):
-            if not out:
-                stats.diag_calls += 1
-                if sim_zone_prepared(zone, zp, prep):
-                    return None
-    reverse = ((d.max(axis=0) <= 0).nonzero()[0].tolist() if d is not None
-               else range(len(zones)))
-    simulated = []
-    for k in reverse:
-        stats.kernel_candidates += 1
-        zp = here.zone(k)
-        if not not_simulated_batch(zp, key[None], (zone,), prep)[0]:
-            stats.diag_calls += 1
-            if sim_zone_prepared(zp, zone, prep):
-                simulated.append(here.ids[k])
-    return simulated
+    keys, prep = here.keys, here.prep
+    d = keys[:, :len(here.zones)] - key[:, None]
+    for k in (d.min(axis=0, initial=0) >= 0).nonzero()[0].tolist():
+        if _simulates(here.zone(k), keys[:, k], zone, key, prep, stats):
+            return None
+    reverse = (d.max(axis=0, initial=0) <= 0).nonzero()[0].tolist()
+    return [here.ids[k] for k in reverse
+            if _simulates(zone, key, here.zone(k), keys[:, k], prep, stats)]
+
+
+def _simulates(zp: Dbm, kp: np.ndarray, z: Dbm, kz: np.ndarray,
+               prep: SimPrepared, stats: SearchStats) -> bool:
+    """Whether zp, with key kp, simulates z, with key kz: the kernel on the
+    pair, then the diagonal recursion if the kernel leaves zp standing."""
+    stats.kernel_candidates += 1
+    if not_simulated_batch(z, kp[None], (zp,), prep, kz)[0]:
+        return False
+    stats.diag_calls += 1
+    return sim_zone_prepared(z, zp, prep)
 
 
 def replay(path: Sequence[PathStep], net: Network, target: Optional[str] = None) -> bool:

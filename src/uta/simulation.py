@@ -8,9 +8,10 @@ the lifted relation by splitting on diagonal constraints and finishing with
 the kernel on each piece.
 
 The kernel, `not_simulated_batch`, refutes the relation for K candidate
-zones at once.  The search's subsumption scan calls it on the explored
-zones of a location that its compare of keys leaves standing, and the
-diagonal recursion's leaves apply its conditions to one.  Its conditions,
+zones at once, and it is the one place its conditions are written.  The
+search's subsumption scan calls it on each explored zone of a location
+that its compare of keys leaves standing, and the diagonal recursion's
+leaves call it on the cut pair.  Its conditions,
 those of the LU-simulation inclusion check (Herbreteau, Srivathsan &
 Walukiewicz, LICS 2012) plus the diagonal transfer of G-simulation (Gastin,
 Mukherjee & Srivathsan, CONCUR 2018: a diagonal that z meets and zp misses
@@ -172,14 +173,15 @@ def _interior(z: Dbm, prep: SimPrepared) -> np.ndarray:
 
 
 def not_simulated_batch(z: Dbm, keys: np.ndarray, zps: Sequence[Dbm],
-                        prep: SimPrepared) -> np.ndarray:
+                        prep: SimPrepared, key: np.ndarray) -> np.ndarray:
     """The kernel: is there a point of z that no point of zp matches?
 
-    z is canonical and non-empty.  zps holds K candidate zones zp and keys,
-    shape (K, w), their keys (`bound_key`); entry k of the returned bool
-    mask is True when some point of z has no simulator in candidate k,
-    which refutes the simulation.  The search feeds it the explored zones of
-    a location that its own compare of keys left standing.
+    z is canonical and non-empty, and key is its key (`bound_key`).  zps
+    holds K candidate zones zp and keys, shape (K, w), their keys; entry k
+    of the returned bool mask is True when some point of z has no simulator
+    in candidate k, which refutes the simulation.  Every caller already
+    holds both keys: the search stores them, and the diagonal recursion's
+    leaves compute them on the cut pair.
 
     A witness point v forces a box on v': for each clock x where v meets the
     weakest upper of G, v'(x) <= v(x); for each clock y with a lower in G,
@@ -240,7 +242,7 @@ def not_simulated_batch(z: Dbm, keys: np.ndarray, zps: Sequence[Dbm],
     z reaches x's upper, else NEVER.  They hang on z and prep alone, and
     only the candidates the keys leave standing are compared against them.
     """
-    out = (keys < bound_key(z, prep)).any(axis=1)
+    out = (keys < key).any(axis=1)
     if out.all():
         return out
     todo = (~out).nonzero()[0]
@@ -265,19 +267,17 @@ def _sim(z: Zone, zp: Zone, diags: tuple[Triple, ...], prep: SimPrepared) -> boo
         return (_sim(constrain(z, cut), constrain(zp, cut), rest, prep)
                 and _sim(constrain(z, outside), zp, rest, prep))
     # a leaf: every diagonal is settled (z inside it or outside it, zp cut
-    # by it), so no diagonal entry of the keys refutes here, and the kernel
-    # on one candidate is its key compare and its two-sided stage
-    if (bound_key(zp, prep) < bound_key(z, prep)).any():
-        return False
-    return not (zp.m[1:, 1:] < _interior(z, prep)).any()
+    # by it), so no diagonal entry of the keys refutes here
+    return not not_simulated_batch(z, bound_key(zp, prep)[None], (zp,), prep,
+                                   bound_key(z, prep))[0]
 
 
 def sim_zone_prepared(z: Zone, zp: Zone, prep: SimPrepared) -> bool:
     """Decide whether every point of z, a non-empty zone, has a simulator
     in zp, against a reusable `prepare` result of the constraint set.
 
-    The search calls it only on candidates the batched kernel left
-    standing, so it goes straight to the diagonal recursion: running the
-    kernel on the whole pair first would repeat that call's verdict.
+    The search calls it only on candidates the kernel left standing, so
+    it goes straight to the diagonal recursion: running the kernel on the
+    whole pair first would repeat that call's verdict.
     """
     return _sim(z, zp, prep.diags, prep)

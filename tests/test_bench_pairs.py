@@ -41,3 +41,23 @@ def test_counts_compare_what_both_sides_report():
     assert bench_pairs.same_counts(parent, change)
     assert not bench_pairs.same_counts(parent, {"row": {**change["row"], "nodes": 6}})
     assert not bench_pairs.same_counts(parent, {})
+
+
+def test_layer_split_runs_each_side_traced_once(monkeypatch):
+    calls = []
+
+    def run(tree, workload, seed, seconds, trace=0):
+        calls.append((tree, workload, seed, seconds, trace))
+        metrics = {"simulation.diag_calls": {"value": len(calls), "unit": "count"}}
+        return {"metrics": metrics}, {}
+
+    monkeypatch.setattr(bench_pairs, "_run_bench", run)
+    trees = {"parent": "p", "change": "c"}
+    out = bench_pairs.layer_split(trees, ["a", "b"], 20)
+    # one traced run per side and workload, the first side alternating
+    assert calls == [("p", "a", 1, 20, 1), ("c", "a", 1, 20, 1),
+                     ("c", "b", 1, 20, 1), ("p", "b", 1, 20, 1)]
+    assert out == {"a": {"parent": {"simulation.diag_calls": 1},
+                         "change": {"simulation.diag_calls": 2}},
+                   "b": {"change": {"simulation.diag_calls": 3},
+                         "parent": {"simulation.diag_calls": 4}}}

@@ -573,9 +573,9 @@ class TestStatsOutput:
         batched, recursion = search.not_simulated_batch, search.sim_zone_prepared
         seen = {"candidates": 0, "diag": 0}
 
-        def scan(z, keys, zps, prep):
+        def scan(z, keys, zps, prep, key):
             seen["candidates"] += len(keys)
-            return batched(z, keys, zps, prep)
+            return batched(z, keys, zps, prep, key)
 
         def diag(z, zp, prep):
             seen["diag"] += 1
@@ -760,8 +760,8 @@ class TestSubsumptionKernel:
         scan = search._scan
         candidates = []
 
-        def checked(z, keys, zps, prep):
-            got = batched(z, keys, zps, prep)
+        def checked(z, keys, zps, prep, key):
+            got = batched(z, keys, zps, prep, key)
             want = [reference_not_simulated(z, zp, prep) for zp in zps]
             assert got.tolist() == want
             candidates.append(len(want))
@@ -772,9 +772,10 @@ class TestSubsumptionKernel:
             # state in the forward direction, and on zone against each in
             # the reverse one, before the scan's own calls
             zones = stored_zones(here)
-            checked(zone, here.keys[:, :len(zones)].T, zones, here.prep)
+            checked(zone, here.keys[:, :len(zones)].T, zones, here.prep, key)
             for zp in zones:
-                checked(zp, key[None], (zone,), here.prep)
+                checked(zp, key[None], (zone,), here.prep,
+                        simulation.bound_key(zp, here.prep))
             return scan(zone, key, here, stats)
 
         for label, build, verdict in DESK_ROWS:

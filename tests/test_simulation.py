@@ -147,7 +147,7 @@ def keys_of(zps, prep) -> np.ndarray:
 def batch_matches_reference(z, zps, prep) -> np.ndarray:
     """The batched mask over zps, asserted equal to the reference per
     candidate."""
-    mask = not_simulated_batch(z, keys_of(zps, prep), zps, prep)
+    mask = not_simulated_batch(z, keys_of(zps, prep), zps, prep, bound_key(z, prep))
     assert mask.shape == (len(zps),) and mask.dtype == bool
     want = [reference_not_simulated(z, zp, prep) for zp in zps]
     assert mask.tolist() == want, (z.m, [zp.m for zp in zps], prep)
@@ -387,7 +387,7 @@ def diagonal_queries(rng, count):
 
 
 def kernel_mask(z, zps, prep) -> np.ndarray:
-    return not_simulated_batch(z, keys_of(zps, prep), zps, prep)
+    return not_simulated_batch(z, keys_of(zps, prep), zps, prep, bound_key(z, prep))
 
 
 class TestDiagonalStage:
@@ -580,7 +580,8 @@ class TestKernel:
                 for z in zones:
                     mask = batch_matches_reference(z, zones, prep)
                     standing = ~not_simulated_batch(z, keys_of(zones, prep),
-                                                    zones, single_sided)
+                                                    zones, single_sided,
+                                                    bound_key(z, prep))
                     decided += int((mask & standing).sum())
         assert decided >= 500
 
@@ -640,6 +641,45 @@ class TestKernel:
                      make_upper_diag(Y, X, STRICT, 0)])
         assert len(g.diag) == 2
         assert prepare(g, 2).diags == ((2, 1, 0),)
+
+    def test_recursion_leaves_call_the_kernel(self, monkeypatch):
+        # z straddles x - y <= 1, so the recursion splits it into two
+        # leaves; with a kernel that refutes everything even z against
+        # itself fails, so no leaf decides without the kernel
+        prep = prepare(GSet.of([make_upper(X, WEAK, 3),
+                                make_upper_diag(X, Y, WEAK, 1)]), 2)
+        z = universe(2)
+        assert sim_zone_prepared(z, z, prep)
+        calls = []
+
+        def refute_all(z, keys, zps, prep, key):
+            calls.append(len(zps))
+            return np.ones(len(zps), dtype=bool)
+
+        monkeypatch.setattr(simulation, "not_simulated_batch", refute_all)
+        assert not sim_zone_prepared(z, z, prep)
+        assert calls == [1]
+
+    def test_kernel_takes_the_query_key_from_its_caller(self, monkeypatch):
+        rng = random.Random(2101)
+        prep = prepare(GSet.of([make_upper(X, WEAK, 3), make_lower(Y, STRICT, 1),
+                                make_upper_diag(X, Y, WEAK, 1)]), 2)
+        zones = [random_zone_chain(rng, 2) for _ in range(20)]
+        keys = keys_of(zones, prep)
+        runs = [(z, bound_key(z, prep), batch_matches_reference(z, zones, prep))
+                for z in zones]
+        assert any(mask.any() and not mask.all() for _, _, mask in runs)
+
+        def no_key(z, prep):
+            raise AssertionError("the kernel computed a key of its own")
+
+        monkeypatch.setattr(simulation, "bound_key", no_key)
+        # a key above every candidate's at each entry refutes them all
+        above = keys.max(axis=0) + 1
+        for z, key, mask in runs:
+            got = not_simulated_batch(z, keys, zones, prep, key)
+            assert got.tolist() == mask.tolist()
+            assert not_simulated_batch(z, keys, zones, prep, above).all()
 
 
 class TestPreorder:
@@ -787,4 +827,5 @@ class TestBoundKeys:
             z = initial_zone(n)
             assert bound_key(z, prep).shape == (0,)
             assert not_simulated_batch(z, np.empty((2, 0), np.int64), [z, z],
-                                       prep).tolist() == [False, False]
+                                       prep, bound_key(z, prep)
+                                       ).tolist() == [False, False]

@@ -10,12 +10,15 @@ workload of BENCHMARK.json on each side, for its run length, workloads
 interleaved within the pair and the side that runs first alternating.
 Before the pairs it takes the dequeued, pruned and stored counts of the
 EDF rows, the slow flower row included, the search's seconds and the
-process's peak RSS, from ``uta reach --format json`` on each side.
+process's peak RSS, from ``uta reach --format json`` on each side, and the
+per-layer metrics of one ``perfbench/run.py --trace 1`` run per side and
+workload, which are recorded and never compared.
 
 Writes BENCH_<label>.json at the repository root, after every pair, so that
 an interrupted run keeps what it measured: per workload and end-to-end
 metric of BENCHMARK.json, the median and q1-q3 of each side and the pairs
-the change wins, then every run, the search counts and the host stamp.
+the change wins, then every run, the search counts, the layer split and
+the host stamp.
 Standard library only.
 """
 import argparse
@@ -118,11 +121,12 @@ def _env(tree: Path) -> dict:
     return env
 
 
-def _run_bench(tree: Path, workload: str, seed: int, seconds: int) -> tuple[dict, dict]:
-    """(result line, stamp) of one `perfbench/run.py --trace 0` run."""
+def _run_bench(tree: Path, workload: str, seed: int, seconds: int,
+               trace: int = 0) -> tuple[dict, dict]:
+    """(result line, stamp) of one `perfbench/run.py` run."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
         cwd=tree, env=_env(tree), capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{tree.name} {workload} seed {seed} exited "
@@ -155,6 +159,19 @@ def _search_counts(tree: Path, work: Path) -> dict:
                     "model_sha256": hashlib.sha256(model.read_bytes()).hexdigest(),
                     "search_seconds": doc["seconds"],
                     "peak_rss_mb": doc.get("peak_rss_mb")}
+    return out
+
+
+def layer_split(trees: dict, workloads: list, seconds: int) -> dict:
+    """Per workload and side, the per-layer metrics of one
+    `perfbench/run.py --trace 1` run with seed 1, the side that runs first
+    alternating over the workloads."""
+    out = {}
+    for k, workload in enumerate(workloads):
+        out[workload] = {}
+        for side in (SIDES if k % 2 == 0 else SIDES[::-1]):
+            result, _ = _run_bench(trees[side], workload, 1, seconds, trace=1)
+            out[workload][side] = {m: v["value"] for m, v in result["metrics"].items()}
     return out
 
 
@@ -202,6 +219,18 @@ def main(argv=None) -> int:
         "search_counts": {
             "same_on_both_sides": same_counts(*(counts[side] for side in SIDES)),
             **{row: {side: counts[side][row] for side in SIDES} for row, _ in EDF_ROWS},
+        },
+        "layers": {
+            "command": "python3 perfbench/run.py --workload W --seed 1 "
+                       f"--seconds {seconds} --trace 1",
+            "note": "one traced run per side and workload, recorded and never "
+                    "compared; the tracer miscounts search.pruned_exact and "
+                    "search.pruned_sim: it counts every diagonal-recursion "
+                    "call that returns True as a simulation prune, reverse "
+                    "ones included, and the other prunes, subtree prunes "
+                    "included, as exact; search_counts, from uta reach "
+                    "--format json, are the authority for counts",
+            "runs": layer_split(trees, workloads, seconds),
         },
         "workloads": {},
     }
