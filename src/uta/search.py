@@ -13,20 +13,22 @@ zone equality always counts, and when the search is given per-component
 constraint maps a zone-simulation check against the per-state constraint
 set does too.
 
-The passed list (`Passed`, one per discrete state) keeps each explored zone
-once, packed (`Dbm.packed`: int16, int32 or int64 bytes, the narrowest that
-holds the matrix), in a list and in a set for the duplicate test, with its
-node id.  Zones that unchanged successors share pack once, and a stored
-zone's int64 matrix is freed once no queued node shares it.  Beside them it
-keeps one array of bound keys (`bound_key`), which is all the subsumption
-kernel's first stage reads, in both directions; only the candidates that
-stage leaves standing are unpacked and read in full.  Product locations
-whose components' constraint sets are equal share one prepared set
+The passed list (`Passed`) is the one record of a discrete state: its
+`ProductLoc`, whether it is a target, and each explored zone once, packed
+(`Dbm.packed`: int16, int32 or int64 bytes, the narrowest that holds the
+matrix), in a list and in a set for the duplicate test, with its node id.
+Zones that unchanged successors share pack once, and a stored zone's int64
+matrix is freed once no queued node shares it.  Beside them it keeps one
+array of bound keys (`bound_key`), which is all the subsumption kernel's
+first stage reads, in both directions; only the candidates that stage
+leaves standing are unpacked and read in full.  Product locations whose
+components' constraint sets are equal share one prepared set
 (`ProductSets`).  A stored zone that a later zone of its state simulates is
 removed with the subtree below it (subtree covering, see `reach`).  A
 frontier zone lives only in the queue until it is dequeued, and what stays
-per generated node is its parent, the move that produced it, its discrete
-state and one byte that says whether it is stored or covered.
+per generated node is its parent, the move that produced it, a reference to
+its state's `Passed` and one byte that says whether it is stored or
+covered.
 """
 import resource
 import time
@@ -195,6 +197,8 @@ class CompiledNet:
     then for each channel in declaration order every emitter with every
     receiver of another component.  While a component sits in a committed
     location, moves that involve no committed component are left out.
+    Each component location's invariant is encoded once (a `false` one as a
+    never-satisfied triple); `target` concatenates those of a location vector.
     """
 
     def __init__(self, net: Network):
@@ -217,9 +221,10 @@ class CompiledNet:
                     pair[e.sync[1] == "?"].append(ei)
             self._internal.append(internal)
             self._sync.append(sync)
+        self._invariant = [[encode_atoms(loc.invariant.clock_atoms)
+                            for loc in comp.locations] for comp in net.components]
         self._moves: dict[tuple[int, ...], tuple[Firing, ...]] = {}
         self._move: dict[tuple[tuple[int, int], ...], Move] = {}
-        self._target: dict[tuple[int, ...], tuple[tuple[Triple, ...], bool]] = {}
 
     def committed(self, locs: tuple[int, ...]) -> bool:
         return any(
@@ -229,14 +234,8 @@ class CompiledNet:
 
     def target(self, locs: tuple[int, ...]) -> tuple[tuple[Triple, ...], bool]:
         """The encoded invariant of locs, and whether time may pass there."""
-        got = self._target.get(locs)
-        if got is None:
-            atoms = []
-            for c, l in enumerate(locs):
-                atoms.extend(self.net.components[c].locations[l].invariant.clock_atoms)
-            got = (encode_atoms(atoms), not self.committed(locs))
-            self._target[locs] = got
-        return got
+        invariant = tuple(t for c, l in enumerate(locs) for t in self._invariant[c][l])
+        return invariant, not self.committed(locs)
 
     def _compile(self, parts: tuple[tuple[int, int], ...]) -> Move:
         got = self._move.get(parts)
@@ -342,26 +341,21 @@ def _resolve_target(net: Network, target: str) -> frozenset:
     """Pairs (component, location) whose name matches target.
 
     Accepts a bare location name (matched in every component) or the
-    qualified form process.location.
+    qualified form process.location, split at the first dot.
     """
-    pairs = set()
+    comps, lname = range(len(net.components)), target
     if "." in target:
         pname, lname = target.split(".", 1)
         try:
-            ci = net.component_index(pname)
+            comps = (net.component_index(pname),)
         except KeyError:
             raise ValueError(f"no process named {pname!r} in the network") from None
-        for li, loc in enumerate(net.components[ci].locations):
-            if loc.name == lname:
-                pairs.add((ci, li))
-    else:
-        for ci, comp in enumerate(net.components):
-            for li, loc in enumerate(comp.locations):
-                if loc.name == target:
-                    pairs.add((ci, li))
+    pairs = frozenset((ci, li) for ci in comps
+                      for li, loc in enumerate(net.components[ci].locations)
+                      if loc.name == lname)
     if not pairs:
         raise ValueError(f"no location named {target!r} in the network")
-    return frozenset(pairs)
+    return pairs
 
 
 def _initial_node(net: Network, compiled: CompiledNet) -> Optional[SearchNode]:
@@ -409,7 +403,8 @@ class ProductSets:
 
 
 class Passed:
-    """The explored zones of one discrete state, each kept once.
+    """The record of one discrete state loc: whether a component sits in a
+    target location there (goal), and its explored zones, each kept once.
 
     zones holds each stored zone packed (`Dbm.packed`), exact the same
     bytes for the exact-duplicate test, and ids their node ids; a stored
@@ -422,11 +417,11 @@ class Passed:
     scan compares a slice against a dequeued zone's key.
     """
 
-    __slots__ = ("prep", "n1", "zones", "exact", "ids", "keys")
+    __slots__ = ("loc", "goal", "prep", "n1", "zones", "exact", "ids", "keys")
 
-    def __init__(self, prep: Optional[SimPrepared], n1: int):
-        self.prep = prep
-        self.n1 = n1
+    def __init__(self, loc: ProductLoc, goal: bool, prep: Optional[SimPrepared],
+                 n1: int):
+        self.loc, self.goal, self.prep, self.n1 = loc, goal, prep, n1
         self.zones: list[bytes] = []
         self.exact: set[bytes] = set()
         self.ids = array("q")
@@ -533,6 +528,15 @@ def reach(
     stats = SearchStats(UNREACHABLE)
     passed: dict[ProductLoc, Passed] = {}
 
+    def record(loc: ProductLoc) -> Passed:
+        """loc's Passed, made when the state is first generated."""
+        here = passed.get(loc)
+        if here is None:
+            here = passed[loc] = Passed(
+                loc, any(loc.locs[c] == l for c, l in pairs),
+                None if sets is None else sets.at(loc.locs), n_clocks + 1)
+        return here
+
     def finish(verdict: str, path_end: Optional[int]) -> SearchStats:
         stats.verdict = verdict
         stats.seconds = time.monotonic() - start
@@ -542,7 +546,7 @@ def reach(
             steps = []
             at = path_end
             while parents[at] >= 0:
-                steps.append(PathStep(labels[at], states[at]))
+                steps.append(PathStep(labels[at], states[at].loc))
                 at = parents[at]
             stats.path = tuple(reversed(steps))
         return stats
@@ -552,10 +556,10 @@ def reach(
         return finish(UNREACHABLE, None)
     # per generated node: parent id (-1 at the root; non-decreasing, as
     # FIFO expands nodes in id order), the move that produced it, its
-    # discrete state and its mark
+    # state's Passed and its mark
     parents = array("q", [-1])
     labels: list[Optional[TransLabel]] = [None]
-    states: list[ProductLoc] = [init.loc]
+    states: list[Passed] = [record(init.loc)]
     marks = bytearray(1)
     queue: deque[tuple[int, SearchNode]] = deque([(0, init)])
 
@@ -566,7 +570,7 @@ def reach(
             at = parents[at]
         if at == k:
             return
-        dead: dict[ProductLoc, set[int]] = {}
+        dead: dict[Passed, set[int]] = {}
         todo = [k]
         while todo:
             c = todo.pop()
@@ -576,27 +580,23 @@ def reach(
             lo = bisect_left(parents, c, c + 1)
             todo.extend(x for x in range(lo, bisect_right(parents, c, lo))
                         if marks[x] != _COVERED)
-        for loc, ids in dead.items():
-            passed[loc].drop(ids)
+        for here, ids in dead.items():
+            here.drop(ids)
 
     while queue:
         stats.max_frontier = max(stats.max_frontier, len(queue))
         nid, node = queue.popleft()
-        loc, zone = node.loc, node.zone
+        here, zone = states[nid], node.zone
         stats.nodes += 1
         if deadline is not None and stats.nodes % 128 == 0:
             if time.monotonic() > deadline:
                 return finish(TIMEOUT, None)
-        if any(loc.locs[c] == l for c, l in pairs):
+        if here.goal:
             return finish(REACHABLE, nid)
         if marks[nid] == _COVERED:
             stats.pruned_subtree += 1
             continue
-        here = passed.get(loc)
-        if here is None:
-            here = passed[loc] = Passed(None if sets is None else sets.at(loc.locs),
-                                        n_clocks + 1)
-        elif zone.packed in here.exact:
+        if zone.packed in here.exact:
             stats.pruned_exact += 1
             continue
         key = simulated = None
@@ -618,7 +618,7 @@ def reach(
             queue.append((len(parents), child))
             parents.append(nid)
             labels.append(child.label)
-            states.append(child.loc)
+            states.append(record(child.loc))
         marks.extend(bytes(len(children)))
     return finish(UNREACHABLE, None)
 
@@ -670,8 +670,5 @@ def replay(path: Sequence[PathStep], net: Network, target: Optional[str] = None)
                 break
         if node is None or node.zone is EMPTY:
             return False
-    if target is not None:
-        pairs = _resolve_target(net, target)
-        if not any(node.loc.locs[c] == l for c, l in pairs):
-            return False
-    return True
+    return target is None or any(node.loc.locs[c] == l
+                                 for c, l in _resolve_target(net, target))

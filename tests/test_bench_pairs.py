@@ -43,7 +43,7 @@ def test_counts_compare_what_both_sides_report():
     assert not bench_pairs.same_counts(parent, {})
 
 
-def test_layer_split_runs_each_side_traced_once(monkeypatch):
+def test_layer_split_runs_alternating_traced_pairs(monkeypatch):
     calls = []
 
     def run(tree, workload, seed, seconds, trace=0):
@@ -54,10 +54,19 @@ def test_layer_split_runs_each_side_traced_once(monkeypatch):
     monkeypatch.setattr(bench_pairs, "_run_bench", run)
     trees = {"parent": "p", "change": "c"}
     out = bench_pairs.layer_split(trees, ["a", "b"], 20)
-    # one traced run per side and workload, the first side alternating
+    # three traced pairs, seeds 1 to 3, workloads interleaved within a pair
+    # and the first side alternating, as in the untraced pairs
     assert calls == [("p", "a", 1, 20, 1), ("c", "a", 1, 20, 1),
-                     ("c", "b", 1, 20, 1), ("p", "b", 1, 20, 1)]
-    assert out == {"a": {"parent": {"simulation.diag_calls": 1},
-                         "change": {"simulation.diag_calls": 2}},
-                   "b": {"change": {"simulation.diag_calls": 3},
-                         "parent": {"simulation.diag_calls": 4}}}
+                     ("c", "b", 1, 20, 1), ("p", "b", 1, 20, 1),
+                     ("c", "a", 2, 20, 1), ("p", "a", 2, 20, 1),
+                     ("p", "b", 2, 20, 1), ("c", "b", 2, 20, 1),
+                     ("p", "a", 3, 20, 1), ("c", "a", 3, 20, 1),
+                     ("c", "b", 3, 20, 1), ("p", "b", 3, 20, 1)]
+    diag = [run["parent"]["simulation.diag_calls"] for run in out["a"]["runs"]]
+    assert diag == [1, 6, 9]
+    assert [run["first"] for run in out["b"]["runs"]] == ["change", "parent", "change"]
+    # each side's median over its three runs
+    assert out["a"]["median"] == {"parent": {"simulation.diag_calls": 6},
+                                  "change": {"simulation.diag_calls": 5}}
+    assert out["b"]["median"] == {"parent": {"simulation.diag_calls": 7},
+                                  "change": {"simulation.diag_calls": 8}}

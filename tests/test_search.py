@@ -14,6 +14,7 @@ from uta.dbm import (
     LE_ZERO,
     Dbm,
     elapse,
+    encode_atoms,
     encode_bound,
 )
 from uta.format import parse
@@ -434,6 +435,35 @@ class TestReachLoop:
         assert stats.verdict == UNREACHABLE
         assert stats.nodes == 3
         assert stats.pruned == 1
+
+
+class TestTargetNames:
+    """Target names resolve to (component, location) pairs, a dotted name
+    split at its first dot."""
+
+    @pytest.mark.parametrize("target, pairs", [
+        ("error", {(1, 5), (2, 5)}),  # a bare name two components share
+        ("task2.error", {(2, 5)}),
+        ("entry", {(0, 2)}),
+        ("sched.entry", {(0, 2)}),
+    ])
+    def test_resolved_pairs(self, target, pairs):
+        net = gen_edf((TaskSpec(1, 3),) * 2, FLOWER)
+        assert search._resolve_target(net, target) == frozenset(pairs)
+
+    @pytest.mark.parametrize("target, message", [
+        ("nosuch.q", "no process named 'nosuch' in the network"),
+        ("sched.nosuch", "no location named 'sched.nosuch' in the network"),
+        (".q", "no process named '' in the network"),
+        ("sched.", "no location named 'sched.' in the network"),
+        ("x.y.z", "no process named 'x' in the network"),
+        ("task1.error.x", "no location named 'task1.error.x' in the network"),
+    ])
+    def test_messages(self, target, message):
+        net = gen_edf((TaskSpec(1, 3),) * 2, FLOWER)
+        with pytest.raises(ValueError) as err:
+            search._resolve_target(net, target)
+        assert str(err.value) == message
 
 
 class TestValidation:
@@ -903,6 +933,58 @@ class TestProductSets:
         assert interned >= 100 and 2 * unions < visited, (interned, unions, visited)
 
 
+def two_invariants(first: str, second: str, initial: bool = False):
+    """A and B, on clocks x and y, move together on go into a1 and b1 with
+    invariants first and second; or start there when initial."""
+    return parse(
+        "system inv\nclock x\nclock y\nevent go\nprocess A\nprocess B\n"
+        f"location A a0{' initial' * (not initial)}\n"
+        f"location A a1{' initial' * initial} invariant: {first}\n"
+        f"location B b0{' initial' * (not initial)}\n"
+        f"location B b1{' initial' * initial} invariant: {second}\n"
+        "edge A a0 a1 sync: go!\nedge B b0 b1 sync: go?\n")
+
+
+class TestInvariants:
+    """A product location's invariant is its components' encoded
+    invariants concatenated."""
+
+    def test_false_in_either_component_blocks_the_move(self):
+        for first, second in (("false", "y<=1"), ("x<=1", "false")):
+            net = two_invariants(first, second)
+            node, compiled = initial_node(net)
+            assert successors(node, compiled) == ([], 0), (first, second)
+        net = two_invariants("x<=1", "y<=1")
+        node, compiled = initial_node(net)
+        (child,), _ = successors(node, compiled)
+        assert int(child.zone.m[1, 0]) == int(child.zone.m[2, 0]) == encode_bound(1, WEAK)
+
+    def test_false_at_the_initial_location(self):
+        for first, second in (("false", "y<=1"), ("x<=1", "false")):
+            net = two_invariants(first, second, initial=True)
+            gmaps = [compute_gmap(c) for c in net.components]
+            for maps in (gmaps, None):
+                stats = reach(net, maps, "b1")
+                assert (stats.verdict, stats.nodes) == (UNREACHABLE, 0), first
+        net = two_invariants("x<=1", "y<=1", initial=True)
+        assert reach(net, None, "b1").verdict == REACHABLE
+
+    def test_desk_rows_encode_as_the_atoms_together(self, monkeypatch):
+        checked = constrained = 0
+        for label, build, _ in DESK_ROWS:
+            net = build()
+            gmaps = [compute_gmap(c) for c in net.components]
+            compiled = search.CompiledNet(net)
+            for at in TestProductSets.visited(monkeypatch, net, gmaps, "error"):
+                atoms = [phi for c, l in enumerate(at)
+                         for phi in net.components[c].locations[l].invariant.clock_atoms]
+                got = compiled.target(at)[0]
+                assert got == encode_atoms(atoms), (label, at)
+                checked += 1
+                constrained += bool(got)
+        assert checked >= 100 and constrained >= 50, (checked, constrained)
+
+
 class TestPassedList:
     """Each explored zone is kept once per discrete state."""
 
@@ -932,7 +1014,7 @@ class TestPassedList:
                 assert (stats.nodes, stats.pruned_exact, stats.pruned_sim) == (
                     3, 1, 0), committed
         for prep in (simulation.prepare(g.sets[1], 1), None):
-            passed = search.Passed(prep, 2)
+            passed = search.Passed(ProductLoc((1,), ()), False, prep, 2)
             passed.add(a.zone, 1, None if prep is None
                        else simulation.bound_key(a.zone, prep))
             assert (a.zone.packed in passed.exact
@@ -962,6 +1044,29 @@ class TestPassedList:
             want = [simulation.bound_key(z, passed.prep) for z in stored_zones(passed)]
             assert np.array_equal(passed.keys[:, :k].T, np.array(want))
             assert passed.exact == set(passed.zones) and len(passed.exact) == k
+
+    def test_one_record_per_discrete_state(self, monkeypatch):
+        made = []
+
+        class Recording(search.Passed):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        monkeypatch.setattr(search, "Passed", Recording)
+        net = gen_edf((TaskSpec(1, 3),) * 4, FLOWER)
+        stats = reach(net, [compute_gmap(c) for c in net.components], "error")
+        assert stats.verdict == REACHABLE and len(stats.path) >= 10
+        assert len({p.loc for p in made}) == len(made) >= 100
+        records = {id(p.loc): p for p in made}
+        assert all(id(step.loc) in records for step in stats.path)
+        names = [[loc.name for loc in comp.locations] for comp in net.components]
+        goals = [p for p in made
+                 if any(names[c][l] == "error" for c, l in enumerate(p.loc.locs))]
+        assert goals and all(p.goal == (p in goals) for p in made)
+        assert records[id(stats.path[-1].loc)].goal
 
     def test_wider_zones_prune_alike(self, monkeypatch):
         # scaling every constant of a network scales its zones and leaves
@@ -1027,7 +1132,7 @@ class TestSubtreeCovering:
             zone = self.boxed_zone(rng, n)
             if zone is None or zone in zones or not zones:
                 continue
-            here = search.Passed(prep, n + 1)
+            here = search.Passed(ProductLoc((0,), ()), False, prep, n + 1)
             for k, z in enumerate(zones):
                 here.add(z, 10 + k, simulation.bound_key(z, prep))
             got = search._scan(zone, simulation.bound_key(zone, prep), here,

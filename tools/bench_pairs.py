@@ -11,8 +11,9 @@ interleaved within the pair and the side that runs first alternating.
 Before the pairs it takes the dequeued, pruned and stored counts of the
 EDF rows, the slow flower row included, the search's seconds and the
 process's peak RSS, from ``uta reach --format json`` on each side, and the
-per-layer metrics of one ``perfbench/run.py --trace 1`` run per side and
-workload, which are recorded and never compared.
+per-layer metrics of three alternating pairs of traced runs per workload
+(``perfbench/run.py --trace 1``, seeds 1 to 3), which are recorded, with
+each side's median, and never compared.
 
 Writes BENCH_<label>.json at the repository root, after every pair, so that
 an interrupted run keeps what it measured: per workload and end-to-end
@@ -52,6 +53,8 @@ COUNTS = ("verdict", "nodes", "pruned_exact", "pruned_sim", "pruned_subtree",
           "max_frontier", "stored")
 # measured per row beside the counts, and left out of their comparison
 MEASURED = ("search_seconds", "peak_rss_mb")
+# traced pairs per workload in the layer split
+LAYER_PAIRS = 3
 
 
 def _quartiles(values: list) -> dict:
@@ -163,16 +166,26 @@ def _search_counts(tree: Path, work: Path) -> dict:
 
 
 def layer_split(trees: dict, workloads: list, seconds: int) -> dict:
-    """Per workload and side, the per-layer metrics of one
-    `perfbench/run.py --trace 1` run with seed 1, the side that runs first
-    alternating over the workloads."""
-    out = {}
-    for k, workload in enumerate(workloads):
-        out[workload] = {}
-        for side in (SIDES if k % 2 == 0 else SIDES[::-1]):
-            result, _ = _run_bench(trees[side], workload, 1, seconds, trace=1)
-            out[workload][side] = {m: v["value"] for m, v in result["metrics"].items()}
-    return out
+    """Per workload, the per-layer metrics of LAYER_PAIRS pairs of
+    `perfbench/run.py --trace 1` runs, pair p with seed p + 1, ordered as
+    the untraced pairs are: workloads interleaved within a pair, the side
+    that runs first alternating.  Keeps every run and each side's median
+    of each metric over them."""
+    runs = {w: [] for w in workloads}
+    for pair in range(LAYER_PAIRS):
+        for k, workload in enumerate(workloads):
+            order = SIDES if (pair + k) % 2 == 0 else SIDES[::-1]
+            run = {"seed": pair + 1, "first": order[0]}
+            for side in order:
+                result, _ = _run_bench(trees[side], workload, pair + 1, seconds,
+                                       trace=1)
+                run[side] = {m: v["value"] for m, v in result["metrics"].items()}
+            runs[workload].append(run)
+    return {w: {"median": {side: {m: statistics.median(run[side][m] for run in r)
+                                  for m in r[0][side]}
+                           for side in SIDES},
+                "runs": r}
+            for w, r in runs.items()}
 
 
 def _host(stamps: dict) -> dict:
@@ -221,10 +234,12 @@ def main(argv=None) -> int:
             **{row: {side: counts[side][row] for side in SIDES} for row, _ in EDF_ROWS},
         },
         "layers": {
-            "command": "python3 perfbench/run.py --workload W --seed 1 "
+            "command": "python3 perfbench/run.py --workload W --seed N "
                        f"--seconds {seconds} --trace 1",
-            "note": "one traced run per side and workload, recorded and never "
-                    "compared; the tracer miscounts search.pruned_exact and "
+            "note": f"{LAYER_PAIRS} traced pairs per workload, seeds 1 to "
+                    f"{LAYER_PAIRS}, ordered as the untraced pairs; every run "
+                    "and each side's median, recorded and never compared; "
+                    "the tracer miscounts search.pruned_exact and "
                     "search.pruned_sim: it counts every diagonal-recursion "
                     "call that returns True as a simulation prune, reverse "
                     "ones included, and the other prunes, subtree prunes "
