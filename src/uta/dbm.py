@@ -10,8 +10,9 @@ k + 1.  The model states constraints and updates in these indices
 (`AtomicConstraint.entry`, `Update.source`); this module only encodes
 them.  All public operations return matrices in canonical (all-pairs
 tightest) form, or the EMPTY sentinel.  A zone also has a packed form,
-its matrix in the narrowest integer width that holds it (`Dbm.packed`,
-`unpack`), which is what the search stores.
+its matrix in the narrowest integer width that holds it, sparse when most
+of its interior follows from row 0 and column 0 (`Dbm.packed`, `unpack`),
+which is what the search stores.
 """
 from __future__ import annotations
 
@@ -65,29 +66,82 @@ Zone = Union["Dbm", EmptyZone]
 # narrowest first
 _NARROW = {np.dtype(t).itemsize: (np.dtype(t), np.iinfo(t).max)
            for t in (np.int16, np.int32)}
+# a packed zone's first byte is its width in bytes, plus _SPARSE in the
+# sparse form
+_SPARSE = 1
+# the sparse form indexes the matrix in uint16, so up to this many clocks
+_SPARSE_CLOCKS = 255
+
+
+def _implied(col: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """The matrix that column 0 (n1 x 1) and row 0 (1 x n1) of a zone with
+    no INF entry imply: add(m[i,0], m[0,j]) at each entry and LE_ZERO on
+    the diagonal past (0, 0).  With m[0,0] = LE_ZERO, as in every canonical
+    zone, row 0 and column 0 imply themselves."""
+    m = col + row - ((col | row) & 1)
+    n1 = len(m)
+    m.reshape(-1)[n1 + 1::n1 + 1] = LE_ZERO
+    return m
 
 
 def _pack(m: np.ndarray) -> bytes:
-    inf = m >= INF
-    finite = np.where(inf, 0, m)
-    lo, hi = finite.min(), finite.max()
-    for dtype, top in _NARROW.values():
-        if -top < lo and hi < top:
-            out = finite.astype(dtype)
-            out[inf] = top
-            return out.tobytes()
-    return m.tobytes()
+    n1 = len(m)
+    hi, lo = m.max(), m.min()
+    finite = hi < INF
+    inf = m == INF if hi == INF else None
+    width, dtype, top = 8, None, None
+    if hi <= INF:  # an entry above INF is kept in int64 as it is
+        if inf is not None:
+            hi = np.where(inf, lo, m).max()
+        for w, (t, t_max) in _NARROW.items():
+            if -t_max < lo and hi < t_max:
+                width, dtype, top = w, t, t_max
+                break
+    entries, index = m, b""
+    # a zone with an INF entry packs dense: masking the sums to INF would
+    # cost every pack and unpack several more array operations
+    if finite and 1 < n1 <= _SPARSE_CLOCKS + 1:
+        implied = _implied(m[:, :1], m[:1, :])
+        listed, diff = 0, None
+        if implied.tobytes() != m.tobytes():
+            diff = implied != m
+            listed = np.count_nonzero(diff)
+        # the sparse form: row 0, column 0 below it, the value of each
+        # entry that differs from what they imply, then its flat index
+        if (2 * n1 - 1) * width + listed * (2 + width) < n1 * n1 * width:
+            edge = (m[0], m[1:, 0])
+            entries = np.concatenate(edge if diff is None else edge + (m[diff],))
+            if listed:
+                index = np.flatnonzero(diff).astype(np.uint16).tobytes()
+            width |= _SPARSE
+    if dtype is not None:
+        narrow = entries.astype(dtype)
+        if inf is not None:
+            narrow[inf] = top
+        entries = narrow
+    return bytes((width,)) + entries.tobytes() + index
 
 
 def unpack(p: bytes, n1: int) -> np.ndarray:
-    """The frozen (n1, n1) int64 matrix of a packed zone (`Dbm.packed`);
-    the byte length tells the width."""
-    width = len(p) // (n1 * n1)
-    if width == 8:
-        return np.frombuffer(p, dtype=np.int64).reshape(n1, n1)
-    dtype, top = _NARROW[width]
-    m = np.frombuffer(p, dtype=dtype).astype(np.int64).reshape(n1, n1)
-    m[m == top] = INF
+    """The frozen (n1, n1) int64 matrix of a packed zone (`Dbm.packed`)."""
+    width, sparse = p[0] & ~_SPARSE, p[0] & _SPARSE
+    if not sparse:
+        if width == 8:
+            m = np.frombuffer(p, np.int64, n1 * n1, 1).reshape(n1, n1).copy()
+        else:
+            dtype, top = _NARROW[width]
+            m = np.frombuffer(p, dtype, n1 * n1, 1).astype(np.int64).reshape(n1, n1)
+            m[m == top] = INF
+    else:
+        edge = 2 * n1 - 1
+        listed = (len(p) - 1 - edge * width) // (2 + width)
+        dtype = np.int64 if width == 8 else _NARROW[width][0]
+        entries = np.frombuffer(p, dtype, edge + listed, 1).astype(np.int64)
+        col = np.concatenate((entries[:1], entries[n1:edge]))
+        m = _implied(col[:, None], entries[None, :n1])
+        if listed:
+            index = np.frombuffer(p, np.uint16, listed, 1 + (edge + listed) * width)
+            m.reshape(-1)[index] = entries[edge:]
     m.flags.writeable = False
     return m
 
@@ -96,12 +150,22 @@ def unpack(p: bytes, n1: int) -> np.ndarray:
 class Dbm:
     """A canonical zone: its int64 matrix, and the same matrix packed.
 
-    packed, computed on first use and kept, is the matrix as bytes in the
-    narrowest of int16 and int32 that holds every finite entry strictly
-    inside (-max, max) of the type, with INF written as the type's max, and
-    otherwise its int64 bytes.  Equal matrices pack to equal bytes, so
-    zones hash and compare through packed; the passed list keeps packed
-    zones alone, and `unpack` gives the matrix back.
+    packed, computed on first use and kept, is one tag byte and the matrix
+    in the narrowest of int16 and int32 that holds every finite entry
+    strictly inside (-max, max) of the type, with INF written as the type's
+    max, and otherwise in int64 as it is.  The tag is the width in bytes,
+    plus one for the sparse form.  A canonical matrix has
+    m[i,j] <= add(m[i,0], m[0,j]), and in many zones each interior entry
+    (i, j >= 1, off the diagonal) is that sum and each diagonal entry
+    LE_ZERO (`_implied`).  The sparse form keeps row 0 and column 0 below
+    it, then the values of the entries that differ from what those two
+    imply, then their flat indices (uint16).  The dense form, the whole
+    matrix, is kept for a matrix with an INF entry and whenever the sparse
+    one would not be shorter.  The
+    choice reads the matrix alone, so equal matrices pack to equal bytes
+    and zones hash and compare through packed; the passed list keeps
+    packed zones alone, and `unpack` gives the exact matrix back,
+    canonical or not.
     """
 
     m: np.ndarray  # (n+1) x (n+1) int64, canonical, frozen
@@ -121,8 +185,9 @@ class Dbm:
         return p
 
     def __eq__(self, other) -> bool:
-        # one byte length is two shapes at two widths (4 x 4 int16 and
-        # 2 x 2 int64), so the shapes are compared too
+        # one byte string can be two shapes (a 4 x 4 sparse zone with no
+        # listed entry and a 3 x 3 one with one), so the shapes are
+        # compared too
         return (isinstance(other, Dbm) and self.m.shape == other.m.shape
                 and self.packed == other.packed)
 

@@ -16,12 +16,17 @@ set does too.
 The passed list (`Passed`) is the one record of a discrete state: its
 `ProductLoc`, whether it is a target, and each explored zone once, packed
 (`Dbm.packed`: int16, int32 or int64 bytes, the narrowest that holds the
-matrix), in a list and in a set for the duplicate test, with its node id.
-Zones that unchanged successors share pack once, and a stored zone's int64
-matrix is freed once no queued node shares it.  Beside them it keeps one
-array of bound keys (`bound_key`), which is all the subsumption kernel's
-first stage reads, in both directions; only the candidates that stage
-leaves standing are unpacked and read in full.  Product locations whose
+matrix, sparse when row 0 and column 0 imply most of it), in a list, with
+its node id.  Zones that unchanged successors share pack once, and a stored
+zone's int64 matrix is freed once no queued node shares it.  Beside them it
+keeps one array of bound keys (`bound_key`), which is all the subsumption
+kernel's first stage reads, in both directions; only the candidates that
+stage leaves standing are unpacked and read in full.  Equal zones have
+equal keys, so the stored zones that could equal a new one are those that
+stand both ways, and the scan compares their bytes before any kernel call;
+without pruning there are no keys, and a set of the packed zones serves
+the duplicate test.  Goal states store nothing: the search ends at the
+first goal node it dequeues.  Product locations whose
 components' constraint sets are equal share one prepared set
 (`ProductSets`).  A stored zone that a later zone of its state simulates is
 removed with the subtree below it (subtree covering, see `reach`).  A
@@ -30,6 +35,7 @@ per generated node is its parent, the move that produced it, a reference to
 its state's `Passed` and one byte that says whether it is stored or
 covered.
 """
+import functools
 import resource
 import time
 from array import array
@@ -116,8 +122,10 @@ class SearchStats:
     directions; forward, the count stops at the first simulator.
     diag_calls counts the kernel's survivors sent into the diagonal
     recursion.  stored counts the zones held in the passed lists
-    at the verdict, and peak_rss_mb is the process's peak resident set
-    (`ru_maxrss`) read then; both are read once, at the verdict.
+    at the verdict, zone_bytes the bytes of the distinct packed zones
+    (`Dbm.packed`) behind them, and peak_rss_mb is the process's peak
+    resident set (`ru_maxrss`) read then; all three are read once, at the
+    verdict.
     """
 
     verdict: str
@@ -129,6 +137,7 @@ class SearchStats:
     kernel_candidates: int = 0
     diag_calls: int = 0
     stored: int = 0
+    zone_bytes: int = 0
     peak_rss_mb: float = 0.0
     seconds: float = 0.0
     disabled_assigns: int = 0
@@ -150,6 +159,7 @@ class SearchStats:
             "kernel_candidates": self.kernel_candidates,
             "diag_calls": self.diag_calls,
             "stored": self.stored,
+            "zone_bytes": self.zone_bytes,
             "disabled_assigns": self.disabled_assigns,
             "peak_rss_mb": round(self.peak_rss_mb, 1),
             "seconds": round(self.seconds, 4),
@@ -207,10 +217,10 @@ class CompiledNet:
         self.bounds = [(v.lo, v.hi) for v in net.int_vars]
         channel = {ch: k for k, ch in enumerate(net.channels)}
         # per component, per location: internal edge indices, and per
-        # channel index the (emitting, receiving) edge indices
+        # channel index the (component, edge) parts that emit and receive
         self._internal = []
         self._sync = []
-        for comp in net.components:
+        for c, comp in enumerate(net.components):
             internal = [[] for _ in comp.locations]
             sync = [{} for _ in comp.locations]
             for ei, e in enumerate(comp.edges):
@@ -218,7 +228,7 @@ class CompiledNet:
                     internal[e.src].append(ei)
                 elif e.sync[0] in channel:
                     pair = sync[e.src].setdefault(channel[e.sync[0]], ([], []))
-                    pair[e.sync[1] == "?"].append(ei)
+                    pair[e.sync[1] == "?"].append((c, ei))
             self._internal.append(internal)
             self._sync.append(sync)
         self._invariant = [[encode_atoms(loc.invariant.clock_atoms)
@@ -278,12 +288,18 @@ class CompiledNet:
             for ei in self._internal[c][l]:
                 if allowed(((c, ei),)):
                     yield ((c, ei),)
-        syncs = [self._sync[c][l] for c, l in enumerate(locs)]
-        for ch in sorted(set().union(*syncs)):
-            emitters = [(c, ei) for c, s in enumerate(syncs) if ch in s
-                        for ei in s[ch][0]]
-            receivers = [(c, ei) for c, s in enumerate(syncs) if ch in s
-                         for ei in s[ch][1]]
+        # per channel, its emitters and receivers in component order
+        chans: dict[int, tuple[list, list]] = {}
+        for c, l in enumerate(locs):
+            for ch, (emit, receive) in self._sync[c][l].items():
+                got = chans.get(ch)
+                if got is None:
+                    chans[ch] = (list(emit), list(receive))
+                else:
+                    got[0].extend(emit)
+                    got[1].extend(receive)
+        for ch in sorted(chans):
+            emitters, receivers = chans[ch]
             for c1, e1 in emitters:
                 for c2, e2 in receivers:
                     if c1 != c2 and allowed(((c1, e1), (c2, e2))):
@@ -406,15 +422,17 @@ class Passed:
     """The record of one discrete state loc: whether a component sits in a
     target location there (goal), and its explored zones, each kept once.
 
-    zones holds each stored zone packed (`Dbm.packed`), exact the same
-    bytes for the exact-duplicate test, and ids their node ids; a stored
-    zone's int64 matrix is freed once no queued node shares it, and
-    `zone(k)` unpacks zone k for the few candidates that the subsumption
-    scan reads in full.  With simulation pruning,
-    prep is the state's prepared constraint set and keys[:, k] is
-    `bound_key` of zone k, in one (w, capacity) array of prep's key_dtype
-    grown amortized from one column (many states keep one zone), so the
-    scan compares a slice against a dequeued zone's key.
+    zones holds each stored zone packed (`Dbm.packed`) and ids their node
+    ids; a stored zone's int64 matrix is freed once no queued node shares
+    it, and `zone(k)` unpacks zone k for the few candidates that the
+    subsumption scan reads in full.  With simulation pruning, prep is the
+    state's prepared constraint set and keys[:, k] is `bound_key` of zone
+    k, in one (w, capacity) array of prep's key_dtype grown amortized from
+    one column (many states keep one zone), so the scan compares a slice
+    against a dequeued zone's key, and finds an equal zone among those
+    with an equal key (`_scan`).  Without pruning, exact holds the packed
+    zones again for the duplicate test.  A goal state, where the search
+    stops, gets no prep and no containers.
     """
 
     __slots__ = ("loc", "goal", "prep", "n1", "zones", "exact", "ids", "keys")
@@ -422,9 +440,10 @@ class Passed:
     def __init__(self, loc: ProductLoc, goal: bool, prep: Optional[SimPrepared],
                  n1: int):
         self.loc, self.goal, self.prep, self.n1 = loc, goal, prep, n1
-        self.zones: list[bytes] = []
-        self.exact: set[bytes] = set()
-        self.ids = array("q")
+        self.zones: list[bytes] = [] if not goal else ()
+        self.ids = array("q") if not goal else ()
+        self.exact: Optional[set[bytes]] = (set() if prep is None and not goal
+                                            else None)
         self.keys = (None if prep is None
                      else np.empty((len(prep.key_idx), 1), dtype=prep.key_dtype))
 
@@ -433,7 +452,8 @@ class Passed:
 
     def add(self, zone: Dbm, nid: int, key: Optional[np.ndarray]) -> None:
         packed = zone.packed
-        self.exact.add(packed)
+        if self.exact is not None:
+            self.exact.add(packed)
         if self.keys is not None:
             k = len(self.zones)
             if k == self.keys.shape[1]:
@@ -445,13 +465,8 @@ class Passed:
         self.ids.append(nid)
 
     def drop(self, dead: set[int]) -> None:
-        """Remove the zones whose node ids are in dead."""
-        keep = []
-        for k, nid in enumerate(self.ids):
-            if nid in dead:
-                self.exact.discard(self.zones[k])
-            else:
-                keep.append(k)
+        """Remove the zones whose node ids are in dead (pruning only)."""
+        keep = [k for k, nid in enumerate(self.ids) if nid not in dead]
         if self.keys is not None:
             self.keys[:, :len(keep)] = self.keys[:, keep]
         self.zones = [self.zones[k] for k in keep]
@@ -532,15 +547,19 @@ def reach(
         """loc's Passed, made when the state is first generated."""
         here = passed.get(loc)
         if here is None:
+            goal = any(loc.locs[c] == l for c, l in pairs)
             here = passed[loc] = Passed(
-                loc, any(loc.locs[c] == l for c, l in pairs),
-                None if sets is None else sets.at(loc.locs), n_clocks + 1)
+                loc, goal, None if sets is None or goal else sets.at(loc.locs),
+                n_clocks + 1)
         return here
 
     def finish(verdict: str, path_end: Optional[int]) -> SearchStats:
         stats.verdict = verdict
         stats.seconds = time.monotonic() - start
         stats.stored = sum(len(here.zones) for here in passed.values())
+        # zones that unchanged successors share are one bytes object
+        stats.zone_bytes = sum({id(p): len(p) for here in passed.values()
+                                for p in here.zones}.values())
         stats.peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         if path_end is not None:
             steps = []
@@ -596,14 +615,18 @@ def reach(
         if marks[nid] == _COVERED:
             stats.pruned_subtree += 1
             continue
-        if zone.packed in here.exact:
-            stats.pruned_exact += 1
-            continue
         key = simulated = None
-        if sets is not None:
+        if sets is None:
+            if zone.packed in here.exact:
+                stats.pruned_exact += 1
+                continue
+        else:
             key = bound_key(zone, here.prep)
             if here.zones:
                 simulated = _scan(zone, key, here, stats)
+                if simulated is _EQUAL:
+                    stats.pruned_exact += 1
+                    continue
                 if simulated is None:
                     stats.pruned_sim += 1
                     continue
@@ -623,25 +646,39 @@ def reach(
     return finish(UNREACHABLE, None)
 
 
+# what `_scan` returns when here already stores the zone itself
+_EQUAL = "equal"
+
+
 def _scan(zone: Dbm, key: np.ndarray, here: Passed,
-          stats: SearchStats) -> Optional[list[int]]:
-    """None when a stored zone of here simulates zone, else the node ids of
-    the stored zones that zone simulates.
+          stats: SearchStats) -> list[int] | str | None:
+    """_EQUAL when here stores zone itself, None when a stored zone of here
+    simulates zone, else the node ids of the stored zones that zone
+    simulates.
 
     One subtraction of keys, d = key(zp) - key(zone) per stored zp, decides
     the kernel's key compare both ways: zp may simulate zone only where d
     is nowhere negative, and zone may simulate zp only where d is nowhere
-    positive (without keys, w = 0, every zone stands both ways).  Each zone
-    left standing goes to `_simulates`, forward until the first simulator.
+    positive (without keys, w = 0, every zone stands both ways).  An equal
+    zone has an equal key, so it stands both ways; those zones' bytes are
+    compared first.  Each zone left standing then goes to `_simulates`,
+    forward until the first simulator, and is unpacked once for both.
     """
     keys, prep = here.keys, here.prep
     d = keys[:, :len(here.zones)] - key[:, None]
-    for k in (d.min(axis=0, initial=0) >= 0).nonzero()[0].tolist():
-        if _simulates(here.zone(k), keys[:, k], zone, key, prep, stats):
-            return None
+    forward = (d.min(axis=0, initial=0) >= 0).nonzero()[0].tolist()
     reverse = (d.max(axis=0, initial=0) <= 0).nonzero()[0].tolist()
+    if not forward and not reverse:
+        return []
+    if forward and reverse and any(here.zones[k] == zone.packed
+                                   for k in set(forward).intersection(reverse)):
+        return _EQUAL
+    stored = functools.cache(here.zone)
+    for k in forward:
+        if _simulates(stored(k), keys[:, k], zone, key, prep, stats):
+            return None
     return [here.ids[k] for k in reverse
-            if _simulates(zone, key, here.zone(k), keys[:, k], prep, stats)]
+            if _simulates(zone, key, stored(k), keys[:, k], prep, stats)]
 
 
 def _simulates(zp: Dbm, kp: np.ndarray, z: Dbm, kz: np.ndarray,

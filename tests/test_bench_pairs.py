@@ -35,9 +35,9 @@ def test_summarize_one_pair():
 
 def test_counts_compare_what_both_sides_report():
     parent = {"row": {"nodes": 5, "stored": None, "search_seconds": 1.0,
-                      "peak_rss_mb": None}}
+                      "peak_rss_mb": None, "zone_bytes": 900}}
     change = {"row": {"nodes": 5, "stored": 3, "search_seconds": 0.5,
-                      "peak_rss_mb": 70.0}}
+                      "peak_rss_mb": 70.0, "zone_bytes": 100}}
     assert bench_pairs.same_counts(parent, change)
     assert not bench_pairs.same_counts(parent, {"row": {**change["row"], "nodes": 6}})
     assert not bench_pairs.same_counts(parent, {})

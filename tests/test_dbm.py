@@ -31,6 +31,7 @@ from uta.dbm import (
     INF,
     LIMIT,
     Dbm,
+    _SPARSE,
     add_bounds,
     compile_step,
     elapse,
@@ -404,8 +405,8 @@ class TestEquality:
 
 
 class TestPacked:
-    """A zone packs into the narrowest width that holds it, and unpacks to
-    its exact int64 matrix."""
+    """A zone packs into the narrowest width that holds it, sparse where
+    that is shorter, and unpacks to its exact int64 matrix."""
 
     @staticmethod
     def matrix(v: int) -> np.ndarray:
@@ -423,19 +424,39 @@ class TestPacked:
     def test_width_boundaries(self, v, width):
         m = self.matrix(v)
         z = Dbm(m)
-        assert len(z.packed) == 9 * width
+        # with INF entries, dense: the tag and 9 entries
+        assert z.packed[0] == width and len(z.packed) == 1 + 9 * width
         got = unpack(z.packed, 3)
         assert got.dtype == np.int64 and not got.flags.writeable
         assert np.array_equal(got, m) and (got == INF).sum() == 2
+        # finite, (1, 2) and (2, 1) still differ from what row 0 and column
+        # 0 imply, so the sparse form is 5 edge entries and 2 listed ones
+        # (a uint16 index each), kept where shorter than the dense 9
+        # entries: at widths 4 and 8
+        finite = np.where(m == INF, 5, m)
+        z = Dbm(finite)
+        sparse = 5 * width + 2 * (2 + width)
+        assert z.packed[0] == width | (_SPARSE if sparse < 9 * width else 0)
+        assert len(z.packed) == 1 + min(9 * width, sparse)
+        got = unpack(z.packed, 3)
+        assert got.dtype == np.int64 and not got.flags.writeable
+        assert np.array_equal(got, finite)
 
     def test_one_byte_length_two_shapes(self):
-        # 2 x 2 in int64 and 4 x 4 in int16 are both 32 bytes
-        small = np.array([[1, 2**40], [2**40, 1]], dtype=np.int64)
-        big = np.frombuffer(small.tobytes(), dtype=np.int16).astype(np.int64)
-        a, b = Dbm(small), Dbm(big.reshape(4, 4))
+        # a 3 x 3 zone whose one listed entry is (1, 2) = 7, flat index 5,
+        # and a 4 x 4 zone with none, whose column 0 ends in 7 and 5: both
+        # are the tag and seven int16 words, 15 bytes
+        small = np.array([[1, -4, -6], [9, 1, 7], [11, 6, 1]], dtype=np.int64)
+        big = np.empty((4, 4), dtype=np.int64)
+        big[0], big[1:, 0] = (1, -4, -6, 9), (11, 7, 5)
+        big[1:, 1:] = [[add_bounds(int(c), int(r)) for r in big[0, 1:]]
+                       for c in big[1:, 0]]
+        np.fill_diagonal(big, 1)
+        a, b = Dbm(small), Dbm(big)
+        assert len(a.packed) == 15 and a.packed[0] == 2 | _SPARSE
         assert a.packed == b.packed and a != b
         assert np.array_equal(unpack(b.packed, 4), b.m)
-        assert np.array_equal(unpack(a.packed, 2), a.m)
+        assert np.array_equal(unpack(a.packed, 3), a.m)
 
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3),
@@ -461,6 +482,95 @@ class TestPacked:
         for z in (a, b):
             assert np.array_equal(unpack(z.packed, n + 1), z.m)
             assert Dbm(unpack(z.packed, n + 1)) == z
+
+    @staticmethod
+    def kind_zone(rng, n, kind, shift):
+        """A zone of n clocks, every constant shifted left by shift: a
+        point, a box (every clock bounded), an open box (some clocks
+        unbounded above: INF entries), a diagonal one (a box cut by
+        constraints on clock differences, so that some interior entries
+        are not what row 0 and column 0 imply) or an elapsed one (random
+        constraints, then elapsed: INF column 0, finite interior)."""
+        def c():
+            return rng.randint(1, 3) << shift
+
+        if kind in ("diagonal", "elapsed"):
+            atoms = [replace(phi, constant=phi.constant << shift)
+                     for phi in (random_atom(rng, n, 6) for _ in range(4))]
+            if kind == "diagonal":
+                atoms += [make_upper(x, WEAK, 2 * c()) for x in range(n)]
+            z = zone_of(n, atoms)
+            return z if z is EMPTY or kind == "diagonal" else elapse(z)
+        atoms = []
+        for x in range(n):
+            lo = c()
+            hi = lo if kind == "point" else lo + c()
+            atoms.append(make_lower(x, WEAK, lo))
+            if kind != "open box" or rng.random() < 0.5:
+                atoms.append(make_upper(x, WEAK, hi))
+        return zone_of(n, atoms)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4),
+           kinds=st.tuples(*[st.sampled_from(
+               ("point", "box", "open box", "diagonal", "elapsed"))] * 2),
+           shift=st.sampled_from((0, 13, 14, 29, 30, 37)))
+    def test_zone_kinds_round_trip(self, seed, n, kinds, shift):
+        rng = random.Random(seed)
+        a, b = (self.kind_zone(rng, n, kind, shift) for kind in kinds)
+        if a is EMPTY or b is EMPTY:
+            return
+        assert (a.packed == b.packed) == np.array_equal(a.m, b.m)
+        for z, kind in zip((a, b), kinds):
+            got = unpack(z.packed, n + 1)
+            assert got.dtype == np.int64 and not got.flags.writeable
+            assert np.array_equal(got, z.m) and Dbm(got) == z
+            assert hash(Dbm(got)) == hash(z)
+            finite = np.abs(z.m[z.m < INF]).max()
+            width = next(w for w, top in ((2, 2**15 - 1), (4, 2**31 - 1), (8, INF))
+                         if finite < top)
+            assert z.packed[0] & ~_SPARSE == width, (kind, shift)
+            if (z.m == INF).any():
+                assert z.packed[0] == width  # dense: it has INF entries
+            elif kind in ("point", "box", "open box"):
+                # a box's interior is what its row 0 and column 0 imply
+                assert z.packed[0] == width | _SPARSE, kind
+                assert len(z.packed) == 1 + (2 * n + 1) * width
+
+    @settings(max_examples=300, deadline=None)
+    @given(n1=st.integers(1, 5), data=st.data(), implied=st.booleans(),
+           span=st.sampled_from(("int16", "finite", "any")))
+    def test_every_int64_matrix_round_trips(self, n1, data, implied, span):
+        # not canonical: entries within int16, any finite int64 or any
+        # int64, INF and above it included; with implied, m[0,0] and the
+        # interior are first set to what row 0 and column 0 imply and a
+        # few entries are then overwritten, so that the sparse form is
+        # taken with and without listed entries
+        edges = (0, 1, -1, 2**15 - 2, -(2**15 - 2))
+        entry = st.one_of(st.integers(-40, 40), st.sampled_from(edges))
+        if span != "int16":
+            edges += (2**15 - 1, -(2**31 - 1), 2**31 - 2, int(INF) - 1)
+            entry = st.one_of(st.integers(-(2**62) + 1, 2**62 - 1),
+                              st.sampled_from(edges))
+        if span == "any":
+            entry = st.one_of(entry, st.integers(-(2**63), 2**63 - 1),
+                              st.sampled_from((int(INF), int(INF) + 1)))
+        rows = st.lists(entry, min_size=n1 * n1, max_size=n1 * n1)
+        m, other = (np.array(data.draw(rows), dtype=np.int64).reshape(n1, n1)
+                    for _ in range(2))
+        if implied and n1 > 1:
+            for x in (m, other):
+                x[0, 0] = 1
+                # the sum wraps around as int64 does
+                x[1:, 1:] = [[(add_bounds(int(c), int(r)) + 2**63) % 2**64 - 2**63
+                              if i != j else 1 for j, r in enumerate(x[0, 1:])]
+                             for i, c in enumerate(x[1:, 0])]
+            for _ in range(data.draw(st.integers(0, 2))):
+                i, j = (data.draw(st.integers(0, n1 - 1)) for _ in range(2))
+                m[i, j] = data.draw(entry)
+        for x in (m, other):
+            assert np.array_equal(unpack(Dbm(x).packed, n1), x)
+        assert (Dbm(m).packed == Dbm(other).packed) == np.array_equal(m, other)
 
 
 def test_zone_of_matches_atom_semantics():

@@ -5,7 +5,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from uta import search, simulation
+from uta import dbm, search, simulation
 from uta.analysis import GSet, Status, compute_gmap
 from uta.benchgen import FLOWER, TaskSpec, gen_edf
 from uta.dbm import (
@@ -1017,9 +1017,55 @@ class TestPassedList:
             passed = search.Passed(ProductLoc((1,), ()), False, prep, 2)
             passed.add(a.zone, 1, None if prep is None
                        else simulation.bound_key(a.zone, prep))
-            assert (a.zone.packed in passed.exact
-                    and Dbm(a.zone.m.copy()).packed in passed.exact)
+            for z in (a.zone, Dbm(a.zone.m.copy())):
+                if prep is None:
+                    assert z.packed in passed.exact
+                    continue
+                # pruned, the scan finds the equal zone with no kernel call
+                stats = search.SearchStats(UNREACHABLE)
+                assert passed.exact is None
+                assert search._scan(z, simulation.bound_key(z, prep), passed,
+                                    stats) is search._EQUAL
+                assert stats.kernel_candidates == 0
             assert stored_zones(passed) == [a.zone]
+
+    def test_equal_zone_pruned_before_any_kernel_call(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("kernel called on an equal zone")
+
+        monkeypatch.setattr(search, "not_simulated_batch", refuse)
+        monkeypatch.setattr(search, "sim_zone_prepared", refuse)
+        for committed in (True, False):
+            net = self.twin_network(committed)
+            stats = reach(net, [compute_gmap(net.components[0])], "q2")
+            assert (stats.verdict, stats.nodes, stats.pruned_exact,
+                    stats.pruned_sim, stats.kernel_candidates) == (
+                UNREACHABLE, 3, 1, 0, 0), committed
+
+    def test_one_unpack_per_candidate_and_scan(self, monkeypatch):
+        # on (1,10)^2+(1,4) some stored zones have the key of the zone
+        # scanned and stand both ways; each is unpacked once for both
+        unpacks, scans = [], []
+        zone, scan = search.Passed.zone, search._scan
+
+        def counted_zone(self, k):
+            unpacks.append((id(self), k))
+            return zone(self, k)
+
+        def counted_scan(*args):
+            unpacks.clear()
+            got = scan(*args)
+            assert len(unpacks) == len(set(unpacks))
+            scans.append(len(unpacks))
+            return got
+
+        monkeypatch.setattr(search.Passed, "zone", counted_zone)
+        monkeypatch.setattr(search, "_scan", counted_scan)
+        net = gen_edf((TaskSpec(1, 10),) * 2 + (TaskSpec(1, 4),), FLOWER)
+        stats = reach(net, [compute_gmap(c) for c in net.components], "error")
+        assert stats.verdict == UNREACHABLE
+        # the parent unpacked once per kernel candidate
+        assert stats.kernel_candidates > sum(scans) >= 500
 
     def test_bound_keys_follow_the_zones_after_growth(self, monkeypatch):
         made = []
@@ -1043,7 +1089,8 @@ class TestPassedList:
             assert passed.keys.shape[1] >= k and len(passed.ids) == k
             want = [simulation.bound_key(z, passed.prep) for z in stored_zones(passed)]
             assert np.array_equal(passed.keys[:, :k].T, np.array(want))
-            assert passed.exact == set(passed.zones) and len(passed.exact) == k
+            assert passed.exact is None
+            assert len(set(passed.zones)) == len(passed.zones) == k
 
     def test_one_record_per_discrete_state(self, monkeypatch):
         made = []
@@ -1067,6 +1114,33 @@ class TestPassedList:
                  if any(names[c][l] == "error" for c, l in enumerate(p.loc.locs))]
         assert goals and all(p.goal == (p in goals) for p in made)
         assert records[id(stats.path[-1].loc)].goal
+
+    def test_goal_states_build_no_prepared_set(self, monkeypatch):
+        made, unions = [], []
+        at = search.ProductSets.at
+
+        class Recording(search.Passed):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        def counted_at(self, locs):
+            unions.append(locs)
+            return at(self, locs)
+
+        monkeypatch.setattr(search, "Passed", Recording)
+        monkeypatch.setattr(search.ProductSets, "at", counted_at)
+        net = gen_edf((TaskSpec(1, 3),) * 4, FLOWER)
+        stats = reach(net, [compute_gmap(c) for c in net.components], "error")
+        assert stats.verdict == REACHABLE and len(stats.path) == 50
+        assert replay(stats.path, net, "error")
+        goals = [p for p in made if p.goal]
+        assert goals and sorted(unions) == sorted(p.loc.locs for p in made
+                                                  if not p.goal)
+        assert all(p.prep is p.keys is p.exact is None and p.zones == ()
+                   for p in goals)
 
     def test_wider_zones_prune_alike(self, monkeypatch):
         # scaling every constant of a network scales its zones and leaves
@@ -1092,10 +1166,11 @@ class TestPassedList:
                 stats = reach(net, [compute_gmap(c) for c in net.components],
                               "error")
                 assert stats.verdict == verdict
-                n1 = len(net.clocks) + 1
-                widths = {len(z) // n1**2 for p in made for z in p.zones}
-                # zones and keys are int16, int32 and int64 in turn
-                keys = {np.dtype(p.prep.key_dtype).itemsize for p in made}
+                # zones (their tag byte) and keys are int16, int32 and
+                # int64 in turn; goal states have no prepared set
+                widths = {z[0] & ~dbm._SPARSE for p in made for z in p.zones}
+                keys = {np.dtype(p.prep.key_dtype).itemsize for p in made
+                        if not p.goal}
                 assert max(widths) == max(keys) == width, (scale, widths, keys)
                 seen.append((stats.nodes, stats.pruned_exact, stats.pruned_sim,
                              stats.pruned_subtree, stats.stored,
@@ -1184,14 +1259,18 @@ class TestSubtreeCovering:
             assert stats.verdict == verdict
             assert stats.path is None or replay(stats.path, net, "error")
             assert stats.pruned_subtree >= 50 and len(dropped) >= 50
-            for passed in made:
+            # a goal state stores nothing and has no keys
+            assert all(p.zones == p.ids == () and p.keys is None
+                       for p in made if p.goal)
+            for passed in (p for p in made if not p.goal):
                 k = len(passed.zones)
                 assert not dropped & set(passed.ids) and len(passed.ids) == k
                 want = [simulation.bound_key(z, passed.prep)
                         for z in stored_zones(passed)]
                 assert np.array_equal(passed.keys[:, :k].T, np.array(
                     want, dtype=np.int64).reshape(k, len(passed.prep.key_idx)))
-                assert passed.exact == set(passed.zones) and len(passed.exact) == k
+                assert passed.exact is None
+                assert len(set(passed.zones)) == len(passed.zones) == k
 
     def test_pruned_against_unpruned_on_random_networks(self):
         # random EDF task sets under flower releases, where covering is

@@ -8,10 +8,11 @@ directories under --scratch, so that both sides start without caches or
 old results.  Each pair runs ``perfbench/run.py --trace 0`` once per
 workload of BENCHMARK.json on each side, for its run length, workloads
 interleaved within the pair and the side that runs first alternating.
-Before the pairs it takes the dequeued, pruned and stored counts of the
-EDF rows, the slow flower row included, the search's seconds and the
-process's peak RSS, from ``uta reach --format json`` on each side, and the
-per-layer metrics of three alternating pairs of traced runs per workload
+Before the pairs it takes the dequeued, pruned, kernel and stored counts
+of the EDF rows, the slow flower row included, the search's seconds, the
+process's peak RSS and the bytes of the packed zones, from ``uta reach
+--format json`` on each side, and the per-layer metrics of three
+alternating pairs of traced runs per workload
 (``perfbench/run.py --trace 1``, seeds 1 to 3), which are recorded, with
 each side's median, and never compared.
 
@@ -50,9 +51,9 @@ EDF_ROWS = (
      ["--tasks", "1:10,1:10,1:10,1:4", "--release", "flower"]),
 )
 COUNTS = ("verdict", "nodes", "pruned_exact", "pruned_sim", "pruned_subtree",
-          "max_frontier", "stored")
+          "max_frontier", "kernel_candidates", "diag_calls", "stored")
 # measured per row beside the counts, and left out of their comparison
-MEASURED = ("search_seconds", "peak_rss_mb")
+MEASURED = ("search_seconds", "peak_rss_mb", "zone_bytes")
 # traced pairs per workload in the layer split
 LAYER_PAIRS = 3
 
@@ -161,7 +162,7 @@ def _search_counts(tree: Path, work: Path) -> dict:
                         json.dumps(doc.get("path")).encode()).hexdigest(),
                     "model_sha256": hashlib.sha256(model.read_bytes()).hexdigest(),
                     "search_seconds": doc["seconds"],
-                    "peak_rss_mb": doc.get("peak_rss_mb")}
+                    **{k: doc.get(k) for k in MEASURED[1:]}}
     return out
 
 
