@@ -10,7 +10,6 @@ error (reported with its traceback).
 """
 import argparse
 import json
-import os
 import sys
 import time
 from typing import Callable, Optional, Sequence
@@ -52,22 +51,12 @@ def _seconds(text: str) -> float:
     raise argparse.ArgumentTypeError(f"expected seconds greater than 0, got {text!r}")
 
 
-def _timeout_default() -> float:
-    env = os.environ.get("UTA_TIMEOUT_SECS")
-    if env is not None:
-        try:
-            return _seconds(env)
-        except argparse.ArgumentTypeError:
-            print(f"warning: ignoring bad UTA_TIMEOUT_SECS={env!r}", file=sys.stderr)
-    return DEFAULT_TIMEOUT
-
-
 def _front(args) -> tuple[Network, Callable[[str], None], float]:
-    """Parse args.input, warn about what validation finds, echo the model
-    under --dump-model and resolve args.timeout.  Returns the network, the
-    print for the result (under --dump-model it comments out every line, so
-    the output parses back) and the time args.timeout counts from, which
-    starts the static analysis."""
+    """Parse args.input, warn about what validation finds and echo the model
+    under --dump-model.  Returns the network, the print for the result
+    (under --dump-model it comments out every line, so the output parses
+    back) and the time args.timeout counts from, which starts the static
+    analysis."""
     args.phase = "parse"
     net = parse_file(args.input)
     for message in validate_network(net):
@@ -76,7 +65,6 @@ def _front(args) -> tuple[Network, Callable[[str], None], float]:
     if args.dump_model:
         sys.stdout.write(print_network(net))
         say = lambda text: print("# " + text.replace("\n", "\n# "))
-    args.timeout = args.timeout or _timeout_default()
     args.phase = "static analysis"
     return net, say, time.monotonic()
 
@@ -247,6 +235,8 @@ def _add_common(p, with_target: bool) -> None:
     p.add_argument("--dump-model", action="store_true",
                    help="echo the parsed model before the result, which then "
                         "follows as # comment lines, so the output parses back")
+    p.add_argument("--timeout", type=_seconds, default=DEFAULT_TIMEOUT,
+                   help=f"seconds, greater than 0; default {DEFAULT_TIMEOUT:.0f}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -260,13 +250,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(pa, with_target=False)
     pa.add_argument("--explain-divergence", action="store_true",
                     help="print the propagation witness for diverged components")
-    pa.set_defaults(timeout=None)  # bounded by the default time bound only
 
     pr = sub.add_parser("reach", help="zone-graph reachability")
     _add_common(pr, with_target=True)
-    pr.add_argument("--timeout", type=_seconds, default=None,
-                    help=f"seconds, greater than 0; default {DEFAULT_TIMEOUT:.0f} "
-                         "or UTA_TIMEOUT_SECS")
     pr.add_argument("--no-simulation", action="store_true",
                     help="disable simulation pruning (exact-duplicate dedup only)")
 

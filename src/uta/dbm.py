@@ -10,13 +10,14 @@ k + 1.  The model states constraints and updates in these indices
 (`AtomicConstraint.entry`, `Update.source`); this module only encodes
 them.  All public operations return matrices in canonical (all-pairs
 tightest) form, or the EMPTY sentinel.  A zone also has a packed form,
-its matrix in the narrowest integer width that holds it, sparse when most
-of its interior follows from row 0 and column 0 (`Dbm.packed`, `unpack`),
-which is what the search stores.
+its matrix in the narrowest integer width that holds it, or only row 0 and
+column 0 when they imply the rest (`Dbm.packed`, `unpack`), which is what
+the search stores.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isqrt
 from typing import Iterable, Optional, Union
 
 import numpy as np
@@ -66,11 +67,9 @@ Zone = Union["Dbm", EmptyZone]
 # narrowest first
 _NARROW = {np.dtype(t).itemsize: (np.dtype(t), np.iinfo(t).max)
            for t in (np.int16, np.int32)}
-# a packed zone's first byte is its width in bytes, plus _SPARSE in the
-# sparse form
-_SPARSE = 1
-# the sparse form indexes the matrix in uint16, so up to this many clocks
-_SPARSE_CLOCKS = 255
+# a packed zone's first byte is its width in bytes, plus _IMPLIED in the
+# implied form
+_IMPLIED = 1
 
 
 def _implied(col: np.ndarray, row: np.ndarray) -> np.ndarray:
@@ -78,14 +77,14 @@ def _implied(col: np.ndarray, row: np.ndarray) -> np.ndarray:
     no INF entry imply: add(m[i,0], m[0,j]) at each entry and LE_ZERO on
     the diagonal past (0, 0).  With m[0,0] = LE_ZERO, as in every canonical
     zone, row 0 and column 0 imply themselves."""
-    m = col + row - ((col | row) & 1)
+    m = col + row
+    m -= (col | row) & 1
     n1 = len(m)
     m.reshape(-1)[n1 + 1::n1 + 1] = LE_ZERO
     return m
 
 
 def _pack(m: np.ndarray) -> bytes:
-    n1 = len(m)
     hi, lo = m.max(), m.min()
     finite = hi < INF
     inf = m == INF if hi == INF else None
@@ -97,51 +96,37 @@ def _pack(m: np.ndarray) -> bytes:
             if -t_max < lo and hi < t_max:
                 width, dtype, top = w, t, t_max
                 break
-    entries, index = m, b""
+    entries = m
     # a zone with an INF entry packs dense: masking the sums to INF would
     # cost every pack and unpack several more array operations
-    if finite and 1 < n1 <= _SPARSE_CLOCKS + 1:
-        implied = _implied(m[:, :1], m[:1, :])
-        listed, diff = 0, None
-        if implied.tobytes() != m.tobytes():
-            diff = implied != m
-            listed = np.count_nonzero(diff)
-        # the sparse form: row 0, column 0 below it, the value of each
-        # entry that differs from what they imply, then its flat index
-        if (2 * n1 - 1) * width + listed * (2 + width) < n1 * n1 * width:
-            edge = (m[0], m[1:, 0])
-            entries = np.concatenate(edge if diff is None else edge + (m[diff],))
-            if listed:
-                index = np.flatnonzero(diff).astype(np.uint16).tobytes()
-            width |= _SPARSE
+    if finite and _implied(m[:, :1], m[:1, :]).tobytes() == m.tobytes():
+        entries = np.concatenate((m[0], m[1:, 0]))
+        width |= _IMPLIED
     if dtype is not None:
         narrow = entries.astype(dtype)
         if inf is not None:
             narrow[inf] = top
         entries = narrow
-    return bytes((width,)) + entries.tobytes() + index
+    return bytes((width,)) + entries.tobytes()
 
 
-def unpack(p: bytes, n1: int) -> np.ndarray:
-    """The frozen (n1, n1) int64 matrix of a packed zone (`Dbm.packed`)."""
-    width, sparse = p[0] & ~_SPARSE, p[0] & _SPARSE
-    if not sparse:
-        if width == 8:
-            m = np.frombuffer(p, np.int64, n1 * n1, 1).reshape(n1, n1).copy()
-        else:
-            dtype, top = _NARROW[width]
-            m = np.frombuffer(p, dtype, n1 * n1, 1).astype(np.int64).reshape(n1, n1)
-            m[m == top] = INF
-    else:
-        edge = 2 * n1 - 1
-        listed = (len(p) - 1 - edge * width) // (2 + width)
-        dtype = np.int64 if width == 8 else _NARROW[width][0]
-        entries = np.frombuffer(p, dtype, edge + listed, 1).astype(np.int64)
-        col = np.concatenate((entries[:1], entries[n1:edge]))
+def unpack(p: bytes) -> np.ndarray:
+    """The frozen int64 matrix of a packed zone (`Dbm.packed`), whose size
+    follows from the byte count: n1 * n1 entries dense, 2 * n1 - 1 implied."""
+    tag = p[0]
+    width = tag & ~_IMPLIED
+    count = (len(p) - 1) // width
+    dtype, top = _NARROW.get(width, (np.int64, None))
+    entries = np.frombuffer(p, dtype, count, 1).astype(np.int64)
+    if tag & _IMPLIED:
+        n1 = (count + 1) // 2
+        col = np.concatenate((entries[:1], entries[n1:]))
         m = _implied(col[:, None], entries[None, :n1])
-        if listed:
-            index = np.frombuffer(p, np.uint16, listed, 1 + (edge + listed) * width)
-            m.reshape(-1)[index] = entries[edge:]
+    else:
+        n1 = isqrt(count)
+        m = entries.reshape(n1, n1)
+        if top is not None:
+            m[m == top] = INF
     m.flags.writeable = False
     return m
 
@@ -154,14 +139,13 @@ class Dbm:
     in the narrowest of int16 and int32 that holds every finite entry
     strictly inside (-max, max) of the type, with INF written as the type's
     max, and otherwise in int64 as it is.  The tag is the width in bytes,
-    plus one for the sparse form.  A canonical matrix has
+    plus one for the implied form.  A canonical matrix has
     m[i,j] <= add(m[i,0], m[0,j]), and in many zones each interior entry
     (i, j >= 1, off the diagonal) is that sum and each diagonal entry
-    LE_ZERO (`_implied`).  The sparse form keeps row 0 and column 0 below
-    it, then the values of the entries that differ from what those two
-    imply, then their flat indices (uint16).  The dense form, the whole
-    matrix, is kept for a matrix with an INF entry and whenever the sparse
-    one would not be shorter.  The
+    LE_ZERO (`_implied`).  A matrix without INF that row 0 and column 0
+    imply so, entry for entry, packs as those two alone, row 0 and then
+    column 0 below it; every other matrix packs dense, whole.  Either
+    form's length grows with the matrix, so the bytes fix its size.  The
     choice reads the matrix alone, so equal matrices pack to equal bytes
     and zones hash and compare through packed; the passed list keeps
     packed zones alone, and `unpack` gives the exact matrix back,
@@ -185,11 +169,7 @@ class Dbm:
         return p
 
     def __eq__(self, other) -> bool:
-        # one byte string can be two shapes (a 4 x 4 sparse zone with no
-        # listed entry and a 3 x 3 one with one), so the shapes are
-        # compared too
-        return (isinstance(other, Dbm) and self.m.shape == other.m.shape
-                and self.packed == other.packed)
+        return isinstance(other, Dbm) and self.packed == other.packed
 
     def __hash__(self) -> int:
         return hash(self.packed)

@@ -16,7 +16,7 @@ set does too.
 The passed list (`Passed`) is the one record of a discrete state: its
 `ProductLoc`, whether it is a target, and each explored zone once, packed
 (`Dbm.packed`: int16, int32 or int64 bytes, the narrowest that holds the
-matrix, sparse when row 0 and column 0 imply most of it), in a list, with
+matrix, only row 0 and column 0 when they imply the rest), in a list, with
 its node id.  Zones that unchanged successors share pack once, and a stored
 zone's int64 matrix is freed once no queued node shares it.  Beside them it
 keeps one array of bound keys (`bound_key`), which is all the subsumption
@@ -24,9 +24,9 @@ kernel's first stage reads, in both directions; only the candidates that
 stage leaves standing are unpacked and read in full.  Equal zones have
 equal keys, so the stored zones that could equal a new one are those that
 stand both ways, and the scan compares their bytes before any kernel call;
-without pruning there are no keys, and a set of the packed zones serves
-the duplicate test.  Goal states store nothing: the search ends at the
-first goal node it dequeues.  Product locations whose
+without pruning there are no keys or node ids, and the packed zones are a
+set, which serves the duplicate test.  Goal states store nothing: the
+search ends at the first goal node it dequeues.  Product locations whose
 components' constraint sets are equal share one prepared set
 (`ProductSets`).  A stored zone that a later zone of its state simulates is
 removed with the subtree below it (subtree covering, see `reach`).  A
@@ -422,53 +422,50 @@ class Passed:
     """The record of one discrete state loc: whether a component sits in a
     target location there (goal), and its explored zones, each kept once.
 
-    zones holds each stored zone packed (`Dbm.packed`) and ids their node
-    ids; a stored zone's int64 matrix is freed once no queued node shares
-    it, and `zone(k)` unpacks zone k for the few candidates that the
-    subsumption scan reads in full.  With simulation pruning, prep is the
-    state's prepared constraint set and keys[:, k] is `bound_key` of zone
-    k, in one (w, capacity) array of prep's key_dtype grown amortized from
-    one column (many states keep one zone), so the scan compares a slice
-    against a dequeued zone's key, and finds an equal zone among those
-    with an equal key (`_scan`).  Without pruning, exact holds the packed
-    zones again for the duplicate test.  A goal state, where the search
-    stops, gets no prep and no containers.
+    zones holds each stored zone packed (`Dbm.packed`).  With simulation
+    pruning it is a list and ids their node ids; a stored zone's int64
+    matrix is freed once no queued node shares it, and `zone(k)` unpacks
+    zone k for the few candidates that the subsumption scan reads in full.
+    prep is then the state's prepared constraint set and keys[:, k] is
+    `bound_key` of zone k, in one (w, capacity) array of prep's key_dtype
+    grown by half from one column (many states keep one zone), so the scan
+    compares a slice against a dequeued zone's key, and finds an equal zone
+    among those with an equal key (`_scan`).  Without pruning, zones is a
+    set, which serves the duplicate test, and there are no ids or keys.  A
+    goal state, where the search stops, gets no prep and no containers.
     """
 
-    __slots__ = ("loc", "goal", "prep", "n1", "zones", "exact", "ids", "keys")
+    __slots__ = ("loc", "goal", "prep", "zones", "ids", "keys")
 
-    def __init__(self, loc: ProductLoc, goal: bool, prep: Optional[SimPrepared],
-                 n1: int):
-        self.loc, self.goal, self.prep, self.n1 = loc, goal, prep, n1
-        self.zones: list[bytes] = [] if not goal else ()
-        self.ids = array("q") if not goal else ()
-        self.exact: Optional[set[bytes]] = (set() if prep is None and not goal
-                                            else None)
+    def __init__(self, loc: ProductLoc, goal: bool, prep: Optional[SimPrepared]):
+        self.loc, self.goal, self.prep = loc, goal, prep
+        self.zones: list[bytes] | set[bytes] = (
+            () if goal else set() if prep is None else [])
+        self.ids = array("q") if prep is not None else ()
         self.keys = (None if prep is None
                      else np.empty((len(prep.key_idx), 1), dtype=prep.key_dtype))
 
     def zone(self, k: int) -> Dbm:
-        return Dbm(unpack(self.zones[k], self.n1))
+        return Dbm(unpack(self.zones[k]))
 
     def add(self, zone: Dbm, nid: int, key: Optional[np.ndarray]) -> None:
-        packed = zone.packed
-        if self.exact is not None:
-            self.exact.add(packed)
-        if self.keys is not None:
-            k = len(self.zones)
-            if k == self.keys.shape[1]:
-                grown = np.empty((self.keys.shape[0], 2 * k), dtype=self.keys.dtype)
-                grown[:, :k] = self.keys
-                self.keys = grown
-            self.keys[:, k] = key
-        self.zones.append(packed)
+        if self.keys is None:
+            self.zones.add(zone.packed)
+            return
+        k = len(self.zones)
+        if k == self.keys.shape[1]:
+            grown = np.empty((self.keys.shape[0], k + k // 2 + 1),
+                             dtype=self.keys.dtype)
+            grown[:, :k] = self.keys
+            self.keys = grown
+        self.keys[:, k] = key
+        self.zones.append(zone.packed)
         self.ids.append(nid)
 
     def drop(self, dead: set[int]) -> None:
         """Remove the zones whose node ids are in dead (pruning only)."""
         keep = [k for k, nid in enumerate(self.ids) if nid not in dead]
-        if self.keys is not None:
-            self.keys[:, :len(keep)] = self.keys[:, keep]
+        self.keys[:, :len(keep)] = self.keys[:, keep]
         self.zones = [self.zones[k] for k in keep]
         self.ids = array("q", (self.ids[k] for k in keep))
 
@@ -521,7 +518,6 @@ def reach(
     pairs = _resolve_target(net, target)
     compiled = CompiledNet(net)
     start = time.monotonic()
-    n_clocks = compiled.n_clocks
     sets = None
     if gmaps is not None:
         refuse_pruning(net)
@@ -533,7 +529,7 @@ def reach(
                     f"--no-simulation to search unpruned"
                 )
         try:
-            sets = ProductSets(gmaps, n_clocks)
+            sets = ProductSets(gmaps, compiled.n_clocks)
         except OverflowError as exc:
             raise ValueError(
                 f"{exc} in a constraint set; rerun with --no-simulation "
@@ -549,8 +545,7 @@ def reach(
         if here is None:
             goal = any(loc.locs[c] == l for c, l in pairs)
             here = passed[loc] = Passed(
-                loc, goal, None if sets is None or goal else sets.at(loc.locs),
-                n_clocks + 1)
+                loc, goal, None if sets is None or goal else sets.at(loc.locs))
         return here
 
     def finish(verdict: str, path_end: Optional[int]) -> SearchStats:
@@ -617,7 +612,7 @@ def reach(
             continue
         key = simulated = None
         if sets is None:
-            if zone.packed in here.exact:
+            if zone.packed in here.zones:
                 stats.pruned_exact += 1
                 continue
         else:

@@ -228,9 +228,9 @@ class TestAnalyze:
         path.write_text(PUMP.format(bound=bound))
         t0 = time.monotonic()
         proc = subprocess.run(
-            [sys.executable, "-m", "uta.cli", "analyze", str(path)],
-            capture_output=True, text=True, timeout=60,
-            env={**child_env(), "UTA_TIMEOUT_SECS": "1"},
+            [sys.executable, "-m", "uta.cli", "analyze", str(path),
+             "--timeout", "1"],
+            capture_output=True, text=True, timeout=60, env=child_env(),
             preexec_fn=limit_address_space)
         assert time.monotonic() - t0 < 10
         assert (proc.returncode, proc.stdout) == (2, "")
@@ -272,12 +272,11 @@ class TestReach:
         assert "static analysis did not converge for component p (diverged)" in err
         assert "--no-simulation" in err
 
-    def test_timeout_exit_two(self, capsys, tmp_path, monkeypatch):
+    def test_timeout_exit_two(self, capsys, tmp_path):
         path = tmp_path / "spin.uta"
         path.write_text(SPIN)
-        monkeypatch.setenv("UTA_TIMEOUT_SECS", "0.3")
         code, _, err = run(capsys, "reach", str(path), "--target", "b",
-                           "--no-simulation")
+                           "--no-simulation", "--timeout", "0.3")
         assert code == 2
         assert "timeout" in err
 
@@ -294,15 +293,6 @@ class TestReach:
         assert time.monotonic() - t0 < 10
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == "error: timeout after 1s (static analysis)\n"
-
-    def test_flag_beats_env(self, capsys, tmp_path, monkeypatch):
-        path = tmp_path / "spin.uta"
-        path.write_text(SPIN)
-        monkeypatch.setenv("UTA_TIMEOUT_SECS", "3600")
-        code, _, err = run(capsys, "reach", str(path), "--target", "b",
-                           "--no-simulation", "--timeout", "0.3")
-        assert code == 2
-        assert "timeout" in err
 
     def test_sub_second_timeout_is_printed_as_given(self, capsys, tmp_path):
         path = tmp_path / "spin.uta"
@@ -477,13 +467,6 @@ class TestExitPath:
         code, out, _ = run(capsys, "reach", loop_file, "--target", "q2",
                            "--timeout", "inf")
         assert code == 1 and "Reachable" in out
-
-    @pytest.mark.parametrize("env", ["nan", "0", "-1", "soon"])
-    def test_bad_env_timeout_falls_back(self, capsys, monkeypatch, env):
-        monkeypatch.setenv("UTA_TIMEOUT_SECS", env)
-        assert cli._timeout_default() == cli.DEFAULT_TIMEOUT
-        assert capsys.readouterr().err == (
-            f"warning: ignoring bad UTA_TIMEOUT_SECS={env!r}\n")
 
 
 class TestReadme:

@@ -31,7 +31,7 @@ from uta.dbm import (
     INF,
     LIMIT,
     Dbm,
-    _SPARSE,
+    _IMPLIED,
     add_bounds,
     compile_step,
     elapse,
@@ -39,6 +39,7 @@ from uta.dbm import (
     encode_bound,
     successor,
     unpack,
+    zero_zone,
 )
 from uta.model import (
     MAX_CONST,
@@ -405,14 +406,26 @@ class TestEquality:
 
 
 class TestPacked:
-    """A zone packs into the narrowest width that holds it, sparse where
-    that is shorter, and unpacks to its exact int64 matrix."""
+    """A zone packs into the narrowest width that holds it, as row 0 and
+    column 0 alone where they imply the rest, and unpacks to its exact
+    int64 matrix."""
 
     @staticmethod
     def matrix(v: int) -> np.ndarray:
         m = np.full((3, 3), 1, dtype=np.int64)
         m[1, 0] = m[2, 1] = INF
         m[0, 1], m[2, 0], m[1, 2] = v, -v, v // 3
+        return m
+
+    @staticmethod
+    def implied_matrix(v: int) -> np.ndarray:
+        # row 0 all LE_ZERO and column 0 (1, v, -v): the interior is what
+        # they imply, v at (1, 2) and -v at (2, 1)
+        m = np.empty((3, 3), dtype=np.int64)
+        m[0], m[1:, 0] = (1, 1, 1), (v, -v)
+        m[1:, 1:] = [[add_bounds(int(c), int(r)) for r in m[0, 1:]]
+                     for c in m[1:, 0]]
+        np.fill_diagonal(m, 1)
         return m
 
     @pytest.mark.parametrize("v, width", [
@@ -426,26 +439,29 @@ class TestPacked:
         z = Dbm(m)
         # with INF entries, dense: the tag and 9 entries
         assert z.packed[0] == width and len(z.packed) == 1 + 9 * width
-        got = unpack(z.packed, 3)
+        got = unpack(z.packed)
         assert got.dtype == np.int64 and not got.flags.writeable
         assert np.array_equal(got, m) and (got == INF).sum() == 2
         # finite, (1, 2) and (2, 1) still differ from what row 0 and column
-        # 0 imply, so the sparse form is 5 edge entries and 2 listed ones
-        # (a uint16 index each), kept where shorter than the dense 9
-        # entries: at widths 4 and 8
+        # 0 imply, so dense at every width
         finite = np.where(m == INF, 5, m)
         z = Dbm(finite)
-        sparse = 5 * width + 2 * (2 + width)
-        assert z.packed[0] == width | (_SPARSE if sparse < 9 * width else 0)
-        assert len(z.packed) == 1 + min(9 * width, sparse)
-        got = unpack(z.packed, 3)
+        assert z.packed[0] == width and len(z.packed) == 1 + 9 * width
+        got = unpack(z.packed)
         assert got.dtype == np.int64 and not got.flags.writeable
         assert np.array_equal(got, finite)
+        # implied: the tag and the 5 entries of row 0 and column 0
+        implied = self.implied_matrix(v)
+        z = Dbm(implied)
+        assert z.packed[0] == width | _IMPLIED
+        assert len(z.packed) == 1 + 5 * width
+        got = unpack(z.packed)
+        assert got.dtype == np.int64 and not got.flags.writeable
+        assert np.array_equal(got, implied)
 
-    def test_one_byte_length_two_shapes(self):
-        # a 3 x 3 zone whose one listed entry is (1, 2) = 7, flat index 5,
-        # and a 4 x 4 zone with none, whose column 0 ends in 7 and 5: both
-        # are the tag and seven int16 words, 15 bytes
+    def test_bytes_fix_the_shape(self):
+        # a dense 3 x 3 zone, whose (1, 2) = 7 is not the 2 that row 0 and
+        # column 0 imply, and an implied 4 x 4 one: 19 and 15 bytes
         small = np.array([[1, -4, -6], [9, 1, 7], [11, 6, 1]], dtype=np.int64)
         big = np.empty((4, 4), dtype=np.int64)
         big[0], big[1:, 0] = (1, -4, -6, 9), (11, 7, 5)
@@ -453,10 +469,26 @@ class TestPacked:
                        for c in big[1:, 0]]
         np.fill_diagonal(big, 1)
         a, b = Dbm(small), Dbm(big)
-        assert len(a.packed) == 15 and a.packed[0] == 2 | _SPARSE
-        assert a.packed == b.packed and a != b
-        assert np.array_equal(unpack(b.packed, 4), b.m)
-        assert np.array_equal(unpack(a.packed, 3), a.m)
+        assert len(a.packed) == 19 and a.packed[0] == 2
+        assert len(b.packed) == 15 and b.packed[0] == 2 | _IMPLIED
+        assert a != b
+        assert np.array_equal(unpack(b.packed), b.m)
+        assert np.array_equal(unpack(a.packed), a.m)
+        for n1 in range(1, 7):
+            implied = zero_zone(n1 - 1)
+            # m[0,0] = 3 is not the 5 that it implies with itself
+            dense = Dbm(np.full((n1, n1), 3, dtype=np.int64))
+            assert implied.packed[0] == 2 | _IMPLIED and dense.packed[0] == 2
+            assert len(implied.packed) == 1 + (2 * n1 - 1) * 2
+            assert len(dense.packed) == 1 + n1 * n1 * 2
+            for z in (implied, dense):
+                got = unpack(z.packed)
+                assert got.shape == (n1, n1) and np.array_equal(got, z.m)
+
+    def test_many_clocks_pack_implied(self):
+        z = zero_zone(300)
+        assert z.packed[0] == 2 | _IMPLIED and len(z.packed) == 1 + 601 * 2
+        assert np.array_equal(unpack(z.packed), z.m)
 
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3),
@@ -480,8 +512,8 @@ class TestPacked:
         if a == b:
             assert hash(a) == hash(b)
         for z in (a, b):
-            assert np.array_equal(unpack(z.packed, n + 1), z.m)
-            assert Dbm(unpack(z.packed, n + 1)) == z
+            assert np.array_equal(unpack(z.packed), z.m)
+            assert Dbm(unpack(z.packed)) == z
 
     @staticmethod
     def kind_zone(rng, n, kind, shift):
@@ -522,19 +554,19 @@ class TestPacked:
             return
         assert (a.packed == b.packed) == np.array_equal(a.m, b.m)
         for z, kind in zip((a, b), kinds):
-            got = unpack(z.packed, n + 1)
+            got = unpack(z.packed)
             assert got.dtype == np.int64 and not got.flags.writeable
             assert np.array_equal(got, z.m) and Dbm(got) == z
             assert hash(Dbm(got)) == hash(z)
             finite = np.abs(z.m[z.m < INF]).max()
             width = next(w for w, top in ((2, 2**15 - 1), (4, 2**31 - 1), (8, INF))
                          if finite < top)
-            assert z.packed[0] & ~_SPARSE == width, (kind, shift)
+            assert z.packed[0] & ~_IMPLIED == width, (kind, shift)
             if (z.m == INF).any():
                 assert z.packed[0] == width  # dense: it has INF entries
             elif kind in ("point", "box", "open box"):
                 # a box's interior is what its row 0 and column 0 imply
-                assert z.packed[0] == width | _SPARSE, kind
+                assert z.packed[0] == width | _IMPLIED, kind
                 assert len(z.packed) == 1 + (2 * n + 1) * width
 
     @settings(max_examples=300, deadline=None)
@@ -543,9 +575,9 @@ class TestPacked:
     def test_every_int64_matrix_round_trips(self, n1, data, implied, span):
         # not canonical: entries within int16, any finite int64 or any
         # int64, INF and above it included; with implied, m[0,0] and the
-        # interior are first set to what row 0 and column 0 imply and a
-        # few entries are then overwritten, so that the sparse form is
-        # taken with and without listed entries
+        # interior are first set to what row 0 and column 0 imply and up
+        # to two entries of m are then overwritten, so that the implied
+        # form is taken, and the dense one where an overwrite breaks it
         edges = (0, 1, -1, 2**15 - 2, -(2**15 - 2))
         entry = st.one_of(st.integers(-40, 40), st.sampled_from(edges))
         if span != "int16":
@@ -569,7 +601,7 @@ class TestPacked:
                 i, j = (data.draw(st.integers(0, n1 - 1)) for _ in range(2))
                 m[i, j] = data.draw(entry)
         for x in (m, other):
-            assert np.array_equal(unpack(Dbm(x).packed, n1), x)
+            assert np.array_equal(unpack(Dbm(x).packed), x)
         assert (Dbm(m).packed == Dbm(other).packed) == np.array_equal(m, other)
 
 

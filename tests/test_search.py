@@ -777,7 +777,7 @@ class TestMoveTable:
 
 def stored_zones(passed) -> list:
     """The zones of a passed list, unpacked."""
-    return [passed.zone(k) for k in range(len(passed.zones))]
+    return [Dbm(dbm.unpack(p)) for p in passed.zones]
 
 
 class TestSubsumptionKernel:
@@ -1014,16 +1014,16 @@ class TestPassedList:
                 assert (stats.nodes, stats.pruned_exact, stats.pruned_sim) == (
                     3, 1, 0), committed
         for prep in (simulation.prepare(g.sets[1], 1), None):
-            passed = search.Passed(ProductLoc((1,), ()), False, prep, 2)
+            passed = search.Passed(ProductLoc((1,), ()), False, prep)
             passed.add(a.zone, 1, None if prep is None
                        else simulation.bound_key(a.zone, prep))
             for z in (a.zone, Dbm(a.zone.m.copy())):
                 if prep is None:
-                    assert z.packed in passed.exact
+                    assert z.packed in passed.zones
                     continue
                 # pruned, the scan finds the equal zone with no kernel call
                 stats = search.SearchStats(UNREACHABLE)
-                assert passed.exact is None
+                assert type(passed.zones) is list
                 assert search._scan(z, simulation.bound_key(z, prep), passed,
                                     stats) is search._EQUAL
                 assert stats.kernel_candidates == 0
@@ -1089,7 +1089,7 @@ class TestPassedList:
             assert passed.keys.shape[1] >= k and len(passed.ids) == k
             want = [simulation.bound_key(z, passed.prep) for z in stored_zones(passed)]
             assert np.array_equal(passed.keys[:, :k].T, np.array(want))
-            assert passed.exact is None
+            assert type(passed.zones) is list
             assert len(set(passed.zones)) == len(passed.zones) == k
 
     def test_one_record_per_discrete_state(self, monkeypatch):
@@ -1139,7 +1139,7 @@ class TestPassedList:
         goals = [p for p in made if p.goal]
         assert goals and sorted(unions) == sorted(p.loc.locs for p in made
                                                   if not p.goal)
-        assert all(p.prep is p.keys is p.exact is None and p.zones == ()
+        assert all(p.prep is p.keys is None and p.zones == p.ids == ()
                    for p in goals)
 
     def test_wider_zones_prune_alike(self, monkeypatch):
@@ -1168,7 +1168,7 @@ class TestPassedList:
                 assert stats.verdict == verdict
                 # zones (their tag byte) and keys are int16, int32 and
                 # int64 in turn; goal states have no prepared set
-                widths = {z[0] & ~dbm._SPARSE for p in made for z in p.zones}
+                widths = {z[0] & ~dbm._IMPLIED for p in made for z in p.zones}
                 keys = {np.dtype(p.prep.key_dtype).itemsize for p in made
                         if not p.goal}
                 assert max(widths) == max(keys) == width, (scale, widths, keys)
@@ -1207,7 +1207,7 @@ class TestSubtreeCovering:
             zone = self.boxed_zone(rng, n)
             if zone is None or zone in zones or not zones:
                 continue
-            here = search.Passed(ProductLoc((0,), ()), False, prep, n + 1)
+            here = search.Passed(ProductLoc((0,), ()), False, prep)
             for k, z in enumerate(zones):
                 here.add(z, 10 + k, simulation.bound_key(z, prep))
             got = search._scan(zone, simulation.bound_key(zone, prep), here,
@@ -1269,7 +1269,7 @@ class TestSubtreeCovering:
                         for z in stored_zones(passed)]
                 assert np.array_equal(passed.keys[:, :k].T, np.array(
                     want, dtype=np.int64).reshape(k, len(passed.prep.key_idx)))
-                assert passed.exact is None
+                assert type(passed.zones) is list
                 assert len(set(passed.zones)) == len(passed.zones) == k
 
     def test_pruned_against_unpruned_on_random_networks(self):
