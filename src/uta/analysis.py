@@ -5,15 +5,18 @@ at that location: guard atoms of outgoing edges, preimages of clock
 nonnegativity under updates, invariant atoms, and backward propagations of
 the targets' constraints.  The propagation applies guard-aware cuts to the
 preimage, so the fixed point converges on many automata where the plain
-preimage grows forever.  The remaining non-convergence becomes an explicit
-divergence verdict with a replayable witness: a propagated constant above
-the bound N proves it.  Rather than sweeping until some constant gets
-there, the analysis stops at the first new atom that repeats the location
-and shape of an ancestor with a smaller constant, and pumps that growth
-cycle past N, as deep as the sweep budget would have reached.
-Pumping shifts the cycle's steps instead of propagating them again: above
-max(M, L) the propagation treats a constant c and c + delta alike, so
-each lap is the previous one with every constant grown by delta.
+preimage grows forever.  It is compiled once per edge (`Propagation`):
+the update's source table and the guard context folded into per-clock and
+per-pair bound tables, applied to atoms that are plain tuples.  The
+remaining non-convergence becomes an explicit divergence verdict with a
+replayable witness: a propagated constant above the bound N proves it.
+Rather than sweeping until some constant gets there, the analysis stops
+at the first new atom that repeats the location and shape of an ancestor
+with a smaller constant, and pumps that growth cycle past N, as deep as
+the sweep budget would have reached.  Pumping shifts the cycle's steps
+instead of propagating them again: above max(M, L) the propagation treats
+a constant c and c + delta alike, so each lap is the previous one with
+every constant grown by delta.
 """
 from __future__ import annotations
 
@@ -24,14 +27,16 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .model import (
+    BOTTOM,
+    INT64_MAX,
+    STRICT,
     TOP,
     WEAK,
     AtomicConstraint,
     Automaton,
     Kind,
     Update,
-    from_entry,
-    make_lower,
+    constant_error,
 )
 
 
@@ -42,21 +47,7 @@ class Status(enum.Enum):
 
 
 # --------------------------------------------------------------------------
-# Preimage and guard-aware cut
-
-
-def up_inverse(phi: AtomicConstraint, up: Update) -> AtomicConstraint:
-    """Preimage of an atomic constraint under an update, normalized.
-
-    Characterized by: v satisfies the result iff up(v) satisfies phi,
-    whenever up(v) is defined.  Through ``x_i := x_si + oi`` (`Update.source`)
-    phi's entry ``x_i - x_j < c`` becomes ``x_si - x_sj < c - oi + oj``, a
-    zero-constant difference in phi's orientation.
-    """
-    i, j, s, c = phi.entry()
-    si, oi = up.source(i)
-    sj, oj = up.source(j)
-    return from_entry(si, sj, s, c - oi + oj, phi.kind is Kind.LOWER_DIAG)
+# Backward propagation through one edge
 
 
 def nonneg_source(x: int) -> AtomicConstraint:
@@ -64,58 +55,130 @@ def nonneg_source(x: int) -> AtomicConstraint:
     return AtomicConstraint(Kind.LOWER, x, None, WEAK, 0)
 
 
-def table_cut(
-    psi: AtomicConstraint, guard_atoms: Sequence[AtomicConstraint]
-) -> AtomicConstraint:
-    """Weaken a propagated constraint using the edge's guard context.
-
-    The guard holds for both valuations of any simulation pair crossing the
-    edge, which makes three families of propagated constraints redundant:
-    an upper bound on a clock that the guard also bounds above; a lower
-    bound d < x that some guard atom x < c with c < d already forces (the
-    weak ``c <= x`` suffices instead); and a difference bound whose constant
-    lies outside what the guard permits for that clock difference.
-    """
-    if psi.is_trivial:
-        return psi
-    if psi.kind is Kind.UPPER:
-        for g in guard_atoms:
-            if g.kind is Kind.UPPER and g.x == psi.x:
-                return TOP
-        return psi
-    if psi.kind is Kind.LOWER:
-        best: Optional[int] = None
-        for g in guard_atoms:
-            if g.kind is Kind.UPPER and g.x == psi.x and g.constant < psi.constant:
-                if best is None or g.constant < best:
-                    best = g.constant
-        if best is not None:
-            return make_lower(psi.x, WEAK, best)
-        return psi
-    x, y, d = psi.x, psi.y, psi.constant
-    for g in guard_atoms:
-        if g.kind is Kind.UPPER and g.x == x and g.constant < d:
-            return TOP
-        if g.kind is Kind.UPPER_DIAG and (g.x, g.y) == (x, y) and g.constant < d:
-            return TOP
-        if g.kind is Kind.LOWER_DIAG and (g.x, g.y) == (x, y) and g.constant > d:
-            return TOP
-    return psi
-
-
-def wp(
-    phi: AtomicConstraint,
-    guard_atoms: Sequence[AtomicConstraint],
-    up: Update,
-) -> AtomicConstraint:
-    """Backward propagation: preimage, then guard-context cut."""
-    return table_cut(up_inverse(phi, up), guard_atoms)
-
-
 def edge_context(a: Automaton, edge_idx: int) -> tuple[AtomicConstraint, ...]:
     """Constraints known to hold when the edge fires: guard plus source invariant."""
     e = a.edges[edge_idx]
     return e.guard.clock_atoms + a.locations[e.src].invariant.clock_atoms
+
+
+# above every atom constant: the table entry of a clock, or a pair, that
+# the context does not bound
+_UNBOUNDED = INT64_MAX + 1
+_new = tuple.__new__
+_UPPER, _LOWER = Kind.UPPER, Kind.LOWER
+_UPPER_DIAG, _LOWER_DIAG = Kind.UPPER_DIAG, Kind.LOWER_DIAG
+_TRIVIAL, _DIAGONAL = (Kind.TOP, Kind.BOTTOM), (_UPPER_DIAG, _LOWER_DIAG)
+
+
+class Propagation:
+    """Backward propagation through one edge: the preimage of an atom under
+    the edge's update, then the cut by the edge's guard context, compiled
+    once per edge.
+
+    The preimage: through ``x_i := x_si + oi`` (`Update.source`) an atom's
+    entry ``x_i - x_j < c`` becomes ``x_si - x_sj < c - oi + oj``, a
+    zero-constant difference in the atom's orientation, normalized as
+    `from_entry` does.  The cut: the guard holds for both valuations of any
+    simulation pair crossing the edge, which makes three families of
+    propagated constraints redundant: an upper bound on a clock that the
+    context also bounds above; a lower bound d < x or d <= x that some
+    context atom x < c or x <= c with c < d already forces (the weak
+    ``c <= x`` for the least such c suffices instead); and a difference
+    bound whose constant lies outside what the context permits for that
+    clock difference.  The context folds into the least upper constant per
+    clock and, per ordered clock pair, the interval of constants that
+    survive: a difference x - y with constant d stays when lo <= d <= hi,
+    where hi is the least constant of an upper bound on x or on x - y and
+    lo the greatest of a lower bound on x - y.  TOP and BOTTOM come back
+    as themselves; the range check of `from_entry` runs before the cut.
+    """
+
+    __slots__ = ("source", "upper", "diag_lo", "diag_hi", "n_clocks")
+
+    def __init__(self, context: Sequence[AtomicConstraint], update: Update,
+                 n_clocks: int):
+        n = n_clocks
+        # per DBM index, the (source, offset) pair of `Update.source`
+        self.source = tuple(map(update.source, range(n + 1)))
+        upper = [_UNBOUNDED] * n
+        diagonals = []
+        for g in context:
+            if g.kind is _UPPER:
+                if g.constant < upper[g.x]:
+                    upper[g.x] = g.constant
+            elif g.kind is _UPPER_DIAG or g.kind is _LOWER_DIAG:
+                diagonals.append(g)
+        # indexed by x * n + y: an upper bound on x bounds every x - y
+        hi = [u for u in upper for _ in range(n)]
+        lo = [-1] * (n * n)
+        for kind, x, y, _, c in diagonals:
+            k = x * n + y
+            if kind is _UPPER_DIAG:
+                if c < hi[k]:
+                    hi[k] = c
+            elif c > lo[k]:
+                lo[k] = c
+        self.upper, self.diag_hi, self.diag_lo = upper, hi, lo
+        self.n_clocks = n
+
+    def __call__(self, phi: AtomicConstraint) -> AtomicConstraint:
+        kind, x, y, s, c = phi
+        if kind is _UPPER:
+            i, j = x + 1, 0
+        elif kind is _LOWER:
+            i, j, c = 0, x + 1, -c
+        elif kind is _UPPER_DIAG:
+            i, j = x + 1, y + 1
+        elif kind is _LOWER_DIAG:
+            i, j, c = y + 1, x + 1, -c
+        else:
+            return TOP if kind is Kind.TOP else BOTTOM
+        si, oi = self.source[i]
+        sj, oj = self.source[j]
+        c = c - oi + oj
+        if si == sj:
+            # 0 < c or 0 <= c
+            return TOP if c > 0 or (c == 0 and s is WEAK) else BOTTOM
+        if sj == 0:
+            # x < c: cut when the context bounds x above
+            if c < 0 or (c == 0 and s is STRICT):
+                return BOTTOM
+            if c > INT64_MAX:
+                raise constant_error(c)
+            x = si - 1
+            if self.upper[x] != _UNBOUNDED:
+                return TOP
+            return _new(AtomicConstraint, (_UPPER, x, None, s, c))
+        if si == 0:
+            # -c < x: weakened to the context's least upper constant below it
+            c = -c
+            if c < 0 or (c == 0 and s is WEAK):
+                return TOP
+            if c > INT64_MAX:
+                raise constant_error(c)
+            x = sj - 1
+            least = self.upper[x]
+            if least < c:
+                return TOP if least == 0 else _new(
+                    AtomicConstraint, (_LOWER, x, None, WEAK, least))
+            return _new(AtomicConstraint, (_LOWER, x, None, s, c))
+        if c < 0 or (c == 0 and kind is _LOWER_DIAG):
+            kind, x, y, c = _LOWER_DIAG, sj - 1, si - 1, -c
+        else:
+            kind, x, y = _UPPER_DIAG, si - 1, sj - 1
+        if c > INT64_MAX:
+            raise constant_error(c)
+        k = x * self.n_clocks + y
+        if c > self.diag_hi[k] or c < self.diag_lo[k]:
+            return TOP
+        return _new(AtomicConstraint, (kind, x, y, s, c))
+
+
+def edge_propagations(a: Automaton) -> list[Propagation]:
+    """The compiled `Propagation` of each edge, by edge index."""
+    n = len(a.clock_names)
+    return [Propagation(edge_context(a, ei), e.update, n)
+            for ei, e in enumerate(a.edges)]
 
 
 # --------------------------------------------------------------------------
@@ -132,10 +195,14 @@ class GSet:
     @staticmethod
     def of(atoms: Iterable[AtomicConstraint]) -> "GSet":
         nond, diag = set(), set()
+        # membership, not identity: the public constructor also accepts a
+        # plain int equal to the kind
         for phi in atoms:
-            if phi.is_trivial:
-                continue
-            (diag if phi.is_diagonal else nond).add(phi)
+            kind = phi.kind
+            if kind in _DIAGONAL:
+                diag.add(phi)
+            elif kind not in _TRIVIAL:
+                nond.add(phi)
         return GSet(frozenset(nond), frozenset(diag))
 
     def __contains__(self, phi: AtomicConstraint) -> bool:
@@ -181,18 +248,12 @@ class AnalysisBounds:
 
 
 def analysis_bounds(a: Automaton) -> AnalysisBounds:
-    m = 0
-    for e in a.edges:
-        for phi in e.guard.clock_atoms:
-            if not phi.is_trivial:
-                m = max(m, phi.constant)
+    atoms = [phi for e in a.edges for phi in e.guard.clock_atoms]
     for loc in a.locations:
-        for phi in loc.invariant.clock_atoms:
-            if not phi.is_trivial:
-                m = max(m, phi.constant)
-    l = 0
-    for e in a.edges:
-        l = max(l, e.update.max_offset())
+        atoms += loc.invariant.clock_atoms
+    # TOP and BOTTOM carry no constant
+    m = max((phi.constant for phi in atoms if phi.constant is not None), default=0)
+    l = max((e.update.max_offset() for e in a.edges), default=0)
     return AnalysisBounds(m, l, len(a.locations), len(a.occurring_clocks()))
 
 
@@ -208,9 +269,9 @@ class PropagationSequence:
     """Forward chain of propagations ending at the divergence trigger.
 
     ``steps[0]`` is a base-set constraint; each later step's constraint is
-    wp of the previous step's constraint across the recorded edge.  When a
-    repeating shape with growing constant exists, ``cycle`` holds its two
-    step indices (i, j) with i < j.
+    the `Propagation` of the previous step's constraint across the recorded
+    edge.  When a repeating shape with growing constant exists, ``cycle``
+    holds its two step indices (i, j) with i < j.
     """
 
     steps: tuple[PropStep, ...]
@@ -231,10 +292,13 @@ class GMap:
 # Base case and iteration
 
 
-def _base_records(a: Automaton) -> list[tuple[int, AtomicConstraint]]:
+def _base_records(
+    a: Automaton, props: Sequence[Propagation],
+) -> list[tuple[int, AtomicConstraint]]:
     """Base constraints by location: invariant atoms, then per outgoing edge
     its guard atoms and the images of 0 <= x; trivial ones and repeats
-    dropped."""
+    dropped.  props are the automaton's `edge_propagations`."""
+    nonneg = [nonneg_source(x) for x in range(len(a.clock_names))]
     records: dict[tuple[int, AtomicConstraint], None] = {}  # insertion-ordered
     by_src: dict[int, list[int]] = defaultdict(list)
     for ei, e in enumerate(a.edges):
@@ -242,11 +306,8 @@ def _base_records(a: Automaton) -> list[tuple[int, AtomicConstraint]]:
     for q, loc in enumerate(a.locations):
         atoms = list(loc.invariant.clock_atoms)
         for ei in by_src[q]:
-            e = a.edges[ei]
-            ctx = edge_context(a, ei)
-            atoms += e.guard.clock_atoms
-            atoms += [wp(nonneg_source(x), ctx, e.update)
-                      for x in range(len(a.clock_names))]
+            atoms += a.edges[ei].guard.clock_atoms
+            atoms += map(props[ei], nonneg)
         records.update(((q, phi), None) for phi in atoms if not phi.is_trivial)
     return list(records)
 
@@ -282,19 +343,22 @@ def compute_gmap(
         # the finite atom universe over {0} bounds the closure directly.
         q, x = bounds.n_locations, bounds.n_clocks
         budget = q * 4 * x * (x + 1) + 1
-    n_loc = len(a.locations)
-    sets: list[set[AtomicConstraint]] = [set() for _ in range(n_loc)]
+    floor = bounds.floor
+    sets: list[set[AtomicConstraint]] = [set() for _ in a.locations]
     parent: ParentMap = {}
     frontier: list[tuple[int, AtomicConstraint]] = []
-    for q, phi in _base_records(a):
+    props = edge_propagations(a)
+    for q, phi in _base_records(a, props):
         if phi not in sets[q]:
             sets[q].add(phi)
             parent[(q, phi)] = None
             frontier.append((q, phi))
-    edges_by_dst: dict[int, list[int]] = defaultdict(list)
+    # per location, its in-edges as (edge index, source, propagation, the
+    # source's set)
+    in_edges: list[list[tuple[int, int, Propagation, set[AtomicConstraint]]]] = [
+        [] for _ in a.locations]
     for ei, e in enumerate(a.edges):
-        edges_by_dst[e.dst].append(ei)
-    contexts = [edge_context(a, ei) for ei in range(len(a.edges))]
+        in_edges[e.dst].append((ei, e.src, props[ei], sets[e.src]))
     steps = 0
 
     def result(status: Status, witness=None) -> GMap:
@@ -305,19 +369,19 @@ def compute_gmap(
         _check_deadline(deadline)
         new_frontier: list[tuple[int, AtomicConstraint]] = []
         for qp, phi in frontier:
-            for ei in edges_by_dst[qp]:
-                e = a.edges[ei]
-                psi = wp(phi, contexts[ei], e.update)
-                if psi.is_trivial or psi in sets[e.src]:
+            for ei, src, prop, into in in_edges[qp]:
+                psi = prop(phi)
+                # a trivial result is always the TOP or BOTTOM object
+                if psi is TOP or psi is BOTTOM or psi in into:
                     continue
-                sets[e.src].add(psi)
-                parent[(e.src, psi)] = (qp, phi, ei)
-                new_frontier.append((e.src, psi))
+                into.add(psi)
+                parent[(src, psi)] = (qp, phi, ei)
+                new_frontier.append((src, psi))
         if not new_frontier:
             return result(Status.CONVERGED)
         steps += 1
         for q, phi in sorted(new_frontier, key=lambda r: r[0]):
-            if phi.constant > bounds.floor:
+            if phi.constant > floor:
                 witness = _witness(_chain(q, phi, parent), bounds, budget + 1,
                                    deadline)
                 if witness is not None:
@@ -358,10 +422,10 @@ def _witness(
     step one lap earlier with its constant grown by the cycle's growth, until
     a constant exceeds N within max_depth propagations of the base atom.
 
-    The shift is exact, as every cycle constant c lies above max(M, L).  A
-    `table_cut` cut then depends only on which guard atoms exist, since their
+    The shift is exact, as every cycle constant c lies above max(M, L).  The
+    context cut then depends only on which guard atoms exist, since their
     constants are at most M < c; a LOWER cut yields a constant at most M, so
-    never a cycle step.  `up_inverse` takes the entry ``x_i - x_j < e`` to
+    never a cycle step.  The preimage takes the entry ``x_i - x_j < e`` to
     ``x_si - x_sj < e - oi + oj``, where the indices and the offsets, each
     at most L in absolute value, do not depend on e, and keeps the
     strictness.  An upper form stores its entry's bound e as its constant
@@ -371,14 +435,15 @@ def _witness(
     ±(oi - oj) - c <= 2L - c < L, so it is never a cycle step.
     `verify_witness` re-checks every step by propagation.
     """
+    n_bound = bounds.N
     cycle = _find_cycle(chain, bounds)
-    if chain[-1].constraint.constant > bounds.N:
+    if chain[-1].constraint.constant > n_bound:
         return PropagationSequence(tuple(chain), cycle)
     if cycle is None or cycle[1] != len(chain) - 1:
         return None
     i, j = cycle
     delta = chain[j].constraint.constant - chain[i].constraint.constant
-    while chain[-1].constraint.constant <= bounds.N:
+    while chain[-1].constraint.constant <= n_bound:
         if len(chain) > max_depth:
             return None
         _check_deadline(deadline)
@@ -393,8 +458,9 @@ def _find_cycle(
 ) -> Optional[tuple[int, int]]:
     """Repeating (location, shape) pair with growing constant, all constants
     in between above max(M, L)."""
+    floor = bounds.floor
     start = len(steps)
-    while start > 0 and steps[start - 1].constraint.constant > bounds.floor:
+    while start > 0 and steps[start - 1].constraint.constant > floor:
         start -= 1
     first_at: dict[tuple, int] = {}
     for j in range(start, len(steps)):
@@ -417,7 +483,8 @@ def verify_witness(gmap: GMap, a: Automaton) -> list[str]:
     steps = seq.steps
     if not steps:
         return ["empty witness"]
-    if (steps[0].location, steps[0].constraint) not in _base_records(a):
+    props = edge_propagations(a)
+    if (steps[0].location, steps[0].constraint) not in _base_records(a, props):
         problems.append("witness does not start at a base-set constraint")
     for k in range(1, len(steps)):
         ei = steps[k].edge
@@ -428,8 +495,7 @@ def verify_witness(gmap: GMap, a: Automaton) -> list[str]:
         if e.src != steps[k].location or e.dst != steps[k - 1].location:
             problems.append(f"step {k}: edge endpoints do not match")
             continue
-        expect = wp(steps[k - 1].constraint, edge_context(a, ei), e.update)
-        if expect != steps[k].constraint:
+        if props[ei](steps[k - 1].constraint) != steps[k].constraint:
             problems.append(f"step {k}: propagation does not reproduce the constraint")
     if steps[-1].constraint.constant <= gmap.bounds.N:
         problems.append("witness does not end above the constant bound")
@@ -451,10 +517,7 @@ def verify_witness(gmap: GMap, a: Automaton) -> list[str]:
             for k in range(i + 1, j + 1):
                 prev = steps[k - 1].constraint
                 cur = steps[k].constraint
-                ei = steps[k].edge
-                e = a.edges[ei]
-                shifted = wp(prev.with_constant(prev.constant + delta),
-                             edge_context(a, ei), e.update)
+                shifted = props[steps[k].edge](prev.with_constant(prev.constant + delta))
                 if shifted != cur.with_constant(cur.constant + delta):
                     problems.append(f"cycle step {k} does not re-propagate shifted")
                     break
@@ -468,18 +531,18 @@ def verify_witness(gmap: GMap, a: Automaton) -> list[str]:
 def check_closure(gmap: GMap, a: Automaton) -> bool:
     """Fixed-point conditions: base atoms present, propagations present or cut."""
     sets = gmap.sets
-
-    def covered(q: int, phi: AtomicConstraint) -> bool:
-        return phi.is_trivial or phi in sets[q]
-
-    for q, phi in _base_records(a):
-        if not covered(q, phi):
+    props = edge_propagations(a)
+    for q, phi in _base_records(a, props):
+        if phi not in sets[q]:  # base records are never trivial
             return False
-    for ei, e in enumerate(a.edges):
-        ctx = edge_context(a, ei)
-        for phi in sets[e.dst]:
-            if not covered(e.src, wp(phi, ctx, e.update)):
-                return False
+    for e, prop in zip(a.edges, props):
+        into, came = sets[e.src], sets[e.dst]
+        # closure does not depend on order, so the parts are read unsorted
+        for part in (came.nond, came.diag):
+            for phi in part:
+                psi = prop(phi)
+                if not (psi.is_trivial or psi in into):
+                    return False
     return True
 
 

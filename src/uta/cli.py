@@ -109,10 +109,13 @@ def cmd_analyze(args) -> int:
 def cmd_reach(args) -> int:
     net, say, t0 = _front(args)
     gmaps = None
+    analysis_seconds = 0.0
     if not args.no_simulation:
         refuse_pruning(net)  # needs the model alone, so before the analysis
+        t_analysis = time.monotonic()
         gmaps = [compute_gmap(comp, deadline=t0 + args.timeout)
                  for comp in net.components]
+        analysis_seconds = time.monotonic() - t_analysis
     remaining = args.timeout - (time.monotonic() - t0)
     if remaining <= 0:
         raise TimeoutError
@@ -122,6 +125,7 @@ def cmd_reach(args) -> int:
     if args.out_format == "json":
         doc = {"model": net.name, "target": args.target}
         doc.update(stats.to_json(net))
+        doc["analysis_seconds"] = round(analysis_seconds, 4)
         doc["total_seconds"] = round(total, 4)
         say(json.dumps(doc, indent=2))
     else:

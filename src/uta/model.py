@@ -10,13 +10,16 @@ from __future__ import annotations
 import enum
 import operator
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
 # largest clock constant, reset value or shift offset: beyond it the sums
 # of zone arithmetic (dbm) risk int64 overflow
 MAX_CONST = 2**40
+# builds a tuple subclass without calling its __new__: the trusted path of
+# the normalizing atom constructors
+_new = tuple.__new__
 
 
 class Strictness(enum.IntEnum):
@@ -43,45 +46,57 @@ class Kind(enum.IntEnum):
     LOWER_DIAG = 5   # c < x - y  or  c <= x - y
 
 
-@dataclass(frozen=True, slots=True)
-class AtomicConstraint:
-    """One atomic clock constraint; ``x``/``y`` are clock indices.
+_TRIVIAL = (Kind.TOP, Kind.BOTTOM)
+_DIAGONAL = (Kind.UPPER_DIAG, Kind.LOWER_DIAG)
 
-    Proper constraints always carry a natural constant; raw comparisons with
-    negative constants must go through the ``make_*`` constructors, which
-    normalize them (diagonals flip orientation, non-diagonals collapse to
-    TOP/BOTTOM).
-    """
 
+class _AtomFields(NamedTuple):
     kind: Kind
     x: Optional[int] = None
     y: Optional[int] = None
     strictness: Optional[Strictness] = None
     constant: Optional[int] = None
 
-    def __post_init__(self) -> None:
+
+class AtomicConstraint(_AtomFields):
+    """One atomic clock constraint; ``x``/``y`` are clock indices.
+
+    An immutable tuple of its five fields, so that hashing and equality run
+    in C.  Proper constraints always carry a natural constant; raw
+    comparisons with negative constants must go through the ``make_*``
+    constructors, which normalize them (diagonals flip orientation,
+    non-diagonals collapse to TOP/BOTTOM).  The public constructor checks
+    every field; the normalizing constructors (`make_upper`, `make_lower`,
+    `from_entry`, `with_constant`) build their well-formed results directly
+    and check only what can go wrong there, the constant's range.  The
+    tuple's own ``_replace`` and ``_make`` check nothing.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, kind: Kind, x: Optional[int] = None, y: Optional[int] = None,
+                strictness: Optional[Strictness] = None,
+                constant: Optional[int] = None) -> "AtomicConstraint":
+        self = _new(cls, (kind, x, y, strictness, constant))
         # raised, not asserted: the invariants must hold under python -O too
-        if self.kind in (Kind.TOP, Kind.BOTTOM):
-            if self.x is None and self.y is None and self.constant is None:
-                return
-        elif (self.x is not None and self.strictness is not None
-              and self.constant is not None
-              and (self.y is not None and self.y != self.x
-                   if self.kind in (Kind.UPPER_DIAG, Kind.LOWER_DIAG)
-                   else self.y is None)):
-            if 0 <= self.constant <= INT64_MAX:
-                return
-            raise ValueError(f"constraint constant {self.constant} is not a "
-                             "natural number in int64 range")
+        if kind in _TRIVIAL:
+            if x is None and y is None and constant is None:
+                return self
+        elif (x is not None and strictness is not None and constant is not None
+              and (y is not None and y != x
+                   if kind in _DIAGONAL else y is None)):
+            if 0 <= constant <= INT64_MAX:
+                return self
+            raise constant_error(constant)
         raise ValueError(f"malformed constraint {self!r}")
 
     @property
     def is_trivial(self) -> bool:
-        return self.kind in (Kind.TOP, Kind.BOTTOM)
+        return self.kind in _TRIVIAL
 
     @property
     def is_diagonal(self) -> bool:
-        return self.kind in (Kind.UPPER_DIAG, Kind.LOWER_DIAG)
+        return self.kind in _DIAGONAL
 
     def clocks(self) -> tuple[int, ...]:
         if self.is_trivial:
@@ -110,7 +125,11 @@ class AtomicConstraint:
         return (self.kind, self.x, self.y)
 
     def with_constant(self, c: int) -> "AtomicConstraint":
-        return AtomicConstraint(self.kind, self.x, self.y, self.strictness, c)
+        kind, x, y, s, old = self
+        if old is None or not 0 <= c <= INT64_MAX:
+            # TOP and BOTTOM carry no constant: the constructor refuses both
+            return AtomicConstraint(kind, x, y, s, c)
+        return _new(AtomicConstraint, (kind, x, y, s, c))
 
     def sort_key(self) -> tuple:
         return (
@@ -122,22 +141,28 @@ class AtomicConstraint:
         )
 
     def to_str(self, names: Sequence[str]) -> str:
-        if self.kind is Kind.TOP:
+        kind, x, y, s, c = self
+        if kind is Kind.TOP:
             return "true"
-        if self.kind is Kind.BOTTOM:
+        if kind is Kind.BOTTOM:
             return "false"
-        op = self.strictness.symbol
-        if self.kind is Kind.UPPER:
-            return f"{names[self.x]}{op}{self.constant}"
-        if self.kind is Kind.LOWER:
-            return f"{self.constant}{op}{names[self.x]}"
-        if self.kind is Kind.UPPER_DIAG:
-            return f"{names[self.x]}-{names[self.y]}{op}{self.constant}"
-        return f"{self.constant}{op}{names[self.x]}-{names[self.y]}"
+        op = s.symbol
+        if kind is Kind.UPPER:
+            return f"{names[x]}{op}{c}"
+        if kind is Kind.LOWER:
+            return f"{c}{op}{names[x]}"
+        if kind is Kind.UPPER_DIAG:
+            return f"{names[x]}-{names[y]}{op}{c}"
+        return f"{c}{op}{names[x]}-{names[y]}"
 
 
 TOP = AtomicConstraint(Kind.TOP)
 BOTTOM = AtomicConstraint(Kind.BOTTOM)
+
+
+def constant_error(c: int) -> ValueError:
+    """The error for a constraint constant outside 0..INT64_MAX."""
+    return ValueError(f"constraint constant {c} is not a natural number in int64 range")
 
 
 def eval_const_cmp(lhs: int, strictness: Strictness, rhs: int) -> AtomicConstraint:
@@ -151,14 +176,18 @@ def make_upper(x: int, strictness: Strictness, c: int) -> AtomicConstraint:
     # x < 0 and x < c with c < 0 are unsatisfiable over nonnegative clocks.
     if c < 0 or (c == 0 and strictness is STRICT):
         return BOTTOM
-    return AtomicConstraint(Kind.UPPER, x, None, strictness, c)
+    if c > INT64_MAX:
+        raise constant_error(c)
+    return _new(AtomicConstraint, (Kind.UPPER, x, None, strictness, c))
 
 
 def make_lower(x: int, strictness: Strictness, c: int) -> AtomicConstraint:
     # 0 <= x (and any negative lower bound) always holds; 0 < x stays.
     if c < 0 or (c == 0 and strictness is WEAK):
         return TOP
-    return AtomicConstraint(Kind.LOWER, x, None, strictness, c)
+    if c > INT64_MAX:
+        raise constant_error(c)
+    return _new(AtomicConstraint, (Kind.LOWER, x, None, strictness, c))
 
 
 def from_entry(i: int, j: int, strictness: Strictness, c: int,
@@ -174,8 +203,12 @@ def from_entry(i: int, j: int, strictness: Strictness, c: int,
     if i == 0:
         return make_lower(j - 1, strictness, -c)
     if c < 0 or (c == 0 and lower):
-        return AtomicConstraint(Kind.LOWER_DIAG, j - 1, i - 1, strictness, -c)
-    return AtomicConstraint(Kind.UPPER_DIAG, i - 1, j - 1, strictness, c)
+        if c < -INT64_MAX:
+            raise constant_error(-c)
+        return _new(AtomicConstraint, (Kind.LOWER_DIAG, j - 1, i - 1, strictness, -c))
+    if c > INT64_MAX:
+        raise constant_error(c)
+    return _new(AtomicConstraint, (Kind.UPPER_DIAG, i - 1, j - 1, strictness, c))
 
 
 def make_upper_diag(x: int, y: int, strictness: Strictness, c: int) -> AtomicConstraint:

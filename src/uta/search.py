@@ -208,7 +208,8 @@ class CompiledNet:
     receiver of another component.  While a component sits in a committed
     location, moves that involve no committed component are left out.
     Each component location's invariant is encoded once (a `false` one as a
-    never-satisfied triple); `target` concatenates those of a location vector.
+    never-satisfied triple); `target` concatenates those of a location vector
+    once and hands every firing into that vector the same pair.
     """
 
     def __init__(self, net: Network):
@@ -235,6 +236,7 @@ class CompiledNet:
                             for loc in comp.locations] for comp in net.components]
         self._moves: dict[tuple[int, ...], tuple[Firing, ...]] = {}
         self._move: dict[tuple[tuple[int, int], ...], Move] = {}
+        self._target: dict[tuple[int, ...], tuple[tuple[Triple, ...], bool]] = {}
 
     def committed(self, locs: tuple[int, ...]) -> bool:
         return any(
@@ -244,8 +246,12 @@ class CompiledNet:
 
     def target(self, locs: tuple[int, ...]) -> tuple[tuple[Triple, ...], bool]:
         """The encoded invariant of locs, and whether time may pass there."""
-        invariant = tuple(t for c, l in enumerate(locs) for t in self._invariant[c][l])
-        return invariant, not self.committed(locs)
+        got = self._target.get(locs)
+        if got is None:
+            invariant = tuple(t for c, l in enumerate(locs)
+                              for t in self._invariant[c][l])
+            got = self._target[locs] = (invariant, not self.committed(locs))
+        return got
 
     def _compile(self, parts: tuple[tuple[int, int], ...]) -> Move:
         got = self._move.get(parts)

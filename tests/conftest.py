@@ -1,7 +1,6 @@
 """Shared builders and reference predicates for the test suite."""
 import os
 import random
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -144,8 +143,9 @@ def random_sync_network(rng: random.Random, n_comps: int = 3,
 
         def own_atom():
             phi = random_atom(rng, clocks_per_comp, max_const)
-            return replace(phi, x=phi.x + off,
-                           y=None if phi.y is None else phi.y + off)
+            return AtomicConstraint(phi.kind, phi.x + off,
+                                    None if phi.y is None else phi.y + off,
+                                    phi.strictness, phi.constant)
 
         n_locs = rng.randint(2, max_locs)
         locations = []

@@ -10,7 +10,10 @@ of a single valuation, the empty constraint set, the worst-case release
 pattern, pointwise simulation, the zone simulation decided by region
 enumeration from the definition, the per-clock LU bounds of a constraint
 set, the syntactic boundedness test and the capping transform behind it,
-the preimage of a constraint under an update case by case, the base sets
+the preimage of a constraint under an update case by case and through
+its matrix entry, the guard-context cut by a scan of the context, the
+backward propagation one atom at a time (`wp`, the oracle of the
+analysis's compiled per-edge propagation), the base sets
 of the constraint analysis, one synchronous propagation sweep of it, the
 analysis swept until a constant exceeds its bound, the plain-preimage
 analysis that the guard-aware one replaces, the constraint set of a
@@ -24,7 +27,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from uta import analysis, simulation
+from uta import simulation
 from uta.analysis import (
     GMap,
     GSet,
@@ -35,7 +38,6 @@ from uta.analysis import (
     analysis_bounds,
     edge_context,
     nonneg_source,
-    wp,
 )
 from uta.benchgen import CounterAutomaton, ReleasePattern
 from uta.dbm import (
@@ -67,6 +69,7 @@ from uta.model import (
     Strictness,
     Update,
     eval_const_cmp,
+    from_entry,
     make_lower,
     make_lower_diag,
     make_upper,
@@ -557,7 +560,74 @@ def extract_lu(g: GSet, n_clocks: int) -> LUBounds:
     return LUBounds(tuple(lower), tuple(upper))
 
 def up_inverse(phi: AtomicConstraint, up: Update) -> AtomicConstraint:
-    """Preimage of an atomic constraint under an update, normalized.
+    """Preimage of an atomic constraint under an update, normalized, one
+    atom at a time: the oracle of the preimage half of `analysis.Propagation`.
+
+    Characterized by: v satisfies the result iff up(v) satisfies phi,
+    whenever up(v) is defined.  Through ``x_i := x_si + oi``
+    (`Update.source`) phi's entry ``x_i - x_j < c`` becomes
+    ``x_si - x_sj < c - oi + oj``, a zero-constant difference in phi's
+    orientation.
+    """
+    i, j, s, c = phi.entry()
+    si, oi = up.source(i)
+    sj, oj = up.source(j)
+    return from_entry(si, sj, s, c - oi + oj, phi.kind is Kind.LOWER_DIAG)
+
+
+def table_cut(
+    psi: AtomicConstraint, guard_atoms: Sequence[AtomicConstraint]
+) -> AtomicConstraint:
+    """Weaken a propagated constraint using the edge's guard context, by a
+    scan of the context atoms: the oracle of the cut half of
+    `analysis.Propagation`.
+
+    The guard holds for both valuations of any simulation pair crossing the
+    edge, which makes three families of propagated constraints redundant:
+    an upper bound on a clock that the guard also bounds above; a lower
+    bound d < x that some guard atom x < c with c < d already forces (the
+    weak ``c <= x`` suffices instead); and a difference bound whose constant
+    lies outside what the guard permits for that clock difference.
+    """
+    if psi.is_trivial:
+        return psi
+    if psi.kind is Kind.UPPER:
+        for g in guard_atoms:
+            if g.kind is Kind.UPPER and g.x == psi.x:
+                return TOP
+        return psi
+    if psi.kind is Kind.LOWER:
+        best: Optional[int] = None
+        for g in guard_atoms:
+            if g.kind is Kind.UPPER and g.x == psi.x and g.constant < psi.constant:
+                if best is None or g.constant < best:
+                    best = g.constant
+        if best is not None:
+            return make_lower(psi.x, WEAK, best)
+        return psi
+    x, y, d = psi.x, psi.y, psi.constant
+    for g in guard_atoms:
+        if g.kind is Kind.UPPER and g.x == x and g.constant < d:
+            return TOP
+        if g.kind is Kind.UPPER_DIAG and (g.x, g.y) == (x, y) and g.constant < d:
+            return TOP
+        if g.kind is Kind.LOWER_DIAG and (g.x, g.y) == (x, y) and g.constant > d:
+            return TOP
+    return psi
+
+
+def wp(
+    phi: AtomicConstraint,
+    guard_atoms: Sequence[AtomicConstraint],
+    up: Update,
+) -> AtomicConstraint:
+    """Backward propagation, preimage then guard-context cut, one atom and
+    one context scan at a time: what `analysis.Propagation` computes."""
+    return table_cut(up_inverse(phi, up), guard_atoms)
+
+
+def case_up_inverse(phi: AtomicConstraint, up: Update) -> AtomicConstraint:
+    """Preimage of an atomic constraint under an update, case by case.
 
     Characterized by: v satisfies the result iff up(v) satisfies phi,
     whenever up(v) is defined.
@@ -610,7 +680,7 @@ def plain_preimage(
 ) -> AtomicConstraint:
     """The plain backward propagation: the preimage that `wp` cuts, guard
     context unused."""
-    return analysis.up_inverse(phi, up)
+    return up_inverse(phi, up)
 
 
 def base_records(a: Automaton, prop=wp) -> list[tuple[int, AtomicConstraint]]:

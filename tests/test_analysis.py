@@ -5,6 +5,8 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     fig1_automaton,
@@ -19,6 +21,7 @@ from reference import (
     apply_update_point,
     base_records,
     bound_transform,
+    case_up_inverse,
     check_syntactically_bounded,
     extract_lu,
     g0,
@@ -27,28 +30,32 @@ from reference import (
     plain_preimage,
     satisfies,
     sweep_gmap,
-    up_inverse as case_up_inverse,
+    table_cut as reference_table_cut,
+    up_inverse as reference_up_inverse,
+    wp as reference_wp,
 )
 from uta.analysis import (
     GSet,
+    Propagation,
     Status,
     _base_records,
     analysis_bounds,
     check_closure,
     compute_gmap,
     edge_context,
+    edge_propagations,
     nonneg_source,
     report_json,
-    up_inverse,
     verify_witness,
-    wp,
 )
 from uta.benchgen import FRAGMENTS, RandomProfile, gen_random
 from uta.model import (
     BOTTOM,
+    INT64_MAX,
     STRICT,
     TOP,
     WEAK,
+    AtomicConstraint,
     Automaton,
     Const,
     Edge,
@@ -73,6 +80,21 @@ L3 = make_lower(X, WEAK, 3)
 D1 = make_upper_diag(X, Y, STRICT, 1)
 D2 = make_upper_diag(X, Y, STRICT, 2)
 D3 = make_upper_diag(X, Y, STRICT, 3)
+
+# clocks the hand-written cases below use
+N_CLOCKS = 3
+
+
+def wp(phi, ctx, up, n_clocks=N_CLOCKS):
+    """The analysis's compiled propagation of phi through an edge with
+    guard context ctx and update up."""
+    return Propagation(ctx, up, n_clocks)(phi)
+
+
+def up_inverse(phi, up):
+    """The compiled propagation through an edge without context, which cuts
+    nothing: the bare preimage."""
+    return wp(phi, (), up)
 
 
 class TestUpInverse:
@@ -127,6 +149,7 @@ class TestUpInverse:
             for phi in atoms:
                 want = case_up_inverse(phi, up)
                 assert up_inverse(phi, up) == want, (phi, up)
+                assert reference_up_inverse(phi, up) == want, (phi, up)
                 zero_diag += want.is_diagonal and want.constant == 0
         assert zero_diag > 100
 
@@ -210,6 +233,120 @@ class TestWp:
             assert sim_atom_ref(v, vp, phi) == sim_atom_grid(v, vp, phi, 16)
 
 
+@st.composite
+def propagation_cases(draw):
+    """(n, context, update, atom): an atom of any kind, zero-constant
+    diagonals in both orientations and the un-normalized 0 <= x included;
+    an update of resets, shifts by negative and positive offsets and clock
+    swaps; and a context of upper, lower and diagonal atoms on few clocks,
+    pairs and constants, so that one clock or pair often carries several,
+    some of them at the preimage's own clock or pair with its constant
+    off by -1, 0 or 1, where the cut's comparisons decide."""
+    n = draw(st.integers(1, 3))
+    clock = st.integers(0, n - 1)
+
+    def other(x):
+        return draw(clock.filter(lambda y: y != x))
+
+    def atom(kinds, c):
+        kind = draw(st.sampled_from(kinds))
+        if kind in (Kind.TOP, Kind.BOTTOM):
+            return TOP if kind is Kind.TOP else BOTTOM
+        x = draw(clock)
+        s = draw(st.sampled_from((STRICT, WEAK)))
+        if kind is Kind.LOWER and c == 0 and draw(st.booleans()):
+            return nonneg_source(x)
+        if n == 1 and kind in (Kind.UPPER_DIAG, Kind.LOWER_DIAG):
+            kind = Kind.UPPER  # one clock has no differences
+        if kind in (Kind.UPPER, Kind.LOWER):
+            return AtomicConstraint(kind, x, None, s, c)
+        return AtomicConstraint(kind, x, other(x), s, c)
+
+    entries = {}
+    for x in range(n):
+        choice = draw(st.sampled_from(("keep", "const", "shift", "swap")))
+        if choice == "const":
+            entries[x] = Const(draw(st.integers(0, 6)))
+        elif choice == "shift":
+            entries[x] = Shift(draw(clock), draw(st.integers(-3, 3)))
+        elif choice == "swap" and n > 1 and x not in entries:
+            y = other(x)
+            if y not in entries:
+                d = draw(st.integers(-2, 2))
+                entries[x], entries[y] = Shift(y, d), Shift(x, -d)
+    up = Update.of(entries)
+    phi = atom(tuple(Kind), draw(st.integers(0, 7)))
+    context = [atom((Kind.UPPER, Kind.UPPER_DIAG, Kind.LOWER_DIAG, Kind.LOWER,
+                     Kind.BOTTOM), draw(st.integers(0, 6)))
+               for _ in range(draw(st.integers(0, 5)))]
+    pre = reference_up_inverse(phi, up)
+    if not pre.is_trivial:
+        for _ in range(draw(st.integers(0, 3))):
+            c = max(0, pre.constant + draw(st.integers(-1, 1)))
+            s = draw(st.sampled_from((STRICT, WEAK)))
+            kind = draw(st.sampled_from((Kind.UPPER, Kind.UPPER_DIAG, Kind.LOWER_DIAG)))
+            if kind is Kind.UPPER or not pre.is_diagonal:
+                context.append(AtomicConstraint(Kind.UPPER, pre.x, None, s, c))
+            else:
+                context.append(AtomicConstraint(kind, pre.x, pre.y, s, c))
+    order = draw(st.permutations(range(len(context))))
+    return n, tuple(context[k] for k in order), up, phi
+
+
+class TestCompiledPropagation:
+    """`Propagation` computes what the one-atom reference `wp` does."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(case=propagation_cases())
+    def test_matches_the_reference(self, case):
+        n, context, up, phi = case
+        want = reference_table_cut(reference_up_inverse(phi, up), context)
+        assert want == reference_wp(phi, context, up)
+        got = Propagation(context, up, n)(phi)
+        assert got == want, (phi, context, up)
+        assert type(got) is AtomicConstraint
+        if want.is_trivial:
+            assert got is (TOP if want.kind is Kind.TOP else BOTTOM)
+
+    def test_swap_with_context(self):
+        # x, y := y + 1, x - 1 under y <= 2, x - y <= 7 and x - y <= 6:
+        # y - x < 3 becomes x - y < 5 and survives the least diagonal bound
+        # 6; x - y <= 6 becomes y - x <= 4, which y <= 2 cuts
+        up = Update.of({X: Shift(Y, 1), Y: Shift(X, -1)})
+        ctx = (make_upper(Y, WEAK, 2), make_upper_diag(X, Y, WEAK, 7),
+               make_upper_diag(X, Y, WEAK, 6))
+        prop = Propagation(ctx, up, 2)
+        assert prop(make_upper_diag(Y, X, STRICT, 3)) == make_upper_diag(X, Y, STRICT, 5)
+        assert prop(make_upper_diag(X, Y, WEAK, 6)) is TOP
+        # y - x < 5 becomes x - y < 7: the least of the two bounds cuts it
+        assert prop(make_upper_diag(Y, X, STRICT, 5)) is TOP
+        assert prop(TOP) is TOP and prop(BOTTOM) is BOTTOM
+
+
+class TestConstantRange:
+    """A propagated or pumped constant outside int64 raises, as a constraint
+    built from it directly does."""
+
+    def test_shift_past_int64_raises(self):
+        # guard x <= 2^62 and x := x - 2^62: the preimage x <= 2^63 overflows
+        big = 2**62
+        a = Automaton("t", (Location("a", initial=True),),
+                      (Edge(0, 0, Guard((make_upper(X, WEAK, big),)),
+                            Update.of({X: Shift(X, -big)})),), ("x",))
+        with pytest.raises(ValueError, match=f"constraint constant {2 * big} is not "
+                           "a natural number in int64 range"):
+            compute_gmap(a)
+
+    def test_negative_with_constant_raises(self):
+        for phi in (U3, L1, D1, make_lower_diag(X, Y, WEAK, 2)):
+            with pytest.raises(ValueError, match="constraint constant -1 is not "
+                               "a natural number in int64 range"):
+                phi.with_constant(-1)
+            with pytest.raises(ValueError, match="constraint constant"):
+                phi.with_constant(INT64_MAX + 1)
+            assert phi.with_constant(INT64_MAX).constant == INT64_MAX
+
+
 class TestBaseSets:
     def test_guarded_loop_base(self):
         a = fig1_automaton()
@@ -238,7 +375,7 @@ class TestBaseSets:
         rng = random.Random(57)
         for _ in range(60):
             a = random_automaton(rng, n_clocks=rng.randint(1, 3))
-            assert base_records(a) == _base_records(a)
+            assert base_records(a) == _base_records(a, edge_propagations(a))
 
 
 class TestKleeneStep:
@@ -276,7 +413,8 @@ class TestKleeneStep:
                 for q, phi, ei, parent in added:
                     e = a.edges[ei]
                     assert e.src == q
-                    assert wp(parent, edge_context(a, ei), e.update) == phi
+                    assert wp(parent, edge_context(a, ei), e.update,
+                              len(a.clock_names)) == phi
                 sets = after
 
 
@@ -477,6 +615,16 @@ class TestBounds:
             ("x",),
         )
         assert analysis_bounds(a).M == 9
+
+
+class TestGSet:
+    def test_of_splits_by_kind_value(self):
+        # a kind given as the plain int the constructor accepts sorts as its Kind
+        atoms = [U3, D2, TOP, BOTTOM]
+        as_ints = [AtomicConstraint(int(phi.kind), phi.x, phi.y, phi.strictness,
+                                    phi.constant) for phi in atoms]
+        for g in (GSet.of(atoms), GSet.of(as_ints)):
+            assert g.nond == {U3} and g.diag == {D2}
 
 
 class TestExtractLU:

@@ -1,6 +1,5 @@
 """Zone matrix algebra: bounds, canonical form, successors."""
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -497,7 +496,7 @@ class TestPacked:
         rng = random.Random(seed)
 
         def atoms():
-            return [replace(phi, constant=phi.constant << shift)
+            return [phi.with_constant(phi.constant << shift)
                     for phi in (random_atom(rng, n, 6)
                                 for _ in range(rng.randint(0, 4)))]
 
@@ -527,7 +526,7 @@ class TestPacked:
             return rng.randint(1, 3) << shift
 
         if kind in ("diagonal", "elapsed"):
-            atoms = [replace(phi, constant=phi.constant << shift)
+            atoms = [phi.with_constant(phi.constant << shift)
                      for phi in (random_atom(rng, n, 6) for _ in range(4))]
             if kind == "diagonal":
                 atoms += [make_upper(x, WEAK, 2 * c()) for x in range(n)]

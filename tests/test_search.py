@@ -774,6 +774,30 @@ class TestMoveTable:
         assert children >= compared
         assert disabled >= 10 and pairs >= 10
 
+    def test_firings_into_one_location_vector_share_its_invariant(self):
+        # the firings of every product location of the location graph,
+        # grouped by the location vector they enter: one invariant object
+        # per vector, and vectors with a nonempty invariant entered twice
+        shared = 0
+        for label, build, _ in DESK_ROWS:
+            node, compiled = initial_node(build())
+            seen: dict = {}
+            frontier, visited = [node.loc.locs], {node.loc.locs}
+            while frontier:
+                locs = frontier.pop()
+                for _, new_locs, invariant, do_elapse in compiled.moves(locs):
+                    if new_locs in seen:
+                        assert seen[new_locs] == (invariant, do_elapse), label
+                        assert seen[new_locs][0] is invariant, label
+                        shared += len(invariant) > 0  # () is always one object
+                    else:
+                        seen[new_locs] = (invariant, do_elapse)
+                    if new_locs not in visited:
+                        visited.add(new_locs)
+                        frontier.append(new_locs)
+            assert compiled.target(node.loc.locs) is compiled.target(node.loc.locs)
+        assert shared > len(DESK_ROWS)
+
 
 def stored_zones(passed) -> list:
     """The zones of a passed list, unpacked."""

@@ -760,7 +760,7 @@ class TestBoundKeys:
             return random_zone_chain(rng, n)
         atoms = [random_atom(rng, n, 6) for _ in range(rng.randint(0, 3))]
         if big:
-            atoms = [replace(phi, constant=phi.constant << 33) for phi in atoms]
+            atoms = [phi.with_constant(phi.constant << 33) for phi in atoms]
         return intersect_all(universe(n), atoms)
 
     def test_key_compare_is_the_threshold_formula(self):
@@ -772,7 +772,7 @@ class TestBoundKeys:
             big = rng.random() < 0.2
             atoms = [random_atom(rng, n, 6) for _ in range(rng.randint(0, 5))]
             if big:
-                atoms = [replace(phi, constant=phi.constant << 33) for phi in atoms]
+                atoms = [phi.with_constant(phi.constant << 33) for phi in atoms]
             prep = prepare(GSet.of(atoms), n)
             z, zp = self.zone(rng, n, big), self.zone(rng, n, big)
             if z is EMPTY or zp is EMPTY:

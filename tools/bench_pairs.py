@@ -9,10 +9,10 @@ old results.  Each pair runs ``perfbench/run.py --trace 0`` once per
 workload of BENCHMARK.json on each side, for its run length, workloads
 interleaved within the pair and the side that runs first alternating.
 Before the pairs it takes the dequeued, pruned, kernel and stored counts
-of the EDF rows, the slow flower row included, the search's seconds, the
-process's peak RSS and the bytes of the packed zones, from ``uta reach
---format json`` on each side, and the per-layer metrics of three
-alternating pairs of traced runs per workload
+of the EDF rows, the slow flower row included, the search's and the
+analysis's seconds, the process's peak RSS and the bytes of the packed
+zones, from ``uta reach --format json`` on each side, and the per-layer
+metrics of three alternating pairs of traced runs per workload
 (``perfbench/run.py --trace 1``, seeds 1 to 3), which are recorded, with
 each side's median, and never compared.
 
@@ -53,7 +53,7 @@ EDF_ROWS = (
 COUNTS = ("verdict", "nodes", "pruned_exact", "pruned_sim", "pruned_subtree",
           "max_frontier", "kernel_candidates", "diag_calls", "stored")
 # measured per row beside the counts, and left out of their comparison
-MEASURED = ("search_seconds", "peak_rss_mb", "zone_bytes")
+MEASURED = ("search_seconds", "analysis_seconds", "peak_rss_mb", "zone_bytes")
 # traced pairs per workload in the layer split
 LAYER_PAIRS = 3
 
@@ -141,8 +141,8 @@ def _run_bench(tree: Path, workload: str, seed: int, seconds: int,
 
 def _search_counts(tree: Path, work: Path) -> dict:
     """Verdict, counts and path of each EDF row on one side, through the
-    command line, with the search's own seconds and the peak RSS beside
-    them."""
+    command line, with the search's and the analysis's seconds and the
+    peak RSS beside them."""
     out = {}
     for row, gen_args in EDF_ROWS:
         model = work / f"{tree.name}-{len(out)}.uta"
