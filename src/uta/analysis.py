@@ -21,10 +21,11 @@ every constant grown by delta.
 from __future__ import annotations
 
 import enum
+import operator
 import time
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .model import (
     BOTTOM,
@@ -36,6 +37,7 @@ from .model import (
     Automaton,
     Kind,
     Update,
+    atom_affixes,
     constant_error,
 )
 
@@ -194,16 +196,9 @@ class GSet:
 
     @staticmethod
     def of(atoms: Iterable[AtomicConstraint]) -> "GSet":
-        nond, diag = set(), set()
-        # membership, not identity: the public constructor also accepts a
-        # plain int equal to the kind
-        for phi in atoms:
-            kind = phi.kind
-            if kind in _DIAGONAL:
-                diag.add(phi)
-            elif kind not in _TRIVIAL:
-                nond.add(phi)
-        return GSet(frozenset(nond), frozenset(diag))
+        atoms = frozenset(atoms)
+        diag = frozenset([phi for phi in atoms if phi[0] in _DIAGONAL])
+        return GSet(atoms - diag - _TRIVIAL_ATOMS, diag)
 
     def __contains__(self, phi: AtomicConstraint) -> bool:
         return phi in self.nond or phi in self.diag
@@ -215,7 +210,14 @@ class GSet:
         return len(self.nond) + len(self.diag)
 
     def atoms(self) -> tuple[AtomicConstraint, ...]:
-        return tuple(sorted(self.nond | self.diag, key=AtomicConstraint.sort_key))
+        """The atoms by kind, clock, second clock, constant, strictness."""
+        return tuple(sorted(self.nond | self.diag, key=_ATOM_ORDER))
+
+
+_TRIVIAL_ATOMS = frozenset((TOP, BOTTOM))
+# the order of `GSet.atoms`: within one kind, y is None on every atom or an
+# int on every atom, so the fields compare as they stand
+_ATOM_ORDER = operator.itemgetter(0, 1, 2, 4, 3)
 
 
 @dataclass(frozen=True)
@@ -257,8 +259,7 @@ def analysis_bounds(a: Automaton) -> AnalysisBounds:
     return AnalysisBounds(m, l, len(a.locations), len(a.occurring_clocks()))
 
 
-@dataclass(frozen=True)
-class PropStep:
+class PropStep(NamedTuple):
     location: int
     constraint: AtomicConstraint
     edge: Optional[int]  # edge from this step's location to the previous step's
@@ -333,7 +334,7 @@ def compute_gmap(
     diverged map's sets are those found by the detecting sweep plus the
     witness atoms, and ``iterations`` counts the sweeps run.  The step
     budget is a hard stop that the convergence guarantees make unreachable.
-    A sweep or pumped step begun after deadline (a `time.monotonic` value)
+    A sweep or pumped lap begun after deadline (a `time.monotonic` value)
     raises TimeoutError.
     """
     bounds = analysis_bounds(a)
@@ -380,18 +381,24 @@ def compute_gmap(
         if not new_frontier:
             return result(Status.CONVERGED)
         steps += 1
-        for q, phi in sorted(new_frontier, key=lambda r: r[0]):
-            if phi.constant > floor:
-                witness = _witness(_chain(q, phi, parent), bounds, budget + 1,
-                                   deadline)
-                if witness is not None:
-                    for st in witness.steps:
-                        sets[st.location].add(st.constraint)
-                    return result(Status.DIVERGED, witness)
+        # only atoms above the floor can start a witness
+        high = [r for r in new_frontier if r[1].constant > floor]
+        high.sort(key=_LOCATION)
+        for q, phi in high:
+            witness = _witness(_chain(q, phi, parent), bounds, budget + 1,
+                               deadline)
+            if witness is not None:
+                for st in witness.steps:
+                    sets[st.location].add(st.constraint)
+                return result(Status.DIVERGED, witness)
         if steps > budget:
             return result(Status.BUDGET_EXHAUSTED)
         frontier = new_frontier
     return result(Status.CONVERGED)
+
+
+# a frontier record's location
+_LOCATION = operator.itemgetter(0)
 
 
 def _check_deadline(deadline: Optional[float]) -> None:
@@ -444,12 +451,18 @@ def _witness(
     i, j = cycle
     delta = chain[j].constraint.constant - chain[i].constraint.constant
     while chain[-1].constraint.constant <= n_bound:
-        if len(chain) > max_depth:
-            return None
         _check_deadline(deadline)
-        ref = chain[len(chain) - (j - i)]
-        phi = ref.constraint.with_constant(ref.constraint.constant + delta)
-        chain.append(PropStep(ref.location, phi, ref.edge))
+        # the next lap: the last one, shifted
+        for q, (kind, x, y, s, c), edge in chain[i - j:]:
+            if len(chain) > max_depth:
+                return None
+            c += delta
+            if c > INT64_MAX:
+                raise constant_error(c)
+            chain.append(_new(PropStep, (
+                q, _new(AtomicConstraint, (kind, x, y, s, c)), edge)))
+            if c > n_bound:
+                break
     return PropagationSequence(tuple(chain), cycle)
 
 
@@ -547,7 +560,15 @@ def check_closure(gmap: GMap, a: Automaton) -> bool:
 
 
 def report_json(a: Automaton, gmap: GMap) -> dict:
-    names = a.clock_names
+    """The analysis report of one component, as `uta analyze --format json`
+    prints it: ``component``, ``status``, ``iterations``, ``bounds`` (M, L,
+    N and the step budget) and ``location``, each location's name mapped to
+    the text of its set's atoms, ordered by kind, clock, second clock,
+    constant and strictness (`GSet.atoms`).  A diverged map adds
+    ``witness``, one row per propagation step (location, constraint,
+    edge), and ``cycle``, the growth cycle's step indices.  Each distinct
+    atom is rendered once, through a cache that lives within this call."""
+    texts = _AtomTexts(a.clock_names)
     out = {
         "component": a.name,
         "status": gmap.status.value,
@@ -559,19 +580,37 @@ def report_json(a: Automaton, gmap: GMap) -> dict:
             "budget": gmap.budget,
         },
         "location": {
-            loc.name: [phi.to_str(names) for phi in gmap.sets[q]]
-            for q, loc in enumerate(a.locations)
+            loc.name: list(map(texts.__getitem__, g.atoms()))
+            for loc, g in zip(a.locations, gmap.sets)
         },
     }
     if gmap.witness is not None:
+        names = [loc.name for loc in a.locations]
         out["witness"] = [
-            {
-                "location": a.locations[st.location].name,
-                "constraint": st.constraint.to_str(names),
-                "edge": st.edge,
-            }
-            for st in gmap.witness.steps
+            {"location": names[q], "constraint": texts[phi], "edge": edge}
+            for q, phi, edge in gmap.witness.steps
         ]
         if gmap.witness.cycle is not None:
             out["cycle"] = list(gmap.witness.cycle)
     return out
+
+
+class _AtomTexts(dict):
+    """Proper atom -> its `AtomicConstraint.to_str` text over the given
+    clock names, each filled in on its first lookup: the text around the
+    constant once per kind, clocks and strictness, then one ``str`` of the
+    constant."""
+
+    def __init__(self, names: Sequence[str]):
+        super().__init__()
+        self.names = names
+        self.affixes: dict[tuple, tuple[str, str]] = {}
+
+    def __missing__(self, phi: AtomicConstraint) -> str:
+        kind, x, y, s, c = phi
+        shape = (kind, x, y, s)
+        affixes = self.affixes.get(shape)
+        if affixes is None:
+            affixes = self.affixes[shape] = atom_affixes(kind, x, y, s, self.names)
+        text = self[phi] = affixes[0] + str(c) + affixes[1]
+        return text

@@ -66,7 +66,8 @@ class AtomicConstraint(_AtomFields):
     comparisons with negative constants must go through the ``make_*``
     constructors, which normalize them (diagonals flip orientation,
     non-diagonals collapse to TOP/BOTTOM).  The public constructor checks
-    every field; the normalizing constructors (`make_upper`, `make_lower`,
+    every field and turns a plain int kind or strictness into its enum
+    member; the normalizing constructors (`make_upper`, `make_lower`,
     `from_entry`, `with_constant`) build their well-formed results directly
     and check only what can go wrong there, the constant's range.  The
     tuple's own ``_replace`` and ``_make`` check nothing.
@@ -77,6 +78,16 @@ class AtomicConstraint(_AtomFields):
     def __new__(cls, kind: Kind, x: Optional[int] = None, y: Optional[int] = None,
                 strictness: Optional[Strictness] = None,
                 constant: Optional[int] = None) -> "AtomicConstraint":
+        # the kind and strictness are read by identity, so a plain int given
+        # for either becomes its enum member
+        try:
+            if type(kind) is not Kind:
+                kind = Kind(kind)
+            if type(strictness) is not Strictness and strictness is not None:
+                strictness = Strictness(strictness)
+        except ValueError:
+            bad = _new(cls, (kind, x, y, strictness, constant))
+            raise ValueError(f"malformed constraint {bad!r}") from None
         self = _new(cls, (kind, x, y, strictness, constant))
         # raised, not asserted: the invariants must hold under python -O too
         if kind in _TRIVIAL:
@@ -131,29 +142,32 @@ class AtomicConstraint(_AtomFields):
             return AtomicConstraint(kind, x, y, s, c)
         return _new(AtomicConstraint, (kind, x, y, s, c))
 
-    def sort_key(self) -> tuple:
-        return (
-            int(self.kind),
-            -1 if self.x is None else self.x,
-            -1 if self.y is None else self.y,
-            0 if self.constant is None else self.constant,
-            0 if self.strictness is None else int(self.strictness),
-        )
-
     def to_str(self, names: Sequence[str]) -> str:
         kind, x, y, s, c = self
-        if kind is Kind.TOP:
-            return "true"
-        if kind is Kind.BOTTOM:
-            return "false"
-        op = s.symbol
-        if kind is Kind.UPPER:
-            return f"{names[x]}{op}{c}"
-        if kind is Kind.LOWER:
-            return f"{c}{op}{names[x]}"
-        if kind is Kind.UPPER_DIAG:
-            return f"{names[x]}-{names[y]}{op}{c}"
-        return f"{c}{op}{names[x]}-{names[y]}"
+        if kind in _TRIVIAL:
+            return "true" if kind is Kind.TOP else "false"
+        before, after = atom_affixes(kind, x, y, s, names)
+        return f"{before}{c}{after}"
+
+
+# per proper kind, an atom's text, its fields to fill in: {x} and {y} the
+# names of its clocks, {op} its strictness's symbol and {c} its constant
+_ATOM_TEXT = {
+    Kind.UPPER: "{x}{op}{c}",
+    Kind.LOWER: "{c}{op}{x}",
+    Kind.UPPER_DIAG: "{x}-{y}{op}{c}",
+    Kind.LOWER_DIAG: "{c}{op}{x}-{y}",
+}
+
+
+def atom_affixes(kind: Kind, x: int, y: Optional[int], strictness: Strictness,
+                 names: Sequence[str]) -> tuple[str, str]:
+    """The text before and after the constant of a proper atom of this kind,
+    clocks and strictness (`_ATOM_TEXT`)."""
+    before, _, after = _ATOM_TEXT[kind].partition("{c}")
+    fill = {"x": names[x], "y": "" if y is None else names[y],
+            "op": strictness.symbol}
+    return before.format_map(fill), after.format_map(fill)
 
 
 TOP = AtomicConstraint(Kind.TOP)

@@ -13,8 +13,9 @@ set, the syntactic boundedness test and the capping transform behind it,
 the preimage of a constraint under an update case by case and through
 its matrix entry, the guard-context cut by a scan of the context, the
 backward propagation one atom at a time (`wp`, the oracle of the
-analysis's compiled per-edge propagation), the base sets
-of the constraint analysis, one synchronous propagation sweep of it, the
+analysis's compiled per-edge propagation), the base sets of the
+constraint analysis, the order of a constraint set's atoms, the analysis
+report rendered atom by atom, one synchronous propagation sweep, the
 analysis swept until a constant exceeds its bound, the plain-preimage
 analysis that the guard-aware one replaces, the constraint set of a
 product location as the union of its components' sets, and the runs of a
@@ -699,6 +700,45 @@ def base_records(a: Automaton, prop=wp) -> list[tuple[int, AtomicConstraint]]:
     return list(records)
 
 
+def sort_key(phi: AtomicConstraint) -> tuple:
+    """The order of `GSet.atoms` stated field by field: kind, clock, second
+    clock (-1 for none), constant, strictness."""
+    return (
+        int(phi.kind),
+        -1 if phi.x is None else phi.x,
+        -1 if phi.y is None else phi.y,
+        0 if phi.constant is None else phi.constant,
+        0 if phi.strictness is None else int(phi.strictness),
+    )
+
+
+def report_json(a: Automaton, gmap: GMap) -> dict:
+    """`analysis.report_json` built plainly: every atom through `to_str`,
+    each location's atoms in `sort_key` order."""
+    names = a.clock_names
+    out = {
+        "component": a.name,
+        "status": gmap.status.value,
+        "iterations": gmap.iterations,
+        "bounds": {"M": gmap.bounds.M, "L": gmap.bounds.L, "N": gmap.bounds.N,
+                   "budget": gmap.budget},
+        "location": {
+            loc.name: [phi.to_str(names)
+                       for phi in sorted(g.nond | g.diag, key=sort_key)]
+            for loc, g in zip(a.locations, gmap.sets)
+        },
+    }
+    if gmap.witness is not None:
+        out["witness"] = [
+            {"location": a.locations[st.location].name,
+             "constraint": st.constraint.to_str(names), "edge": st.edge}
+            for st in gmap.witness.steps
+        ]
+        if gmap.witness.cycle is not None:
+            out["cycle"] = list(gmap.witness.cycle)
+    return out
+
+
 def g0(a: Automaton, prop=wp) -> tuple[GSet, ...]:
     """Base constraint sets: guard atoms, nonnegativity images, invariants."""
     sets: list[list[AtomicConstraint]] = [[] for _ in a.locations]
@@ -722,7 +762,7 @@ def kleene_step(
     added: list[tuple[int, AtomicConstraint, int, AtomicConstraint]] = []
     for ei, e in enumerate(a.edges):
         ctx = edge_context(a, ei)
-        for phi in sorted(cur[e.dst], key=AtomicConstraint.sort_key):
+        for phi in sorted(cur[e.dst], key=sort_key):
             psi = prop(phi, ctx, e.update)
             if psi.is_trivial or psi in new[e.src]:
                 continue

@@ -18,6 +18,7 @@ from conftest import (
     sim_atom_ref,
 )
 from reference import (
+    WORST_CASE,
     apply_update_point,
     base_records,
     bound_transform,
@@ -28,7 +29,9 @@ from reference import (
     kleene_step,
     plain_gmap,
     plain_preimage,
+    report_json as reference_report_json,
     satisfies,
+    sort_key,
     sweep_gmap,
     table_cut as reference_table_cut,
     up_inverse as reference_up_inverse,
@@ -48,7 +51,16 @@ from uta.analysis import (
     report_json,
     verify_witness,
 )
-from uta.benchgen import FRAGMENTS, RandomProfile, gen_random
+from uta.benchgen import (
+    FLOWER,
+    FRAGMENTS,
+    RandomProfile,
+    TaskSpec,
+    gen_edf,
+    gen_mine_pump,
+    gen_random,
+    gen_sporadic_periodic,
+)
 from uta.model import (
     BOTTOM,
     INT64_MAX,
@@ -418,6 +430,20 @@ class TestKleeneStep:
                 sets = after
 
 
+def pool_components():
+    """The components of the 200 gen_random profiles of the analyze-random
+    benchmark."""
+    for seed in range(200):
+        profile = RandomProfile(fragment=FRAGMENTS[seed % len(FRAGMENTS)],
+                                seed=seed, n_locs=10, n_clocks=3, max_const=12)
+        yield from gen_random(profile).components
+
+
+@pytest.fixture(scope="module")
+def pool_maps():
+    return [(a, compute_gmap(a)) for a in pool_components()]
+
+
 class TestComputeGmap:
     def test_guarded_loop_fixed_point(self):
         a = fig1_automaton()
@@ -524,6 +550,24 @@ class TestComputeGmap:
                 assert verify_witness(gmap, a) == []
         assert diverged >= 5
 
+    def test_report_matches_the_reference_on_the_pool(self, pool_maps):
+        diverged = 0
+        for a, gmap in pool_maps:
+            assert report_json(a, gmap) == reference_report_json(a, gmap), a.name
+            diverged += gmap.witness is not None
+        assert diverged == 17  # pumped witnesses included
+
+    def test_report_matches_the_reference_on_the_edf_rows(self):
+        mixed = (TaskSpec(1, 10),) * 3 + (TaskSpec(1, 4),)
+        nets = [gen_sporadic_periodic(5), gen_sporadic_periodic(20),
+                gen_edf((TaskSpec(1, 2),) * 3, FLOWER),
+                gen_edf((TaskSpec(1, 2),) * 3, WORST_CASE),
+                gen_edf(mixed, WORST_CASE), gen_mine_pump()]
+        for net in nets:
+            for a in net.components:
+                gmap = compute_gmap(a)
+                assert report_json(a, gmap) == reference_report_json(a, gmap), a.name
+
     def test_report_shape(self):
         a = fig1_automaton(guard_on=False)
         gmap = compute_gmap(a)
@@ -555,13 +599,7 @@ class TestCycleDetection:
 
     def test_benchmark_pool(self):
         # the 200 gen_random profiles of the analyze-random benchmark
-        statuses = Counter()
-        for seed in range(200):
-            profile = RandomProfile(fragment=FRAGMENTS[seed % len(FRAGMENTS)],
-                                    seed=seed, n_locs=10, n_clocks=3,
-                                    max_const=12)
-            for a in gen_random(profile).components:
-                statuses[self.check_against_sweep(a)] += 1
+        statuses = Counter(map(self.check_against_sweep, pool_components()))
         assert statuses == {Status.CONVERGED: 183, Status.DIVERGED: 17}
 
     def test_random_components_outside_the_pool(self):
@@ -619,12 +657,42 @@ class TestBounds:
 
 class TestGSet:
     def test_of_splits_by_kind_value(self):
-        # a kind given as the plain int the constructor accepts sorts as its Kind
+        # a kind given as a plain int becomes its Kind in the constructor
         atoms = [U3, D2, TOP, BOTTOM]
         as_ints = [AtomicConstraint(int(phi.kind), phi.x, phi.y, phi.strictness,
                                     phi.constant) for phi in atoms]
         for g in (GSet.of(atoms), GSet.of(as_ints)):
             assert g.nond == {U3} and g.diag == {D2}
+
+    @staticmethod
+    def assert_sort_key_order(g: GSet):
+        assert g.atoms() == tuple(sorted(g.nond | g.diag, key=sort_key))
+
+    def test_atoms_in_sort_key_order_on_the_pool_maps(self, pool_maps):
+        for _, gmap in pool_maps:
+            for g in gmap.sets:
+                self.assert_sort_key_order(g)
+
+    def test_atoms_in_sort_key_order_on_random_diagonal_sets(self):
+        rng = random.Random(2026)
+        for _ in range(300):
+            atoms = []
+            for _ in range(rng.randint(0, 12)):
+                x, y = rng.sample(range(4), 2)
+                make = rng.choice([make_upper_diag, make_lower_diag])
+                atoms.append(make(x, y, rng.choice([STRICT, WEAK]), rng.randint(0, 9)))
+            g = GSet.of(atoms + [random_atom(rng, 4, 9) for _ in range(rng.randint(0, 3))])
+            self.assert_sort_key_order(g)
+
+    def test_atoms_in_sort_key_order_within_one_shape(self):
+        # atoms that share kind and clocks: constant first, then strictness
+        for make, clocks in ((make_upper, (X,)), (make_lower, (Y,)),
+                             (make_upper_diag, (X, Y)), (make_lower_diag, (Y, X))):
+            atoms = [make(*clocks, s, c) for c in (5, 1, 3) for s in (WEAK, STRICT)]
+            g = GSet.of(atoms)
+            self.assert_sort_key_order(g)
+            assert [(phi.constant, phi.strictness) for phi in g.atoms()] == [
+                (1, STRICT), (1, WEAK), (3, STRICT), (3, WEAK), (5, STRICT), (5, WEAK)]
 
 
 class TestExtractLU:

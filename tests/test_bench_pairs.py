@@ -72,3 +72,26 @@ def test_layer_split_runs_alternating_traced_pairs(monkeypatch):
                                   "change": {"simulation.diag_calls": 5}}
     assert out["b"]["median"] == {"parent": {"simulation.diag_calls": 7},
                                   "change": {"simulation.diag_calls": 8}}
+
+
+def test_report_json_seconds_per_pass_median(tmp_path):
+    import numpy as np
+
+    out = tmp_path / "perfbench" / "out"
+    out.mkdir(parents=True)
+    # two models a pass, three passes; set-up spans (check -1) and other
+    # span names do not count
+    result = {"workers": [{"models": []},
+                          {"models": ["m1", "m2"], "passes_s": [1.0, 1.0, 1.0]}]}
+    (out / "result-w-seed4-trace1.json").write_text(bench_pairs.json.dumps(result))
+    rows = [  # (name id, check, start, end)
+        (0, -1, 0.0, 5.0), (1, 0, 0.0, 1.0), (1, 1, 1.0, 1.5), (0, 1, 0.0, 9.0),
+        (1, 2, 2.0, 2.25), (1, 4, 3.0, 7.0), (1, 5, 0.0, 0.5),
+    ]
+    name, check, start, end = map(np.array, zip(*rows))
+    np.savez(out / "spans-w-seed4.npz",
+             names=np.array(["format.parse", "analysis.report_json"]),
+             name=name.astype(np.int32), parent=np.full(len(rows), -1),
+             check=check.astype(np.int32), start=start, end=end)
+    # per pass 1.5, 0.25 and 4.5 s
+    assert bench_pairs.report_json_seconds(tmp_path, "w", 4) == 1.5

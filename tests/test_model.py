@@ -87,6 +87,26 @@ class TestNormalization:
             with pytest.raises(ValueError):
                 AtomicConstraint(*args)
 
+    def test_plain_int_kind_reads_as_its_kind(self):
+        # equal to make_upper's atom, so it must mean x <= 3, not BOTTOM
+        phi = AtomicConstraint(2, X, None, WEAK, 3)
+        assert phi == make_upper(X, WEAK, 3)
+        assert phi.kind is Kind.UPPER
+        assert phi.entry() == (X + 1, 0, WEAK, 3)
+        assert AtomicConstraint(1).entry() == BOTTOM.entry()
+
+    def test_plain_int_strictness_reads_as_its_strictness(self):
+        phi = AtomicConstraint(Kind.UPPER, X, None, 1, 3)
+        assert phi.strictness is WEAK
+        assert phi.to_str(["x"]) == "x<=3"
+        assert AtomicConstraint(Kind.LOWER_DIAG, X, Y, 0, 2).to_str(["x", "y"]) == "2<x-y"
+
+    def test_kind_or_strictness_outside_its_enum_refused(self):
+        for args in ((7, X, None, WEAK, 1), (Kind.UPPER, X, None, 2, 1),
+                     ("UPPER", X, None, WEAK, 1)):
+            with pytest.raises(ValueError, match="malformed constraint"):
+                AtomicConstraint(*args)
+
     def test_natural_constant_enforced_under_optimize(self):
         # python -O strips asserts; the invariants must not go with them
         code = ("from uta.model import AtomicConstraint, Kind, WEAK\n"

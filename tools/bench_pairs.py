@@ -14,14 +14,17 @@ analysis's seconds, the process's peak RSS and the bytes of the packed
 zones, from ``uta reach --format json`` on each side, and the per-layer
 metrics of three alternating pairs of traced runs per workload
 (``perfbench/run.py --trace 1``, seeds 1 to 3), which are recorded, with
-each side's median, and never compared.
+each side's median, and never compared.  Beside the layers the runs
+report, it reads ``analysis.report_json_s`` from each traced run's span
+file.  It also records the sha256 of ``tools/dump_reports.py``'s output on
+each side, the working tree's script run over each side's program.
 
 Writes BENCH_<label>.json at the repository root, after every pair, so that
 an interrupted run keeps what it measured: per workload and end-to-end
 metric of BENCHMARK.json, the median and q1-q3 of each side and the pairs
 the change wins, then every run, the search counts, the layer split and
 the host stamp.
-Standard library only.
+Standard library only, and numpy to read the span files.
 """
 import argparse
 import hashlib
@@ -125,9 +128,30 @@ def _env(tree: Path) -> dict:
     return env
 
 
+def report_json_seconds(tree: Path, workload: str, seed: int) -> float:
+    """The median over the passes of a traced run of the seconds spent in
+    ``analysis.report_json``, read from the span file and the result that
+    `perfbench/run.py --trace 1` leaves in the tree's ``perfbench/out``."""
+    import numpy as np
+
+    out = tree / "perfbench" / "out"
+    result = json.loads((out / f"result-{workload}-seed{seed}-trace1.json").read_text())
+    traced = result["workers"][-1]
+    n_models, n_passes = len(traced["models"]), len(traced["passes_s"])
+    with np.load(out / f"spans-{workload}-seed{seed}.npz") as spans:
+        names = list(spans["names"])
+        check = spans["check"]
+        sel = (spans["name"] == names.index("analysis.report_json")) & (check >= 0)
+        seconds = np.bincount(check[sel] // n_models,
+                              weights=(spans["end"] - spans["start"])[sel],
+                              minlength=n_passes)
+    return float(statistics.median(seconds.tolist()))
+
+
 def _run_bench(tree: Path, workload: str, seed: int, seconds: int,
                trace: int = 0) -> tuple[dict, dict]:
-    """(result line, stamp) of one `perfbench/run.py` run."""
+    """(result line, stamp) of one `perfbench/run.py` run; a traced run's
+    metrics gain ``analysis.report_json_s``."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
@@ -136,7 +160,18 @@ def _run_bench(tree: Path, workload: str, seed: int, seconds: int,
         raise RuntimeError(f"{tree.name} {workload} seed {seed} exited "
                            f"{proc.returncode}:\n{proc.stderr[-2000:]}")
     lines = proc.stdout.strip().splitlines()
-    return json.loads(lines[-1]), json.loads(lines[-2])["stamp"]
+    result = json.loads(lines[-1])
+    if trace:
+        result["metrics"]["analysis.report_json_s"] = {
+            "value": report_json_seconds(tree, workload, seed), "unit": "s"}
+    return result, json.loads(lines[-2])["stamp"]
+
+
+def _dump_sha256(tree: Path, script: Path) -> str:
+    """sha256 of `tools/dump_reports.py`'s output over the tree's program."""
+    proc = subprocess.run([sys.executable, str(script)], env=_env(tree),
+                          check=True, capture_output=True)
+    return hashlib.sha256(proc.stdout).hexdigest()
 
 
 def _search_counts(tree: Path, work: Path) -> dict:
@@ -219,6 +254,8 @@ def main(argv=None) -> int:
     _copy_parent(parent, trees["parent"])
     _copy_change(trees["change"])
     counts = {side: _search_counts(trees[side], work) for side in SIDES}
+    dumps = {side: _dump_sha256(trees[side], trees["change"] / "tools" / "dump_reports.py")
+             for side in SIDES}
 
     doc = {
         "parent_commit": parent,
@@ -234,6 +271,11 @@ def main(argv=None) -> int:
             "same_on_both_sides": same_counts(*(counts[side] for side in SIDES)),
             **{row: {side: counts[side][row] for side in SIDES} for row, _ in EDF_ROWS},
         },
+        "report_dump": {
+            "command": "python3 tools/dump_reports.py",
+            "same_on_both_sides": dumps["parent"] == dumps["change"],
+            **{f"{side}_sha256": dumps[side] for side in SIDES},
+        },
         "layers": {
             "command": "python3 perfbench/run.py --workload W --seed N "
                        f"--seconds {seconds} --trace 1",
@@ -245,7 +287,10 @@ def main(argv=None) -> int:
                     "call that returns True as a simulation prune, reverse "
                     "ones included, and the other prunes, subtree prunes "
                     "included, as exact; search_counts, from uta reach "
-                    "--format json, are the authority for counts",
+                    "--format json, are the authority for counts; "
+                    "analysis.report_json_s is the median over a run's "
+                    "passes of its analysis.report_json spans, read from "
+                    "its span file",
             "runs": layer_split(trees, workloads, seconds),
         },
         "workloads": {},
