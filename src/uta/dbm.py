@@ -157,10 +157,6 @@ class Dbm:
                                      compare=False)
 
     @property
-    def n(self) -> int:
-        return self.m.shape[0] - 1
-
-    @property
     def packed(self) -> bytes:
         p = self._packed
         if p is None:

@@ -7,11 +7,12 @@ emit/receive pairs on a channel.  While any component sits in a committed
 location, time may not pass there and only moves that involve a committed
 component are allowed.
 
-The search is a deterministic FIFO exploration.  A dequeued node is dropped
-when an already explored zone of the same discrete state covers it: exact
-zone equality always counts, and when the search is given per-component
-constraint maps a zone-simulation check against the per-state constraint
-set does too.
+The search is a deterministic FIFO exploration.  Its queue holds zones
+alone, and a node is its id, its place in that order.  A dequeued node is
+dropped when an already explored zone of the same discrete state covers
+it: exact zone equality always counts, and when the search is given
+per-component constraint maps a zone-simulation check against the
+per-state constraint set does too.  The state's `Passed.admit` decides.
 
 The passed list (`Passed`) is the one record of a discrete state: its
 `ProductLoc`, whether it is a target, and each explored zone once, packed
@@ -42,7 +43,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -69,16 +70,14 @@ from .simulation import (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class ProductLoc:
+class ProductLoc(NamedTuple):
     """Location vector plus integer valuation; the discrete search state."""
 
     locs: tuple[int, ...]
     ints: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class TransLabel:
+class TransLabel(NamedTuple):
     """One fired move: an internal edge, or an emit/receive pair."""
 
     edges: tuple[tuple[int, int], ...]  # (component index, edge index)
@@ -94,8 +93,7 @@ class TransLabel:
         return ", ".join(parts)
 
 
-@dataclass(frozen=True, slots=True)
-class SearchNode:
+class SearchNode(NamedTuple):
     """A discrete state with one zone, and the move that produced it."""
 
     loc: ProductLoc
@@ -103,8 +101,7 @@ class SearchNode:
     label: Optional[TransLabel] = None
 
 
-@dataclass(frozen=True)
-class PathStep:
+class PathStep(NamedTuple):
     label: TransLabel
     loc: ProductLoc
 
@@ -183,8 +180,7 @@ UNREACHABLE = "Unreachable"
 TIMEOUT = "Timeout"
 
 
-@dataclass(frozen=True, slots=True)
-class Move:
+class Move(NamedTuple):
     """One candidate firing, compiled once from its edges (emitter first)."""
 
     label: TransLabel
@@ -426,7 +422,8 @@ class ProductSets:
 
 class Passed:
     """The record of one discrete state loc: whether a component sits in a
-    target location there (goal), and its explored zones, each kept once.
+    target location there (goal), and its explored zones, each kept once;
+    `admit` drops a dequeued zone that they cover or stores it.
 
     zones holds each stored zone packed (`Dbm.packed`).  With simulation
     pruning it is a list and ids their node ids; a stored zone's int64
@@ -454,10 +451,24 @@ class Passed:
     def zone(self, k: int) -> Dbm:
         return Dbm(unpack(self.zones[k]))
 
-    def add(self, zone: Dbm, nid: int, key: Optional[np.ndarray]) -> None:
-        if self.keys is None:
+    def admit(self, zone: Dbm, nid: int, stats: SearchStats) -> Optional[list[int]]:
+        """None when an explored zone of this state covers zone, node nid's,
+        with the prune counted in stats; else zone is stored, and the node
+        ids of the stored zones that it simulates (none without pruning)."""
+        if self.prep is None:
+            if zone.packed in self.zones:
+                stats.pruned_exact += 1
+                return None
             self.zones.add(zone.packed)
-            return
+            return []
+        key = bound_key(zone, self.prep)
+        simulated = _scan(zone, key, self, stats) if self.zones else []
+        if simulated is not None:
+            self.add(zone, nid, key)
+        return simulated
+
+    def add(self, zone: Dbm, nid: int, key: np.ndarray) -> None:
+        """Store zone, node nid's, with its bound key (pruning only)."""
         k = len(self.zones)
         if k == self.keys.shape[1]:
             grown = np.empty((self.keys.shape[0], k + k // 2 + 1),
@@ -506,20 +517,25 @@ def reach(
     shared between components (`refuse_pruning`), on a map that did not
     converge, and on a constant `ProductSets` cannot encode.
 
+    The queue holds zones alone: a node is its id, its place in the FIFO
+    order, by which its parent, move and state are kept, and its state's
+    `Passed.admit` drops or stores its zone when it is dequeued.
+
     With pruning, a zone is stored only when no stored zone of its state
     simulates it, and storing it covers subtrees (Herbreteau & Tran,
     FORMATS 2015): each stored zone k of the state that the new zone
     simulates, unless k's node is an ancestor of the new one, is removed
     from its `Passed` together with every stored zone below it, and the
     queued nodes below it are dropped when dequeued (pruned_subtree),
-    unless they reach the target.  The verdict stays exact.  Zones are exact sets of reachable valuations, so
-    a Reachable verdict stands.  G-simulation is a preorder that successor
-    steps preserve, so whatever k's subtree reaches, or what a node pruned
-    by a zone of that subtree reaches, is simulated by what the new zone's
-    subtree reaches, and that subtree is explored or covered in turn by a
-    zone that is.  This needs the removed zones gone from `Passed`: a dead
-    zone D left there could prune its own match D' from the new zone's
-    subtree, and neither D's subtree nor D''s would then be explored.
+    unless they reach the target.  The verdict stays exact.  Zones are
+    exact sets of reachable valuations, so a Reachable verdict stands.
+    G-simulation is a preorder that successor steps preserve, so whatever
+    k's subtree reaches, or what a node pruned by a zone of that subtree
+    reaches, is simulated by what the new zone's subtree reaches, and that
+    subtree is explored or covered in turn by a zone that is.  This needs
+    the removed zones gone from `Passed`: a dead zone D left there could
+    prune its own match D' from the new zone's subtree, and neither D's
+    subtree nor D''s would then be explored.
     """
     pairs = _resolve_target(net, target)
     compiled = CompiledNet(net)
@@ -581,7 +597,7 @@ def reach(
     labels: list[Optional[TransLabel]] = [None]
     states: list[Passed] = [record(init.loc)]
     marks = bytearray(1)
-    queue: deque[tuple[int, SearchNode]] = deque([(0, init)])
+    queue: deque[Dbm] = deque([init.zone])
 
     def cover(k: int, nid: int) -> None:
         """Remove k's subtree, unless k is an ancestor of nid."""
@@ -605,8 +621,8 @@ def reach(
 
     while queue:
         stats.max_frontier = max(stats.max_frontier, len(queue))
-        nid, node = queue.popleft()
-        here, zone = states[nid], node.zone
+        nid, zone = stats.nodes, queue.popleft()
+        here = states[nid]
         stats.nodes += 1
         if deadline is not None and stats.nodes % 128 == 0:
             if time.monotonic() > deadline:
@@ -616,30 +632,17 @@ def reach(
         if marks[nid] == _COVERED:
             stats.pruned_subtree += 1
             continue
-        key = simulated = None
-        if sets is None:
-            if zone.packed in here.zones:
-                stats.pruned_exact += 1
-                continue
-        else:
-            key = bound_key(zone, here.prep)
-            if here.zones:
-                simulated = _scan(zone, key, here, stats)
-                if simulated is _EQUAL:
-                    stats.pruned_exact += 1
-                    continue
-                if simulated is None:
-                    stats.pruned_sim += 1
-                    continue
-        here.add(zone, nid, key)
+        simulated = here.admit(zone, nid, stats)
+        if simulated is None:
+            continue
         marks[nid] = _STORED
-        for k in simulated or ():
+        for k in simulated:
             if marks[k] == _STORED:
                 cover(k, nid)
-        children, disabled = successors(node, compiled)
+        children, disabled = successors(SearchNode(here.loc, zone), compiled)
         stats.disabled_assigns += disabled
         for child in children:
-            queue.append((len(parents), child))
+            queue.append(child.zone)
             parents.append(nid)
             labels.append(child.label)
             states.append(record(child.loc))
@@ -647,15 +650,12 @@ def reach(
     return finish(UNREACHABLE, None)
 
 
-# what `_scan` returns when here already stores the zone itself
-_EQUAL = "equal"
-
-
 def _scan(zone: Dbm, key: np.ndarray, here: Passed,
-          stats: SearchStats) -> list[int] | str | None:
-    """_EQUAL when here stores zone itself, None when a stored zone of here
-    simulates zone, else the node ids of the stored zones that zone
-    simulates.
+          stats: SearchStats) -> Optional[list[int]]:
+    """None when a stored zone of here covers zone, with the prune counted
+    in stats: pruned_exact when here stores zone itself, pruned_sim when a
+    stored zone simulates it.  Else the node ids of the stored zones that
+    zone simulates.
 
     One subtraction of keys, d = key(zp) - key(zone) per stored zp, decides
     the kernel's key compare both ways: zp may simulate zone only where d
@@ -673,10 +673,12 @@ def _scan(zone: Dbm, key: np.ndarray, here: Passed,
         return []
     if forward and reverse and any(here.zones[k] == zone.packed
                                    for k in set(forward).intersection(reverse)):
-        return _EQUAL
+        stats.pruned_exact += 1
+        return None
     stored = functools.cache(here.zone)
     for k in forward:
         if _simulates(stored(k), keys[:, k], zone, key, prep, stats):
+            stats.pruned_sim += 1
             return None
     return [here.ids[k] for k in reverse
             if _simulates(zone, key, stored(k), keys[:, k], prep, stats)]
@@ -701,12 +703,9 @@ def replay(path: Sequence[PathStep], net: Network, target: Optional[str] = None)
         return False
     for step in path:
         children, _ = successors(node, compiled)
-        node = None
-        for child in children:
-            if child.label == step.label and child.loc == step.loc:
-                node = child
-                break
-        if node is None or node.zone is EMPTY:
+        node = next((child for child in children
+                     if child.label == step.label and child.loc == step.loc), None)
+        if node is None:
             return False
     return target is None or any(node.loc.locs[c] == l
                                  for c, l in _resolve_target(net, target))

@@ -5,6 +5,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from reference import delayed, satisfies
+from uta import search
 from uta.benchgen import gen_fig1, gen_fig1_unguarded
 from uta.model import (
     INT_OPS,
@@ -37,6 +38,36 @@ def child_env() -> dict[str, str]:
     a child interpreter imports this checkout's uta."""
     rest = os.environ.get("PYTHONPATH")
     return {**os.environ, "PYTHONPATH": str(SRC) + (os.pathsep + rest if rest else "")}
+
+
+# expansions after which `unpruned_reach` gives up
+MAX_EXPANSIONS = 20_000
+
+
+class _TooLong(Exception):
+    pass
+
+
+def unpruned_reach(monkeypatch, net, target: str):
+    """`search.reach` of net without pruning, or None once it has expanded
+    more than MAX_EXPANSIONS nodes: a differential against the pruned
+    search skips the same models on every host, bounded by work, not by
+    wall time.  Expansions are counted by wrapping `search.successors`."""
+    plain, count = search.successors, 0
+
+    def counted(*args):
+        nonlocal count
+        count += 1
+        if count > MAX_EXPANSIONS:
+            raise _TooLong
+        return plain(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(search, "successors", counted)
+        try:
+            return search.reach(net, None, target)
+        except _TooLong:
+            return None
 
 
 def fig1_automaton(guard_on: bool = True) -> Automaton:

@@ -109,7 +109,7 @@ def zone_of(n_clocks: int, atoms: Iterable[AtomicConstraint]) -> Zone:
 
 def apply_update(d: Dbm, up: Update) -> Zone:
     """Exact image of the zone under a simultaneous update."""
-    step = compile_step((), up, d.n)
+    step = compile_step((), up, d.m.shape[0] - 1)
     return _image(constrain(d, step.cut), step)
 
 
@@ -144,7 +144,7 @@ def membership(d: Zone, v) -> bool:
     """Exact rational membership; v maps clock index to a number."""
     if d is EMPTY:
         return False
-    n = d.n
+    n = d.m.shape[0] - 1
     vals = [Fraction(0)] + [Fraction(v[x]) for x in range(n)]
     for i in range(n + 1):
         for j in range(n + 1):
@@ -165,7 +165,7 @@ def apply_update_relational(d: Dbm, up: Update) -> Zone:
     projects onto the primed block.  Slower than `apply_update` but
     follows the defining relation directly.
     """
-    n = d.n
+    n = d.m.shape[0] - 1
     size = 2 * n + 1
     ext = np.full((size, size), INF, dtype=np.int64)
     ext[: n + 1, : n + 1] = d.m
@@ -201,7 +201,7 @@ def bound_str(b: int) -> str:
 def dump(d: Zone, clock_names: Sequence[str] = ()) -> str:
     if d is EMPTY:
         return "empty"
-    n = d.n
+    n = d.m.shape[0] - 1
     names = ["0"] + [
         clock_names[i] if i < len(clock_names) else f"x{i}" for i in range(n)
     ]
@@ -324,7 +324,8 @@ def sim_zone(q: SimQuery) -> bool:
         return True
     if q.zp is EMPTY:
         return False
-    return simulation.sim_zone_prepared(q.z, q.zp, simulation.prepare(q.g, q.z.n))
+    prep = simulation.prepare(q.g, q.z.m.shape[0] - 1)
+    return simulation.sim_zone_prepared(q.z, q.zp, prep)
 
 
 def threshold_refutes(z: Dbm, zp: Dbm, prep: simulation.SimPrepared) -> bool:
@@ -366,7 +367,7 @@ def _scale_enc(b: int, s: int) -> int:
 
 
 def _scaled_matrix(d: Dbm, s: int) -> list:
-    size = d.n + 1
+    size = d.m.shape[0]
     out = [[_INF_PY] * size for _ in range(size)]
     for i in range(size):
         for j in range(size):
@@ -447,7 +448,7 @@ def brute_force_sim(q: SimQuery, max_const: int) -> bool:
     diagonal of G that no scanned point satisfies, so completion proves
     nothing and the call is rejected as inconclusive.
     """
-    n = q.z.n
+    n = q.z.m.shape[0] - 1
     if n > 4:
         raise ValueError(f"oracle limited to 4 clocks, got {n}")
     worst = max(_zone_max_const(q.z), _zone_max_const(q.zp))

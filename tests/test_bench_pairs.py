@@ -95,3 +95,17 @@ def test_report_json_seconds_per_pass_median(tmp_path):
              check=check.astype(np.int32), start=start, end=end)
     # per pass 1.5, 0.25 and 4.5 s
     assert bench_pairs.report_json_seconds(tmp_path, "w", 4) == 1.5
+
+
+def test_src_lines_counts_newlines_per_file(tmp_path):
+    src = tmp_path / "src" / "uta"
+    src.mkdir(parents=True)
+    (src / "a.py").write_text("x = 1\ny = 2\n")
+    (src / "b.py").write_text("z = 3")  # no final newline: 0 lines, as wc -l
+    (src / "notes.txt").write_text("left out\n")
+    assert bench_pairs.src_lines(tmp_path) == {
+        "files": {"a.py": 2, "b.py": 0}, "total": 2}
+    # the tree's own package sums to the wc -l total
+    here = bench_pairs.src_lines(bench_pairs.ROOT)
+    assert here["total"] == sum(here["files"].values()) > 1000
+    assert "search.py" in here["files"]

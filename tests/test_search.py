@@ -1,11 +1,14 @@
 """Product exploration: successors, committed/sync semantics, pruned BFS."""
+import importlib.util
 import random
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from uta import dbm, search, simulation
+from uta import analysis, dbm, search, simulation
+from uta import format as uta_format
 from uta.analysis import GSet, Status, compute_gmap
 from uta.benchgen import FLOWER, TaskSpec, gen_edf
 from uta.dbm import (
@@ -17,7 +20,7 @@ from uta.dbm import (
     encode_atoms,
     encode_bound,
 )
-from uta.format import parse
+from uta.format import parse, print_network
 from uta.model import (
     WEAK,
     Automaton,
@@ -54,6 +57,7 @@ from conftest import (
     random_automaton,
     random_sync_network,
     random_zone_chain,
+    unpruned_reach,
 )
 from reference import (
     SimQuery,
@@ -623,7 +627,7 @@ class TestStatsOutput:
 
 
 class TestPrunedVersusUnpruned:
-    def test_seeded_models_agree_and_pruning_never_grows_the_search(self):
+    def test_seeded_models_agree_and_pruning_never_grows_the_search(self, monkeypatch):
         applicable = 0
         reachable_seen = 0
         unreachable_seen = 0
@@ -637,8 +641,8 @@ class TestPrunedVersusUnpruned:
             if g.status is not Status.CONVERGED:
                 continue
             net = single_component_network(a.name, a.clock_names, a.locations, a.edges)
-            base = reach(net, None, "q1", timeout=3.0)
-            if base.verdict == TIMEOUT:
+            base = unpruned_reach(monkeypatch, net, "q1")
+            if base is None:
                 continue
             pruned = reach(net, [g], "q1", timeout=30.0)
             assert pruned.verdict == base.verdict
@@ -1025,7 +1029,7 @@ class TestPassedList:
             (Edge(0, 1), Edge(0, 1)),
         )
 
-    def test_equal_zone_is_an_exact_duplicate(self):
+    def test_equal_zone_is_an_exact_duplicate(self, monkeypatch):
         for committed in (True, False):
             net = self.twin_network(committed)
             node, compiled = initial_node(net)
@@ -1037,21 +1041,49 @@ class TestPassedList:
                 assert stats.verdict == UNREACHABLE
                 assert (stats.nodes, stats.pruned_exact, stats.pruned_sim) == (
                     3, 1, 0), committed
+
+        def refuse(*args):
+            raise AssertionError("kernel called on an equal zone")
+
+        monkeypatch.setattr(search, "not_simulated_batch", refuse)
+        monkeypatch.setattr(search, "sim_zone_prepared", refuse)
         for prep in (simulation.prepare(g.sets[1], 1), None):
             passed = search.Passed(ProductLoc((1,), ()), False, prep)
-            passed.add(a.zone, 1, None if prep is None
-                       else simulation.bound_key(a.zone, prep))
-            for z in (a.zone, Dbm(a.zone.m.copy())):
-                if prep is None:
-                    assert z.packed in passed.zones
-                    continue
-                # pruned, the scan finds the equal zone with no kernel call
-                stats = search.SearchStats(UNREACHABLE)
-                assert type(passed.zones) is list
-                assert search._scan(z, simulation.bound_key(z, prep), passed,
-                                    stats) is search._EQUAL
-                assert stats.kernel_candidates == 0
+            stats = search.SearchStats(UNREACHABLE)
+            assert passed.admit(a.zone, 1, stats) == []
+            # the zone itself and an equal copy: each dropped as an exact
+            # duplicate, with no kernel call
+            for k, z in enumerate((a.zone, Dbm(a.zone.m.copy()))):
+                assert passed.admit(z, 2 + k, stats) is None
+                assert (stats.pruned_exact, stats.pruned_sim,
+                        stats.kernel_candidates) == (k + 1, 0, 0)
+            assert type(passed.zones) is (set if prep is None else list)
             assert stored_zones(passed) == [a.zone]
+
+    def test_admit_drops_a_simulated_zone_and_names_those_it_simulates(self):
+        # the point x = 0 lies inside the ray x >= 0, so the ray simulates
+        # it; under x >= 2 the point does not simulate the ray, whose x = 5
+        # satisfies x >= 2 where x = 0 does not
+        point = dbm.zero_zone(1)
+        ray = elapse(point)
+        prep = simulation.prepare(GSet.of([make_lower(X, WEAK, 2)]), 1)
+        loc = ProductLoc((0,), ())
+        stats = search.SearchStats(UNREACHABLE)
+        here = search.Passed(loc, False, prep)
+        assert here.admit(ray, 7, stats) == []
+        assert here.admit(point, 8, stats) is None
+        assert (stats.pruned_exact, stats.pruned_sim) == (0, 1)
+        assert list(here.ids) == [7]
+        # stored the other way round, the ray is stored too and names the
+        # point's node, which the search then covers
+        here = search.Passed(loc, False, prep)
+        assert here.admit(point, 7, stats) == []
+        assert here.admit(ray, 8, stats) == [7]
+        assert stats.pruned == 1 and list(here.ids) == [7, 8]
+        # without pruning both are stored and neither is named
+        here = search.Passed(loc, False, None)
+        assert here.admit(point, 7, stats) == here.admit(ray, 8, stats) == []
+        assert stats.pruned == 1 and len(here.zones) == 2
 
     def test_equal_zone_pruned_before_any_kernel_call(self, monkeypatch):
         def refuse(*args):
@@ -1296,7 +1328,7 @@ class TestSubtreeCovering:
                 assert type(passed.zones) is list
                 assert len(set(passed.zones)) == len(passed.zones) == k
 
-    def test_pruned_against_unpruned_on_random_networks(self):
+    def test_pruned_against_unpruned_on_random_networks(self, monkeypatch):
         # random EDF task sets under flower releases, where covering is
         # frequent, and random synchronising networks; no clock is shared
         rng = random.Random(1803)
@@ -1317,8 +1349,8 @@ class TestSubtreeCovering:
             gmaps = [compute_gmap(c) for c in net.components]
             if any(g.status is not Status.CONVERGED for g in gmaps):
                 continue
-            free = reach(net, None, target, timeout=2.0)
-            if free.verdict == TIMEOUT:
+            free = unpruned_reach(monkeypatch, net, target)
+            if free is None:
                 continue
             pruned = reach(net, gmaps, target, timeout=30.0)
             assert pruned.verdict == free.verdict, target
@@ -1328,3 +1360,31 @@ class TestSubtreeCovering:
             compared[pruned.verdict] += 1
             subtrees += pruned.pruned_subtree > 0
         assert min(compared.values()) >= 5 and subtrees >= 5, (compared, subtrees)
+
+
+class TestTracerHooks:
+    """perfbench's tracer rebinds module attributes (`tracing._targets`);
+    each must still be what the program calls, or a layer silently drops
+    out of the traced split."""
+
+    def test_every_target_records_a_span(self):
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        text = print_network(gen_edf((TaskSpec(1, 2),) * 3, FLOWER))
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            # through the modules, whose attributes the tracer rebinds
+            net = uta_format.parse(text)
+            gmaps = [analysis.compute_gmap(c) for c in net.components]
+            for comp, g in zip(net.components, gmaps):
+                analysis.report_json(comp, g)
+            stats = search.reach(net, gmaps, "error")
+        finally:
+            tracer.uninstall()
+        assert stats.verdict == REACHABLE
+        recorded = {tracer.names[i] for i in tracer.name}
+        assert recorded == {name for _, _, name, _ in tracing._targets()}
+        assert tracer.counters["search.generated"] > 0

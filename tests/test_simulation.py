@@ -83,7 +83,7 @@ def reference_not_simulated(z, zp, prep) -> bool:
     so it uses at most one forced upper and one forced lower.  Quantifying v
     away per cycle shape leaves three conditions checked entrywise below.
     """
-    n = z.n
+    n = z.m.shape[0] - 1
     if n == 0:
         return False
     zm, pm = z.m, zp.m
@@ -316,11 +316,11 @@ class TestSimZone:
             q = random_sim_query(rng)
             if q is None:
                 continue
-            n = q.z.n
+            n = q.z.m.shape[0] - 1
             mates = [q.zp]
             for _ in range(rng.randint(0, 4)):
                 extra = random_sim_query(rng)
-                if extra is not None and extra.zp.n == n:
+                if extra is not None and extra.zp.m.shape[0] - 1 == n:
                     mates.append(extra.zp)
             prep = prepare(q.g, n)
             mask = batch_matches_reference(q.z, mates, prep)
@@ -337,7 +337,7 @@ class TestSimZone:
             q = random_sim_query(rng)
             if q is None or not q.g.diag:
                 continue
-            prep = prepare(q.g, q.z.n)
+            prep = prepare(q.g, q.z.m.shape[0] - 1)
             want = _sim(q.z, q.zp, prep.diags, prep)
             diags = list(prep.diags)
             rng.shuffle(diags)
@@ -404,7 +404,7 @@ class TestDiagonalStage:
         refuted = kept = 0
         for z, zps, diags, _ in diagonal_queries(rng, 400):
             g = GSet.of([diags[0]])
-            prep = prepare(g, z.n)
+            prep = prepare(g, z.m.shape[0] - 1)
             for zp, got in zip(zps, kernel_mask(z, zps, prep).tolist()):
                 try:
                     want = brute_force_sim(SimQuery(z, zp, g), 6)
@@ -422,8 +422,8 @@ class TestDiagonalStage:
         rng = random.Random(97)
         by_diagonals = refuted = 0
         for z, zps, _, g in diagonal_queries(rng, 400):
-            prep = prepare(g, z.n)
-            without = prepare(GSet.of(g.nond), z.n)
+            prep = prepare(g, z.m.shape[0] - 1)
+            without = prepare(GSet.of(g.nond), z.m.shape[0] - 1)
             mask = kernel_mask(z, zps, prep)
             alone = mask & ~kernel_mask(z, zps, without)
             for k in np.flatnonzero(mask).tolist():
@@ -693,7 +693,7 @@ class TestPreorder:
             if q1 is None:
                 continue
             q2 = random_sim_query(rng)
-            if q2 is None or q2.z.n != q1.z.n:
+            if q2 is None or q2.z.m.shape != q1.z.m.shape:
                 continue
             g = q1.g
             hop1 = sim_zone(SimQuery(q1.z, q1.zp, g))
@@ -727,7 +727,7 @@ class TestPreorder:
             q = random_sim_query(rng)
             if q is None:
                 continue
-            n = q.z.n
+            n = q.z.m.shape[0] - 1
             atoms2 = [random_atom(rng, n, 6) for _ in range(rng.randint(0, 3))]
             atoms2 += [phi for phi in q.g.diag if rng.random() < 0.7]
             g2 = GSet.of(atoms2)

@@ -17,7 +17,9 @@ metrics of three alternating pairs of traced runs per workload
 each side's median, and never compared.  Beside the layers the runs
 report, it reads ``analysis.report_json_s`` from each traced run's span
 file.  It also records the sha256 of ``tools/dump_reports.py``'s output on
-each side, the working tree's script run over each side's program.
+each side, the working tree's script run over each side's program, and
+the line count (``wc -l``) of each ``src/uta/*.py`` file per side, with
+their total.
 
 Writes BENCH_<label>.json at the repository root, after every pair, so that
 an interrupted run keeps what it measured: per workload and end-to-end
@@ -167,6 +169,13 @@ def _run_bench(tree: Path, workload: str, seed: int, seconds: int,
     return result, json.loads(lines[-2])["stamp"]
 
 
+def src_lines(tree: Path) -> dict:
+    """`wc -l` of each ``src/uta/*.py`` file of the tree, and their total."""
+    files = {p.name: p.read_bytes().count(b"\n")
+             for p in sorted((tree / "src" / "uta").glob("*.py"))}
+    return {"files": files, "total": sum(files.values())}
+
+
 def _dump_sha256(tree: Path, script: Path) -> str:
     """sha256 of `tools/dump_reports.py`'s output over the tree's program."""
     proc = subprocess.run([sys.executable, str(script)], env=_env(tree),
@@ -276,6 +285,7 @@ def main(argv=None) -> int:
             "same_on_both_sides": dumps["parent"] == dumps["change"],
             **{f"{side}_sha256": dumps[side] for side in SIDES},
         },
+        "src_lines": {side: src_lines(trees[side]) for side in SIDES},
         "layers": {
             "command": "python3 perfbench/run.py --workload W --seed N "
                        f"--seconds {seconds} --trace 1",
