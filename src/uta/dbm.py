@@ -9,10 +9,11 @@ reference, so entry (i, j) bounds ``x_i - x_j`` with clock k at index
 k + 1.  The model states constraints and updates in these indices
 (`AtomicConstraint.entry`, `Update.source`); this module only encodes
 them.  All public operations return matrices in canonical (all-pairs
-tightest) form, or the EMPTY sentinel.  A zone also has a packed form,
-its matrix in the narrowest integer width that holds it, or only row 0 and
-column 0 when they imply the rest (`Dbm.packed`, `unpack`), which is what
-the search stores.
+tightest) form, or the EMPTY sentinel; each works on one copy of its
+input's matrix, tightened in place and frozen once.  A zone also has a
+packed form, its matrix in the narrowest integer width that holds it, or
+only row 0 and column 0 when they imply the rest (`Dbm.packed`,
+`unpack`), which is what the search stores.
 """
 from __future__ import annotations
 
@@ -176,12 +177,6 @@ def _freeze(m: np.ndarray) -> Dbm:
     return Dbm(m)
 
 
-def _add_mat(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # int64 wraparound on INF+INF is masked out by the where
-    raw = a + b - ((a | b) & 1)
-    return np.where((a >= INF) | (b >= INF), INF, raw)
-
-
 def zero_zone(n_clocks: int) -> Dbm:
     """The single point with every clock at zero."""
     size = n_clocks + 1
@@ -195,16 +190,19 @@ def _atom_entry(phi: AtomicConstraint) -> tuple[int, int, int]:
 
 
 def _tighten(m: np.ndarray, i: int, j: int, b: int) -> bool:
-    """Intersect a canonical matrix with x_i - x_j <= b, in place.
-
-    Keeps the matrix canonical; returns False when it becomes empty.
-    """
-    if b >= m[i, j]:
-        return True
+    """Intersect a canonical matrix with x_i - x_j <= b, a finite bound
+    below m[i, j], in place; keeps it canonical, or returns False when it
+    becomes empty.  Entry (k, l) takes add(add(m[k, i], b), m[j, l]) when
+    lower, in one pass: add(c, b) is odd when c and b both are, and one
+    mask writes INF over the int64 wraparound of INF + INF."""
     if add_bounds(int(m[j, i]), b) < LE_ZERO:
         return False
     m[i, j] = b
-    cand = _add_mat(_add_mat(m[:, i : i + 1], np.int64(b)), m[j : j + 1, :])
+    col, row = m[:, i : i + 1], m[j : j + 1, :]
+    cand = col + row
+    cand += b - ((col | b) & 1)
+    cand -= ((col & b) | row) & 1
+    np.putmask(cand, (col >= INF) | (row >= INF), INF)
     np.minimum(m, cand, out=m)
     return True
 
@@ -226,23 +224,29 @@ def encode_atoms(atoms: Iterable[AtomicConstraint]) -> tuple[Triple, ...]:
     return tuple(out)
 
 
-def constrain(d: Zone, cut: Iterable[Triple]) -> Zone:
-    """Intersect with pre-encoded bounds.
+def _intersect(d: Dbm, m: np.ndarray, cut: Iterable[Triple]) -> Optional[np.ndarray]:
+    """m, d's own matrix or a working copy, cut by pre-encoded bounds, each
+    tested once: d's matrix is copied before the first that tightens it,
+    a working copy is cut in place.  None when the cut is empty."""
+    for i, j, b in cut:
+        if b < m[i, j]:
+            if m is d.m:
+                m = np.array(m)
+            if not _tighten(m, i, j, b):
+                return None
+    return m
 
-    Returns d itself when no bound tightens it, so that unchanged zones
-    share one matrix.
-    """
+
+def constrain(d: Zone, cut: Iterable[Triple]) -> Zone:
+    """Intersect with pre-encoded bounds on one working copy, frozen once;
+    d itself when no bound tightens it, so that unchanged zones share one
+    matrix."""
     if d is EMPTY:
         return EMPTY
-    m = None
-    for i, j, b in cut:
-        if m is None:
-            if b >= d.m[i, j]:
-                continue
-            m = np.array(d.m)
-        if not _tighten(m, i, j, b):
-            return EMPTY
-    return d if m is None else _freeze(m)
+    m = _intersect(d, d.m, cut)
+    if m is None:
+        return EMPTY
+    return d if m is d.m else _freeze(m)
 
 
 def _substitution(up: Update, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -287,42 +291,35 @@ def compile_step(guard: Iterable[AtomicConstraint], up: Update,
     return Step(tuple(cut), flat, delta if delta.any() else None)
 
 
-def _image(d: Zone, step: Step) -> Zone:
-    """Substitute sources and offsets entry-wise into a zone already cut to
-    the update's domain; the result of substituting into a canonical matrix
-    is canonical.  Raises OverflowError when an offset moves a finite entry
-    to -LIMIT, LIMIT or beyond: repeated shifts can grow a zone's bounds
-    without end, and past that range they would read as infinite or wrap."""
-    if d is EMPTY or step.src is None:
-        return d
-    new = np.take(d.m, step.src)
-    if step.delta is not None:
-        new = np.where(new >= INF, INF, new + step.delta)
-        if new.min() <= -LIMIT or ((new >= LIMIT) & (new != INF)).any():
-            raise OverflowError("a clock update moved a zone bound beyond "
-                                f"{int(LIMIT) >> 1}, out of zone arithmetic's range")
-    np.fill_diagonal(new, LE_ZERO)
-    return _freeze(new)
-
-
-def elapse(d: Dbm) -> Dbm:
-    """Future closure: drop upper bounds on all clocks; stays canonical."""
-    m = np.array(d.m)
-    m[1:, 0] = INF
-    return _freeze(m)
-
-
-def successor(
-    d: Zone,
-    step: Step,
-    invariant: tuple[Triple, ...] = (),
-    do_elapse: bool = True,
-) -> Zone:
-    """One discrete-plus-delay step: guard, update, invariant, elapse,
-    invariant again.  The invariant is pre-encoded like the step's cut
-    (`encode_atoms`)."""
-    z = _image(constrain(d, step.cut), step)
-    z = constrain(z, invariant)
-    if z is EMPTY or not do_elapse:
-        return z
-    return constrain(elapse(z), invariant)
+def successor(d: Zone, step: Step, invariant: tuple[Triple, ...] = (),
+              do_elapse: bool = True) -> Zone:
+    """One discrete-plus-delay step: guard, update (sources and offsets
+    substituted entry-wise into the zone cut to its domain), invariant,
+    elapse (every clock's upper bound dropped), invariant again, all on one
+    working copy, frozen once; d itself when no stage changes it.  The
+    invariant is pre-encoded like the step's cut (`encode_atoms`).  Raises
+    OverflowError when an offset moves a finite entry to -LIMIT, LIMIT or
+    beyond: repeated shifts can grow a zone's bounds without end, and past
+    that range they would read as infinite or wrap."""
+    if d is EMPTY:
+        return EMPTY
+    m = _intersect(d, d.m, step.cut)
+    if m is None:
+        return EMPTY
+    if step.src is not None:
+        m = np.take(m, step.src)
+        if step.delta is not None:
+            np.add(m, step.delta, out=m, where=m < INF)
+            if m.min() <= -LIMIT or ((m >= LIMIT) & (m != INF)).any():
+                raise OverflowError("a clock update moved a zone bound beyond "
+                                    f"{int(LIMIT) >> 1}, out of zone arithmetic's range")
+        np.fill_diagonal(m, LE_ZERO)
+    m = _intersect(d, m, invariant)
+    if m is not None and do_elapse:
+        if m is d.m:
+            m = np.array(m)
+        m[1:, 0] = INF
+        m = _intersect(d, m, invariant)
+    if m is None:
+        return EMPTY
+    return d if m is d.m else _freeze(m)

@@ -48,17 +48,17 @@ class _TooLong(Exception):
     pass
 
 
-def unpruned_reach(monkeypatch, net, target: str):
+def unpruned_reach(monkeypatch, net, target: str, cap: int = MAX_EXPANSIONS):
     """`search.reach` of net without pruning, or None once it has expanded
-    more than MAX_EXPANSIONS nodes: a differential against the pruned
-    search skips the same models on every host, bounded by work, not by
-    wall time.  Expansions are counted by wrapping `search.successors`."""
+    more than cap nodes: a differential against the pruned search skips
+    the same models on every host, bounded by work, not by wall time.
+    Expansions are counted by wrapping `search.successors`."""
     plain, count = search.successors, 0
 
     def counted(*args):
         nonlocal count
         count += 1
-        if count > MAX_EXPANSIONS:
+        if count > cap:
             raise _TooLong
         return plain(*args)
 
@@ -255,8 +255,8 @@ def sim_atom_grid(v, vp, phi: AtomicConstraint, max_delta: int, denom: int = 2) 
 def random_zone_chain(rng: random.Random, n_clocks: int, max_steps: int = 4,
                       max_const: int = 4):
     """A reachable-looking zone: guard cuts, updates and elapses from zero."""
-    from reference import apply_update, initial_zone, intersect_all
-    from uta.dbm import EMPTY, elapse
+    from reference import apply_update, elapse, initial_zone, intersect_all
+    from uta.dbm import EMPTY
 
     z = initial_zone(n_clocks)
     for _ in range(rng.randint(0, max_steps)):
@@ -275,8 +275,8 @@ def random_zone_chain(rng: random.Random, n_clocks: int, max_steps: int = 4,
 def random_sim_query(rng: random.Random, max_const: int = 6):
     """Paired zones plus a constraint set; None when a zone degenerates."""
     from uta.analysis import GSet
-    from reference import SimQuery, apply_update, intersect_all
-    from uta.dbm import EMPTY, elapse
+    from reference import SimQuery, apply_update, elapse, intersect_all
+    from uta.dbm import EMPTY
 
     from uta.model import WEAK, make_upper
 

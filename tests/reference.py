@@ -1,25 +1,26 @@
 """Reference forms that only the tests use.
 
-Each one restates something the program computes another way, builds test
-inputs, or shows a value for a failure message: zones built from constraint
-conjunctions, the zone image of an update directly and through its
-defining relation, closure of an arbitrary bound matrix, exact point
-membership, plain zone equality and printing, building, complementing and
-delaying constraints and valuations, constraint satisfaction and updates
-of a single valuation, the empty constraint set, the worst-case release
-pattern, pointwise simulation, the zone simulation decided by region
-enumeration from the definition, the per-clock LU bounds of a constraint
-set, the syntactic boundedness test and the capping transform behind it,
-the preimage of a constraint under an update case by case and through
-its matrix entry, the guard-context cut by a scan of the context, the
-backward propagation one atom at a time (`wp`, the oracle of the
-analysis's compiled per-edge propagation), the base sets of the
-constraint analysis, the order of a constraint set's atoms, the analysis
-report rendered atom by atom, one synchronous propagation sweep, the
-analysis swept until a constant exceeds its bound, the plain-preimage
-analysis that the guard-aware one replaces, the constraint set of a
-product location as the union of its components' sets, and the runs of a
-bounded one-counter automaton.
+Each one restates something the program computes another way, builds
+test inputs, or shows a value for a failure message: zones built from
+constraint conjunctions, the zone successor stage by stage (the image of
+an update directly and through its defining relation, the future
+closure), entry-wise bound addition of matrices, closure of an arbitrary
+bound matrix, exact point membership, plain zone equality and printing,
+building, complementing and delaying constraints and valuations,
+constraint satisfaction and updates of a single valuation, the empty
+constraint set, the worst-case release pattern, pointwise simulation,
+the zone simulation decided by region enumeration from the definition,
+the per-clock LU bounds of a constraint set, the syntactic boundedness
+test and the capping transform behind it, the preimage of a constraint
+under an update case by case and through its matrix entry, the
+guard-context cut by a scan of the context, the backward propagation one
+atom at a time (`wp`, the oracle of the analysis's compiled per-edge
+propagation), the base sets of the constraint analysis, the order of a
+constraint set's atoms, the analysis report rendered atom by atom, one
+synchronous propagation sweep, the analysis swept until a constant
+exceeds its bound, the plain-preimage analysis that the guard-aware one
+replaces, the constraint set of a product location as the union of its
+components' sets, and the runs of a bounded one-counter automaton.
 """
 from collections import defaultdict, deque
 from dataclasses import dataclass, replace
@@ -45,11 +46,12 @@ from uta.dbm import (
     EMPTY,
     INF,
     LE_ZERO,
+    LIMIT,
     Dbm,
+    Step,
+    Triple,
     Zone,
-    _add_mat,
     _freeze,
-    _image,
     _substitution,
     compile_step,
     constrain,
@@ -107,10 +109,52 @@ def zone_of(n_clocks: int, atoms: Iterable[AtomicConstraint]) -> Zone:
     return intersect_all(universe(n_clocks), atoms)
 
 
+def add_mat(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Entry-wise bound addition of two matrices, INF-safe."""
+    # int64 wraparound on INF+INF is masked out by the where
+    raw = a + b - ((a | b) & 1)
+    return np.where((a >= INF) | (b >= INF), INF, raw)
+
+
+def image(d: Zone, step: Step) -> Zone:
+    """Substitute sources and offsets entry-wise into a zone already cut to
+    the update's domain, as a new frozen zone; the result of substituting
+    into a canonical matrix is canonical.  Raises OverflowError as
+    `successor` does."""
+    if d is EMPTY or step.src is None:
+        return d
+    new = np.take(d.m, step.src)
+    if step.delta is not None:
+        new = np.where(new >= INF, INF, new + step.delta)
+        if new.min() <= -LIMIT or ((new >= LIMIT) & (new != INF)).any():
+            raise OverflowError("a clock update moved a zone bound beyond "
+                                f"{int(LIMIT) >> 1}, out of zone arithmetic's range")
+    np.fill_diagonal(new, LE_ZERO)
+    return _freeze(new)
+
+
+def elapse(d: Dbm) -> Dbm:
+    """Future closure, as a new frozen zone: drop upper bounds on all
+    clocks; stays canonical."""
+    m = np.array(d.m)
+    m[1:, 0] = INF
+    return _freeze(m)
+
+
+def staged_successor(d: Zone, step: Step, invariant: tuple[Triple, ...] = (),
+                     do_elapse: bool = True) -> Zone:
+    """`successor` stage by stage, each stage a zone of its own: guard,
+    update, invariant, elapse, invariant again."""
+    z = constrain(image(constrain(d, step.cut), step), invariant)
+    if z is EMPTY or not do_elapse:
+        return z
+    return constrain(elapse(z), invariant)
+
+
 def apply_update(d: Dbm, up: Update) -> Zone:
     """Exact image of the zone under a simultaneous update."""
     step = compile_step((), up, d.m.shape[0] - 1)
-    return _image(constrain(d, step.cut), step)
+    return image(constrain(d, step.cut), step)
 
 
 def decode_bound(b: int) -> Optional[tuple[int, Strictness]]:
@@ -124,7 +168,7 @@ def _close(m: np.ndarray) -> bool:
     """All-pairs tightening in place; False when a diagonal goes negative."""
     size = m.shape[0]
     for k in range(size):
-        cand = _add_mat(m[:, k : k + 1], m[k : k + 1, :])
+        cand = add_mat(m[:, k : k + 1], m[k : k + 1, :])
         np.minimum(m, cand, out=m)
     if (np.diagonal(m) < LE_ZERO).any():
         return False

@@ -109,3 +109,23 @@ def test_src_lines_counts_newlines_per_file(tmp_path):
     here = bench_pairs.src_lines(bench_pairs.ROOT)
     assert here["total"] == sum(here["files"].values()) > 1000
     assert "search.py" in here["files"]
+
+
+def test_import_seconds_alternate_sides_and_take_the_median(monkeypatch):
+    calls = []
+
+    def probe(tree):
+        calls.append(tree)
+        return float(len(calls))
+
+    monkeypatch.setattr(bench_pairs, "_import_seconds", probe)
+    out = bench_pairs.import_seconds({"parent": "p", "change": "c"})
+    # seven fresh processes a side, the side that runs first alternating
+    assert calls == ["p", "c", "c", "p"] * 3 + ["p", "c"]
+    assert out["parent"] == {"median": 8.0, "runs": [1.0, 4.0, 5.0, 8.0, 9.0, 12.0, 13.0]}
+    assert out["change"] == {"median": 7.0, "runs": [2.0, 3.0, 6.0, 7.0, 10.0, 11.0, 14.0]}
+
+
+def test_import_probe_times_the_package_in_a_fresh_process():
+    seconds = bench_pairs._import_seconds(bench_pairs.ROOT)
+    assert 0 < seconds < 60

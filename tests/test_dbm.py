@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fig1_automaton, random_atom, random_update, random_valuation
+from conftest import (
+    fig1_automaton,
+    random_atom,
+    random_update,
+    random_valuation,
+    random_zone_chain,
+)
 from reference import (
     apply_update,
     apply_update_point,
@@ -17,11 +23,13 @@ from reference import (
     decode_bound,
     delayed,
     dump,
+    elapse,
     equals,
     initial_zone,
     intersect_all,
     membership,
     satisfies,
+    staged_successor,
     universe,
     zone_of,
 )
@@ -31,9 +39,10 @@ from uta.dbm import (
     LIMIT,
     Dbm,
     _IMPLIED,
+    _tighten,
     add_bounds,
     compile_step,
-    elapse,
+    constrain,
     encode_atoms,
     encode_bound,
     successor,
@@ -56,6 +65,24 @@ from uta.model import (
 )
 
 X, Y, Z = 0, 1, 2
+
+
+def random_canonical(rng: random.Random):
+    """A non-empty canonical zone of 1 to 3 clocks with INF entries and
+    bounds of both parities: a guarded, updated, elapsed chain, or the
+    closure of a random bound matrix."""
+    n = rng.randint(1, 3)
+    while True:
+        if rng.random() < 0.5:
+            z = random_zone_chain(rng, n)
+        else:
+            m = np.array(universe(n).m)
+            for _ in range(rng.randint(1, 4)):
+                i, j = rng.sample(range(n + 1), 2)
+                m[i, j] = encode_bound(rng.randint(-4, 6), rng.choice((STRICT, WEAK)))
+            z = canonicalize(m)
+        if z is not EMPTY:
+            return z
 
 
 class TestBounds:
@@ -161,6 +188,39 @@ class TestIntersect:
                 v = random_valuation(rng, 3)
                 want = membership(base, v) and satisfies(v, phi)
                 assert membership(cut, v) == want
+
+    def test_one_pass_tightening_matches_closure(self):
+        # the one-pass sum of _tighten against Floyd-Warshall closure, on
+        # bounds of both parities, INF entries in the tightened row and
+        # column included; constrain applies several in turn
+        rng = random.Random(2004)
+        tightened = 0
+        for _ in range(400):
+            z = random_canonical(rng)
+            n1 = len(z.m)
+            cut = []
+            for _ in range(rng.randint(1, 3)):
+                i, j = rng.sample(range(n1), 2)
+                cut.append((i, j, encode_bound(rng.randint(-5, 5),
+                                               rng.choice((STRICT, WEAK)))))
+            raw = np.array(z.m)
+            for i, j, b in cut:
+                raw[i, j] = min(raw[i, j], b)
+            want = canonicalize(raw)
+            got = constrain(z, cut)
+            assert equals(got, want), (dump(z), cut)
+            assert (got is z) == (want is not EMPTY and np.array_equal(want.m, z.m))
+            i, j, b = cut[0]
+            if b < z.m[i, j]:
+                tightened += 1
+                m = np.array(z.m)
+                raw = np.array(z.m)
+                raw[i, j] = b
+                one = canonicalize(raw)
+                assert _tighten(m, i, j, b) == (one is not EMPTY)
+                if one is not EMPTY:
+                    assert np.array_equal(m, one.m), (dump(z), (i, j, b))
+        assert tightened > 150, tightened
 
 
 class TestApplyUpdate:
@@ -278,6 +338,18 @@ class TestZoneRange:
             with pytest.raises(OverflowError):
                 apply_update(self.zone(i, j, entry), self.SHIFT)
 
+    def test_successor_raises_as_the_staged_reference(self):
+        step = compile_step((), self.SHIFT, 2)
+        weak = LIMIT - self.STEP - 1
+        ok = self.zone(X + 1, Y + 1, weak)
+        assert successor(ok, step) == staged_successor(ok, step)
+        over = self.zone(X + 1, Y + 1, weak + 2)
+        with pytest.raises(OverflowError) as want:
+            staged_successor(over, step)
+        with pytest.raises(OverflowError) as got:
+            successor(over, step)
+        assert str(got.value) == str(want.value)
+
     def test_copies_are_not_checked(self):
         # resets to 0 and plain copies carry no offset, so cannot grow
         z = self.zone(X + 1, Y + 1, LIMIT - 1)
@@ -354,6 +426,43 @@ class TestSuccessor:
                 compile_step((), Update.of(up), 2)
         step = compile_step((), Update.of({X: Shift(X, MAX_CONST)}), 2)
         assert int(step.delta[X + 1, 0]) == 2 * MAX_CONST
+
+    def test_one_pass_matches_staged_reference(self):
+        # successor against guard, update, invariant, elapse and invariant
+        # applied one stage and one zone at a time, on random zones and
+        # steps: self-subtractions, invariants and committed targets
+        # (no elapse) included
+        rng = random.Random(29)
+        same = changed = 0
+        for _ in range(400):
+            z = random_canonical(rng)
+            n = len(z.m) - 1
+            if rng.random() < 0.3:
+                x = rng.randrange(n)
+                up = Update.of({x: Shift(x, -rng.randint(1, 2))})
+            else:
+                up = random_update(rng, n) if rng.random() < 0.7 else Update()
+            guard = [random_atom(rng, n, 5) for _ in range(rng.randint(0, 2))]
+            step = compile_step(guard, up, n)
+            inv = encode_atoms(make_upper(rng.randrange(n), rng.choice((STRICT, WEAK)),
+                                          rng.randint(1, 6))
+                               for _ in range(rng.randint(0, 2)))
+            elapse_too = rng.random() < 0.7
+            want = staged_successor(z, step, inv, elapse_too)
+            got = successor(z, step, inv, elapse_too)
+            assert (got is EMPTY) == (want is EMPTY), (dump(z), step)
+            if got is not EMPTY:
+                assert got.packed == want.packed, (dump(z), step)
+            assert (got is z) == (want is z)
+            same += got is z
+            # a zone on a writeable matrix is read, never written
+            w = Dbm(np.array(z.m))
+            before = np.array(w.m)
+            out = successor(w, step, inv, elapse_too)
+            assert np.array_equal(w.m, before)
+            assert (out is w) == (want is z)
+            changed += out is not w and out is not EMPTY
+        assert same >= 10 and changed > 150, (same, changed)
 
     def test_invariant_applied_after_elapse(self):
         inv = encode_atoms((make_upper(X, WEAK, 5),))

@@ -18,7 +18,9 @@ from reference import (
     EMPTY_GSET,
     SimQuery,
     _zone_max_const,
+    add_mat,
     brute_force_sim,
+    elapse,
     initial_zone,
     intersect_all,
     sim_point,
@@ -33,10 +35,8 @@ from uta.dbm import (
     EMPTY,
     INF,
     LE_ZERO,
-    _add_mat,
     _atom_entry,
     compile_step,
-    elapse,
     encode_bound,
     successor,
 )
@@ -89,8 +89,8 @@ def reference_not_simulated(z, zp, prep) -> bool:
     zm, pm = z.m, zp.m
     for i, j, b in prep.diags:
         # z cut by the diagonal is non-empty, zp cut by it empty
-        if (_add_mat(zm[j, i], np.int64(b)) >= LE_ZERO
-                and _add_mat(pm[j, i], np.int64(b)) < LE_ZERO):
+        if (add_mat(zm[j, i], np.int64(b)) >= LE_ZERO
+                and add_mat(pm[j, i], np.int64(b)) < LE_ZERO):
             return True
     z0 = zm[0, 1:]
     zx0 = zm[1:, 0]
@@ -101,14 +101,14 @@ def reference_not_simulated(z, zp, prep) -> bool:
     has_u, u_enc, has_l = aggregates(prep)
 
     # single forced upper on x: v(x) below everything zp allows for x
-    a = has_u & (_add_mat(z0, np.minimum(u_enc, 1 - p0)) >= LE_ZERO)
+    a = has_u & (add_mat(z0, np.minimum(u_enc, 1 - p0)) >= LE_ZERO)
     if a.any():
         return True
 
     # single forced lower on y: v(y) above everything zp allows for y
     b = (
         has_l
-        & (_add_mat(px0, prep.l_edge) < LE_ZERO)
+        & (add_mat(px0, prep.l_edge) < LE_ZERO)
         & (px0 < zx0)
     )
     if b.any():
@@ -119,7 +119,7 @@ def reference_not_simulated(z, zp, prep) -> bool:
     # cap collapses to an unsatisfiable bound rather than to "no constraint"
     never = np.int64(-INF)
     guard = -(np.int64(1) << 50)
-    t = _add_mat(prep.l_edge[:, None], pd)
+    t = add_mat(prep.l_edge[:, None], pd)
     cap_l = np.where(t >= INF, never, 1 - t)
     cap_d = np.where(pd >= INF, never, 1 - pd)
     e_x0 = np.minimum(np.minimum(zx0[None, :], u_enc[None, :]), cap_l)
@@ -129,10 +129,10 @@ def reference_not_simulated(z, zp, prep) -> bool:
         & has_u[None, :]
         & (e_x0 > guard)
         & (e_xy > guard)
-        & (_add_mat(e_x0, z0[None, :]) >= LE_ZERO)
-        & (_add_mat(e_xy, zd) >= LE_ZERO)
-        & (_add_mat(_add_mat(e_x0, z0[:, None]), zd) >= LE_ZERO)
-        & (_add_mat(_add_mat(e_xy, zx0[:, None]), z0[None, :]) >= LE_ZERO)
+        & (add_mat(e_x0, z0[None, :]) >= LE_ZERO)
+        & (add_mat(e_xy, zd) >= LE_ZERO)
+        & (add_mat(add_mat(e_x0, z0[:, None]), zd) >= LE_ZERO)
+        & (add_mat(add_mat(e_xy, zx0[:, None]), z0[None, :]) >= LE_ZERO)
     )
     np.fill_diagonal(c, False)
     return bool(c.any())
@@ -455,11 +455,11 @@ class TestKernel:
         bounds = [encode_bound(v, st) for v in range(-4, 5) for st in (WEAK, STRICT)]
         for a in bounds:
             for b in bounds:
-                got = _add_mat(np.int64(a), np.int64(1 - b)) >= LE_ZERO
+                got = add_mat(np.int64(a), np.int64(1 - b)) >= LE_ZERO
                 assert got == (b < a), (a, b)
         for p in bounds + [int(INF)]:
             for l in bounds:
-                got = _add_mat(np.int64(p), np.int64(l)) < LE_ZERO
+                got = add_mat(np.int64(p), np.int64(l)) < LE_ZERO
                 assert got == (p < 2 - l), (p, l)
 
     def test_equal_constants_on_row_and_column_zero(self):

@@ -19,7 +19,10 @@ report, it reads ``analysis.report_json_s`` from each traced run's span
 file.  It also records the sha256 of ``tools/dump_reports.py``'s output on
 each side, the working tree's script run over each side's program, and
 the line count (``wc -l``) of each ``src/uta/*.py`` file per side, with
-their total.
+their total, and per side ``import_s``: the median over IMPORT_RUNS fresh
+processes, the sides alternating, of the seconds that ``import uta.cli``
+takes inside the process, which set-up time counts along with the
+interpreter's start.
 
 Writes BENCH_<label>.json at the repository root, after every pair, so that
 an interrupted run keeps what it measured: per workload and end-to-end
@@ -61,6 +64,10 @@ COUNTS = ("verdict", "nodes", "pruned_exact", "pruned_sim", "pruned_subtree",
 MEASURED = ("search_seconds", "analysis_seconds", "peak_rss_mb", "zone_bytes")
 # traced pairs per workload in the layer split
 LAYER_PAIRS = 3
+# fresh processes per side that time `import uta.cli`
+IMPORT_RUNS = 7
+_IMPORT_PROBE = ("import time; t = time.perf_counter(); import uta.cli; "
+                 "print(time.perf_counter() - t)")
 
 
 def _quartiles(values: list) -> dict:
@@ -176,6 +183,24 @@ def src_lines(tree: Path) -> dict:
     return {"files": files, "total": sum(files.values())}
 
 
+def _import_seconds(tree: Path) -> float:
+    """Seconds that ``import uta.cli`` takes in a fresh process."""
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=_env(tree),
+                          check=True, capture_output=True, text=True)
+    return float(proc.stdout)
+
+
+def import_seconds(trees: dict) -> dict:
+    """Per side, every `_import_seconds` of IMPORT_RUNS fresh processes, the
+    side that runs first alternating, and their median."""
+    runs = {side: [] for side in SIDES}
+    for k in range(IMPORT_RUNS):
+        for side in SIDES if k % 2 == 0 else SIDES[::-1]:
+            runs[side].append(_import_seconds(trees[side]))
+    return {side: {"median": statistics.median(r), "runs": r}
+            for side, r in runs.items()}
+
+
 def _dump_sha256(tree: Path, script: Path) -> str:
     """sha256 of `tools/dump_reports.py`'s output over the tree's program."""
     proc = subprocess.run([sys.executable, str(script)], env=_env(tree),
@@ -286,6 +311,8 @@ def main(argv=None) -> int:
             **{f"{side}_sha256": dumps[side] for side in SIDES},
         },
         "src_lines": {side: src_lines(trees[side]) for side in SIDES},
+        "import_s": {"command": f"python3 -c {_IMPORT_PROBE!r}",
+                     **import_seconds(trees)},
         "layers": {
             "command": "python3 perfbench/run.py --workload W --seed N "
                        f"--seconds {seconds} --trace 1",
